@@ -5,8 +5,8 @@ Covers the layered family through a chosen index: homology and meridian
 calibration, exhaustive meridian-disc search with the exponential lower
 bound, the boundary pre-core length bound, parallelity-bundle claims on the
 minimal discs, and the one-crossing core-curve certificates with their arc
-bounds.  Everything recomputes from scratch; expect roughly a minute with
-the default settings.
+bounds.  Everything recomputes from scratch; expect a few seconds with the
+default settings.
 """
 import argparse
 import sys
@@ -25,9 +25,9 @@ from coretorus.layered import family
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--max-disc-index", type=int, default=3,
+    ap.add_argument("--max-disc-index", type=int, default=5,
                     help="largest family index for the disc enumeration")
-    ap.add_argument("--max-claims-index", type=int, default=2)
+    ap.add_argument("--max-claims-index", type=int, default=4)
     ap.add_argument("--max-arith-index", type=int, default=20)
     args = ap.parse_args()
 

@@ -132,7 +132,7 @@ def cmd_meridian(args, report):
     budget = SearchBudget(max_piece_count=args.max_pieces,
                           max_weight=args.max_weight,
                           time_limit=args.time_limit)
-    res = find_meridian_discs(tri, budget, jobs=args.jobs)
+    res = find_meridian_discs(tri, budget)
     report.set("budget_pieces", args.max_pieces)
     report.set("discs_found", len(res.discs))
     report.set("discs", [{
@@ -272,8 +272,6 @@ def build_parser():
     p.add_argument("--json", action="store_true", help="machine-readable report")
     p.add_argument("--deterministic", action="store_true",
                    help="byte-identical reports for identical inputs")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker count for enumeration (output order independent)")
     sub = p.add_subparsers(dest="cmd", required=True)
 
     g = sub.add_parser("gen", help="generate a layered family triangulation")
@@ -320,9 +318,6 @@ def build_parser():
 def run(argv):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        print("--jobs must be at least 1", file=sys.stderr)
-        return EXIT_INVALID
     report = Report(argv, args.deterministic)
     handlers = {
         "gen": cmd_gen, "validate": cmd_validate, "homology": cmd_homology,

@@ -17,24 +17,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .triangulation import FACE_VERTICES, TriangulationError
+from .triangulation import EDGE_PAIRS, FACE_VERTICES, TriangulationError
 
 # quad type q misses the two opposite edges QUAD_MISSED[q]; the side of the
 # first (the one containing vertex 0) is the "low" side used to index copies
 QUAD_MISSED = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
+# QUAD_CUT[q][f]: the vertex cut off by the type-q quad's arc in face f, the
+# partner of f in the missed edge through f
+QUAD_CUT = tuple(tuple(b if a == f else a for f in range(4)
+                       for a, b in QUAD_MISSED[q] if f in (a, b))
+                 for q in range(3))
+# QUAD_CROSSES[q]: the four (sorted) tetrahedron edges a type-q quad crosses
+QUAD_CROSSES = tuple(frozenset(e for e in EDGE_PAIRS if e not in QUAD_MISSED[q])
+                     for q in range(3))
 
 
 def quad_crosses(q, edge):
-    return tuple(sorted(edge)) not in QUAD_MISSED[q]
+    return tuple(sorted(edge)) in QUAD_CROSSES[q]
 
 
 def quad_cut_vertex(q, f):
     """The vertex cut off by the type-q quad's arc in face f."""
-    verts = FACE_VERTICES[f]
-    for missed in QUAD_MISSED[q]:
-        if missed[0] in verts and missed[1] in verts:
-            return next(v for v in verts if v not in missed)
-    raise ValueError("a quad misses exactly one edge of every face")
+    return QUAD_CUT[q][f]
 
 
 def quad_low_side(q):
@@ -61,7 +65,8 @@ class NormalVector:
 
     def quad_type(self, t):
         """The single quad type present in tetrahedron t, or None."""
-        types = [q for q in range(3) if self.quad(t, q) > 0]
+        row = self.coords[t]
+        types = [q for q in range(3) if row[4 + q] > 0]
         if len(types) > 1:
             raise ValueError(f"tetrahedron {t} has two quad types")
         return types[0] if types else None
@@ -110,7 +115,7 @@ def arc_count(v: NormalVector, t, f, vtx):
     """Arcs of the given type (cut-off vertex) in face f of tetrahedron t."""
     n = v.tri(t, vtx)
     q = v.quad_type(t)
-    if q is not None and quad_cut_vertex(q, f) == vtx:
+    if q is not None and QUAD_CUT[q][f] == vtx:
         n += v.quad(t, q)
     return n
 
@@ -151,6 +156,19 @@ def edge_weight(tri, v: NormalVector, edge_class_index):
 
 def total_weight(tri, v: NormalVector):
     return sum(edge_weight(tri, v, ec.index) for ec in tri.edge_classes)
+
+
+def count_euler(tri, v: NormalVector):
+    """Euler characteristic from the coordinates alone: crossing points
+    (the weight) minus arcs plus pieces.  A connected disc has 1.  Each
+    edge class and face class is counted at one slot, which is exact for a
+    matching vector."""
+    points = sum(edge_slot_crossings(v, *ec.slots[0]) for ec in tri.edge_classes)
+    arcs = 0
+    for slots in tri.face_classes:
+        t, f = slots[0]
+        arcs += sum(arc_count(v, t, f, vtx) for vtx in FACE_VERTICES[f])
+    return points - arcs + v.piece_count()
 
 
 # -- stacking orders ---------------------------------------------------------
@@ -382,11 +400,7 @@ def reconstruct(tri, v: NormalVector) -> ReconstructedSurface:
     euler_by_component = [v_count[i] - e_count[i] + f_count[i] for i in range(n_comp)]
 
     # independent Euler characteristic from the coordinates alone
-    arcs_from_counts = 0
-    for slots in tri.face_classes:
-        t1, f1 = slots[0]
-        arcs_from_counts += sum(arc_count(v, t1, f1, vtx) for vtx in FACE_VERTICES[f1])
-    euler_from_counts = weight - arcs_from_counts + v.piece_count()
+    euler_from_counts = count_euler(tri, v)
     euler_total = sum(euler_by_component)
     if euler_total != euler_from_counts:
         raise TriangulationError("Euler characteristic computations disagree")

@@ -1,12 +1,18 @@
 """Bounded exhaustive enumeration of normal surfaces and meridian discs.
 
-The enumerator fixes one quad type (or none) per tetrahedron and then walks
-the lattice points of the matching-equation system tetrahedron by
-tetrahedron: once a tetrahedron shares a glued face with an earlier one, its
-coordinates are forced up to the quad count, so the search is close to
-linear on layered triangulations.  Output order is deterministic and budget
-monotone: vectors sorted by (piece count, coordinates), so a run with a
-larger budget streams the smaller run as a prefix.
+The enumerator fixes one quad type (or none) per tetrahedron and solves the
+matching equations tetrahedron by tetrahedron instead of scanning for their
+solutions.  Every equation is an equality with an offset, tri[b] = tri[a] +
+off, where off is a multiple of the quad count; an equation across a face
+glued to an earlier tetrahedron has a known side.  Each equation is
+propagated as soon as one side is known, so a contradiction or a negative
+coordinate prunes the branch at once; two equations that reach the same
+coordinate pin the quad count, which is scanned only when nothing pins it.
+On layered triangulations each new tetrahedron is glued down along two
+faces, so its coordinates are forced and the search is close to linear.
+Output order is deterministic and budget monotone: vectors sorted by
+(piece count, coordinates), so a run with a larger budget streams the
+smaller run as a prefix.
 
 Budgets never masquerade as proofs: every report distinguishes a failed
 check from an inconclusive search.
@@ -19,8 +25,8 @@ from fractions import Fraction
 
 from .homology import first_homology
 from .layered import family
-from .normal import (NormalVector, check_matching, curve_slopes, edge_weight,
-                     quad_cut_vertex, reconstruct, total_weight)
+from .normal import (QUAD_CROSSES, QUAD_CUT, NormalVector, check_matching,
+                     count_euler, curve_slopes, edge_weight, reconstruct)
 from .slopes import at_least_golden_power, fib, slope_seq
 from .triangulation import FACE_VERTICES
 
@@ -42,163 +48,213 @@ class BudgetExhausted(Exception):
     pass
 
 
-def enumerate_admissible(tri, budget: SearchBudget, jobs: int = 1):
+def enumerate_admissible(tri, budget: SearchBudget):
     """All admissible matching vectors within the budget, exactly once,
-    sorted by (piece count, coordinates).
-
-    With jobs > 1 the top-level branches are sharded across worker threads;
-    the final sort makes the output order independent of the worker count.
-    """
-    if jobs <= 1:
-        found = list(_enumerate_raw(tri, budget))
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-        found = []
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(lambda s=shard: list(_enumerate_raw(tri, budget, s)))
-                       for shard in ((j, jobs) for j in range(jobs))]
-            for fut in futures:
-                found.extend(fut.result())
+    sorted by (piece count, coordinates)."""
+    found = list(_enumerate_raw(tri, budget))
     found.sort(key=lambda v: (v.piece_count(), v.coords))
     return found
 
 
-def _enumerate_raw(tri, budget, shard=None):
-    deadline = None
-    if budget.time_limit is not None:
-        deadline = time.monotonic() + budget.time_limit
-    n = tri.tet_count
-    if n == 0:
-        return
+@dataclass
+class _TetPlan:
+    """The matching equations of one tetrahedron under one quad type, solved
+    for its triangle coordinates.
 
-    cross_faces = [[] for _ in range(n)]    # (f_here, t_prev, f_prev, perm_prev_to_here)
-    self_faces = [[] for _ in range(n)]     # (f1, f2, perm_f1_to_f2)
-    for t in range(n):
+    targets[k] are the arc counts of the earlier tetrahedra across its
+    glued-down faces, each the sum of one triangle and one quad coordinate
+    of an earlier row.  A forced coordinate v is targets[k] + c * qcount.
+    ``checks`` are pairs of targets that must agree; ``pins`` are (k, j, m)
+    with targets[k] - targets[j] = m * qcount (index None reads 0).  Each
+    free class is a representative coordinate x >= 0 and its members at
+    x + c * qcount.
+    """
+    qtype: int | None
+    forced: list              # (v, k, c)
+    checks: list              # (k, j)
+    pins: list                # (k, j, m)
+    classes: list             # [(v, c), ...] per class, representative first
+    quad_weight: int          # first-slot edges the quad crosses
+
+
+def _plans(tri):
+    """Per tetrahedron: where its targets are read in the earlier rows, the
+    weight coefficient of each triangle coordinate, and one plan per quad
+    type."""
+    # every slot of an edge class sees all of its crossings, so the class
+    # weight is counted once, at its first slot: prune on weight early
+    first_slots = [[] for _ in range(tri.tet_count)]
+    for ec in tri.edge_classes:
+        t, e = min(ec.slots)
+        first_slots[t].append(e)
+    out = []
+    for t in range(tri.tet_count):
+        sources = []          # per target: (t_prev, triangle index, quad index)
+        cross = []            # (f_here, vtx, k)
+        selfs = []            # (f1, vtx, f2, perm[vtx])
         for f in range(4):
             g = tri.gluings[t][f]
             if g is None:
                 continue
             t2, perm = g
             if t2 < t:
-                inv = [0] * 4
-                for i, v in enumerate(perm):
-                    inv[v] = i
-                cross_faces[t].append((f, t2, perm[f], tuple(inv)))
+                for vtx in FACE_VERTICES[f]:
+                    f2, v2 = perm[f], perm[vtx]
+                    q2 = next(q for q in range(3) if QUAD_CUT[q][f2] == v2)
+                    cross.append((f, vtx, len(sources)))
+                    sources.append((t2, v2, 4 + q2))
             elif t2 == t and perm[f] > f:
-                self_faces[t].append((f, perm[f], perm))
+                selfs += [(f, vtx, perm[f], perm[vtx]) for vtx in FACE_VERTICES[f]]
+        wcoef = [sum(v in e for e in first_slots[t]) for v in range(4)]
+        plans = [_plan(qt, cross, selfs, first_slots[t]) for qt in (None, 0, 1, 2)]
+        out.append((sources, wcoef, plans))
+    return out
 
-    # each slot of an edge class sees all of its crossings, so the class
-    # weight is determined by its first assigned slot: prune on weight early
-    first_slots = [[] for _ in range(n)]
-    for ec in tri.edge_classes:
-        t_min = min(t for t, e in ec.slots)
-        e_min = next(e for t, e in ec.slots if t == t_min)
-        first_slots[t_min].append(e_min)
 
-    def tet_candidates(t, rows, piece_left):
-        """7-tuples for tetrahedron t, lexicographically ordered."""
-        targets = {}                    # f_here -> {vtx_here: count}
-        for f_here, t_prev, f_prev, perm_to_here in cross_faces[t]:
-            tg = {}
-            for v_prev in FACE_VERTICES[f_prev]:
-                tg[perm_to_here[v_prev]] = _arc_count_row(rows[t_prev], f_prev, v_prev)
-            targets[f_here] = tg
+def _plan(qt, cross, selfs, first_slots):
+    def cut(f, vtx):
+        return int(qt is not None and QUAD_CUT[qt][f] == vtx)
+
+    # edges x -> y with value(y) = value(x) + targets[k] + c * qcount, where
+    # node 4 is the constant 0 and k is None on a self-gluing equation
+    adj = {x: [] for x in range(5)}
+    for f, vtx, k in cross:
+        adj[4].append((vtx, k, -cut(f, vtx)))
+    for f1, v1, f2, v2 in selfs:
+        c = cut(f1, v1) - cut(f2, v2)
+        adj[v1].append((v2, None, c))
+        adj[v2].append((v1, None, -c))
+    form = {}                 # node -> (target index or None, c)
+    forced, checks, pins, classes = [], [], [], []
+    for root in (4, 0, 1, 2, 3):
+        if root in form or (root == 4 and not adj[4]):
+            continue
+        form[root] = (None, 0)
+        members = []
+        queue = [root]
+        while queue:
+            x = queue.pop(0)
+            kx, cx = form[x]
+            if x != 4:
+                members.append((x, cx))
+            for y, k, c in adj[x]:
+                want = (kx if k is None else k, cx + c)
+                if y not in form:
+                    form[y] = want
+                    queue.append(y)
+                    continue
+                # a second equation reaching y: targets[ky] + cy * qcount
+                # = targets[want[0]] + want[1] * qcount
+                (ky, cy), (kw, cw) = form[y], want
+                if cw == cy and kw != ky:
+                    checks.append((ky, kw))
+                elif cw != cy:
+                    pins.append((ky, kw, cw - cy))
+        if root == 4:
+            forced = [(v, k, c) for v, (k, c) in form.items() if v != 4]
+        else:
+            classes.append(members)
+    quad_weight = 0 if qt is None else sum(e in QUAD_CROSSES[qt] for e in first_slots)
+    return _TetPlan(qt, forced, checks, pins, classes, quad_weight)
+
+
+def _enumerate_raw(tri, budget):
+    deadline = None
+    if budget.time_limit is not None:
+        deadline = time.monotonic() + budget.time_limit
+    n = tri.tet_count
+    if n == 0:
+        return
+    plans = _plans(tri)
+    max_weight = budget.max_weight
+
+    def check_deadline():
+        if deadline is not None and time.monotonic() > deadline:
+            raise BudgetExhausted("time limit reached")
+
+    def tet_candidates(t, rows, piece_left, weight_left):
+        """(row, pieces, weight) for tetrahedron t within the budgets."""
+        sources, wcoef, tplans = plans[t]
+        targets = [rows[tp][v] + rows[tp][q] for tp, v, q in sources]
+
+        def value(k):
+            return 0 if k is None else targets[k]
+
+        def fill(classes, vals, quad, quad_weight):
+            """Extend by the free classes, each from its least value on;
+            False when even the least values exceed a budget."""
+            pieces = sum(vals) + sum(quad)
+            weight = sum(w * x for w, x in zip(wcoef, vals)) + quad_weight
+            if pieces > piece_left or (weight_left is not None and weight > weight_left):
+                return False
+            if not classes:
+                out.append((tuple(vals) + quad, pieces, weight))
+                return True
+            steps = 0
+            while fill(classes[1:], vals, quad, quad_weight):
+                check_deadline()
+                for v, _ in classes[0]:
+                    vals[v] += 1
+                steps += 1
+            for v, _ in classes[0]:
+                vals[v] -= steps
+            return True
+
         out = []
-        for qtype in (None, 0, 1, 2):
-            qmin = 0 if qtype is None else 1
-            qmax = 0 if qtype is None else piece_left
-            for qcount in range(qmin, qmax + 1):
-                tri_vals = [None] * 4
-                ok = True
-                for f_here, tg in targets.items():
-                    for vtx, want in tg.items():
-                        quad_here = qcount if (qtype is not None and
-                                               quad_cut_vertex(qtype, f_here) == vtx) else 0
-                        val = want - quad_here
-                        if val < 0 or (tri_vals[vtx] is not None and tri_vals[vtx] != val):
-                            ok = False
-                            break
-                        tri_vals[vtx] = val
-                    if not ok:
-                        break
-                if not ok:
+        for plan in tplans:
+            if any(value(k) != value(j) for k, j in plan.checks):
+                continue
+            qt = plan.qtype
+            if qt is None:
+                qrange = (0,)
+            elif plan.pins:
+                k, j, m = plan.pins[0]
+                qc, rem = divmod(value(k) - value(j), m)
+                if rem or qc < 1 or any(value(k) - value(j) != m * qc
+                                        for k, j, m in plan.pins[1:]):
                     continue
-                fixed = sum(v for v in tri_vals if v is not None) + qcount
-                if fixed > piece_left:
+                qrange = (qc,)
+            else:
+                hi = piece_left
+                for _, k, c in plan.forced:
+                    if c < 0:
+                        hi = min(hi, targets[k] // -c)
+                qrange = range(1, hi + 1)
+            for qc in qrange:
+                check_deadline()
+                vals = [0, 0, 0, 0]
+                for v, k, c in plan.forced:
+                    vals[v] = targets[k] + c * qc
+                if min(vals) < 0:
                     continue
-                free = [v for v in range(4) if tri_vals[v] is None]
-                out.extend(_fill_free(tri_vals, free, qtype, qcount,
-                                      piece_left - fixed, self_faces[t]))
-        out.sort()
+                for members in plan.classes:
+                    # the representative (c = 0) is a member, so x >= 0
+                    x = max(-c * qc for _, c in members)
+                    for v, c in members:
+                        vals[v] = x + c * qc
+                quad = (qc if qt == 0 else 0, qc if qt == 1 else 0, qc if qt == 2 else 0)
+                fill(plan.classes, vals, quad, qc * plan.quad_weight)
         return out
-
-    def _fill_free(tri_vals, free, qtype, qcount, slack, selfs):
-        rows_out = []
-        def rec(i, left, vals):
-            if i == len(free):
-                row = list(vals)
-                coords = (row[0], row[1], row[2], row[3],
-                          qcount if qtype == 0 else 0,
-                          qcount if qtype == 1 else 0,
-                          qcount if qtype == 2 else 0)
-                for f1, f2, perm in selfs:
-                    for vtx in FACE_VERTICES[f1]:
-                        if _arc_count_row(coords, f1, vtx) != _arc_count_row(coords, f2, perm[vtx]):
-                            return
-                rows_out.append(coords)
-                return
-            v = free[i]
-            for c in range(left + 1):
-                vals[v] = c
-                rec(i + 1, left - c, vals)
-            vals[v] = None
-        rec(0, slack, list(tri_vals))
-        return rows_out
 
     stack_rows = []
 
     def dfs(t, used, weight_used):
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetExhausted("time limit reached")
+        check_deadline()
         if t == n:
             vec = NormalVector(tuple(stack_rows))
-            if budget.max_weight is not None and total_weight(tri, vec) > budget.max_weight:
-                return
             ok, _ = check_matching(tri, vec)
             if not ok:
                 raise AssertionError("enumerator produced a non-matching vector")
             yield vec
             return
-        rows = tet_candidates(t, stack_rows, budget.max_piece_count - used)
-        if t == 0 and shard is not None:
-            rows = rows[shard[0]::shard[1]]
-        for row in rows:
-            dw = sum(_edge_crossings_row(row, e) for e in first_slots[t])
-            if budget.max_weight is not None and weight_used + dw > budget.max_weight:
-                continue
+        weight_left = None if max_weight is None else max_weight - weight_used
+        for row, pieces, weight in tet_candidates(
+                t, stack_rows, budget.max_piece_count - used, weight_left):
             stack_rows.append(row)
-            yield from dfs(t + 1, used + sum(row), weight_used + dw)
+            yield from dfs(t + 1, used + pieces, weight_used + weight)
             stack_rows.pop()
 
     yield from dfs(0, 0, 0)
-
-
-def _arc_count_row(row, f, vtx):
-    n = row[vtx]
-    qtype = next((q for q in range(3) if row[4 + q] > 0), None)
-    if qtype is not None and quad_cut_vertex(qtype, f) == vtx:
-        n += row[4 + qtype]
-    return n
-
-
-def _edge_crossings_row(row, edge):
-    from .normal import quad_crosses
-    u, w = edge
-    n = row[u] + row[w]
-    qtype = next((q for q in range(3) if row[4 + q] > 0), None)
-    if qtype is not None and quad_crosses(qtype, edge):
-        n += row[4 + qtype]
-    return n
 
 
 # -- meridian discs ----------------------------------------------------------
@@ -227,10 +283,12 @@ class DiscSearchResult:
     note: str = ""
 
 
-def find_meridian_discs(tri, budget: SearchBudget, calibration=None,
-                        jobs: int = 1) -> DiscSearchResult:
+def find_meridian_discs(tri, budget: SearchBudget, calibration=None) -> DiscSearchResult:
     """All normal meridian discs within the budget: connected, Euler
-    characteristic 1, boundary in the kernel of H1(bdry) -> H1(M)."""
+    characteristic 1, boundary in the kernel of H1(bdry) -> H1(M).
+
+    A vector whose count-level Euler characteristic is not 1 cannot be a
+    connected disc, so it is dropped before reconstruction."""
     if calibration is None:
         calibration = first_homology(tri).calibration
     if calibration is None:
@@ -239,11 +297,11 @@ def find_meridian_discs(tri, budget: SearchBudget, calibration=None,
     complete = True
     note = ""
     try:
-        vectors = enumerate_admissible(tri, budget, jobs=jobs)
+        vectors = enumerate_admissible(tri, budget)
     except BudgetExhausted as e:
         return DiscSearchResult([], False, True, str(e))
     for v in vectors:
-        if v.piece_count() == 0:
+        if count_euler(tri, v) != 1:
             continue
         surface = reconstruct(tri, v)
         if not surface.connected:

@@ -29,7 +29,7 @@ def homology_of(fam):
 def minimal_disc(fam):
     """Certified minimal-complexity meridian discs, cached per family index.
     Recorded minima: fib(i+6) - 5 pieces.  Certification re-enumerates under
-    a weight budget, affordable for i <= 2."""
+    a weight budget, well under a second for i <= 4."""
     def get(i):
         if i not in _disc_cache:
             lt = fam(i)
@@ -49,7 +49,7 @@ def witness_disc(fam, minimal_disc):
     where that is cheap, otherwise the least disc found within the recorded
     piece budget."""
     def get(i):
-        if i <= 2:
+        if i <= 4:
             return minimal_disc(i)
         if i not in _witness_cache:
             from coretorus import find_meridian_discs

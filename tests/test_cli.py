@@ -103,11 +103,3 @@ def test_deterministic_reports_are_byte_identical(tmp_path, capsys):
     _, out3 = _capture(capsys, ["--json", "meridian", "--in", path, "--max-pieces", "4"])
     assert "timing" in json.loads(out3)
 
-
-def test_jobs_flag(tmp_path, capsys):
-    path = str(tmp_path / "t1.tri")
-    _capture(capsys, ["gen", "--family", "1", "--out", path])
-    args_base = ["--json", "--deterministic", "meridian", "--in", path, "--max-pieces", "8"]
-    _, out1 = _capture(capsys, args_base)
-    _, out2 = _capture(capsys, ["--jobs", "3"] + args_base)
-    assert json.loads(out1)["results"] == json.loads(out2)["results"]

@@ -2,8 +2,9 @@ import pytest
 
 from coretorus.normal import (NormalVector, boundary_counts_match,
                               boundary_curves_from_counts, check_admissible,
-                              check_matching, curve_slopes, edge_weight,
-                              min_curve_length, reconstruct, total_weight)
+                              check_matching, count_euler, curve_slopes,
+                              edge_weight, min_curve_length, reconstruct,
+                              total_weight)
 from coretorus.slopes import Slope, SlopeTriple, intersection, slope_seq
 from coretorus.triangulation import parse_tri
 
@@ -96,6 +97,16 @@ def test_euler_two_ways_small_vectors(fam):
     for v in enumerate_admissible(tri, SearchBudget(6)):
         s = reconstruct(tri, v)
         assert s.euler_total == s.euler_from_counts
+
+
+def test_count_euler_matches_reconstruction(fam):
+    # the count-level filter in the disc search relies on this identity
+    from coretorus.search import SearchBudget, enumerate_admissible
+    from coretorus.slopes import fib
+    for i in range(3):
+        tri = fam(i).tri
+        for v in enumerate_admissible(tri, SearchBudget(fib(i + 6) - 4)):
+            assert count_euler(tri, v) == reconstruct(tri, v).euler_total
 
 
 def test_min_curve_length_formula():

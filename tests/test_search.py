@@ -1,7 +1,10 @@
+import time
+
 import pytest
 
-from coretorus.normal import NormalVector, check_admissible, check_matching
-from coretorus.search import (BudgetExhausted, SearchBudget,
+from coretorus.normal import (NormalVector, check_admissible, check_matching,
+                              reconstruct)
+from coretorus.search import (BudgetExhausted, SearchBudget, _enumerate_raw,
                               enumerate_admissible, find_meridian_discs,
                               minimal_complexity_disc, verify_61_1,
                               verify_61_2)
@@ -48,10 +51,12 @@ def test_enumeration_matches_brute_force_on_one_tet(fam):
     assert enumerate_admissible(tri, SearchBudget(budget)) == brute
 
 
-def test_jobs_do_not_change_output(fam):
-    tri = fam(1).tri
-    assert enumerate_admissible(tri, SearchBudget(8)) == \
-        enumerate_admissible(tri, SearchBudget(8), jobs=3)
+def test_admissible_counts_at_recorded_budgets(fam):
+    # computed regression values at the recorded piece budgets fib(i+6) - 4
+    counts = {0: 8, 1: 9, 2: 28, 3: 66, 4: 175, 5: 1173}
+    for i, want in counts.items():
+        vecs = enumerate_admissible(fam(i).tri, SearchBudget(fib(i + 6) - 4))
+        assert len(vecs) == want
 
 
 def test_weight_budget(fam):
@@ -74,9 +79,52 @@ def test_time_limit():
     assert res.inconclusive and not res.discs
 
 
+def test_time_limit_stops_candidate_generation(fam):
+    # T_6 at its recorded budget takes longer than the limit to enumerate;
+    # the search must stop with a bounded overshoot, not finish the walk
+    tri = fam(6).tri
+    start = time.monotonic()
+    res = find_meridian_discs(tri, SearchBudget(fib(12) - 4, time_limit=0.3))
+    assert res.inconclusive and not res.discs
+    assert time.monotonic() - start < 3.0
+
+
+def test_time_limit_inside_one_tetrahedron(fam):
+    # a huge piece budget on one tetrahedron: all the work is candidate
+    # generation for tet 0, before the search reaches a second node
+    start = time.monotonic()
+    with pytest.raises(BudgetExhausted):
+        list(_enumerate_raw(fam(0).tri, SearchBudget(10 ** 6, time_limit=0.2)))
+    assert time.monotonic() - start < 3.0
+
+
+def test_count_filter_keeps_every_disc(fam, homology_of):
+    # oracle: reconstruct every admissible vector and apply the surface
+    # checks directly, without the count-level Euler filter
+    for i in range(4):
+        tri = fam(i).tri
+        cal = homology_of(i).calibration
+        budget = SearchBudget(fib(i + 6) - 4)
+        want = []
+        for v in enumerate_admissible(tri, budget):
+            if v.piece_count() == 0:
+                continue
+            s = reconstruct(tri, v)
+            if not s.connected or s.euler_by_component[0] != 1:
+                continue
+            curves = s.boundary_curves_by_component[0]
+            if len(curves) == 1 and cal.is_meridian_class(
+                    cal.coords_of_cycle(curves[0].chain)):
+                want.append(v.coords)
+        res = find_meridian_discs(tri, budget, cal)
+        assert want
+        assert sorted(d.vector.coords for d in res.discs) == sorted(want)
+
+
 def test_discs_found_and_verified(fam, minimal_disc, homology_of):
     # recorded minima: pieces fib(i+6) - 5, length = sum of the cuts
-    expected = {0: (3, 6, 6), 1: (8, 10, 11), 2: (16, 16, 19)}
+    expected = {0: (3, 6, 6), 1: (8, 10, 11), 2: (16, 16, 19),
+                3: (29, 26, 32), 4: (50, 42, 53)}
     for i, (pieces, length, weight) in expected.items():
         d = minimal_disc(i)
         assert d.piece_count == pieces == fib(i + 6) - 5
