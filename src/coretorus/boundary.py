@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .triangulation import FACE_VERTICES, TriangulationError, _UnionFind
+from .triangulation import FACE_VERTICES, TriangulationError, _UnionFind, two_colour
 
 
 @dataclass
@@ -126,29 +126,16 @@ class BoundaryComplex:
     def orientation(self):
         """Orientation sign per boundary triangle (the surface of an
         orientable manifold is orientable, but this is computed, not assumed)."""
-        sign = {}
-        for start in range(len(self.triangles)):
-            if start in sign:
-                continue
-            sign[start] = 1
-            queue = [start]
-            while queue:
-                i = queue.pop()
-                t, f = self.triangles[i]
-                for k in range(3):
-                    be = self.bedges[self.bedge_of_side[(i, k)]]
-                    (other, ok) = next(s for s in be.sides if s != (i, k)) if be.sides[0] != be.sides[1] else be.sides[1]
-                    d_here = self._traversal_dir(i, k)
-                    s_here = be.sign[(i, d_here)]
-                    d_there = self._traversal_dir(other, ok)
-                    s_there = be.sign[(other, d_there)]
-                    # opposite induced directions <=> same orientation
-                    want = sign[i] * (-1 if s_here == s_there else 1)
-                    if other not in sign:
-                        sign[other] = want
-                        queue.append(other)
-                    elif sign[other] != want:
-                        raise TriangulationError("boundary surface is not orientable")
+        relations = []
+        for be in self.bedges:
+            (i0, k0), (i1, k1) = be.sides
+            s0 = be.sign[(i0, self._traversal_dir(i0, k0))]
+            s1 = be.sign[(i1, self._traversal_dir(i1, k1))]
+            # opposite induced directions <=> same orientation
+            relations.append((i0, i1, -s0 * s1))
+        sign, components = two_colour(range(len(self.triangles)), relations)
+        if not all(ok for _, ok in components):
+            raise TriangulationError("boundary surface is not orientable")
         return sign
 
     def component_summary(self):

@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 from .normal import (NormalVector, QUAD_MISSED, arc_count, edge_slot_crossings,
                      edge_weight, edge_stack, face_stack, piece_sides_in_face,
                      quad_cut_vertex, quad_low_side, reconstruct)
-from .triangulation import FACE_VERTICES, TriangulationError
+from .triangulation import (FACE_VERTICES, TriangulationError, _UnionFind, perm_inverse,
+                            two_colour)
 
 
 # ---------------------------------------------------------------------------
@@ -164,22 +165,10 @@ def cut_along(tri, disc) -> CutComplex:
             else:
                 a_patches += 1
 
-    parent = list(range(len(regions)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    uf = _UnionFind(range(len(regions)))
     for a, b in adjacency:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    comps = {}
-    for key, idx in regions.items():
-        comps.setdefault(find(idx), []).append(idx)
-    components = [sorted(comps[r]) for r in sorted(comps)]
+        uf.union(a, b)
+    components = uf.classes()
 
     # Euler characteristic of the cut manifold from its cell structure
     weight = surface.weight
@@ -469,10 +458,7 @@ class BundleComplex:
         if (t, f) == (t1, f1):
             rep_pair = tuple(sorted(d))
         else:
-            perm = self.tri.gluings[t1][f1][1]
-            inv = [0] * 4
-            for i, pv in enumerate(perm):
-                inv[pv] = i
+            inv = perm_inverse(self.tri.gluings[t1][f1][1])
             rep_pair = tuple(sorted((inv[d[0]], inv[d[1]])))
         return ("QR", (t1, f1), rep_pair, canonical_gap)
 
@@ -509,34 +495,28 @@ class BundleComplex:
                 for cname, i in users:
                     self.cells[cname].free[i] = False
 
-        names = sorted(self.cells)
-        index = {n: i for i, n in enumerate(names)}
-        parent = list(range(len(names)))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
+        relations = []
         for s, users in side_users.items():
-            if len(users) == 2:
-                a, b = find(index[users[0][0]]), find(index[users[1][0]])
-                if a != b:
-                    parent[max(a, b)] = min(a, b)
-
-        groups = {}
-        for n in names:
-            groups.setdefault(find(index[n]), []).append(n)
+            if len(users) != 2:
+                continue
+            (n1, i1), (n2, i2) = users
+            c1, c2 = self.cells[n1].corners, self.cells[n2].corners
+            run1 = (c1[i1], c1[(i1 + 1) % len(c1)])
+            run2 = (c2[i2], c2[(i2 + 1) % len(c2)])
+            if run1 == run2[::-1]:
+                relations.append((n1, n2, 1))    # opposite traversal: compatible orientations
+            elif run1 == run2:
+                relations.append((n1, n2, -1))
+            else:
+                raise TriangulationError(f"side {s} glued with mismatched corners")
 
         out = []
-        for root in sorted(groups):
-            cell_names = groups[root]
+        for cell_names, orientable in two_colour(sorted(self.cells), relations)[1]:
             sheets = [s for n in cell_names for s in self.cells[n].sheets]
             out.append(BundleComponent(
                 cells=cell_names,
                 base_euler=self._component_euler(cell_names),
-                base_orientable=self._component_orientable(cell_names),
+                base_orientable=orientable,
                 meets_dminus=any(s == -1 for s in sheets),
                 meets_dplus=any(s == 1 for s in sheets),
                 meets_a=any(any(self.cells[n].a_contact) for n in cell_names),
@@ -550,44 +530,6 @@ class BundleComplex:
             sides.update(cell.sides)
             corners.update(cell.corners)
         return len(corners) - len(sides) + len(cell_names)
-
-    def _component_orientable(self, cell_names):
-        traversal = {}
-        for n in cell_names:
-            cell = self.cells[n]
-            k = len(cell.sides)
-            for i, s in enumerate(cell.sides):
-                traversal.setdefault(s, []).append(
-                    (n, cell.corners[i], cell.corners[(i + 1) % k]))
-        sign = {}
-        adj = {n: [] for n in cell_names}
-        for s, users in traversal.items():
-            if len(users) != 2:
-                continue
-            (n1, a1, b1), (n2, a2, b2) = users
-            if (a1, b1) == (b2, a2):
-                rel = 1          # opposite traversal: compatible orientations
-            elif (a1, b1) == (a2, b2):
-                rel = -1
-            else:
-                raise TriangulationError(f"side {s} glued with mismatched corners")
-            adj[n1].append((n2, rel))
-            adj[n2].append((n1, rel))
-        for start in cell_names:
-            if start in sign:
-                continue
-            sign[start] = 1
-            queue = [start]
-            while queue:
-                a = queue.pop()
-                for b, rel in adj[a]:
-                    want = sign[a] * rel
-                    if b not in sign:
-                        sign[b] = want
-                        queue.append(b)
-                    elif sign[b] != want:
-                        return False
-        return True
 
 
 def parallelity_bundle(tri, disc) -> list:

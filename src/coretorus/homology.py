@@ -311,14 +311,15 @@ class MeridianCalibration:
 
     def cut_number(self, manifold_edge_index):
         """|image in H1(M)| of a boundary edge loop, i.e. its meridian
-        intersection number; None if the edge is not a loop."""
-        ne = len(self.bc.tri.edge_classes)
-        chain = [0] * ne
-        chain[manifold_edge_index] = 1
-        try:
-            return abs(self.h1_mfld.class_of_cycle(chain)[0])
-        except ValueError:
+        intersection number; None if the edge joins two different vertices
+        of the boundary (a loop there is a loop in M too)."""
+        bc = self.bc
+        i, (p, q) = bc.bedges[bc.bedge_of_manifold_edge[manifold_edge_index]].rep_dir
+        if bc.vertex_class_of[(i, p)] != bc.vertex_class_of[(i, q)]:
             return None
+        chain = [0] * len(bc.tri.edge_classes)
+        chain[manifold_edge_index] = 1
+        return abs(self.h1_mfld.class_of_cycle(chain)[0])
 
     def boundary_edge_coords(self, manifold_edge_index):
         be = self.bc.bedge_of_manifold_edge[manifold_edge_index]

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 from .homology import first_homology
 from .slopes import Slope, SlopeTriple, elementary_move, slope_seq
-from .triangulation import FACE_VERTICES, Triangulation, TriangulationError, parse_tri
+from .triangulation import (FACE_VERTICES, Triangulation, TriangulationError, parse_tri,
+                            perm_inverse)
 
 BASE_T0_TEXT = """\
 tets 1
@@ -89,16 +90,10 @@ def layer(lt: LayeredTriangulation, edge) -> LayeredTriangulation:
     p3 = [0, 0, 0, 0]
     p3[0], p3[1], p3[2], p3[3] = d1[0], d1[1], apex1, f1
 
-    def inv(p):
-        out = [0, 0, 0, 0]
-        for i, v in enumerate(p):
-            out[v] = i
-        return tuple(out)
-
     gluings = [list(row) for row in tri.gluings]
     gluings.append([None, None, (t0, tuple(p2)), (t1, tuple(p3))])
-    gluings[t0][f0] = (n, inv(p2))
-    gluings[t1][f1] = (n, inv(p3))
+    gluings[t0][f0] = (n, perm_inverse(p2))
+    gluings[t1][f1] = (n, perm_inverse(p3))
     new_tri = Triangulation(gluings)
 
     removed = lt.boundary_slopes[edge]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .triangulation import EDGE_PAIRS, FACE_VERTICES, TriangulationError
+from .triangulation import EDGE_PAIRS, FACE_VERTICES, TriangulationError, two_colour
 
 # quad type q misses the two opposite edges QUAD_MISSED[q]; the side of the
 # first (the one containing vertex 0) is the "low" side used to index copies
@@ -226,9 +226,6 @@ class Arc:
 @dataclass
 class NormalCurve:
     """One boundary curve component."""
-    arcs: list               # arc ids in cyclic order
-    crossings: list          # (edge_class, canonical_index) in cyclic order
-    triangle_counts: dict    # boundary triangle index -> per-corner counts
     length: int
     chain: dict              # boundary-edge 1-cycle (bedge -> coefficient)
     multiplicity: int = 0    # |class| as a multiple of a primitive slope
@@ -314,58 +311,17 @@ def reconstruct(tri, v: NormalVector) -> ReconstructedSurface:
                     ends.append(_canonical_edge_index(tri, v, t1, (vtx, other), j))
                 arcs.append(Arc(fc_idx, (t1, f1), vtx, j, tuple(sides), tuple(ends)))
 
-    uf_parent = list(range(len(pieces)))
-
-    def find(a):
-        while uf_parent[a] != a:
-            uf_parent[a] = uf_parent[uf_parent[a]]
-            a = uf_parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            uf_parent[max(ra, rb)] = min(ra, rb)
-
     # two-sidedness: sigma * side must agree across every interior arc
-    sigma = {}
     relations = []
     for arc in arcs:
         if len(arc.sides) == 2:
             (t1, f1, v1, p1), (t2, f2, v2, p2) = arc.sides
-            union(piece_id[p1], piece_id[p2])
             relations.append((piece_id[p1], piece_id[p2],
                               piece_sides_in_face(p1, f1) * piece_sides_in_face(p2, f2)))
-
-    comp_of = {}
-    components = {}
-    for pid in range(len(pieces)):
-        root = find(pid)
-        comp_of[pid] = root
-        components.setdefault(root, []).append(pid)
-    comp_roots = sorted(components)
-    comp_index = {root: i for i, root in enumerate(comp_roots)}
-
-    orientable = [True] * len(comp_roots)
-    sigma = {pid: None for pid in range(len(pieces))}
-    adj = {pid: [] for pid in range(len(pieces))}
-    for a, b, rel in relations:
-        adj[a].append((b, rel))
-        adj[b].append((a, rel))
-    for root in comp_roots:
-        start = components[root][0]
-        sigma[start] = 1
-        queue = [start]
-        while queue:
-            a = queue.pop()
-            for b, rel in adj[a]:
-                # continuity: sigma * (side the coorientation points to) matches
-                want = sigma[a] * rel
-                if sigma[b] is None:
-                    sigma[b] = want
-                    queue.append(b)
-                elif sigma[b] != want:
-                    orientable[comp_index[root]] = False
+    sigma, comps = two_colour(range(len(pieces)), relations)
+    components = [members for members, _ in comps]
+    orientable = [ok for _, ok in comps]
+    comp_of = {pid: c for c, members in enumerate(components) for pid in members}
 
     # crossing points, each once per edge class
     weight = total_weight(tri, v)
@@ -375,7 +331,7 @@ def reconstruct(tri, v: NormalVector) -> ReconstructedSurface:
         stack = edge_stack(v, t, e)
         for pos, piece in enumerate(stack):
             key = _canonical_edge_index(tri, v, t, e, pos)
-            crossing_comp[key] = comp_index[comp_of[piece_id[piece]]]
+            crossing_comp[key] = comp_of[piece_id[piece]]
 
     # consistency: every slot sees each crossing in the same component
     for ec in tri.edge_classes:
@@ -383,20 +339,20 @@ def reconstruct(tri, v: NormalVector) -> ReconstructedSurface:
             stack = edge_stack(v, t, e)
             for pos, piece in enumerate(stack):
                 key = _canonical_edge_index(tri, v, t, e, pos)
-                if crossing_comp[key] != comp_index[comp_of[piece_id[piece]]]:
+                if crossing_comp[key] != comp_of[piece_id[piece]]:
                     raise TriangulationError("edge crossing spans two components")
 
-    n_comp = len(comp_roots)
+    n_comp = len(components)
     v_count = [0] * n_comp
     e_count = [0] * n_comp
     f_count = [0] * n_comp
     for key, c in crossing_comp.items():
         v_count[c] += 1
     for arc in arcs:
-        c = comp_index[comp_of[piece_id[arc.sides[0][3]]]]
+        c = comp_of[piece_id[arc.sides[0][3]]]
         e_count[c] += 1
     for pid in range(len(pieces)):
-        f_count[comp_index[comp_of[pid]]] += 1
+        f_count[comp_of[pid]] += 1
     euler_by_component = [v_count[i] - e_count[i] + f_count[i] for i in range(n_comp)]
 
     # independent Euler characteristic from the coordinates alone
@@ -405,14 +361,14 @@ def reconstruct(tri, v: NormalVector) -> ReconstructedSurface:
     if euler_total != euler_from_counts:
         raise TriangulationError("Euler characteristic computations disagree")
 
-    curves = _boundary_curves(tri, v, arcs, piece_id, comp_of, comp_index)
+    curves = _boundary_curves(tri, arcs, piece_id, comp_of)
     curves_by_component = [[] for _ in range(n_comp)]
     for comp, curve in curves:
         curves_by_component[comp].append(curve)
 
     return ReconstructedSurface(
         tri=tri, vector=v, pieces=pieces,
-        components=[sorted(components[r]) for r in comp_roots],
+        components=components,
         euler_by_component=euler_by_component,
         orientable_by_component=orientable,
         boundary_curves_by_component=curves_by_component,
@@ -422,7 +378,7 @@ def reconstruct(tri, v: NormalVector) -> ReconstructedSurface:
     )
 
 
-def _boundary_curves(tri, v, arcs, piece_id, comp_of, comp_index):
+def _boundary_curves(tri, arcs, piece_id, comp_of):
     bc = tri.boundary_complex
     boundary_arcs = [i for i, a in enumerate(arcs)
                      if len(tri.face_classes[a.face_class]) == 1]
@@ -444,46 +400,32 @@ def _boundary_curves(tri, v, arcs, piece_id, comp_of, comp_index):
         if (start_arc, 0) in visited:
             continue
         cyc = []                    # (arc id, entry end slot)
-        cyc_cross = []
         cur = (start_arc, 0)
         while True:
             a, s = cur
             visited.add((a, s))
             visited.add((a, 1 - s))
             cyc.append(cur)
-            exit_half = (a, 1 - s)
-            cyc_cross.append(arcs[a].endpoints[1 - s])
-            nxt = partner[exit_half]
+            nxt = partner[(a, 1 - s)]
             if nxt == (start_arc, 0):
                 break
             cur = nxt
-
-        tri_counts = {}
-        for i, _ in cyc:
-            a = arcs[i]
-            bi = bc.tri_index[a.rep_slot]
-            tri_counts.setdefault(bi, [0, 0, 0])
-            corner = list(FACE_VERTICES[a.rep_slot[1]]).index(a.cut_vertex)
-            tri_counts[bi][corner] += 1
 
         chain = {}
         n = len(cyc)
         for k in range(n):
             prev_id, prev_entry = cyc[k]
             next_id, next_entry = cyc[(k + 1) % n]
-            ecls, _ = cyc_cross[k]
+            ecls, _ = arcs[prev_id].endpoints[1 - prev_entry]
             bedge = bc.bedge_of_manifold_edge[ecls]
             prev_end = _cut_end(bc, arcs[prev_id], 1 - prev_entry)
             next_end = _cut_end(bc, arcs[next_id], next_entry)
             if prev_end != next_end:
                 chain[bedge] = chain.get(bedge, 0) + (1 if prev_end == 0 else -1)
 
-        comp = comp_index[comp_of[piece_id[arcs[start_arc].sides[0][3]]]]
-        curve = NormalCurve(
-            arcs=[i for i, _ in cyc], crossings=cyc_cross, triangle_counts=tri_counts,
-            length=len(cyc), chain={k: c for k, c in chain.items() if c},
-        )
-        out.append((comp, curve))
+        comp = comp_of[piece_id[arcs[start_arc].sides[0][3]]]
+        out.append((comp, NormalCurve(length=n,
+                                      chain={k: c for k, c in chain.items() if c})))
     return out
 
 

@@ -73,6 +73,41 @@ class _UnionFind:
         return [sorted(groups[r]) for r in sorted(groups)]
 
 
+def two_colour(nodes, relations):
+    """Signs +1/-1 with ``sign[b] == sign[a] * rel`` for each ``(a, b, rel)``.
+
+    The first node of each connected component, in ``nodes`` order, gets +1
+    and the rest follow a depth-first spanning tree.  Returns ``(sign,
+    components)``, where ``components`` lists ``(members, consistent)`` in
+    order of first node, members in ``nodes`` order, and ``consistent`` says
+    whether every relation inside the component holds.
+    """
+    adj = {x: [] for x in nodes}
+    for a, b, rel in relations:
+        adj[a].append((b, rel))
+        adj[b].append((a, rel))
+    sign, comp_of, consistent = {}, {}, []
+    for start in adj:
+        if start in sign:
+            continue
+        c = len(consistent)
+        consistent.append(True)
+        sign[start], comp_of[start] = 1, c
+        stack = [start]
+        while stack:
+            a = stack.pop()
+            for b, rel in adj[a]:
+                if b not in sign:
+                    sign[b], comp_of[b] = sign[a] * rel, c
+                    stack.append(b)
+                elif sign[b] != sign[a] * rel:
+                    consistent[c] = False
+    members = [[] for _ in consistent]
+    for x in adj:
+        members[comp_of[x]].append(x)
+    return sign, list(zip(members, consistent))
+
+
 @dataclass(frozen=True)
 class SkeletonSummary:
     vertex_classes: int
@@ -280,25 +315,14 @@ class Triangulation:
     @cached_property
     def orientation(self):
         """Orientation sign per tetrahedron; raises if none exists."""
-        sign = {}
-        for start in range(self.tet_count):
-            if start in sign:
-                continue
-            sign[start] = 1
-            queue = [start]
-            while queue:
-                t = queue.pop()
-                for f in range(4):
-                    g = self.gluings[t][f]
-                    if g is None:
-                        continue
-                    t2, perm = g
-                    want = -sign[t] * perm_sign(perm)
-                    if t2 not in sign:
-                        sign[t2] = want
-                        queue.append(t2)
-                    elif sign[t2] != want:
-                        raise TriangulationError("triangulation is not orientable")
+        relations = []
+        for slots in self.face_classes:
+            if len(slots) == 2:
+                (t, f), (t2, _) = slots
+                relations.append((t, t2, -perm_sign(self.gluings[t][f][1])))
+        sign, components = two_colour(range(self.tet_count), relations)
+        if not all(ok for _, ok in components):
+            raise TriangulationError("triangulation is not orientable")
         return sign
 
     def skeleton(self) -> SkeletonSummary:

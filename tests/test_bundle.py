@@ -144,3 +144,17 @@ def test_cut_rejects_one_sided_surface(fam):
     tri = fam(0).tri
     with pytest.raises(ValueError):
         cut_along(tri, NormalVector([(1, 0, 0, 0, 0, 0, 0)]))
+
+
+def test_one_sided_surface_is_rejected(fam):
+    # a single quad in T_0 closes up into a Moebius band
+    from coretorus.geometry import GeometrizedSurface
+    tri = fam(0).tri
+    v = NormalVector([(0, 0, 0, 0, 0, 1, 0)])
+    surface = reconstruct(tri, v)
+    assert surface.orientable_by_component == [False]
+    assert surface.euler_total == 0
+    with pytest.raises(ValueError):
+        cut_along(tri, v)
+    with pytest.raises(ValueError):
+        GeometrizedSurface(tri, surface)

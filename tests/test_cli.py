@@ -40,6 +40,20 @@ def test_homology_report(tmp_path, capsys):
     assert data["results"]["h1_rank"] == 1
 
 
+def test_homology_on_two_vertex_boundary(tmp_path, capsys):
+    # valid input whose boundary torus has two vertices
+    path = tmp_path / "two_vertex.tri"
+    path.write_text("tets 3\n0: - 1:1032 - 2:1230\n1: 0:1032 2:3102 - -\n"
+                    "2: 0:3012 1:2130 2:1230 2:3012\n")
+    code, _ = _capture(capsys, ["validate", "--in", str(path)])
+    assert code == 0
+    code, out = _capture(capsys, ["--json", "homology", "--in", str(path)])
+    assert code == 0
+    data = json.loads(out)
+    assert data["results"]["kernel_slope"] == "(0,1)"
+    assert data["results"]["h1_rank"] == 1
+
+
 def test_meridian_budget_exit_codes(tmp_path, capsys):
     path = str(tmp_path / "t1.tri")
     _capture(capsys, ["gen", "--family", "1", "--out", path])

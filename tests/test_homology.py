@@ -10,6 +10,9 @@ from coretorus.slopes import Slope
 from coretorus.triangulation import parse_tri
 
 BALL_TEXT = "tets 1\n0: - - - -\n"
+# a solid torus whose boundary torus has two vertices
+TWO_VERTEX_TEXT = ("tets 3\n0: - 1:1032 - 2:1230\n1: 0:1032 2:3102 - -\n"
+                   "2: 0:3012 1:2130 2:1230 2:3012\n")
 
 
 @given(st.lists(st.lists(st.integers(-9, 9), min_size=1, max_size=5),
@@ -91,3 +94,15 @@ def test_class_of_cycle_roundtrip():
         coords = tuple(rng.randint(-3, 3) for _ in range(h1.rank))
         z = h1.representative_cycle(list(coords))
         assert h1.class_of_cycle(z) == coords
+
+
+def test_two_vertex_boundary_calibrates():
+    # only boundary edges that are loops of the torus get cut numbers
+    tri = parse_tri(TWO_VERTEX_TEXT)
+    assert len(tri.boundary_complex.vertex_classes) == 2
+    h = first_homology(tri)
+    assert h.h1_rank == 1 and not h.h1_torsion
+    assert h.calibration is not None
+    assert h.boundary_map_kernel_slope == Slope(0, 1)
+    assert h.boundary_edge_cuts and len(h.boundary_edge_cuts) < len(tri.boundary_complex.bedges)
+    assert solid_torus_candidate(tri).candidate

@@ -1,9 +1,13 @@
-import pytest
+from itertools import permutations
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from coretorus.homology import first_homology, solid_torus_candidate
 from coretorus.layered import BASE_T0_TEXT
 from coretorus.triangulation import (ParseError, Triangulation,
-                                     TriangulationError, parse_tri,
-                                     serialize_tri)
+                                     TriangulationError, parse_tri, perm_sign,
+                                     serialize_tri, two_colour)
 
 BALL_TEXT = "tets 1\n0: - - - -\n"
 
@@ -105,3 +109,57 @@ def test_edge_walks_cover_slots():
         seen = {(t, tuple(sorted(d))) for t, d, _, _ in walk["sectors"]}
         assert seen == {(t, e) for t, e in ec.slots}
         assert walk["boundary"] == ec.boundary
+
+
+def test_two_colour_consistent_relations():
+    sign, comps = two_colour("abcde", [("a", "b", -1), ("b", "c", 1), ("d", "e", -1)])
+    assert sign == {"a": 1, "b": -1, "c": -1, "d": 1, "e": -1}
+    assert comps == [(["a", "b", "c"], True), (["d", "e"], True)]
+
+
+def test_two_colour_odd_cycle_is_inconsistent():
+    # three -1 relations around a triangle: no two-colouring exists
+    sign, comps = two_colour(range(4), [(0, 1, -1), (1, 2, -1), (2, 0, -1)])
+    assert comps == [([0, 1, 2], False), ([3], True)]
+    assert sign[0] == sign[3] == 1
+    # an even cycle of -1 relations and a loop of +1 are fine
+    _, comps = two_colour(range(4), [(0, 1, -1), (1, 2, -1), (2, 3, -1), (3, 0, -1),
+                                     (2, 2, 1)])
+    assert comps == [([0, 1, 2, 3], True)]
+
+
+_PERMS = tuple(permutations(range(4)))
+
+
+@st.composite
+def gluing_tables(draw):
+    """Random gluing tables on 1-3 tetrahedra: face slots paired at random,
+    each pair glued by a permutation carrying one face to the other."""
+    n = draw(st.integers(1, 3))
+    slots = draw(st.permutations([(t, f) for t in range(n) for f in range(4)]))
+    pairs = draw(st.integers(0, len(slots) // 2))
+    table = [[None] * 4 for _ in range(n)]
+    for k in range(pairs):
+        (t1, f1), (t2, f2) = slots[2 * k], slots[2 * k + 1]
+        p = draw(st.sampled_from([p for p in _PERMS if p[f1] == f2]))
+        inv = tuple(p.index(i) for i in range(4))
+        table[t1][f1] = (t2, p)
+        table[t2][f2] = (t1, inv)
+    return table
+
+
+@settings(max_examples=200, deadline=None)
+@given(gluing_tables())
+def test_valid_gluing_tables_go_through_homology(table):
+    try:
+        tri = Triangulation(table)
+    except TriangulationError:
+        return
+    first_homology(tri)
+    solid_torus_candidate(tri)
+    sign = tri.orientation
+    for t in range(tri.tet_count):
+        for g in tri.gluings[t]:
+            if g is not None:
+                t2, perm = g
+                assert sign[t2] == -sign[t] * perm_sign(perm)
