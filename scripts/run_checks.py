@@ -46,6 +46,16 @@ def main():
         row(f"homology T_{i}", "ok" if ok else "FAIL",
             f"H1=Z, meridian cuts {cuts}")
 
+    for i in (20, 50, 99):
+        lt = family(i)
+        h = first_homology(lt.tri)
+        ok = (h.h1_rank == 1 and not h.h1_torsion
+              and str(h.boundary_map_kernel_slope) == "(0,1)"
+              and all(h.boundary_edge_cuts.get(e) == s.x + s.y
+                      for e, s in lt.boundary_slopes.items()))
+        row(f"homology T_{i}", "ok" if ok else "FAIL",
+            "H1=Z, kernel slope (0,1), cut number x + y for each label")
+
     for i in range(args.max_disc_index + 1):
         rep = verify_61_1(i)
         row(f"theorem 6.1(1) T_{i}", rep.status,

@@ -223,7 +223,7 @@ def cmd_verify(args, report):
             budget = SearchBudget(max_piece_count=args.max_pieces)
         rep = verify_61_1(args.i, budget)
     elif args.check == "61-2":
-        rep = verify_61_2(args.i, args.window)
+        rep = verify_61_2(args.i)
     elif args.check == "claims":
         lt = family(args.i)
         budget = SearchBudget(max_piece_count=args.max_pieces
@@ -309,7 +309,6 @@ def build_parser():
     w = sub.add_parser("verify")
     w.add_argument("check", choices=["61-1", "61-2", "claims", "curve-bounds"])
     w.add_argument("--i", type=int, required=True)
-    w.add_argument("--window", type=int, default=1000)
     w.add_argument("--max-pieces", type=int, default=None)
 
     return p

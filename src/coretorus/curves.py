@@ -19,7 +19,7 @@ from itertools import combinations
 from .geometry import (GeometrizedSurface, corner_point, face_chart_point,
                        orient2, segments_cross_properly, segments_intersect)
 from .homology import manifold_h1
-from .slopes import Slope, at_least_golden_power, fib, intersection, slope_seq
+from .slopes import at_least_golden_power, fib, min_pre_core_intersection, slope_seq
 from .triangulation import FACE_VERTICES
 
 
@@ -562,18 +562,12 @@ def _near_edge_point(tri, ec, canonical_u, t, f, pair, delta):
 # boundary pre-core lengths (companion arithmetic to verify 61-2)
 # ---------------------------------------------------------------------------
 
-def min_boundary_precore_length(i: int, n_window: int = 50):
+def min_boundary_precore_length(i: int):
     """Minimum 1-skeleton crossings of a boundary pre-core curve (slope
-    (1, n)) on the i-th layered triangulation, with exact golden-ratio
-    certificates for the lower bounds."""
-    triple = [slope_seq(i), slope_seq(i + 1), slope_seq(i + 2)]
-    best = None
-    best_n = None
-    for n in range(-n_window, n_window + 1):
-        s = Slope(1, n)
-        val = sum(intersection(s, e) for e in triple)
-        if best is None or val < best:
-            best, best_n = val, n
+    (1, n), any integer n) on the i-th layered triangulation, with exact
+    golden-ratio certificates for the lower bounds."""
+    best, best_n = min_pre_core_intersection([slope_seq(i), slope_seq(i + 1),
+                                              slope_seq(i + 2)])
     x = fib(i + 3)
     ok = (3 * best >= x) and at_least_golden_power(best, i - 1)
     return {

@@ -5,10 +5,15 @@ with unimodular transforms, integer kernels and solves, cellular H1 of the
 quotient complex and of the boundary surface, the map between them, and the
 slope basis of the boundary torus calibrated from the kernel of that map
 (the meridian is computed, never assumed).
+
+H1(M) and the calibration are computed once per triangulation object and
+kept with it.  The Smith transforms are mostly identity, so solves and class
+coordinates multiply only by their nonzero entries.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import wraps
 from math import gcd
 
 from .slopes import Slope, normalize_slope
@@ -64,11 +69,19 @@ def smith_normal_form(A):
 
     t = 0
     while True:
-        pivot = None
+        # the first entry of least absolute value in row-major order; a unit
+        # is such an entry, so the scan stops at the first one
+        pivot, least = None, None
         for i in range(t, m):
+            row = D[i]
             for j in range(t, n):
-                if D[i][j] != 0 and (pivot is None or abs(D[i][j]) < abs(D[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
+                a = abs(row[j])
+                if a and (least is None or a < least):
+                    pivot, least = (i, j), a
+                    if a == 1:
+                        break
+            if least == 1:
+                break
         if pivot is None:
             break
         i, j = pivot
@@ -90,6 +103,9 @@ def smith_normal_form(A):
                 if D[t][j] != 0:
                     clean = False
         if not clean:
+            continue
+        if D[t][t] == 1:
+            t += 1
             continue
         # enforce divisibility d_t | D[i][j] for the trailing block
         bad = None
@@ -115,33 +131,47 @@ def mat_mul(A, B):
             for i in range(len(A))]
 
 
-def mat_vec(A, v):
-    return [sum(row[k] * v[k] for k in range(len(v))) for row in A]
+def _nonzeros(rows):
+    """Each row as the (column, entry) pairs of its nonzero entries."""
+    return [[(k, x) for k, x in enumerate(row) if x] for row in rows]
+
+
+def _apply(rows, v):
+    """M v for M given by the nonzero entries of its rows."""
+    return [sum(x * v[k] for k, x in row) for row in rows]
 
 
 class IntegerLattice:
-    """SNF-backed map data for one integer matrix."""
+    """SNF-backed map data for one integer matrix: U A V = D.
+
+    Only the diagonal of D and the nonzero entries of the rows of U, U^-1
+    and V are kept.  The transforms are mostly identity, so products with
+    them cost their nonzeros only, and an H1 group kept with its
+    triangulation stays small.
+    """
 
     def __init__(self, A, m, n):
         self.m, self.n = m, n
         if m == 0 or n == 0:
-            self.D = [[0] * n for _ in range(m)]
-            self.U = _identity(m)
-            self.Uinv = _identity(m)
-            self.V = _identity(n)
-            self.Vinv = _identity(n)
+            D, U, Uinv, V = [], _identity(m), _identity(m), _identity(n)
         else:
-            self.D, self.U, self.Uinv, self.V, self.Vinv = smith_normal_form(A)
-        self.diag = [self.D[i][i] for i in range(min(m, n))]
+            D, U, Uinv, V, _ = smith_normal_form(A)
+        self.diag = [D[i][i] for i in range(min(m, n))]
         self.rank = sum(1 for d in self.diag if d != 0)
+        self.U_rows, self.Uinv_rows, self.V_rows = _nonzeros(U), _nonzeros(Uinv), _nonzeros(V)
 
     def kernel_basis(self):
         """Columns of V past the rank: an integer basis of ker(A)."""
-        return [[self.V[i][j] for i in range(self.n)] for j in range(self.rank, self.n)]
+        cols = [[0] * self.n for _ in range(self.rank, self.n)]
+        for i, row in enumerate(self.V_rows):
+            for j, x in row:
+                if j >= self.rank:
+                    cols[j - self.rank][i] = x
+        return cols
 
     def solve(self, b):
         """Integer x with A x = b, or None."""
-        ub = mat_vec(self.U, b)
+        ub = _apply(self.U_rows, b)
         y = [0] * self.n
         for i in range(self.m):
             d = self.diag[i] if i < len(self.diag) else 0
@@ -152,7 +182,7 @@ class IntegerLattice:
                 if ub[i] % d != 0:
                     return None
                 y[i] = ub[i] // d
-        return mat_vec(self.V, y)
+        return _apply(self.V_rows, y)
 
 
 # -- cellular H1 -------------------------------------------------------------
@@ -167,11 +197,11 @@ class H1Group:
     def __init__(self, d1_rows, d2_cols, n_edges):
         self.n_edges = n_edges
         d1 = d1_rows                                  # V x E
-        self._ker = IntegerLattice(d1, len(d1), n_edges) if d1 else IntegerLattice(
+        ker = IntegerLattice(d1, len(d1), n_edges) if d1 else IntegerLattice(
             [[0] * n_edges], 1, n_edges)
-        K = self._ker.kernel_basis()                   # list of E-vectors
+        K = ker.kernel_basis()                         # list of E-vectors
         self.k = len(K)
-        self.K_cols = K
+        self._K_nonzeros = _nonzeros(K)
         K_mat = [[K[j][i] for j in range(self.k)] for i in range(n_edges)]  # E x k
         self._K_lat = IntegerLattice(K_mat, n_edges, self.k)
         A_cols = []
@@ -194,11 +224,12 @@ class H1Group:
         c = self._K_lat.solve(z)
         if c is None:
             raise ValueError("not a 1-cycle")
-        w = mat_vec(self._A.U, c)
+        U_rows = self._A.U_rows
         out = []
         for i in self.coord_index:
+            w = sum(x * c[k] for k, x in U_rows[i])
             d = self.factor[i]
-            out.append(w[i] % d if d > 1 else w[i])
+            out.append(w % d if d > 1 else w)
         return tuple(out)
 
     def representative_cycle(self, coords):
@@ -206,11 +237,12 @@ class H1Group:
         w = [0] * self.k
         for pos, i in enumerate(self.coord_index):
             w[i] = coords[pos]
-        c = mat_vec(self._A.Uinv, w)
+        c = _apply(self._A.Uinv_rows, w)
         z = [0] * self.n_edges
-        for j in range(self.k):
-            for i in range(self.n_edges):
-                z[i] += c[j] * self.K_cols[j][i]
+        for cj, col in zip(c, self._K_nonzeros):
+            if cj:
+                for i, x in col:
+                    z[i] += cj * x
         return z
 
     @property
@@ -218,6 +250,24 @@ class H1Group:
         return self.rank == 1 and not self.torsion
 
 
+def _per_triangulation(build):
+    """Compute ``build(tri)`` once per triangulation object.
+
+    The result is kept in the triangulation's own ``__dict__``, so it lives
+    exactly as long as the triangulation does; a weak-keyed table would keep
+    every triangulation alive, because a calibration refers back to it.
+    A freshly parsed copy of the same text is another object and starts cold.
+    """
+    @wraps(build)
+    def memoised(tri):
+        memo = vars(tri).setdefault("_homology", {})
+        if build.__name__ not in memo:
+            memo[build.__name__] = build(tri)
+        return memo[build.__name__]
+    return memoised
+
+
+@_per_triangulation
 def manifold_h1(tri) -> H1Group:
     nv = len(tri.vertex_classes)
     ne = len(tri.edge_classes)
@@ -330,6 +380,7 @@ class MeridianCalibration:
         return s
 
 
+@_per_triangulation
 def calibrate(tri) -> MeridianCalibration | None:
     """Build meridian-calibrated slope coordinates, or None if the manifold
     is not a solid-torus candidate (torus boundary, H1 = Z, primitive kernel)."""

@@ -27,7 +27,7 @@ from .homology import first_homology
 from .layered import family
 from .normal import (QUAD_CROSSES, QUAD_CUT, NormalVector, check_matching,
                      count_euler, curve_slopes, edge_weight, reconstruct)
-from .slopes import at_least_golden_power, fib, slope_seq
+from .slopes import at_least_golden_power, fib, min_pre_core_intersection, slope_seq
 from .triangulation import FACE_VERTICES
 
 
@@ -408,22 +408,22 @@ def verify_61_1(i: int, budget: SearchBudget | None = None) -> VerifyReport:
     return VerifyReport("theorem-6.1(1)", "pass" if ok else "fail", details)
 
 
-def verify_61_2(i: int, n_window: int = 1000) -> VerifyReport:
+def verify_61_2(i: int) -> VerifyReport:
     """Pre-core curves on the boundary are long: for every slope (1, n) the
     intersection number with the newest edge slope is at least a third of
-    that edge's meridian coordinate, which grows like the golden ratio."""
-    x, y = fib(i + 3), fib(i + 2)       # s_{i+2} = (x, y)
-    best = None
-    best_n = None
-    for n in range(-n_window, n_window + 1):
-        val = abs(n * x - y)
-        if best is None or val < best:
-            best, best_n = val, n
-    bound = Fraction(x, 3)
+    that edge's meridian coordinate, which grows like the golden ratio.
+
+    The minimum over n is taken in closed form, so a pass is a proof for
+    every integer n."""
+    if i < 0:
+        raise ValueError("family index must be nonnegative")
+    newest = slope_seq(i + 2)            # (fib(i+3), fib(i+2))
+    best, best_n = min_pre_core_intersection([newest])
+    bound = Fraction(newest.x, 3)
     ok = best >= bound and at_least_golden_power(best, i - 1)
     return VerifyReport("theorem-6.1(2)", "pass" if ok else "fail", {
         "i": i,
-        "window": n_window,
+        "window": "all",
         "min_intersection": best,
         "minimizing_n": best_n,
         "lower_bound": str(bound),

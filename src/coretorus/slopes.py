@@ -53,6 +53,23 @@ def intersection(a: Slope, b: Slope) -> int:
     return abs(a.x * b.y - a.y * b.x)
 
 
+def min_pre_core_intersection(slopes) -> tuple:
+    """(least value, least n attaining it) of the total intersection number
+    of the slope (1, n) with ``slopes``, over all integers n.
+
+    intersection((1, n), (x, y)) = |n*x - y| is convex and piecewise linear
+    in n with its corner at y/x, so the sum is too, and the ends L <= R of
+    its real minimum set are corners.  The least integer minimiser is
+    ceil(L) if [L, R] holds an integer, else floor(L) or ceil(L).  At least
+    one slope must have x > 0, or the sum does not depend on n.
+    """
+    corners = [s for s in slopes if s.x]
+    if not corners:
+        raise ValueError("the total intersection does not depend on n")
+    candidates = {c for s in corners for c in (s.y // s.x, -(-s.y // s.x))}
+    return min((sum(abs(n * s.x - s.y) for s in slopes), n) for n in candidates)
+
+
 def mediant(a: Slope, b: Slope) -> Slope:
     """Farey mediant of two once-intersecting slopes."""
     if intersection(a, b) != 1:

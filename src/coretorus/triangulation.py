@@ -9,9 +9,11 @@ itself reversing orientation, that every edge link is connected, and that a
 consistent orientation exists.
 
 The quotient skeleton (vertex, edge and face classes) is computed by
-union-find over the identifications induced by the gluings, with directed
-edge classes retained so every chain-level computation downstream has exact
-signs available.
+union-find over the identifications induced by the gluings.  Edge classes
+come from a single union-find over directed edges: an edge class is the
+directed class of its representative together with the directed class of
+the reverse, so every chain-level computation downstream has exact signs
+available, and an edge identified with its own reverse is caught there.
 """
 from __future__ import annotations
 
@@ -179,11 +181,7 @@ class Triangulation:
             self._walk_for_validation(ec)
 
     def _check_edges(self):
-        for ec in self.edge_classes:
-            t, (u, v) = ec.slots[0]
-            if self._directed_uf.find((t, (u, v))) == self._directed_uf.find((t, (v, u))):
-                raise TriangulationError(
-                    f"edge {ec.slots[0]} is identified with itself reversing orientation")
+        self.edge_classes  # raises if an edge is identified with its reverse
 
     def _check_orientability(self):
         self.orientation  # raises if inconsistent
@@ -198,47 +196,42 @@ class Triangulation:
     # -- quotient skeleton -----------------------------------------------
 
     @cached_property
-    def _directed_uf(self):
-        items = [(t, (p, q)) for t in range(self.tet_count)
-                 for p in range(4) for q in range(4) if p != q]
-        uf = _UnionFind(items)
+    def edge_classes(self):
+        # one union-find over directed edges (t, (p, q)), keyed 16t + 4p + q;
+        # an undirected class is the directed class of its representative
+        # together with the directed class of the reverse
+        uf = _UnionFind([16 * t + 4 * p + q for t in range(self.tet_count)
+                         for p in range(4) for q in range(4) if p != q])
         for t in range(self.tet_count):
             for f in range(4):
                 g = self.gluings[t][f]
                 if g is None:
                     continue
                 t2, perm = g
+                if (t2, perm[f]) < (t, f):
+                    continue                      # the pair was visited from the other side
                 for p in FACE_VERTICES[f]:
                     for q in FACE_VERTICES[f]:
                         if p != q:
-                            uf.union((t, (p, q)), (t2, (perm[p], perm[q])))
-        return uf
-
-    @cached_property
-    def edge_classes(self):
-        uf = _UnionFind([(t, e) for t in range(self.tet_count) for e in EDGE_PAIRS])
-        duf = self._directed_uf
+                            uf.union(16 * t + 4 * p + q, 16 * t2 + 4 * perm[p] + perm[q])
+        members = {}
         for t in range(self.tet_count):
-            for f in range(4):
-                g = self.gluings[t][f]
-                if g is None:
-                    continue
-                t2, perm = g
-                verts = FACE_VERTICES[f]
-                for i in range(3):
-                    for j in range(i + 1, 3):
-                        u, v = verts[i], verts[j]
-                        u2, v2 = sorted((perm[u], perm[v]))
-                        uf.union((t, (u, v)), (t2, (u2, v2)))
+            for u, v in EDGE_PAIRS:
+                ra, rb = uf.find(16 * t + 4 * u + v), uf.find(16 * t + 4 * v + u)
+                if ra == rb:
+                    raise TriangulationError(
+                        f"edge {(t, (u, v))} is identified with itself reversing orientation")
+                members.setdefault(min(ra, rb), []).append((t, (u, v)))
+        # _UnionFind roots every class at its least key, so a class's root
+        # is the key of its least slot, which is its representative
         classes = []
-        for idx, slots in enumerate(uf.classes()):
-            rep_t, (ru, rv) = slots[0]
-            rep = (rep_t, (ru, rv))
-            rep_root = duf.find(rep)
+        for idx, root in enumerate(sorted(members)):
+            slots = members[root]
+            rep = slots[0]
             sign = {}
             for t, (u, v) in slots:
-                for d in ((u, v), (v, u)):
-                    sign[(t, d)] = 1 if duf.find((t, d)) == rep_root else -1
+                sign[(t, (u, v))] = 1 if uf.find(16 * t + 4 * u + v) == root else -1
+                sign[(t, (v, u))] = -sign[(t, (u, v))]
             boundary = any(self._edge_slot_on_boundary(t, e) for t, e in slots)
             classes.append(EdgeClass(idx, slots, rep, boundary, sign))
         return classes

@@ -79,7 +79,7 @@ def test_criterion_4_precore_lengths():
             best = min(abs(n * x - y) for n in range(-1000, 1001))
             assert 3 * best >= x
             assert at_least_golden_power(best, i - 1)
-            rep = verify_61_2(i, 1000)
+            rep = verify_61_2(i)
             assert rep.status == "pass"
             assert rep.details["min_intersection"] == best
 

@@ -139,8 +139,8 @@ def test_two_parallel_triangles_in_a_ball():
 
 
 def test_cut_rejects_one_sided_surface(fam):
-    # no one-sided normal surface exists in these solid tori at small size,
-    # so instead check the precondition path with a non-matching vector
+    # a vector that fails the matching equations is rejected before any
+    # surface is built (one-sided surfaces: test_one_sided_surface_is_rejected)
     tri = fam(0).tri
     with pytest.raises(ValueError):
         cut_along(tri, NormalVector([(1, 0, 0, 0, 0, 0, 0)]))

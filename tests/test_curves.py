@@ -167,6 +167,13 @@ def test_min_boundary_precore_lengths():
         assert min_boundary_precore_length(i)["ok"]
     big = min_boundary_precore_length(10)
     assert big["minimizing_n"] == 1
+    # the closed-form minimum is the first minimum of a window scan
+    for i in range(41):
+        rep = min_boundary_precore_length(i)
+        triple = [slope_seq(i), slope_seq(i + 1), slope_seq(i + 2)]
+        vals = [sum(abs(n * s.x - s.y) for s in triple) for n in range(-50, 51)]
+        assert rep["min_length"] == min(vals)
+        assert rep["minimizing_n"] == vals.index(min(vals)) - 50
 
 
 def test_curve_json_roundtrip(fam):

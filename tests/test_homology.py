@@ -2,12 +2,14 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+from coretorus import homology
+from coretorus.curves import make_61_curve
 from coretorus.homology import (IntegerLattice, boundary_h1, calibrate,
                                 first_homology, manifold_h1, mat_mul,
                                 smith_normal_form, solid_torus_candidate)
-from coretorus.layered import BASE_T0_TEXT
+from coretorus.layered import BASE_T0_TEXT, family
 from coretorus.slopes import Slope
-from coretorus.triangulation import parse_tri
+from coretorus.triangulation import parse_tri, serialize_tri
 
 BALL_TEXT = "tets 1\n0: - - - -\n"
 # a solid torus whose boundary torus has two vertices
@@ -106,3 +108,27 @@ def test_two_vertex_boundary_calibrates():
     assert h.boundary_map_kernel_slope == Slope(0, 1)
     assert h.boundary_edge_cuts and len(h.boundary_edge_cuts) < len(tri.boundary_complex.bedges)
     assert solid_torus_candidate(tri).candidate
+
+
+def test_homology_is_computed_once_per_triangulation(monkeypatch):
+    lt = family(10)
+    calls = []
+
+    def counted(A):
+        calls.append(A)
+        return smith_normal_form(A)
+
+    monkeypatch.setattr(homology, "smith_normal_form", counted)
+    first_homology(lt.tri)
+    solid_torus_candidate(lt.tri)
+    make_61_curve(lt)
+    # three reductions (d1, its kernel, d2) for H1(M) and three for H1(bdry),
+    # however many of these ask for them
+    assert len(calls) == 6
+    tri = lt.tri
+    assert calibrate(tri) is calibrate(tri)
+    assert manifold_h1(tri) is manifold_h1(tri)
+    copy = parse_tri(serialize_tri(tri))
+    assert calibrate(copy) is not calibrate(tri)
+    assert (calibrate(copy).lam, calibrate(copy).mu) == (calibrate(tri).lam, calibrate(tri).mu)
+    assert len(calls) == 12

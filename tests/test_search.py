@@ -182,19 +182,20 @@ def test_verify_61_1_inconclusive():
 
 
 def test_verify_61_2():
-    for i in (0, 1, 2, 5, 12, 20):
-        rep = verify_61_2(i, 1000)
+    for i in (0, 1, 2, 5, 12, 20, 100, 1000):
+        rep = verify_61_2(i)
         assert rep.status == "pass"
+        assert rep.details["window"] == "all"
     assert verify_61_2(5).details["minimizing_n"] == 1
+    with pytest.raises(ValueError):
+        verify_61_2(-3)
 
 
 def test_verify_61_2_brute_force_window():
-    # the minimum over the window really is the reported value
-    import random
-    rng = random.Random(1)
-    for _ in range(10):
-        i = rng.randint(0, 15)
-        rep = verify_61_2(i, 200)
+    # the closed-form minimum is the first minimum of a window scan
+    for i in range(41):
+        rep = verify_61_2(i)
         x, y = fib(i + 3), fib(i + 2)
-        vals = [abs(n * x - y) for n in range(-200, 201)]
+        vals = [abs(n * x - y) for n in range(-1000, 1001)]
         assert rep.details["min_intersection"] == min(vals)
+        assert rep.details["minimizing_n"] == vals.index(min(vals)) - 1000

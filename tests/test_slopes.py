@@ -8,7 +8,8 @@ from hypothesis import given, strategies as st
 from coretorus.slopes import (Slope, SlopeTriple, at_least_golden_power,
                               binet_check, elementary_move, fib,
                               golden_power_cmp, intersection, lucas, mediant,
-                              normalize_slope, slope_seq)
+                              min_pre_core_intersection, normalize_slope,
+                              slope_seq)
 
 
 def test_slope_normalization():
@@ -120,3 +121,20 @@ def test_random_farey_walks_preserve_invariants():
         for i in range(3):
             for j in range(i + 1, 3):
                 assert intersection(slopes[i], slopes[j]) == 1
+
+
+_slopes = st.tuples(st.integers(0, 12), st.integers(-12, 12)).filter(
+    lambda p: math.gcd(*p) == 1).map(lambda p: normalize_slope(*p))
+
+
+@given(st.lists(_slopes, min_size=1, max_size=4).filter(
+    lambda ss: any(s.x for s in ss)))
+def test_min_pre_core_intersection_matches_scan(slopes):
+    # every corner y/x lies in [-12, 12], so the scan covers the minimum
+    vals = [sum(intersection(Slope(1, n), s) for s in slopes) for n in range(-30, 31)]
+    assert min_pre_core_intersection(slopes) == (min(vals), vals.index(min(vals)) - 30)
+
+
+def test_min_pre_core_intersection_needs_a_corner():
+    with pytest.raises(ValueError):
+        min_pre_core_intersection([Slope(0, 1)])

@@ -5,8 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from coretorus.homology import first_homology, solid_torus_candidate
 from coretorus.layered import BASE_T0_TEXT
-from coretorus.triangulation import (ParseError, Triangulation,
-                                     TriangulationError, parse_tri, perm_sign,
+from coretorus.triangulation import (EDGE_PAIRS, FACE_VERTICES, ParseError,
+                                     Triangulation, TriangulationError,
+                                     _UnionFind, parse_tri, perm_sign,
                                      serialize_tri, two_colour)
 
 BALL_TEXT = "tets 1\n0: - - - -\n"
@@ -163,3 +164,54 @@ def test_valid_gluing_tables_go_through_homology(table):
             if g is not None:
                 t2, perm = g
                 assert sign[t2] == -sign[t] * perm_sign(perm)
+
+
+def _edge_classes_oracle(table):
+    """Edge classes from two tuple-keyed union-finds, one over directed and
+    one over undirected edges: (index, slots, rep, boundary, dir_sign) per
+    class, or None if some edge is identified with its own reverse."""
+    n = len(table)
+    directed = _UnionFind([(t, (p, q)) for t in range(n)
+                           for p in range(4) for q in range(4) if p != q])
+    undirected = _UnionFind([(t, e) for t in range(n) for e in EDGE_PAIRS])
+    for t in range(n):
+        for f in range(4):
+            if table[t][f] is None:
+                continue
+            t2, perm = table[t][f]
+            for p in FACE_VERTICES[f]:
+                for q in FACE_VERTICES[f]:
+                    if p != q:
+                        directed.union((t, (p, q)), (t2, (perm[p], perm[q])))
+                        undirected.union((t, tuple(sorted((p, q)))),
+                                         (t2, tuple(sorted((perm[p], perm[q])))))
+    classes = []
+    for idx, slots in enumerate(undirected.classes()):
+        rep = slots[0]
+        t, (u, v) = rep
+        if directed.find(rep) == directed.find((t, (v, u))):
+            return None
+        sign = {}
+        for t, (u, v) in slots:
+            for d in ((u, v), (v, u)):
+                sign[(t, d)] = 1 if directed.find((t, d)) == directed.find(rep) else -1
+        boundary = any(table[t][f] is None for t, e in slots
+                       for f in range(4) if f not in e)
+        classes.append((idx, slots, rep, boundary, sign))
+    return classes
+
+
+@settings(max_examples=300, deadline=None)
+@given(gluing_tables())
+def test_edge_classes_match_two_union_find_oracle(table):
+    want = _edge_classes_oracle(table)
+    try:
+        tri = Triangulation(table)
+    except TriangulationError as e:
+        # edges are checked before orientability and edge links
+        assert (want is None) == ("reversing orientation" in str(e))
+        return
+    assert want is not None
+    got = [(ec.index, ec.slots, ec.rep, ec.boundary, ec.dir_sign)
+           for ec in tri.edge_classes]
+    assert got == want
