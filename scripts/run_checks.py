@@ -17,8 +17,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from coretorus import (SearchBudget, check_claims, face_bound_check, fib,
                        find_meridian_discs, first_homology, make_61_curve,
-                       minimal_complexity_disc, push_off, tet_bound_check,
-                       verify_61_1, verify_61_2)
+                       minimal_complexity_disc, push_off, slope_seq,
+                       tet_bound_check, verify_61_1, verify_61_2)
 from coretorus.curves import min_boundary_precore_length
 from coretorus.layered import family
 
@@ -55,6 +55,17 @@ def main():
                       for e, s in lt.boundary_slopes.items()))
         row(f"homology T_{i}", "ok" if ok else "FAIL",
             "H1=Z, kernel slope (0,1), cut number x + y for each label")
+
+    for i in (300, 1000):
+        start = time.time()
+        lt = family(i)
+        ok = (lt.tri.tet_count == i + 1
+              and lt.tri.boundary_complex.is_one_vertex_torus
+              and set(lt.boundary_slopes.values())
+              == {slope_seq(i), slope_seq(i + 1), slope_seq(i + 2)})
+        row(f"family T_{i}", "ok" if ok else "FAIL",
+            f"{i + 1} tets, one-vertex torus boundary, labels s_{i}..s_{i + 2}, "
+            f"built in {time.time() - start:.2f}s")
 
     for i in range(args.max_disc_index + 1):
         rep = verify_61_1(i)

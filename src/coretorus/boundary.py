@@ -6,6 +6,11 @@ interior.  The resulting surface keeps a map back to carrier faces, directed
 boundary-edge classes with signs, vertex classes, components, Euler
 characteristics and orientability, which is everything the homology and
 normal-curve machinery needs.
+
+A boundary complex keeps the gluing table and edge classes it reads, not
+the triangulation, so a triangulation that caches its boundary complex (and
+the calibration built on it) forms no reference cycle and is freed as soon
+as it is dropped.
 """
 from __future__ import annotations
 
@@ -13,7 +18,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .triangulation import FACE_VERTICES, TriangulationError, _UnionFind, two_colour
+from .triangulation import (FACE_VERTICES, TriangulationError, _UnionFind, class_walk,
+                            two_colour)
 
 
 @dataclass
@@ -27,9 +33,10 @@ class BoundaryEdge:
 
 
 class BoundaryComplex:
-    def __init__(self, tri):
-        self.tri = tri
-        self.triangles = list(tri.boundary_faces)
+    def __init__(self, gluings, edge_classes, boundary_faces):
+        self.gluings = gluings
+        self.edge_classes = edge_classes
+        self.triangles = list(boundary_faces)
         self.tri_index = {slot: i for i, slot in enumerate(self.triangles)}
 
     def side_vertices(self, i, k):
@@ -45,10 +52,10 @@ class BoundaryComplex:
     @cached_property
     def bedges(self):
         out = []
-        for ec in self.tri.edge_classes:
+        for ec in self.edge_classes:
             if not ec.boundary:
                 continue
-            walk = self.tri.edge_walk(ec.index)
+            walk = class_walk(self.gluings, ec.slots)
             if not walk["boundary"]:
                 raise TriangulationError(f"edge class {ec.index} flagged boundary but link is a circle")
             t0, f0, d0 = walk["pages"][0]

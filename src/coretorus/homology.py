@@ -254,9 +254,11 @@ def _per_triangulation(build):
     """Compute ``build(tri)`` once per triangulation object.
 
     The result is kept in the triangulation's own ``__dict__``, so it lives
-    exactly as long as the triangulation does; a weak-keyed table would keep
-    every triangulation alive, because a calibration refers back to it.
-    A freshly parsed copy of the same text is another object and starts cold.
+    exactly as long as the triangulation does.  Nothing in it refers back to
+    the triangulation (a calibration holds the boundary complex, which holds
+    only the gluing table and edge classes), so dropping the triangulation
+    frees both by reference counting.  A freshly parsed copy of the same
+    text is another object and starts cold.
     """
     @wraps(build)
     def memoised(tri):
@@ -353,7 +355,7 @@ class MeridianCalibration:
     def manifold_image(self, w):
         """Image in H1(M) = Z of the class with boundary coordinates w."""
         z = self.h1_bdry.representative_cycle(list(w))
-        ne = len(self.bc.tri.edge_classes)
+        ne = len(self.bc.edge_classes)
         chain = [0] * ne
         for be in self.bc.bedges:
             chain[be.manifold_edge] += be.manifold_sign * z[be.index]
@@ -367,7 +369,7 @@ class MeridianCalibration:
         i, (p, q) = bc.bedges[bc.bedge_of_manifold_edge[manifold_edge_index]].rep_dir
         if bc.vertex_class_of[(i, p)] != bc.vertex_class_of[(i, q)]:
             return None
-        chain = [0] * len(bc.tri.edge_classes)
+        chain = [0] * len(bc.edge_classes)
         chain[manifold_edge_index] = 1
         return abs(self.h1_mfld.class_of_cycle(chain)[0])
 

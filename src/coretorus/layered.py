@@ -6,7 +6,11 @@ least table passing the solid-torus oracle).  ``layer`` attaches a new
 tetrahedron across the two boundary faces adjacent to a chosen boundary
 edge, which performs a diagonal flip on the one-vertex boundary torus, and
 ``family(i)`` follows the Farey-tree path that always removes the oldest
-remaining boundary slope.
+remaining boundary slope.  Both run the same layering step on a plain
+gluing table: ``layer`` validates each result it returns, and ``family(i)``
+makes its i layerings on the table and validates only T_i, so its work
+grows linearly in i.  The bookkeeping checks (each layered edge interior,
+the labels on distinct boundary edges) run on the returned triangulation.
 
 Slope labels are bookkeeping in the convention of the slope recursion
 (s_0 = (1,0), s_1 = (1,1), ...), assigned on the base triangulation by
@@ -21,8 +25,8 @@ from dataclasses import dataclass, field
 
 from .homology import first_homology
 from .slopes import Slope, SlopeTriple, elementary_move, slope_seq
-from .triangulation import (FACE_VERTICES, Triangulation, TriangulationError, parse_tri,
-                            perm_inverse)
+from .triangulation import (FACE_VERTICES, Triangulation, TriangulationError, boundary_side,
+                            class_walk, link_walk, parse_tri, perm_inverse)
 
 BASE_T0_TEXT = """\
 tets 1
@@ -60,21 +64,26 @@ def base_t0() -> LayeredTriangulation:
     return LayeredTriangulation(tri, labels, [])
 
 
-def layer(lt: LayeredTriangulation, edge) -> LayeredTriangulation:
-    """Attach a tetrahedron across the two boundary faces meeting an edge.
+def _layer_step(gluings, sides, removed):
+    """One layering on a plain gluing table, in place.
 
-    ``edge`` is a boundary edge class index or its Slope label.  The edge
-    becomes interior and the new boundary edge is labeled with the flip of
-    the removed slope.
+    ``sides`` maps each slope label to a boundary side (tet, face, edge) of
+    its edge: the face is a boundary face and the edge, a sorted vertex
+    pair, lies in it.  A new tetrahedron is glued across the two boundary
+    faces meeting the edge labeled ``removed``: its edge (0,1) sits over
+    that edge, faces 2 and 3 are glued down and faces 0 and 1 become the new
+    boundary square.  ``sides`` is updated (the removed label goes, a kept
+    label whose face was glued down moves to the new tetrahedron, the
+    inserted label of the elementary move sits on its edge (2,3)).  Returns
+    the inserted label and a slot (tet, edge) of the layered edge.
     """
-    if isinstance(edge, Slope):
-        edge = lt.class_with_label(edge)
-    if edge not in lt.boundary_slopes:
-        raise ValueError(f"edge class {edge} is not a labeled boundary edge")
-    tri = lt.tri
-    walk = tri.edge_walk(edge)
-    if not walk["boundary"]:
-        raise ValueError(f"edge class {edge} is not on the boundary")
+    kept = set(sides) - {removed}
+    inserted = next(s for s in elementary_move(SlopeTriple(sides), removed) if s not in kept)
+    t, f, e = sides.pop(removed)
+    sectors = link_walk(gluings, t, e, f)["sectors"]
+    # the walk Triangulation.edge_walk takes, so T_i's table does not depend
+    # on which side of the edge a label was tracked by
+    walk = class_walk(gluings, sorted({(s[0], tuple(sorted(s[1]))) for s in sectors}))
     t0, f0, d0 = walk["pages"][0]
     t1, f1, d1 = walk["pages"][-1]
     if (t0, f0) == (t1, f1):
@@ -82,58 +91,88 @@ def layer(lt: LayeredTriangulation, edge) -> LayeredTriangulation:
 
     apex0 = next(v for v in FACE_VERTICES[f0] if v not in d0)
     apex1 = next(v for v in FACE_VERTICES[f1] if v not in d1)
-    n = tri.tet_count
-    # new tetrahedron: edge (0,1) sits over the layered edge, faces 2 and 3
-    # are glued down, faces 0 and 1 become the new boundary square
+    n = len(gluings)
     p2 = [0, 0, 0, 0]
     p2[0], p2[1], p2[3], p2[2] = d0[0], d0[1], apex0, f0
     p3 = [0, 0, 0, 0]
     p3[0], p3[1], p3[2], p3[3] = d1[0], d1[1], apex1, f1
-
-    gluings = [list(row) for row in tri.gluings]
     gluings.append([None, None, (t0, tuple(p2)), (t1, tuple(p3))])
     gluings[t0][f0] = (n, perm_inverse(p2))
     gluings[t1][f1] = (n, perm_inverse(p3))
-    new_tri = Triangulation(gluings)
 
-    removed = lt.boundary_slopes[edge]
-    new_triple = elementary_move(lt.triple, removed)
-    inserted = next(iter(set(new_triple) - set(lt.triple)), None)
-    if inserted is None:
-        # flip along a just-inserted edge walks back up the Farey tree
-        inserted = next(s for s in new_triple if s not in
-                        (set(lt.triple) - {removed}))
+    glued = {(t0, f0): perm_inverse(p2), (t1, f1): perm_inverse(p3)}
+    for lab, (t, f, e) in sides.items():
+        if (t, f) in glued:
+            # the edge is (0,2), (0,3), (1,2) or (1,3) of the new tetrahedron,
+            # in new face 1 if it has vertex 0 and in face 0 if it has vertex 1
+            inv = glued[(t, f)]
+            e = tuple(sorted((inv[e[0]], inv[e[1]])))
+            sides[lab] = (n, 1 if 0 in e else 0, e)
+    sides[inserted] = (n, 0, (2, 3))
+    return inserted, (t0, tuple(sorted(d0)))
 
-    labels = {}
+
+def _labeled(tri, sides, layered, history) -> LayeredTriangulation:
+    """The layered triangulation, after the bookkeeping checks on it:
+    every layered edge is interior and the labels sit on distinct boundary
+    edge classes."""
+    classes = tri.edge_classes
+    if any(classes[tri.edge_class_of[slot]].boundary for slot in layered):
+        raise TriangulationError("a layered edge is still on the boundary")
+    labels = {tri.edge_class_of[(t, e)]: lab for lab, (t, f, e) in sides.items()}
+    if len(labels) != len(sides) or not all(classes[c].boundary for c in labels):
+        raise TriangulationError("the slope labels are not distinct boundary edges")
+    return LayeredTriangulation(tri, labels, history)
+
+
+def _sides(lt: LayeredTriangulation) -> dict:
+    """Label -> boundary side of its edge, in label order."""
+    sides = {}
     for e, lab in lt.boundary_slopes.items():
-        if e == edge:
-            continue
-        t, pair = tri.edge_classes[e].slots[0]
-        new_e = new_tri.edge_class_of[(t, pair)]
-        if not new_tri.edge_classes[new_e].boundary:
-            raise TriangulationError("a kept boundary edge became interior")
-        labels[new_e] = lab
-    new_edge = new_tri.edge_class_of[(n, (2, 3))]
-    if not new_tri.edge_classes[new_edge].boundary:
-        raise TriangulationError("the inserted edge is not on the boundary")
-    labels[new_edge] = inserted
+        side = boundary_side(lt.tri.gluings, lt.tri.edge_classes[e].slots)
+        if side is None:
+            raise ValueError(f"edge class {e} is not on the boundary")
+        sides[lab] = side
+    return sides
 
-    if set(labels.values()) != set(new_triple):
-        raise TriangulationError("slope bookkeeping does not match the elementary move")
-    old_class_rep = tri.edge_classes[edge].slots[0]
-    if new_tri.edge_classes[new_tri.edge_class_of[old_class_rep]].boundary:
-        raise TriangulationError("the layered edge is still on the boundary")
+
+def layer(lt: LayeredTriangulation, edge) -> LayeredTriangulation:
+    """Attach a tetrahedron across the two boundary faces meeting an edge.
+
+    ``edge`` is a boundary edge class index or its Slope label.  The edge
+    becomes interior and the new boundary edge is labeled with the flip of
+    the removed slope.  The result is a fully validated triangulation.
+    """
+    if isinstance(edge, Slope):
+        edge = lt.class_with_label(edge)
+    if edge not in lt.boundary_slopes:
+        raise ValueError(f"edge class {edge} is not a labeled boundary edge")
+    removed = lt.boundary_slopes[edge]
+    sides = _sides(lt)
+    gluings = [list(row) for row in lt.tri.gluings]
+    inserted, slot = _layer_step(gluings, sides, removed)
     history = list(lt.history) + [(len(lt.history), removed, inserted)]
-    return LayeredTriangulation(new_tri, labels, history)
+    return _labeled(Triangulation(gluings), sides, [slot], history)
 
 
 def family(i: int) -> LayeredTriangulation:
-    """T_i: i layerings from the base, always removing the oldest slope."""
+    """T_i: i layerings from the base, always removing the oldest slope.
+
+    The layerings run on the gluing table; only T_i is built and validated.
+    """
     if i < 0:
         raise ValueError("family index must be nonnegative")
-    lt = base_t0()
+    base = base_t0()
+    sides = _sides(base)
+    gluings = [list(row) for row in base.tri.gluings]
+    history, layered = [], []
     for k in range(i):
-        lt = layer(lt, slope_seq(k))
+        inserted, slot = _layer_step(gluings, sides, slope_seq(k))
+        history.append((k, slope_seq(k), inserted))
+        layered.append(slot)
+    lt = _labeled(Triangulation(gluings), sides, layered, history)
+    if set(lt.boundary_slopes.values()) != {slope_seq(i), slope_seq(i + 1), slope_seq(i + 2)}:
+        raise TriangulationError("slope bookkeeping does not follow the slope recursion")
     return lt
 
 

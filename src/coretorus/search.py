@@ -45,14 +45,29 @@ class SearchBudget:
 
 
 class BudgetExhausted(Exception):
-    pass
+    """A budget ran out.  Raised from ``enumerate_admissible``, ``found``
+    holds the vectors admitted before it did."""
+    found = ()
+
+
+def _vector_order(v):
+    return v.piece_count(), v.coords
 
 
 def enumerate_admissible(tri, budget: SearchBudget):
     """All admissible matching vectors within the budget, exactly once,
-    sorted by (piece count, coordinates)."""
-    found = list(_enumerate_raw(tri, budget))
-    found.sort(key=lambda v: (v.piece_count(), v.coords))
+    sorted by (piece count, coordinates).
+
+    When the time limit stops the walk, the BudgetExhausted raised carries
+    the vectors admitted so far, sorted the same way."""
+    found = []
+    try:
+        for v in _enumerate_raw(tri, budget):
+            found.append(v)
+    except BudgetExhausted as e:
+        e.found = sorted(found, key=_vector_order)
+        raise
+    found.sort(key=_vector_order)
     return found
 
 
@@ -288,18 +303,18 @@ def find_meridian_discs(tri, budget: SearchBudget, calibration=None) -> DiscSear
     characteristic 1, boundary in the kernel of H1(bdry) -> H1(M).
 
     A vector whose count-level Euler characteristic is not 1 cannot be a
-    connected disc, so it is dropped before reconstruction."""
+    connected disc, so it is dropped before reconstruction.  When the time
+    limit stops the enumeration, the discs among the vectors admitted so far
+    are returned with ``complete`` False; such a result is inconclusive."""
     if calibration is None:
         calibration = first_homology(tri).calibration
     if calibration is None:
         raise ValueError("not a solid-torus candidate; no meridian to search for")
-    discs = []
-    complete = True
-    note = ""
     try:
-        vectors = enumerate_admissible(tri, budget)
+        vectors, complete, note = enumerate_admissible(tri, budget), True, ""
     except BudgetExhausted as e:
-        return DiscSearchResult([], False, True, str(e))
+        vectors, complete, note = e.found, False, str(e)
+    discs = []
     for v in vectors:
         if count_euler(tri, v) != 1:
             continue
@@ -318,7 +333,7 @@ def find_meridian_discs(tri, budget: SearchBudget, calibration=None) -> DiscSear
         discs.append(MeridianDisc(v, surface, curves[0].length,
                                   surface.weight))
     discs.sort(key=lambda d: (d.complexity, d.vector.coords))
-    return DiscSearchResult(discs, complete, not discs, note)
+    return DiscSearchResult(discs, complete, not complete or not discs, note)
 
 
 def minimal_meridian_length(calibration):
@@ -355,7 +370,7 @@ def minimal_complexity_disc(tri, budget: SearchBudget, calibration=None) -> Mini
     best = res.discs[0]
     lmin = minimal_meridian_length(calibration)
     if best.boundary_length != lmin:
-        return MinimalDiscResult(best, False, False,
+        return MinimalDiscResult(best, False, not res.complete,
                                  f"best length {best.boundary_length} > homological bound {lmin}")
     max_link = max(ec.degree for ec in tri.edge_classes)
     cover_pieces = (best.weight * max_link) // 3 + 1
@@ -405,7 +420,10 @@ def verify_61_1(i: int, budget: SearchBudget | None = None) -> VerifyReport:
     ok = (min_pieces >= x
           and at_least_golden_power(min_pieces, i + 1)
           and all(m >= x for m in meets))
-    return VerifyReport("theorem-6.1(1)", "pass" if ok else "fail", details)
+    # a disc below the bound refutes it even in a stopped search, but only a
+    # complete search can pass
+    status = "fail" if not ok else "pass" if res.complete else "inconclusive"
+    return VerifyReport("theorem-6.1(1)", status, details)
 
 
 def verify_61_2(i: int) -> VerifyReport:

@@ -232,16 +232,9 @@ class Triangulation:
             for t, (u, v) in slots:
                 sign[(t, (u, v))] = 1 if uf.find(16 * t + 4 * u + v) == root else -1
                 sign[(t, (v, u))] = -sign[(t, (u, v))]
-            boundary = any(self._edge_slot_on_boundary(t, e) for t, e in slots)
+            boundary = boundary_side(self.gluings, slots) is not None
             classes.append(EdgeClass(idx, slots, rep, boundary, sign))
         return classes
-
-    def _edge_slot_on_boundary(self, t, edge):
-        u, v = edge
-        for f in range(4):
-            if f not in (u, v) and self.gluings[t][f] is None:
-                return True
-        return False
 
     @cached_property
     def edge_class_of(self):
@@ -335,58 +328,67 @@ class Triangulation:
     # -- edge links --------------------------------------------------------
 
     def edge_walk(self, edge_class_index):
-        """Ordered link of an edge class.
-
-        Returns {"boundary": bool, "pages": [...], "sectors": [...]} where a
-        sector is (tet, directed_edge, face_in, face_out) and a page is
-        (tet, face, directed_edge) naming the face slot crossed after the
-        sector, in the tetrahedron it is about to leave.  For a boundary
-        edge the pages start and end with the two boundary face slots; for
-        an interior edge both lists are cyclic and aligned so that
-        pages[i] separates sectors[i] from sectors[i+1].
-        """
-        ec = self.edge_classes[edge_class_index]
-        bd_sides = []
-        for t, (u, v) in ec.slots:
-            for f in range(4):
-                if f not in (u, v) and self.gluings[t][f] is None:
-                    bd_sides.append((t, (u, v), f))
-        if bd_sides:
-            t, (u, v), f_in = bd_sides[0]
-            d = (u, v)
-            pages = [(t, f_in, d)]
-            sectors = []
-            while True:
-                f_out = next(x for x in range(4) if x not in d and x != f_in)
-                sectors.append((t, d, f_in, f_out))
-                g = self.gluings[t][f_out]
-                if g is None:
-                    pages.append((t, f_out, d))
-                    return {"boundary": True, "pages": pages, "sectors": sectors}
-                t2, perm = g
-                pages.append((t, f_out, d))
-                t, d, f_in = t2, (perm[d[0]], perm[d[1]]), perm[f_out]
-        # interior edge: walk a cycle
-        t, (u, v) = ec.slots[0]
-        d = (u, v)
-        f_in = next(x for x in range(4) if x not in d)
-        start = (t, d, f_in)
-        pages = []
-        sectors = []
-        while True:
-            f_out = next(x for x in range(4) if x not in d and x != f_in)
-            sectors.append((t, d, f_in, f_out))
-            g = self.gluings[t][f_out]
-            pages.append((t, f_out, d))
-            t2, perm = g
-            t, d, f_in = t2, (perm[d[0]], perm[d[1]]), perm[f_out]
-            if (t, d, f_in) == start:
-                return {"boundary": False, "pages": pages, "sectors": sectors}
+        """Ordered link of an edge class (see ``class_walk``)."""
+        return class_walk(self.gluings, self.edge_classes[edge_class_index].slots)
 
     @cached_property
     def boundary_complex(self):
         from .boundary import BoundaryComplex
-        return BoundaryComplex(self)
+        return BoundaryComplex(self.gluings, self.edge_classes, self.boundary_faces)
+
+
+# -- edge links on a gluing table --------------------------------------------
+
+def link_walk(gluings, t, d, f_in):
+    """Walk the link of directed edge ``d`` of tetrahedron ``t``, entering its
+    sector through face ``f_in``.
+
+    Returns {"boundary": bool, "pages": [...], "sectors": [...]} where a
+    sector is (tet, directed_edge, face_in, face_out) and a page is (tet,
+    face, directed_edge) naming the face slot crossed after the sector, in
+    the tetrahedron it is about to leave.  If face ``f_in`` is a boundary
+    face the walk runs to the other boundary face, and the pages start and
+    end with the two boundary face slots; otherwise both lists are cyclic
+    and aligned so that pages[i] separates sectors[i] from sectors[i+1].
+    """
+    boundary = gluings[t][f_in] is None
+    start = (t, d, f_in)
+    pages = [(t, f_in, d)] if boundary else []
+    sectors = []
+    while True:
+        f_out = 6 - d[0] - d[1] - f_in        # the other face of t containing d
+        sectors.append((t, d, f_in, f_out))
+        pages.append((t, f_out, d))
+        g = gluings[t][f_out]
+        if g is None:
+            return {"boundary": True, "pages": pages, "sectors": sectors}
+        t2, perm = g
+        t, d, f_in = t2, (perm[d[0]], perm[d[1]]), perm[f_out]
+        if (t, d, f_in) == start:
+            return {"boundary": False, "pages": pages, "sectors": sectors}
+
+
+def boundary_side(gluings, slots):
+    """The first (tet, face, edge) over ``slots`` (sorted (tet, (u, v)) with
+    u < v) and faces in order whose face is a boundary face containing the
+    edge; None for an interior edge."""
+    for t, e in slots:
+        for f in range(4):
+            if f not in e and gluings[t][f] is None:
+                return t, f, e
+    return None
+
+
+def class_walk(gluings, slots):
+    """``link_walk`` of the edge class with these slots, from a fixed start:
+    its first boundary side, or else the first face of its first slot, with
+    the edge directed (u, v)."""
+    side = boundary_side(gluings, slots)
+    if side is None:
+        t, e = slots[0]
+        side = (t, next(f for f in range(4) if f not in e), e)
+    t, f, e = side
+    return link_walk(gluings, t, e, f)
 
 
 # -- exchange format -------------------------------------------------------

@@ -1,8 +1,16 @@
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
 
+from coretorus import search
 from coretorus.cli import run
+from coretorus.search import BudgetExhausted, _enumerate_raw
+from coretorus.triangulation import Triangulation, TriangulationError, serialize_tri
+
+from test_triangulation import gluing_tables
 
 
 def _capture(capsys, argv):
@@ -117,3 +125,38 @@ def test_deterministic_reports_are_byte_identical(tmp_path, capsys):
     _, out3 = _capture(capsys, ["--json", "meridian", "--in", path, "--max-pieces", "4"])
     assert "timing" in json.loads(out3)
 
+
+def test_meridian_stopped_search_is_inconclusive(tmp_path, capsys, monkeypatch):
+    path = str(tmp_path / "t3.tri")
+    _capture(capsys, ["gen", "--family", "3", "--out", path])
+
+    def out_of_time(tri, budget):
+        # every vector is admitted, then the time limit runs out
+        yield from _enumerate_raw(tri, budget)
+        raise BudgetExhausted("time limit reached")
+
+    monkeypatch.setattr(search, "_enumerate_raw", out_of_time)
+    disc_path = tmp_path / "d3.json"
+    code, out = _capture(capsys, ["--json", "meridian", "--in", path, "--max-pieces", "30",
+                                  "--out", str(disc_path)])
+    assert code == 3
+    data = json.loads(out)["results"]
+    assert data["status"] == "inconclusive" and data["discs_found"] == 1
+    assert not disc_path.exists()
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(gluing_tables())
+def test_every_command_exits_0_to_3_on_valid_input(table):
+    try:
+        text = serialize_tri(Triangulation(table))
+    except TriangulationError:
+        assume(False)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.tri")
+        with open(path, "w") as fh:
+            fh.write(text)
+        for argv in (["validate", "--in", path], ["homology", "--in", path],
+                     ["meridian", "--in", path, "--max-pieces", "6", "--time-limit", "1"]):
+            assert run(["--json", "--deterministic"] + argv) in (0, 1, 2, 3)

@@ -1,9 +1,12 @@
+import gc
+import weakref
+
 import pytest
 
 from coretorus.homology import first_homology, solid_torus_candidate
 from coretorus.layered import base_t0, family, layer
 from coretorus.slopes import Slope, slope_seq
-from coretorus.triangulation import serialize_tri
+from coretorus.triangulation import Triangulation, serialize_tri
 
 
 def test_base_t0(homology_of, fam):
@@ -31,11 +34,50 @@ def test_layer_requires_boundary_label(fam):
 
 def test_family_matches_iterated_layering(fam):
     lt = fam(0)
-    for k in range(4):
+    for k in range(40):
         lt = layer(lt, slope_seq(k))
         direct = family(k + 1)
         assert serialize_tri(lt.tri) == serialize_tri(direct.tri)
         assert lt.boundary_slopes == direct.boundary_slopes
+        assert lt.history == direct.history
+
+
+def test_family_builds_only_the_base_and_the_result(monkeypatch):
+    built = []
+    init = Triangulation.__init__
+
+    def counting(self, gluings):
+        built.append(len(gluings))
+        init(self, gluings)
+
+    monkeypatch.setattr(Triangulation, "__init__", counting)
+    for i in (0, 5, 60):
+        built.clear()
+        lt = family(i)
+        assert built == [1, i + 1]           # the base parse, then T_i
+        assert lt.tri.tet_count == i + 1
+
+
+def test_dropped_triangulation_is_freed_without_the_cycle_collector():
+    # nothing cached on a triangulation (edge classes, boundary complex,
+    # the H1 memo and calibration) may refer back to it
+    gc.disable()
+    try:
+        lt = family(6)
+        h = first_homology(lt.tri)
+        lt.tri.boundary_complex
+        ref = weakref.ref(lt.tri)
+        del lt
+        assert ref() is None
+    finally:
+        gc.enable()
+    # the summary keeps what it needs to answer on its own
+    cal = h.calibration
+    for e, cut in h.boundary_edge_cuts.items():
+        assert cal.cut_number(e) == cut
+        be = cal.bc.bedge_of_manifold_edge[e]
+        assert cal.slope_of_coords(cal.coords_of_cycle({be: 1}))[1] == \
+            h.boundary_edge_slopes[e]
 
 
 def test_family_invariants(fam, homology_of):

@@ -2,6 +2,7 @@ import time
 
 import pytest
 
+from coretorus import search
 from coretorus.normal import (NormalVector, check_admissible, check_matching,
                               reconstruct)
 from coretorus.search import (BudgetExhausted, SearchBudget, _enumerate_raw,
@@ -79,14 +80,52 @@ def test_time_limit():
     assert res.inconclusive and not res.discs
 
 
-def test_time_limit_stops_candidate_generation(fam):
+def test_time_limit_stops_candidate_generation(fam, homology_of):
     # T_6 at its recorded budget takes longer than the limit to enumerate;
     # the search must stop with a bounded overshoot, not finish the walk
     tri = fam(6).tri
     start = time.monotonic()
     res = find_meridian_discs(tri, SearchBudget(fib(12) - 4, time_limit=0.3))
-    assert res.inconclusive and not res.discs
+    assert res.inconclusive and not res.complete
     assert time.monotonic() - start < 3.0
+    # whatever was found before the stop is a checked meridian disc
+    cal = homology_of(6).calibration
+    for d in res.discs:
+        assert check_matching(tri, d.vector)[0]
+        (curve,) = d.surface.boundary_curves_by_component[0]
+        assert cal.is_meridian_class(cal.coords_of_cycle(curve.chain))
+
+
+def _stopping_after(n):
+    """An _enumerate_raw that yields its first n vectors, then runs out of time."""
+    def stopping(tri, budget):
+        vectors = _enumerate_raw(tri, budget)
+        for _ in range(n):
+            yield next(vectors)
+        raise BudgetExhausted("time limit reached")
+    return stopping
+
+
+def test_stopped_search_keeps_what_it_found(fam, monkeypatch):
+    tri = fam(3).tri
+    budget = SearchBudget(fib(9) - 4)
+    order = list(_enumerate_raw(tri, budget))
+    full = find_meridian_discs(tri, budget)
+    assert len(full.discs) == 1 and full.complete
+    for n in (0, len(order) // 2, len(order)):
+        monkeypatch.setattr(search, "_enumerate_raw", _stopping_after(n))
+        with pytest.raises(BudgetExhausted) as stop:
+            enumerate_admissible(tri, budget)
+        assert stop.value.found == sorted(order[:n], key=lambda v: (v.piece_count(), v.coords))
+        res = find_meridian_discs(tri, budget)
+        assert not res.complete and res.inconclusive and res.note == "time limit reached"
+        want = [d for d in full.discs if d.vector in order[:n]]
+        assert [d.vector for d in res.discs] == [d.vector for d in want]
+    # every disc was found, and each one meets the bound, but the search
+    # did not finish: that is no proof
+    rep = verify_61_1(3)
+    assert rep.status == "inconclusive"
+    assert rep.details["discs_found"] == 1 and rep.details["min_pieces"] == fib(9) - 5
 
 
 def test_time_limit_inside_one_tetrahedron(fam):
