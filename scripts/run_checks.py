@@ -15,12 +15,18 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from coretorus import (SearchBudget, check_claims, face_bound_check, fib,
+from coretorus import (SearchBudget, boundary_h1, check_claims, face_bound_check, fib,
                        find_meridian_discs, first_homology, make_61_curve,
-                       minimal_complexity_disc, push_off, slope_seq,
+                       minimal_complexity_disc, parse_tri, push_off, slope_seq,
                        tet_bound_check, verify_61_1, verify_61_2)
 from coretorus.curves import min_boundary_precore_length
 from coretorus.layered import family
+
+# one tetrahedron with two faces folded together: a ball
+FOLDED_BALL_TEXT = "tets 1\n0: - - 0:0132 0:0132\n"
+# a solid torus whose boundary torus has two vertices
+TWO_VERTEX_TEXT = ("tets 3\n0: - 1:1032 - 2:1230\n1: 0:1032 2:3102 - -\n"
+                   "2: 0:3012 1:2130 2:1230 2:3012\n")
 
 
 def main():
@@ -55,6 +61,20 @@ def main():
                       for e, s in lt.boundary_slopes.items()))
         row(f"homology T_{i}", "ok" if ok else "FAIL",
             "H1=Z, kernel slope (0,1), cut number x + y for each label")
+
+    bc = parse_tri(FOLDED_BALL_TEXT).boundary_complex
+    h1b = boundary_h1(bc)
+    ok = (len(bc.components) == 1 and bc.euler_characteristic() == 2
+          and h1b.rank == 0 and not h1b.torsion)
+    row("homology folded 1-tet ball", "ok" if ok else "FAIL",
+        "boundary sphere, chi 2, H1(dM)=0")
+
+    tri = parse_tri(TWO_VERTEX_TEXT)
+    h, h1b = first_homology(tri), boundary_h1(tri.boundary_complex)
+    ok = (h1b.rank == 2 and not h1b.torsion and h.h1_rank == 1 and not h.h1_torsion
+          and str(h.boundary_map_kernel_slope) == "(0,1)")
+    row("homology two-vertex solid torus", "ok" if ok else "FAIL",
+        "H1(dM)=Z^2, H1=Z, kernel slope (0,1)")
 
     for i in (300, 1000):
         start = time.time()

@@ -95,13 +95,17 @@ class BoundaryComplex:
         return {be.manifold_edge: be.index for be in self.bedges}
 
     @cached_property
+    def side_dir(self):
+        """Side (i, k) -> its direction (p, q) that the boundary edge counts +1."""
+        return {(i, self.side_of(i, d)): d for be in self.bedges
+                for (i, d), s in be.sign.items() if s == 1}
+
+    @cached_property
     def vertex_classes(self):
         corners = [(i, v) for i, (t, f) in enumerate(self.triangles) for v in FACE_VERTICES[f]]
         uf = _UnionFind(corners)
         for be in self.bedges:
-            (i0, k0), (i1, k1) = be.sides
-            d0 = next(d for (i, d) in be.sign if i == i0 and be.sign[(i, d)] == 1)
-            d1 = next(d for (i, d) in be.sign if i == i1 and be.sign[(i, d)] == 1)
+            (i0, d0), (i1, d1) = ((i, self.side_dir[(i, k)]) for i, k in be.sides)
             uf.union((i0, d0[0]), (i1, d1[0]))
             uf.union((i0, d0[1]), (i1, d1[1]))
         return uf.classes()
@@ -181,9 +185,7 @@ class BoundaryComplex:
     def corner_end(self, i, k, vertex):
         """Which end (0 = tail, 1 = head) of the boundary edge's representative
         direction the given corner of side k of triangle i is."""
-        be = self.bedges[self.bedge_of_side[(i, k)]]
-        d = next(dd for (ii, dd) in be.sign if ii == i and be.sign[(ii, dd)] == 1
-                 and tuple(sorted(dd)) == self.side_vertices(i, k))
+        d = self.side_dir[(i, k)]
         if vertex == d[0]:
             return 0
         if vertex == d[1]:

@@ -1,14 +1,15 @@
 """First homology by exact integer reduction, and meridian calibration.
 
 Everything here is arbitrary-precision integer arithmetic: Smith normal form
-with unimodular transforms, integer kernels and solves, cellular H1 of the
-quotient complex and of the boundary surface, the map between them, and the
-slope basis of the boundary torus calibrated from the kernel of that map
-(the meridian is computed, never assumed).
+with unimodular transforms, cellular H1 of the quotient complex and of the
+boundary surface, the map between them, and the slope basis of the boundary
+torus calibrated from the kernel of that map (the meridian is computed,
+never assumed).
 
-H1(M) and the calibration are computed once per triangulation object and
-kept with it.  The Smith transforms are mostly identity, so solves and class
-coordinates multiply only by their nonzero entries.
+Each H1 group is one Smith normal form of its cotree presentation: d2
+restricted to the edges off a spanning forest of the 1-skeleton, with no
+kernel lattice and no solves.  H1(M) and the calibration are computed once
+per triangulation object and kept with it.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ from functools import wraps
 from math import gcd
 
 from .slopes import Slope, normalize_slope
+from .triangulation import FACE_VERTICES, _UnionFind
 
 
 # -- small exact linear algebra over Z --------------------------------------
@@ -136,113 +138,98 @@ def _nonzeros(rows):
     return [[(k, x) for k, x in enumerate(row) if x] for row in rows]
 
 
-def _apply(rows, v):
-    """M v for M given by the nonzero entries of its rows."""
-    return [sum(x * v[k] for k, x in row) for row in rows]
-
-
-class IntegerLattice:
-    """SNF-backed map data for one integer matrix: U A V = D.
-
-    Only the diagonal of D and the nonzero entries of the rows of U, U^-1
-    and V are kept.  The transforms are mostly identity, so products with
-    them cost their nonzeros only, and an H1 group kept with its
-    triangulation stays small.
-    """
-
-    def __init__(self, A, m, n):
-        self.m, self.n = m, n
-        if m == 0 or n == 0:
-            D, U, Uinv, V = [], _identity(m), _identity(m), _identity(n)
-        else:
-            D, U, Uinv, V, _ = smith_normal_form(A)
-        self.diag = [D[i][i] for i in range(min(m, n))]
-        self.rank = sum(1 for d in self.diag if d != 0)
-        self.U_rows, self.Uinv_rows, self.V_rows = _nonzeros(U), _nonzeros(Uinv), _nonzeros(V)
-
-    def kernel_basis(self):
-        """Columns of V past the rank: an integer basis of ker(A)."""
-        cols = [[0] * self.n for _ in range(self.rank, self.n)]
-        for i, row in enumerate(self.V_rows):
-            for j, x in row:
-                if j >= self.rank:
-                    cols[j - self.rank][i] = x
-        return cols
-
-    def solve(self, b):
-        """Integer x with A x = b, or None."""
-        ub = _apply(self.U_rows, b)
-        y = [0] * self.n
-        for i in range(self.m):
-            d = self.diag[i] if i < len(self.diag) else 0
-            if d == 0:
-                if ub[i] != 0:
-                    return None
-            else:
-                if ub[i] % d != 0:
-                    return None
-                y[i] = ub[i] // d
-        return _apply(self.V_rows, y)
-
-
 # -- cellular H1 -------------------------------------------------------------
 
 class H1Group:
     """H1 = ker(d1)/im(d2) of a free chain complex C2 -> C1 -> C0.
 
+    ``ends`` lists each edge's (tail, head) vertex and ``d2_cols`` each
+    2-cell's boundary as an {edge: coefficient} chain.  A 1-cycle is
+    determined by its entries on the edges off a spanning forest of the
+    1-skeleton (the cotree edges), so H1 is the cokernel of d2 restricted to
+    the cotree rows: one Smith normal form U A V = D.  Only the diagonal and
+    the nonzero entries of the coordinate rows of U and columns of U^-1 are
+    kept, so an H1 group kept with its triangulation stays small.
+
     Classes are canonical coordinate tuples: one residue per torsion factor,
     then one integer per free factor.
     """
 
-    def __init__(self, d1_rows, d2_cols, n_edges):
-        self.n_edges = n_edges
-        d1 = d1_rows                                  # V x E
-        ker = IntegerLattice(d1, len(d1), n_edges) if d1 else IntegerLattice(
-            [[0] * n_edges], 1, n_edges)
-        K = ker.kernel_basis()                         # list of E-vectors
-        self.k = len(K)
-        self._K_nonzeros = _nonzeros(K)
-        K_mat = [[K[j][i] for j in range(self.k)] for i in range(n_edges)]  # E x k
-        self._K_lat = IntegerLattice(K_mat, n_edges, self.k)
-        A_cols = []
-        for col in d2_cols:                            # each an E-vector
-            a = self._K_lat.solve(col)
-            if a is None:
+    def __init__(self, ends, d2_cols):
+        self.ends = ends
+        self.n_edges = len(ends)
+        self.n_vertices = 1 + max((v for e in ends for v in e), default=-1)
+        uf = _UnionFind(range(self.n_vertices))
+        cotree, adjacent = [], {v: [] for v in range(self.n_vertices)}
+        for e, (tail, head) in enumerate(ends):
+            if uf.find(tail) == uf.find(head):
+                cotree.append(e)
+            else:                                   # a spanning-forest edge
+                uf.union(tail, head)
+                adjacent[tail].append((head, e))
+                adjacent[head].append((tail, e))
+        # each non-root vertex with the tree edge towards its root, leaves first
+        order, seen = [], set()
+        for root in range(self.n_vertices):
+            if root not in seen:
+                seen.add(root)
+                layer = [root]
+                for v in layer:
+                    for w, e in adjacent[v]:
+                        if w not in seen:
+                            seen.add(w)
+                            layer.append(w)
+                            order.append((w, e))
+        self._leaf_first = order[::-1]
+        for col in d2_cols:
+            if any(self._d1(col.items())):
                 raise ValueError("d1*d2 != 0: not a chain complex")
-            A_cols.append(a)
-        A = [[A_cols[j][i] for j in range(len(A_cols))] for i in range(self.k)]  # k x F
-        self._A = IntegerLattice(A, self.k, len(A_cols)) if A_cols else IntegerLattice(
-            [[0] for _ in range(self.k)], self.k, 1)
-        diag = self._A.diag + [0] * (self.k - len(self._A.diag))
-        self.factor = diag[:self.k]                    # 0 = free, 1 = dead, d>1 = torsion
+        D, U, Uinv, _, _ = smith_normal_form([[col.get(e, 0) for col in d2_cols]
+                                              for e in cotree])
+        diag = [D[i][i] for i in range(min(len(cotree), len(d2_cols)))]
+        self.factor = diag + [0] * (len(cotree) - len(diag))  # 0 free, 1 dead, d>1 torsion
         self.rank = sum(1 for d in self.factor if d == 0)
         self.torsion = sorted(d for d in self.factor if d > 1)
         self.coord_index = [i for i, d in enumerate(self.factor) if d != 1]
+        # coordinate rows of U over edges; rows of U^-1 over coordinate positions
+        self._U_rows = [[(cotree[k], x) for k, x in row]
+                        for row in _nonzeros(U[i] for i in self.coord_index)]
+        self._Uinv_rows = [(cotree[r], row) for r, row in enumerate(
+            _nonzeros([row[i] for i in self.coord_index] for row in Uinv)) if row]
+
+    def _d1(self, entries):
+        """d1 of the chain with the given (edge, coefficient) entries."""
+        out = [0] * self.n_vertices
+        for e, c in entries:
+            if c:
+                tail, head = self.ends[e]
+                out[head] += c
+                out[tail] -= c
+        return out
 
     def class_of_cycle(self, z):
         """Canonical coordinates of the 1-cycle z (length n_edges)."""
-        c = self._K_lat.solve(z)
-        if c is None:
+        if any(self._d1(enumerate(z))):
             raise ValueError("not a 1-cycle")
-        U_rows = self._A.U_rows
         out = []
-        for i in self.coord_index:
-            w = sum(x * c[k] for k, x in U_rows[i])
+        for i, row in zip(self.coord_index, self._U_rows):
+            w = sum(x * z[e] for e, x in row)
             d = self.factor[i]
             out.append(w % d if d > 1 else w)
         return tuple(out)
 
     def representative_cycle(self, coords):
         """A 1-cycle whose class has the given canonical coordinates."""
-        w = [0] * self.k
-        for pos, i in enumerate(self.coord_index):
-            w[i] = coords[pos]
-        c = _apply(self._A.Uinv_rows, w)
         z = [0] * self.n_edges
-        for cj, col in zip(c, self._K_nonzeros):
-            if cj:
-                for i, x in col:
-                    z[i] += cj * x
+        for e, row in self._Uinv_rows:
+            z[e] = sum(x * coords[pos] for pos, x in row)
+        # fill the tree edges leaf-first so that d1 z = 0
+        excess = self._d1(enumerate(z))
+        for v, e in self._leaf_first:
+            x = excess[v]
+            tail, head = self.ends[e]
+            z[e] = x if v == tail else -x
+            excess[head if v == tail else tail] += x
         return z
 
     @property
@@ -271,48 +258,38 @@ def _per_triangulation(build):
 
 @_per_triangulation
 def manifold_h1(tri) -> H1Group:
-    nv = len(tri.vertex_classes)
-    ne = len(tri.edge_classes)
-    d1 = [[0] * ne for _ in range(nv)]
-    for ec in tri.edge_classes:
-        t, (p, q) = ec.rep
-        d1[tri.vertex_class_of[(t, q)]][ec.index] += 1
-        d1[tri.vertex_class_of[(t, p)]][ec.index] -= 1
+    vc = tri.vertex_class_of
+    ends = [(vc[(t, p)], vc[(t, q)]) for t, (p, q) in (ec.rep for ec in tri.edge_classes)]
     d2_cols = []
-    for slots in tri.face_classes:
-        t, f = slots[0]
-        from .triangulation import FACE_VERTICES
+    for t, f in (slots[0] for slots in tri.face_classes):
         a, b, c = FACE_VERTICES[f]
-        col = [0] * ne
+        col = {}
         for p, q in ((a, b), (b, c), (c, a)):
             ec = tri.edge_class_of[(t, tuple(sorted((p, q))))]
-            col[ec] += tri.edge_classes[ec].dir_sign[(t, (p, q))]
+            col[ec] = col.get(ec, 0) + tri.edge_classes[ec].dir_sign[(t, (p, q))]
         d2_cols.append(col)
-    return H1Group(d1, d2_cols, ne)
+    return H1Group(ends, d2_cols)
 
 
 def boundary_h1(bc) -> H1Group:
-    nv = len(bc.vertex_classes)
-    ne = len(bc.bedges)
-    d1 = [[0] * ne for _ in range(nv)]
-    for be in bc.bedges:
-        i, (p, q) = be.rep_dir
-        d1[bc.vertex_class_of[(i, q)]][be.index] += 1
-        d1[bc.vertex_class_of[(i, p)]][be.index] -= 1
-    d2_cols = []
-    for i in range(len(bc.triangles)):
-        chain = bc.triangle_boundary_chain(i)
-        col = [0] * ne
-        for be, coeff in chain.items():
-            col[be] += coeff
-        d2_cols.append(col)
-    return H1Group(d1, d2_cols, ne)
+    vc = bc.vertex_class_of
+    ends = [(vc[(i, p)], vc[(i, q)]) for i, (p, q) in (be.rep_dir for be in bc.bedges)]
+    return H1Group(ends, [bc.triangle_boundary_chain(i) for i in range(len(bc.triangles))])
 
 
 # -- meridian calibration ----------------------------------------------------
 
 def _det2(a, b):
     return a[0] * b[1] - a[1] * b[0]
+
+
+def _manifold_image(bc, h1b, h1m, w):
+    """Image in H1(M) = Z of the class with boundary coordinates w."""
+    z = h1b.representative_cycle(list(w))
+    chain = [0] * len(bc.edge_classes)
+    for be in bc.bedges:
+        chain[be.manifold_edge] += be.manifold_sign * z[be.index]
+    return h1m.class_of_cycle(chain)[0]
 
 
 @dataclass
@@ -353,13 +330,7 @@ class MeridianCalibration:
         return tuple(w) in (tuple(self.kernel), tuple(-c for c in self.kernel))
 
     def manifold_image(self, w):
-        """Image in H1(M) = Z of the class with boundary coordinates w."""
-        z = self.h1_bdry.representative_cycle(list(w))
-        ne = len(self.bc.edge_classes)
-        chain = [0] * ne
-        for be in self.bc.bedges:
-            chain[be.manifold_edge] += be.manifold_sign * z[be.index]
-        return self.h1_mfld.class_of_cycle(chain)[0]
+        return _manifold_image(self.bc, self.h1_bdry, self.h1_mfld, w)
 
     def cut_number(self, manifold_edge_index):
         """|image in H1(M)| of a boundary edge loop, i.e. its meridian
@@ -396,15 +367,7 @@ def calibrate(tri) -> MeridianCalibration | None:
     if h1b.rank != 2 or h1b.torsion:
         return None
 
-    def image(w):
-        z = h1b.representative_cycle(list(w))
-        ne = len(tri.edge_classes)
-        chain = [0] * ne
-        for be in bc.bedges:
-            chain[be.manifold_edge] += be.manifold_sign * z[be.index]
-        return h1m.class_of_cycle(chain)[0]
-
-    t1, t2 = image((1, 0)), image((0, 1))
+    t1, t2 = (_manifold_image(bc, h1b, h1m, w) for w in ((1, 0), (0, 1)))
     if t1 == 0 and t2 == 0:
         return None
     g = gcd(t1, t2)

@@ -418,8 +418,10 @@ def _boundary_curves(tri, arcs, piece_id, comp_of):
             next_id, next_entry = cyc[(k + 1) % n]
             ecls, _ = arcs[prev_id].endpoints[1 - prev_entry]
             bedge = bc.bedge_of_manifold_edge[ecls]
-            prev_end = _cut_end(bc, arcs[prev_id], 1 - prev_entry)
-            next_end = _cut_end(bc, arcs[next_id], next_entry)
+            prev, nxt = arcs[prev_id], arcs[next_id]
+            prev_end = _corner_end(bc, bc.tri_index[prev.rep_slot], prev.cut_vertex,
+                                   1 - prev_entry)
+            next_end = _corner_end(bc, bc.tri_index[nxt.rep_slot], nxt.cut_vertex, next_entry)
             if prev_end != next_end:
                 chain[bedge] = chain.get(bedge, 0) + (1 if prev_end == 0 else -1)
 
@@ -429,16 +431,12 @@ def _boundary_curves(tri, arcs, piece_id, comp_of):
     return out
 
 
-def _cut_end(bc, arc, end_slot):
+def _corner_end(bc, i, vtx, end_slot):
     """Which end (0/1, in the boundary edge's representative direction) the
-    arc's cut vertex sits at, for the arc endpoint in the given slot."""
-    t, f = arc.rep_slot
-    i = bc.tri_index[(t, f)]
-    x, y = (u for u in FACE_VERTICES[f] if u != arc.cut_vertex)
-    other = x if end_slot == 0 else y
-    pair = tuple(sorted((arc.cut_vertex, other)))
-    k = bc.side_of(i, pair)
-    return bc.corner_end(i, k, arc.cut_vertex)
+    corner at vertex vtx of boundary triangle i sits at, on the side through
+    the other vertex in the given end slot."""
+    others = [u for u in FACE_VERTICES[bc.triangles[i][1]] if u != vtx]
+    return bc.corner_end(i, bc.side_of(i, (vtx, others[end_slot])), vtx)
 
 
 def curve_slopes(tri, surface: ReconstructedSurface, calibration):
@@ -538,8 +536,8 @@ def boundary_curves_from_counts(bc, counts):
             b_id, b_in = cyc[(k + 1) % n]
             pt = endpoints(arcs[a_id])[1 - a_in]
             be_idx = pt[0]
-            end_a = _corner_end_of_arc(bc, arcs[a_id], 1 - a_in)
-            end_b = _corner_end_of_arc(bc, arcs[b_id], b_in)
+            end_a = _corner_end(bc, *arcs[a_id][:2], 1 - a_in)
+            end_b = _corner_end(bc, *arcs[b_id][:2], b_in)
             if end_a != end_b:
                 chain[be_idx] = chain.get(be_idx, 0) + (1 if end_a == 0 else -1)
         out.append({
@@ -548,13 +546,3 @@ def boundary_curves_from_counts(bc, counts):
             "chain": {k: c for k, c in chain.items() if c},
         })
     return out
-
-
-def _corner_end_of_arc(bc, arc, end_slot):
-    i, vtx, level = arc
-    t, f = bc.triangles[i]
-    others = [u for u in FACE_VERTICES[f] if u != vtx]
-    other = others[end_slot]
-    pair = tuple(sorted((vtx, other)))
-    k = bc.side_of(i, pair)
-    return bc.corner_end(i, k, vtx)

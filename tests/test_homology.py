@@ -1,20 +1,25 @@
 import random
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from coretorus import homology
 from coretorus.curves import make_61_curve
-from coretorus.homology import (IntegerLattice, boundary_h1, calibrate,
-                                first_homology, manifold_h1, mat_mul,
-                                smith_normal_form, solid_torus_candidate)
+from coretorus.homology import (H1Group, boundary_h1, calibrate, first_homology,
+                                manifold_h1, mat_mul, smith_normal_form,
+                                solid_torus_candidate)
 from coretorus.layered import BASE_T0_TEXT, family
 from coretorus.slopes import Slope
-from coretorus.triangulation import parse_tri, serialize_tri
+from coretorus.triangulation import Triangulation, TriangulationError, parse_tri, serialize_tri
+from test_triangulation import gluing_tables
 
 BALL_TEXT = "tets 1\n0: - - - -\n"
 # a solid torus whose boundary torus has two vertices
 TWO_VERTEX_TEXT = ("tets 3\n0: - 1:1032 - 2:1230\n1: 0:1032 2:3102 - -\n"
                    "2: 0:3012 1:2130 2:1230 2:3012\n")
+# one tetrahedron with two faces folded together: a ball whose boundary
+# sphere has two sides of one triangle glued to each other
+FOLDED_BALL_TEXT = "tets 1\n0: - - 0:0132 0:0132\n"
 
 
 @given(st.lists(st.lists(st.integers(-9, 9), min_size=1, max_size=5),
@@ -38,15 +43,6 @@ def test_snf_transforms(rows):
         for j in range(n):
             if i != j:
                 assert D[i][j] == 0
-
-
-def test_integer_solve():
-    lat = IntegerLattice([[2, 0], [0, 3]], 2, 2)
-    assert lat.solve([4, 9]) == [2, 3]
-    assert lat.solve([1, 0]) is None
-    lat2 = IntegerLattice([[1, 1]], 1, 2)
-    x = lat2.solve([5])
-    assert x is not None and x[0] + x[1] == 5
 
 
 def test_ball_homology():
@@ -88,14 +84,81 @@ def test_calibration_meridian_class():
     assert cal.manifold_image(cal.lam) in (1, -1)
 
 
-def test_class_of_cycle_roundtrip():
-    tri = parse_tri(BASE_T0_TEXT)
-    h1 = manifold_h1(tri)
-    rng = random.Random(7)
-    for _ in range(20):
-        coords = tuple(rng.randint(-3, 3) for _ in range(h1.rank))
+def _assert_roundtrip(h1, rng, rounds=20):
+    for _ in range(rounds):
+        coords = tuple(rng.randrange(h1.factor[i]) if h1.factor[i] else rng.randint(-3, 3)
+                       for i in h1.coord_index)
         z = h1.representative_cycle(list(coords))
         assert h1.class_of_cycle(z) == coords
+
+
+def test_class_of_cycle_roundtrip():
+    tri = parse_tri(BASE_T0_TEXT)
+    _assert_roundtrip(manifold_h1(tri), random.Random(7))
+
+
+def test_class_of_cycle_roundtrip_through_a_spanning_tree():
+    # two boundary vertices: one boundary edge is a tree edge, filled in by
+    # representative_cycle and checked by class_of_cycle
+    h1b = boundary_h1(parse_tri(TWO_VERTEX_TEXT).boundary_complex)
+    assert h1b.n_vertices == 2 and h1b.rank == 2 and not h1b.torsion
+    _assert_roundtrip(h1b, random.Random(3))
+
+
+def test_h1_group_rejects_a_non_chain_complex():
+    # one edge from vertex 0 to vertex 1 bounding a 2-cell: d1 d2 != 0
+    with pytest.raises(ValueError, match="d1\\*d2"):
+        H1Group([(0, 1)], [{0: 1}])
+
+
+def test_class_of_cycle_rejects_a_non_cycle():
+    h1 = H1Group([(0, 1), (1, 0)], [])            # a circle of two edges
+    assert h1.rank == 1 and h1.class_of_cycle([1, 1]) in ((1,), (-1,))
+    with pytest.raises(ValueError, match="not a 1-cycle"):
+        h1.class_of_cycle([1, 0])
+    h1b = boundary_h1(parse_tri(TWO_VERTEX_TEXT).boundary_complex)
+    joining = next(e for e, (tail, head) in enumerate(h1b.ends) if tail != head)
+    z = [0] * h1b.n_edges
+    z[joining] = 1
+    with pytest.raises(ValueError, match="not a 1-cycle"):
+        h1b.class_of_cycle(z)
+
+
+def test_folded_ball_boundary_is_a_sphere():
+    bc = parse_tri(FOLDED_BALL_TEXT).boundary_complex
+    assert [c["euler"] for c in bc.component_summary()] == [2]
+    assert len(bc.vertex_classes) == 3
+    h1b = boundary_h1(bc)
+    assert h1b.rank == 0 and not h1b.torsion
+
+
+def _valid(table):
+    try:
+        return Triangulation(table)
+    except TriangulationError:
+        return None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(gluing_tables())
+def test_boundary_h1_rank_is_sum_of_two_minus_euler(table):
+    tri = _valid(table)
+    assume(tri is not None and tri.boundary_complex.triangles)
+    bc = tri.boundary_complex
+    h1b = boundary_h1(bc)
+    assert not h1b.torsion
+    assert h1b.rank == sum(2 - c["euler"] for c in bc.component_summary())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(gluing_tables())
+def test_class_of_cycle_roundtrip_on_random_tables(table):
+    tri = _valid(table)
+    assume(tri is not None)
+    rng = random.Random(len(tri.edge_classes))
+    _assert_roundtrip(manifold_h1(tri), rng, rounds=5)
+    if tri.boundary_complex.triangles:
+        _assert_roundtrip(boundary_h1(tri.boundary_complex), rng, rounds=5)
 
 
 def test_two_vertex_boundary_calibrates():
@@ -122,13 +185,13 @@ def test_homology_is_computed_once_per_triangulation(monkeypatch):
     first_homology(lt.tri)
     solid_torus_candidate(lt.tri)
     make_61_curve(lt)
-    # three reductions (d1, its kernel, d2) for H1(M) and three for H1(bdry),
-    # however many of these ask for them
-    assert len(calls) == 6
+    # one reduction for H1(M) and one for H1(bdry), however many of these
+    # ask for them
+    assert len(calls) == 2
     tri = lt.tri
     assert calibrate(tri) is calibrate(tri)
     assert manifold_h1(tri) is manifold_h1(tri)
     copy = parse_tri(serialize_tri(tri))
     assert calibrate(copy) is not calibrate(tri)
     assert (calibrate(copy).lam, calibrate(copy).mu) == (calibrate(tri).lam, calibrate(tri).mu)
-    assert len(calls) == 12
+    assert len(calls) == 4
