@@ -62,6 +62,17 @@ def main():
         row(f"homology T_{i}", "ok" if ok else "FAIL",
             "H1=Z, kernel slope (0,1), cut number x + y for each label")
 
+    lt = family(300)
+    start = time.time()
+    h = first_homology(lt.tri)
+    seconds = time.time() - start
+    row("homology T_300 H1", "ok" if h.h1_rank == 1 and not h.h1_torsion else "FAIL",
+        f"H1=Z, computed in {seconds:.2f}s")
+    row("homology T_300 kernel slope",
+        "ok" if str(h.boundary_map_kernel_slope) == "(0,1)" else "FAIL", "(0,1)")
+    ok = all(h.boundary_edge_cuts.get(e) == s.x + s.y for e, s in lt.boundary_slopes.items())
+    row("homology T_300 cut numbers", "ok" if ok else "FAIL", "x + y for each label")
+
     bc = parse_tri(FOLDED_BALL_TEXT).boundary_complex
     h1b = boundary_h1(bc)
     ok = (len(bc.components) == 1 and bc.euler_characteristic() == 2

@@ -139,10 +139,20 @@ class PLCurve:
 
     @staticmethod
     def from_json(tri, data):
-        segs = [Segment(d["face"],
-                        tuple(Fraction(c) for c in d["p0"]),
-                        tuple(Fraction(c) for c in d["p1"]))
-                for d in data]
+        """The curve ``to_json`` wrote; CurveError on any other input."""
+        if not isinstance(data, list) or not all(isinstance(d, dict) for d in data):
+            raise CurveError("a curve is a list of segment objects")
+        segs = []
+        for d in data:
+            face, p0, p1 = d.get("face"), d.get("p0"), d.get("p1")
+            if type(face) is not int or not 0 <= face < len(tri.face_classes):
+                raise CurveError(f"no face class {face!r}")
+            if not all(isinstance(p, list) and len(p) == 3 for p in (p0, p1)):
+                raise CurveError("p0 and p1 must each be a list of three coordinates")
+            try:
+                segs.append(Segment(face, tuple(map(Fraction, p0)), tuple(map(Fraction, p1))))
+            except (TypeError, ValueError, ZeroDivisionError, OverflowError) as e:
+                raise CurveError(f"bad coordinate in segment {len(segs)}: {e}") from None
         return PLCurve(tri, segs)
 
 

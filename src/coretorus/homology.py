@@ -8,13 +8,16 @@ never assumed).
 
 Each H1 group is one Smith normal form of its cotree presentation: d2
 restricted to the edges off a spanning forest of the 1-skeleton, with no
-kernel lattice and no solves.  H1(M) and the calibration are computed once
-per triangulation object and kept with it.
+kernel lattice and no solves.  The Smith normal form is computed on sparse
+rows, with the pivot rule and operation order of the dense reduction kept in
+the tests as its oracle.  H1(M) and the calibration are computed once per
+triangulation object and kept with it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import wraps
+from itertools import compress, count
 from math import gcd
 
 from .slopes import Slope, normalize_slope
@@ -23,106 +26,114 @@ from .triangulation import FACE_VERTICES, _UnionFind
 
 # -- small exact linear algebra over Z --------------------------------------
 
-def _identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def _axpy(y, x, c):
+    """y += c * x for sparse vectors, dropping the entries that cancel."""
+    for k, v in x.items():
+        s = y.get(k, 0) + c * v
+        if s:
+            y[k] = s
+        else:
+            del y[k]
+
+
+def _nonzeros(rows):
+    """Each row as the (column, entry) pairs of its nonzero entries."""
+    return [list(zip(compress(count(), row), filter(None, row))) for row in rows]
+
+
+def _dense(m, n, entries):
+    out = [[0] * n for _ in range(m)]
+    for i, j, x in entries:
+        out[i][j] = x
+    return out
 
 
 def smith_normal_form(A):
-    """Return (D, U, Uinv, V, Vinv) with U*A*V = D in Smith normal form."""
+    """Return (D, U, Uinv, V, Vinv) with U*A*V = D in Smith normal form.
+
+    The reduction runs on sparse rows and returns dense matrices.  Each row
+    of D is a {column: entry} dict, and a column swap exchanges two entries
+    of the position <-> column permutation; U and V^-1 are sparse rows, U^-1
+    and V sparse columns, the last two indexed by column like D.  A row or
+    column operation touches only nonzeros, and a column operation only the
+    rows that hold the pivot column.
+    """
     m = len(A)
     n = len(A[0]) if m else 0
-    D = [row[:] for row in A]
-    U, Uinv = _identity(m), _identity(m)
-    V, Vinv = _identity(n), _identity(n)
+    D = [dict(row) for row in _nonzeros(A)]
+    U, Uinv = [{i: 1} for i in range(m)], [{i: 1} for i in range(m)]
+    V, Vinv = [{c: 1} for c in range(n)], [{c: 1} for c in range(n)]
+    col, pos = list(range(n)), list(range(n))
 
     def row_add(i, j, c):          # row_i += c * row_j
-        for k in range(n):
-            D[i][k] += c * D[j][k]
-        for k in range(m):
-            U[i][k] += c * U[j][k]
-            Uinv[k][j] -= c * Uinv[k][i]
-
-    def col_add(j, i, c):          # col_j += c * col_i
-        for k in range(m):
-            D[k][j] += c * D[k][i]
-        for k in range(n):
-            V[k][j] += c * V[k][i]
-            Vinv[i][k] -= c * Vinv[j][k]
-
-    def row_swap(i, j):
-        D[i], D[j] = D[j], D[i]
-        U[i], U[j] = U[j], U[i]
-        for k in range(m):
-            Uinv[k][i], Uinv[k][j] = Uinv[k][j], Uinv[k][i]
-
-    def col_swap(i, j):
-        for k in range(m):
-            D[k][i], D[k][j] = D[k][j], D[k][i]
-        for k in range(n):
-            V[k][i], V[k][j] = V[k][j], V[k][i]
-        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
-
-    def row_neg(i):
-        for k in range(n):
-            D[i][k] = -D[i][k]
-        for k in range(m):
-            U[i][k] = -U[i][k]
-            Uinv[k][i] = -Uinv[k][i]
+        _axpy(D[i], D[j], c)
+        _axpy(U[i], U[j], c)
+        _axpy(Uinv[j], Uinv[i], -c)
 
     t = 0
     while True:
         # the first entry of least absolute value in row-major order; a unit
-        # is such an entry, so the scan stops at the first one
+        # is such an entry, so the scan stops at the first one.  The rows
+        # from t on have no entry left of position t.
         pivot, least = None, None
         for i in range(t, m):
-            row = D[i]
-            for j in range(t, n):
-                a = abs(row[j])
-                if a and (least is None or a < least):
+            if D[i]:
+                a, j = min((abs(x), pos[c]) for c, x in D[i].items())
+                if least is None or a < least:
                     pivot, least = (i, j), a
                     if a == 1:
                         break
-            if least == 1:
-                break
         if pivot is None:
             break
         i, j = pivot
         if i != t:
-            row_swap(t, i)
+            D[t], D[i] = D[i], D[t]
+            U[t], U[i] = U[i], U[t]
+            Uinv[t], Uinv[i] = Uinv[i], Uinv[t]
         if j != t:
-            col_swap(t, j)
-        if D[t][t] < 0:
-            row_neg(t)
-        clean = True
+            col[t], col[j] = col[j], col[t]
+            pos[col[t]], pos[col[j]] = t, j
+        piv, row = col[t], D[t]
+        if row[piv] < 0:
+            for vec in (row, U[t], Uinv[t]):
+                for k in vec:
+                    vec[k] = -vec[k]
+        d = row[piv]
+        clean, holders = True, [t]
         for i in range(t + 1, m):
-            if D[i][t] != 0:
-                row_add(i, t, -(D[i][t] // D[t][t]))
-                if D[i][t] != 0:
+            if piv in D[i]:
+                row_add(i, t, -(D[i][piv] // d))
+                if piv in D[i]:
                     clean = False
-        for j in range(t + 1, n):
-            if D[t][j] != 0:
-                col_add(j, t, -(D[t][j] // D[t][t]))
-                if D[t][j] != 0:
-                    clean = False
+                    holders.append(i)
+        for c in [c for c in row if c != piv]:   # column c += q * column piv
+            q = -(row[c] // d)
+            for r in holders:
+                s = D[r].get(c, 0) + q * D[r][piv]
+                if s:
+                    D[r][c] = s
+                else:
+                    del D[r][c]
+            _axpy(V[c], V[piv], q)
+            _axpy(Vinv[piv], Vinv[c], -q)
+            if c in row:
+                clean = False
         if not clean:
             continue
-        if D[t][t] == 1:
+        if d == 1:
             t += 1
             continue
         # enforce divisibility d_t | D[i][j] for the trailing block
-        bad = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if D[i][j] % D[t][t] != 0:
-                    bad = i
-                    break
-            if bad is not None:
-                break
+        bad = next((i for i in range(t + 1, m) if any(x % d for x in D[i].values())), None)
         if bad is not None:
             row_add(t, bad, 1)
             continue
         t += 1
-    return D, U, Uinv, V, Vinv
+    return (_dense(m, n, ((i, pos[c], x) for i, r in enumerate(D) for c, x in r.items())),
+            _dense(m, m, ((i, k, x) for i, r in enumerate(U) for k, x in r.items())),
+            _dense(m, m, ((k, j, x) for j, r in enumerate(Uinv) for k, x in r.items())),
+            _dense(n, n, ((k, pos[c], x) for c, r in enumerate(V) for k, x in r.items())),
+            _dense(n, n, ((pos[c], k, x) for c, r in enumerate(Vinv) for k, x in r.items())))
 
 
 def mat_mul(A, B):
@@ -131,11 +142,6 @@ def mat_mul(A, B):
     n = len(B[0])
     return [[sum(A[i][k] * B[k][j] for k in range(len(B))) for j in range(n)]
             for i in range(len(A))]
-
-
-def _nonzeros(rows):
-    """Each row as the (column, entry) pairs of its nonzero entries."""
-    return [[(k, x) for k, x in enumerate(row) if x] for row in rows]
 
 
 # -- cellular H1 -------------------------------------------------------------
@@ -184,8 +190,12 @@ class H1Group:
         for col in d2_cols:
             if any(self._d1(col.items())):
                 raise ValueError("d1*d2 != 0: not a chain complex")
-        D, U, Uinv, _, _ = smith_normal_form([[col.get(e, 0) for col in d2_cols]
-                                              for e in cotree])
+        rows = {e: [0] * len(d2_cols) for e in cotree}    # d2 on the cotree edges
+        for f, col in enumerate(d2_cols):
+            for e, x in col.items():
+                if e in rows:
+                    rows[e][f] = x
+        D, U, Uinv, _, _ = smith_normal_form(list(rows.values()))
         diag = [D[i][i] for i in range(min(len(cotree), len(d2_cols)))]
         self.factor = diag + [0] * (len(cotree) - len(diag))  # 0 free, 1 dead, d>1 torsion
         self.rank = sum(1 for d in self.factor if d == 0)

@@ -93,7 +93,10 @@ class NormalVector:
 
     @staticmethod
     def from_json(data):
-        return NormalVector(tuple(tuple(row) for row in data))
+        try:
+            return NormalVector(tuple(tuple(row) for row in data))
+        except TypeError as e:
+            raise ValueError(f"a normal vector is a list of rows of 7 integers: {e}") from None
 
     @staticmethod
     def zero(tet_count):

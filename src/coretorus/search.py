@@ -42,6 +42,8 @@ class SearchBudget:
             raise ValueError("piece budget must be nonnegative")
         if self.max_weight is not None and self.max_weight < 0:
             raise ValueError("weight budget must be nonnegative")
+        if self.time_limit is not None and not self.time_limit >= 0:   # NaN too
+            raise ValueError("time limit must be nonnegative")
 
 
 class BudgetExhausted(Exception):

@@ -3,11 +3,13 @@ import os
 import tempfile
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from coretorus import search
 from coretorus.cli import run
-from coretorus.search import BudgetExhausted, _enumerate_raw
+from coretorus.curves import make_61_curve
+from coretorus.layered import family
+from coretorus.search import BudgetExhausted, SearchBudget, _enumerate_raw, enumerate_admissible
 from coretorus.triangulation import Triangulation, TriangulationError, serialize_tri
 
 from test_triangulation import gluing_tables
@@ -160,3 +162,91 @@ def test_every_command_exits_0_to_3_on_valid_input(table):
         for argv in (["validate", "--in", path], ["homology", "--in", path],
                      ["meridian", "--in", path, "--max-pieces", "6", "--time-limit", "1"]):
             assert run(["--json", "--deterministic"] + argv) in (0, 1, 2, 3)
+
+
+def test_meridian_rejects_a_negative_time_limit(tmp_path, capsys):
+    path = str(tmp_path / "t0.tri")
+    _capture(capsys, ["gen", "--family", "0", "--out", path])
+    code, _ = _capture(capsys, ["meridian", "--in", path, "--max-pieces", "4",
+                                "--time-limit", "-1"])
+    assert code == 2
+
+
+@pytest.fixture(scope="module")
+def t1_files(tmp_path_factory):
+    """T_1, its one-crossing curve and its admissible vectors up to 12 pieces."""
+    lt = family(1)
+    d = tmp_path_factory.mktemp("t1")
+    (d / "t1.tri").write_text(serialize_tri(lt.tri))
+    (d / "c1.json").write_text(json.dumps(make_61_curve(lt).curve.to_json()))
+    return d, [v.to_json() for v in enumerate_admissible(lt.tri, SearchBudget(12))]
+
+
+_SEGMENT = {"face": 0, "p0": ["1/2", "1/2", "0"], "p1": ["0", "1/2", "1/2"]}
+
+
+@pytest.mark.parametrize("curve", [
+    {"points": []}, "x", [7], [[0, 1]],
+    [dict(_SEGMENT, face="0")], [dict(_SEGMENT, face=True)],
+    [dict(_SEGMENT, face=99)], [dict(_SEGMENT, face=-1)],
+    [{"face": 0, "p1": _SEGMENT["p1"]}], [dict(_SEGMENT, p0=["1/2", "1/2"])],
+    [dict(_SEGMENT, p0=["1/0", "1/2", "1/2"])], [dict(_SEGMENT, p1=["0", "x", "1"])],
+    [dict(_SEGMENT, p1=[0, float("nan"), 1])], [dict(_SEGMENT, p1=[0, float("inf"), 1])],
+    [dict(_SEGMENT, p1=[0, [1], 0])],
+], ids=["object", "string", "number-segment", "list-segment", "string-face", "bool-face",
+        "face-out-of-range", "negative-face", "missing-p0", "two-coordinates",
+        "zero-denominator", "not-a-number", "nan", "infinity", "list-coordinate"])
+def test_curve_check_rejects_a_malformed_curve_file(t1_files, tmp_path, capsys, curve):
+    d, _ = t1_files
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(curve))
+    code, _ = _capture(capsys, ["curve", "check", "--in", str(bad), "--tri", str(d / "t1.tri")])
+    assert code == 2
+
+
+@pytest.mark.parametrize("disc", [5, [5], [[[0], 0, 0, 0, 0, 0, 0]], [[None] * 7], "x"],
+                         ids=["number", "number-row", "list-entry", "null-entry", "string"])
+def test_bundle_rejects_a_malformed_disc_file(t1_files, tmp_path, capsys, disc):
+    d, _ = t1_files
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(disc))
+    code, _ = _capture(capsys, ["bundle", "--in", str(d / "t1.tri"), "--disc", str(bad)])
+    assert code == 2
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(gluing_tables(), st.data())
+def test_bundle_exits_0_to_3_on_admissible_vectors(table, data):
+    # one-sided and disconnected vectors included; at least half the faces
+    # glued, so that the enumeration stays small
+    try:
+        tri = Triangulation(table)
+    except TriangulationError:
+        assume(False)
+    assume(len(tri.boundary_faces) <= 2 * tri.tet_count)
+    vectors = enumerate_admissible(tri, SearchBudget(6))
+    picks = data.draw(st.lists(st.sampled_from(vectors), min_size=1, max_size=4, unique=True))
+    with tempfile.TemporaryDirectory() as tmp:
+        path, disc = os.path.join(tmp, "in.tri"), os.path.join(tmp, "disc.json")
+        with open(path, "w") as fh:
+            fh.write(serialize_tri(tri))
+        for v in picks:
+            with open(disc, "w") as fh:
+                json.dump(v.to_json(), fh)
+            assert run(["--json", "--deterministic", "bundle", "--in", path,
+                        "--disc", disc]) in (0, 1, 2, 3)
+
+
+_ROWS = st.lists(st.lists(st.integers(-1, 5), min_size=7, max_size=7), min_size=2, max_size=2)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_curve_check_exits_0_to_3_on_any_disc(t1_files, data):
+    d, admissible = t1_files
+    disc = d / "disc.json"
+    disc.write_text(json.dumps(data.draw(st.one_of(_ROWS, st.sampled_from(admissible)))))
+    code = run(["--json", "--deterministic", "curve", "check", "--in", str(d / "c1.json"),
+                "--tri", str(d / "t1.tri"), "--disc", str(disc)])
+    assert code in (0, 1, 2, 3)

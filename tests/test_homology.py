@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from coretorus import homology
 from coretorus.curves import make_61_curve
@@ -11,6 +11,7 @@ from coretorus.homology import (H1Group, boundary_h1, calibrate, first_homology,
 from coretorus.layered import BASE_T0_TEXT, family
 from coretorus.slopes import Slope
 from coretorus.triangulation import Triangulation, TriangulationError, parse_tri, serialize_tri
+from snf_oracle import smith_normal_form as dense_smith_normal_form
 from test_triangulation import gluing_tables
 
 BALL_TEXT = "tets 1\n0: - - - -\n"
@@ -43,6 +44,47 @@ def test_snf_transforms(rows):
         for j in range(n):
             if i != j:
                 assert D[i][j] == 0
+
+
+def _matrices(entries):
+    """1-7 x 1-7 integer matrices with the given entries."""
+    return st.integers(1, 7).flatmap(lambda n: st.lists(
+        st.lists(entries, min_size=n, max_size=n), min_size=1, max_size=7))
+
+
+@given(_matrices(st.integers(-9, 9)))
+@example([])
+@example([[]])
+@example([[0, 0], [0, 0]])
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_snf_matches_the_dense_oracle(rows):
+    assert smith_normal_form(rows) == dense_smith_normal_form(rows)
+
+
+# no unit entry, so that pivots above 1 run the divisibility sweep
+@given(_matrices(st.sampled_from((0, 2, -2, 3, -3, 4, -4, 6, -6, 9, -9,
+                                  10, -10, 12, -12, 15, -15))))
+@example([[2, 0], [0, 3]])
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_snf_matches_the_dense_oracle_without_unit_entries(rows):
+    assert smith_normal_form(rows) == dense_smith_normal_form(rows)
+
+
+def test_snf_matches_the_dense_oracle_on_cotree_matrices(fam, monkeypatch):
+    matrices = []
+
+    def recorded(A):
+        matrices.append(A)
+        return smith_normal_form(A)
+
+    tris = [parse_tri(serialize_tri(fam(i).tri)) for i in range(41)]
+    monkeypatch.setattr(homology, "smith_normal_form", recorded)
+    for tri in tris:
+        manifold_h1(tri)
+        boundary_h1(tri.boundary_complex)
+    assert len(matrices) == 82
+    for A in matrices:
+        assert smith_normal_form(A) == dense_smith_normal_form(A)
 
 
 def test_ball_homology():

@@ -80,6 +80,13 @@ def test_time_limit():
     assert res.inconclusive and not res.discs
 
 
+@pytest.mark.parametrize("limit", [-1.0, -1e-9, float("nan"), float("-inf")])
+def test_budget_rejects_a_negative_or_nan_time_limit(limit):
+    with pytest.raises(ValueError, match="time limit"):
+        SearchBudget(10, time_limit=limit)
+    assert SearchBudget(10, time_limit=0.0).time_limit == 0.0
+
+
 def test_time_limit_stops_candidate_generation(fam, homology_of):
     # T_6 at its recorded budget takes longer than the limit to enumerate;
     # the search must stop with a bounded overshoot, not finish the walk
