@@ -13,7 +13,8 @@ import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
 
 from coretorus import (SearchBudget, boundary_h1, check_claims, face_bound_check, fib,
                        find_meridian_discs, first_homology, make_61_curve,
@@ -144,8 +145,9 @@ def main():
             f"min {rep['min_length']} at n={rep['minimizing_n']}")
 
     bad = [r for r in rows if r[1] not in ("ok", "pass")]
+    src_lines = sum(p.read_bytes().count(b"\n") for p in SRC.rglob("*.py"))   # as wc -l
     print(f"\n{len(rows)} checks, {len(rows) - len(bad)} ok, "
-          f"{len(bad)} failing, {time.time() - t0:.1f}s")
+          f"{len(bad)} failing, {time.time() - t0:.1f}s, src/ {src_lines} lines")
     return 1 if bad else 0
 
 

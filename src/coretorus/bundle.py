@@ -129,9 +129,6 @@ class CutComplex:
     def component_count(self):
         return len(self.components)
 
-    def regions_in_bundle(self):
-        return [key for key in self.regions if key[1][0] in ("tslab", "qslab")]
-
 
 def cut_along(tri, disc) -> CutComplex:
     """Cut the manifold along a two-sided normal surface.

@@ -31,10 +31,6 @@ class NonTransverseError(CurveError):
     pass
 
 
-def _chart(f, weights):
-    return face_chart_point(f, weights)
-
-
 @dataclass(frozen=True)
 class Segment:
     face_class: int
@@ -111,12 +107,6 @@ class PLCurve:
     def one_skeleton_hits(self):
         return sum(1 for j in self.junctions if j[0] == "edge")
 
-    def hit_edge_classes(self):
-        return [j[1] for j in self.junctions if j[0] == "edge"]
-
-    def carrier_face_classes(self):
-        return sorted({s.face_class for s in self.segments})
-
     def touches_boundary(self):
         tri = self.tri
         for s in self.segments:
@@ -177,8 +167,8 @@ def is_embedded(curve: PLCurve) -> bool:
     by_face = {}
     for idx, seg in enumerate(curve.segments):
         t, f = curve.rep_slot(seg)
-        a = _chart(f, {v: seg.p0[i] for i, v in enumerate(FACE_VERTICES[f])})
-        b = _chart(f, {v: seg.p1[i] for i, v in enumerate(FACE_VERTICES[f])})
+        a = face_chart_point(f, {v: seg.p0[i] for i, v in enumerate(FACE_VERTICES[f])})
+        b = face_chart_point(f, {v: seg.p1[i] for i, v in enumerate(FACE_VERTICES[f])})
         by_face.setdefault(seg.face_class, []).append((idx, a, b))
     for fc, segs in by_face.items():
         for (i, a1, b1), (j, a2, b2) in combinations(segs, 2):
@@ -286,8 +276,8 @@ def algebraic_intersection(curve: PLCurve, geom: GeometrizedSurface) -> int:
     for seg in curve.segments:
         t, f = curve.rep_slot(seg)
         verts = FACE_VERTICES[f]
-        c0 = _chart(f, {v: seg.p0[i] for i, v in enumerate(verts)})
-        c1 = _chart(f, {v: seg.p1[i] for i, v in enumerate(verts)})
+        c0 = face_chart_point(f, {v: seg.p0[i] for i, v in enumerate(verts)})
+        c1 = face_chart_point(f, {v: seg.p1[i] for i, v in enumerate(verts)})
         for arc in geom.face_arcs(t, f):
             d0 = orient2(arc.p0, arc.p1, c0)
             d1 = orient2(arc.p0, arc.p1, c1)

@@ -1,23 +1,23 @@
 """First homology by exact integer reduction, and meridian calibration.
 
 Everything here is arbitrary-precision integer arithmetic: Smith normal form
-with unimodular transforms, cellular H1 of the quotient complex and of the
-boundary surface, the map between them, and the slope basis of the boundary
-torus calibrated from the kernel of that map (the meridian is computed,
-never assumed).
+with its unimodular row transform, cellular H1 of the quotient complex and of
+the boundary surface, the map between them, and the slope basis of the
+boundary torus calibrated from the kernel of that map (the meridian is
+computed, never assumed).
 
 Each H1 group is one Smith normal form of its cotree presentation: d2
 restricted to the edges off a spanning forest of the 1-skeleton, with no
 kernel lattice and no solves.  The Smith normal form is computed on sparse
-rows, with the pivot rule and operation order of the dense reduction kept in
-the tests as its oracle.  H1(M) and the calibration are computed once per
+rows and returns only what H1 reads: the diagonal, U and U^-1, never V.  Its
+pivot rule and operation order are those of the dense reduction kept in the
+tests as its oracle.  H1(M) and the calibration are computed once per
 triangulation object and kept with it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import wraps
-from itertools import compress, count
 from math import gcd
 
 from .slopes import Slope, normalize_slope
@@ -36,33 +36,21 @@ def _axpy(y, x, c):
             del y[k]
 
 
-def _nonzeros(rows):
-    """Each row as the (column, entry) pairs of its nonzero entries."""
-    return [list(zip(compress(count(), row), filter(None, row))) for row in rows]
+def smith_normal_form(rows, n):
+    """Diagonal and transforms of U*A*V = D in Smith normal form.
 
-
-def _dense(m, n, entries):
-    out = [[0] * n for _ in range(m)]
-    for i, j, x in entries:
-        out[i][j] = x
-    return out
-
-
-def smith_normal_form(A):
-    """Return (D, U, Uinv, V, Vinv) with U*A*V = D in Smith normal form.
-
-    The reduction runs on sparse rows and returns dense matrices.  Each row
-    of D is a {column: entry} dict, and a column swap exchanges two entries
-    of the position <-> column permutation; U and V^-1 are sparse rows, U^-1
-    and V sparse columns, the last two indexed by column like D.  A row or
-    column operation touches only nonzeros, and a column operation only the
-    rows that hold the pivot column.
+    ``rows`` holds A as one {column: entry} dict per row, with ``n``
+    columns; zero entries are ignored.  Returns (factors, U, Uinv): the m
+    diagonal entries of D, 0 past the rank, the nonzero entries of each row
+    of U and of each column of U^-1.  V is never formed.  Each row of D is a
+    {column: entry} dict, and a column swap exchanges two entries of the
+    position <-> column permutation.  A row or column operation touches only
+    nonzeros, and a column operation only the rows that hold the pivot
+    column.
     """
-    m = len(A)
-    n = len(A[0]) if m else 0
-    D = [dict(row) for row in _nonzeros(A)]
+    m = len(rows)
+    D = [{c: x for c, x in row.items() if x} for row in rows]
     U, Uinv = [{i: 1} for i in range(m)], [{i: 1} for i in range(m)]
-    V, Vinv = [{c: 1} for c in range(n)], [{c: 1} for c in range(n)]
     col, pos = list(range(n)), list(range(n))
 
     def row_add(i, j, c):          # row_i += c * row_j
@@ -114,8 +102,6 @@ def smith_normal_form(A):
                     D[r][c] = s
                 else:
                     del D[r][c]
-            _axpy(V[c], V[piv], q)
-            _axpy(Vinv[piv], Vinv[c], -q)
             if c in row:
                 clean = False
         if not clean:
@@ -129,19 +115,7 @@ def smith_normal_form(A):
             row_add(t, bad, 1)
             continue
         t += 1
-    return (_dense(m, n, ((i, pos[c], x) for i, r in enumerate(D) for c, x in r.items())),
-            _dense(m, m, ((i, k, x) for i, r in enumerate(U) for k, x in r.items())),
-            _dense(m, m, ((k, j, x) for j, r in enumerate(Uinv) for k, x in r.items())),
-            _dense(n, n, ((k, pos[c], x) for c, r in enumerate(V) for k, x in r.items())),
-            _dense(n, n, ((pos[c], k, x) for c, r in enumerate(Vinv) for k, x in r.items())))
-
-
-def mat_mul(A, B):
-    if not A or not B:
-        return []
-    n = len(B[0])
-    return [[sum(A[i][k] * B[k][j] for k in range(len(B))) for j in range(n)]
-            for i in range(len(A))]
+    return [D[i][col[i]] for i in range(t)] + [0] * (m - t), U, Uinv
 
 
 # -- cellular H1 -------------------------------------------------------------
@@ -153,9 +127,10 @@ class H1Group:
     2-cell's boundary as an {edge: coefficient} chain.  A 1-cycle is
     determined by its entries on the edges off a spanning forest of the
     1-skeleton (the cotree edges), so H1 is the cokernel of d2 restricted to
-    the cotree rows: one Smith normal form U A V = D.  Only the diagonal and
-    the nonzero entries of the coordinate rows of U and columns of U^-1 are
-    kept, so an H1 group kept with its triangulation stays small.
+    the cotree rows: one Smith normal form U A V = D of the sparse cotree
+    rows.  Only the diagonal and the nonzero entries of the coordinate rows
+    of U and columns of U^-1 are kept, so an H1 group kept with its
+    triangulation stays small.
 
     Classes are canonical coordinate tuples: one residue per torsion factor,
     then one integer per free factor.
@@ -190,22 +165,20 @@ class H1Group:
         for col in d2_cols:
             if any(self._d1(col.items())):
                 raise ValueError("d1*d2 != 0: not a chain complex")
-        rows = {e: [0] * len(d2_cols) for e in cotree}    # d2 on the cotree edges
+        rows = {e: {} for e in cotree}                   # d2 on the cotree edges
         for f, col in enumerate(d2_cols):
             for e, x in col.items():
                 if e in rows:
                     rows[e][f] = x
-        D, U, Uinv, _, _ = smith_normal_form(list(rows.values()))
-        diag = [D[i][i] for i in range(min(len(cotree), len(d2_cols)))]
-        self.factor = diag + [0] * (len(cotree) - len(diag))  # 0 free, 1 dead, d>1 torsion
+        # factor: 0 free, 1 dead, d > 1 torsion
+        self.factor, U, Uinv = smith_normal_form(list(rows.values()), len(d2_cols))
         self.rank = sum(1 for d in self.factor if d == 0)
         self.torsion = sorted(d for d in self.factor if d > 1)
         self.coord_index = [i for i, d in enumerate(self.factor) if d != 1]
-        # coordinate rows of U over edges; rows of U^-1 over coordinate positions
-        self._U_rows = [[(cotree[k], x) for k, x in row]
-                        for row in _nonzeros(U[i] for i in self.coord_index)]
-        self._Uinv_rows = [(cotree[r], row) for r, row in enumerate(
-            _nonzeros([row[i] for i in self.coord_index] for row in Uinv)) if row]
+        # the coordinate rows of U and columns of U^-1, over edges
+        self._U_rows = [[(cotree[k], x) for k, x in U[i].items()] for i in self.coord_index]
+        self._Uinv_cols = [[(cotree[k], x) for k, x in Uinv[i].items()]
+                           for i in self.coord_index]
 
     def _d1(self, entries):
         """d1 of the chain with the given (edge, coefficient) entries."""
@@ -231,8 +204,9 @@ class H1Group:
     def representative_cycle(self, coords):
         """A 1-cycle whose class has the given canonical coordinates."""
         z = [0] * self.n_edges
-        for e, row in self._Uinv_rows:
-            z[e] = sum(x * coords[pos] for pos, x in row)
+        for c, col in zip(coords, self._Uinv_cols):
+            for e, x in col:
+                z[e] += c * x
         # fill the tree edges leaf-first so that d1 z = 0
         excess = self._d1(enumerate(z))
         for v, e in self._leaf_first:
@@ -308,7 +282,9 @@ class MeridianCalibration:
 
     ``kernel`` generates ker(H1(bdry) -> H1(M)); lam and mu form a basis of
     H1(bdry) = Z^2 with mu = kernel, so the meridian has slope (0,1) by
-    construction and every other slope is measured against it.
+    construction and every other slope is measured against it.  ``cuts`` and
+    ``edge_coords`` hold, for each boundary edge that is a loop of the torus
+    (by manifold edge class), its cut number and its H1(bdry) coordinates.
     """
     bc: object
     h1_bdry: H1Group
@@ -317,6 +293,8 @@ class MeridianCalibration:
     lam: tuple
     mu: tuple
     basis_det: int
+    cuts: dict
+    edge_coords: dict
 
     def coords_of_cycle(self, bedge_chain):
         z = [0] * len(self.bc.bedges)
@@ -346,21 +324,10 @@ class MeridianCalibration:
         """|image in H1(M)| of a boundary edge loop, i.e. its meridian
         intersection number; None if the edge joins two different vertices
         of the boundary (a loop there is a loop in M too)."""
-        bc = self.bc
-        i, (p, q) = bc.bedges[bc.bedge_of_manifold_edge[manifold_edge_index]].rep_dir
-        if bc.vertex_class_of[(i, p)] != bc.vertex_class_of[(i, q)]:
-            return None
-        chain = [0] * len(bc.edge_classes)
-        chain[manifold_edge_index] = 1
-        return abs(self.h1_mfld.class_of_cycle(chain)[0])
-
-    def boundary_edge_coords(self, manifold_edge_index):
-        be = self.bc.bedge_of_manifold_edge[manifold_edge_index]
-        return self.coords_of_cycle({be: 1})
+        return self.cuts.get(manifold_edge_index)
 
     def boundary_edge_slope(self, manifold_edge_index):
-        mult, s = self.slope_of_coords(self.boundary_edge_coords(manifold_edge_index))
-        return s
+        return self.slope_of_coords(self.edge_coords[manifold_edge_index])[1]
 
 
 @_per_triangulation
@@ -396,16 +363,22 @@ def calibrate(tri) -> MeridianCalibration | None:
     assert g2 in (1, -1)
     lam0 = (u // g2, v // g2)
 
+    # cut number and H1(bdry) coordinates of each boundary edge loop
+    cuts, coords = {}, {}
+    vc = bc.vertex_class_of
+    for e, be in bc.bedge_of_manifold_edge.items():
+        i, (p, q) = bc.bedges[be].rep_dir
+        if vc[(i, p)] == vc[(i, q)]:
+            chain, z = [0] * len(bc.edge_classes), [0] * len(bc.bedges)
+            chain[e], z[be] = 1, 1
+            cuts[e] = abs(h1m.class_of_cycle(chain)[0])
+            coords[e] = h1b.class_of_cycle(z)
+
     def calibrated(mu):
         # shear so the lowest-cut boundary edge has 0 <= y < x
-        cal = MeridianCalibration(bc, h1b, h1m, kernel, lam0, mu,
-                                  _det2(lam0, mu))
-        cuts = {e: cal.cut_number(e) for e in bc.bedge_of_manifold_edge}
-        edges = sorted((e for e, c in cuts.items() if c is not None),
-                       key=lambda e: (cuts[e], e))
         lam = lam0
-        for e in edges:
-            w = cal.boundary_edge_coords(e)
+        for e in sorted(cuts, key=lambda e: (cuts[e], e)):
+            w = coords[e]
             x = _det2(w, mu) // _det2(lam0, mu)
             if x == 0:
                 continue
@@ -416,17 +389,11 @@ def calibrate(tri) -> MeridianCalibration | None:
             n = y // x
             lam = (lam[0] + n * mu[0], lam[1] + n * mu[1])
             break
-        return MeridianCalibration(bc, h1b, h1m, kernel, lam, mu, _det2(lam, mu))
+        return MeridianCalibration(bc, h1b, h1m, kernel, lam, mu, _det2(lam, mu),
+                                   cuts, coords)
 
     def sign_key(cal):
-        out = []
-        for e in sorted(bc.bedge_of_manifold_edge):
-            if cal.cut_number(e) is None:
-                continue
-            s = cal.boundary_edge_slope(e)
-            if s is not None:
-                out.append((s.x, -s.y))
-        return sorted(out)
+        return sorted((s.x, -s.y) for s in map(cal.boundary_edge_slope, cuts) if s is not None)
 
     plus = calibrated(kernel)
     minus = calibrated((-kernel[0], -kernel[1]))
@@ -448,16 +415,11 @@ def first_homology(tri) -> HomologySummary:
     cal = calibrate(tri)
     if cal is None:
         return HomologySummary(h1.rank, tuple(h1.torsion), None, {}, {}, None)
-    cuts, slopes = {}, {}
-    for e in cal.bc.bedge_of_manifold_edge:
-        c = cal.cut_number(e)
-        if c is None:
-            continue
-        cuts[e] = c
-        slopes[e] = cal.boundary_edge_slope(e)
+    slopes = {e: cal.boundary_edge_slope(e) for e in cal.cuts}
     mult, kernel_slope = cal.slope_of_coords(cal.kernel)
     assert mult == 1 and kernel_slope == Slope(0, 1)
-    return HomologySummary(h1.rank, tuple(h1.torsion), kernel_slope, cuts, slopes, cal)
+    return HomologySummary(h1.rank, tuple(h1.torsion), kernel_slope, dict(cal.cuts),
+                           slopes, cal)
 
 
 @dataclass

@@ -51,10 +51,10 @@ class NormalVector:
     coords: tuple
 
     def __init__(self, coords):
-        coords = tuple(tuple(int(c) for c in row) for row in coords)
+        coords = tuple(map(tuple, coords))
         for row in coords:
-            if len(row) != 7 or any(c < 0 for c in row):
-                raise ValueError("each tetrahedron needs 7 nonnegative coordinates")
+            if len(row) != 7 or any(type(c) is not int or c < 0 for c in row):
+                raise ValueError("each tetrahedron needs 7 nonnegative integer coordinates")
         object.__setattr__(self, "coords", coords)
 
     def tri(self, t, v):
@@ -254,14 +254,6 @@ class ReconstructedSurface:
     @property
     def connected(self):
         return len(self.components) == 1
-
-    def component_summary(self, i):
-        return {
-            "euler": self.euler_by_component[i],
-            "orientable": self.orientable_by_component[i],
-            "boundary_curves": len(self.boundary_curves_by_component[i]),
-            "pieces": len(self.components[i]),
-        }
 
 
 def _canonical_edge_index(tri, v, t, directed_edge, position):

@@ -341,9 +341,7 @@ def find_meridian_discs(tri, budget: SearchBudget, calibration=None) -> DiscSear
 def minimal_meridian_length(calibration):
     """Homological lower bound: a meridian curve crosses each boundary edge
     at least its cut number of times."""
-    return sum(c for c in (calibration.cut_number(e)
-                           for e in calibration.bc.bedge_of_manifold_edge)
-               if c is not None)
+    return sum(calibration.cuts.values())
 
 
 @dataclass

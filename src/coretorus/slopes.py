@@ -164,10 +164,6 @@ def slope_seq(i: int) -> Slope:
     return Slope(fib(i + 1), fib(i))
 
 
-def base_triple() -> SlopeTriple:
-    return SlopeTriple({slope_seq(0), slope_seq(1), slope_seq(2)})
-
-
 def binet_check(i: int) -> bool:
     """Does the recursion value fib(i) agree with the rounded Binet form?
 

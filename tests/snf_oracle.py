@@ -2,9 +2,18 @@
 
 ``smith_normal_form`` here is the reduction ``coretorus.homology`` ran on
 dense lists of lists before it moved to sparse rows: the same pivot rule and
-the same row and column operations, applied to every entry.  Tests assert
-that the two return the same five matrices.
+the same row and column operations, applied to every entry, with V and V^-1
+tracked too.  ``sparse_result`` reads from it what the sparse reduction
+returns, and tests assert that the two agree.
 """
+
+
+def mat_mul(A, B):
+    if not A or not B:
+        return []
+    n = len(B[0])
+    return [[sum(A[i][k] * B[k][j] for k in range(len(B))) for j in range(n)]
+            for i in range(len(A))]
 
 
 def _identity(n):
@@ -107,3 +116,14 @@ def smith_normal_form(A):
             continue
         t += 1
     return D, U, Uinv, V, Vinv
+
+
+def sparse_result(A):
+    """(factors, U, Uinv) of the dense reduction of A, as the sparse one
+    returns them: the m diagonal entries (0 past min(m, n)), the nonzero
+    entries of each row of U and of each column of U^-1."""
+    D, U, Uinv, _, _ = smith_normal_form(A)
+    m = len(A)
+    return ([D[i][i] if i < len(D[i]) else 0 for i in range(m)],
+            [{k: x for k, x in enumerate(row) if x} for row in U],
+            [{k: Uinv[k][j] for k in range(m) if Uinv[k][j]} for j in range(m)])

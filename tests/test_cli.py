@@ -204,8 +204,19 @@ def test_curve_check_rejects_a_malformed_curve_file(t1_files, tmp_path, capsys, 
     assert code == 2
 
 
-@pytest.mark.parametrize("disc", [5, [5], [[[0], 0, 0, 0, 0, 0, 0]], [[None] * 7], "x"],
-                         ids=["number", "number-row", "list-entry", "null-entry", "string"])
+# T_1 has two tetrahedra and [[1,1,0,0,1,0,0],[0,0,0,0,0,2,0]] is a two-sided
+# surface in it: read with int(), the fraction row gives the zero vector and
+# the string, bool and float rows that surface, so only a type check rejects them
+_ZERO_ROW, _ROW_2 = [0] * 7, [0, 0, 0, 0, 0, 2, 0]
+
+
+@pytest.mark.parametrize("disc", [
+    5, [5], [[[0], 0, 0, 0, 0, 0, 0]], [[None] * 7], "x",
+    [[0.9, 0, 0, 0, 0, 0, 0], _ZERO_ROW], [["1", 1, 0, 0, 1, 0, 0], _ROW_2],
+    [[True, 1, 0, 0, 1, 0, 0], _ROW_2], [[1.0, 1, 0, 0, 1, 0, 0], _ROW_2],
+    [[1e300, 0, 0, 0, 0, 0, 0], _ZERO_ROW],
+], ids=["number", "number-row", "list-entry", "null-entry", "string", "fraction",
+        "string-entry", "bool-entry", "float-entry", "huge-float-entry"])
 def test_bundle_rejects_a_malformed_disc_file(t1_files, tmp_path, capsys, disc):
     d, _ = t1_files
     bad = tmp_path / "bad.json"
