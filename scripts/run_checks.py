@@ -32,9 +32,9 @@ TWO_VERTEX_TEXT = ("tets 3\n0: - 1:1032 - 2:1230\n1: 0:1032 2:3102 - -\n"
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--max-disc-index", type=int, default=5,
+    ap.add_argument("--max-disc-index", type=int, default=6,
                     help="largest family index for the disc enumeration")
-    ap.add_argument("--max-claims-index", type=int, default=4)
+    ap.add_argument("--max-claims-index", type=int, default=5)
     ap.add_argument("--max-arith-index", type=int, default=20)
     args = ap.parse_args()
 

@@ -6,6 +6,13 @@ edges missed).  Admissibility allows at most one nonzero quad coordinate per
 tetrahedron; the matching equations require induced arc counts to agree
 across every interior face.
 
+Every count read from a tetrahedron's row -- its quad type, its arcs per
+(face, cut-off vertex) and its crossing points per tetrahedron edge --
+comes from one function, ``row_counts``.  It is memoised by row value:
+the rows of the vectors a search meets repeat (T_6's 6,052 admissible
+vectors have 917 distinct rows), so each table is computed once and
+shared, and nothing is stored on a vector.
+
 Reconstruction builds the surface cell by cell: edge crossing points,
 face arcs with their stacking order, pieces, connected components, Euler
 characteristic both from the assembled complex and independently from the
@@ -16,6 +23,8 @@ edges, never by assuming minimal position).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
+from typing import NamedTuple
 
 from .triangulation import EDGE_PAIRS, FACE_VERTICES, TriangulationError, two_colour
 
@@ -32,10 +41,6 @@ QUAD_CROSSES = tuple(frozenset(e for e in EDGE_PAIRS if e not in QUAD_MISSED[q])
                      for q in range(3))
 
 
-def quad_crosses(q, edge):
-    return tuple(sorted(edge)) in QUAD_CROSSES[q]
-
-
 def quad_cut_vertex(q, f):
     """The vertex cut off by the type-q quad's arc in face f."""
     return QUAD_CUT[q][f]
@@ -43,6 +48,42 @@ def quad_cut_vertex(q, f):
 
 def quad_low_side(q):
     return QUAD_MISSED[q][0]
+
+
+class RowCounts(NamedTuple):
+    """The counts of one tetrahedron's row; entries off a face or an edge
+    (arcs[f][f], crossings[u][u]) are 0."""
+    quad: int | None         # the row's quad type, or None
+    arcs: tuple              # arcs[f][vtx]: arcs cutting off vtx in face f
+    crossings: tuple         # crossings[u][w]: crossing points on edge uw
+
+
+@cache
+def row_counts(row) -> RowCounts:
+    """Quad type, arc counts and edge crossings of a row of 7 coordinates.
+
+    The only place these counts are computed; memoised by row value, so the
+    tables are shared and immutable.  A row with two quad types raises
+    ValueError (the caller names the tetrahedron)."""
+    types = [q for q in range(3) if row[4 + q]]
+    if len(types) > 1:
+        raise ValueError(f"row {row} has two quad types")
+    arcs = [[0] * 4 for _ in range(4)]
+    crossings = [[0] * 4 for _ in range(4)]
+    for f in range(4):
+        for vtx in FACE_VERTICES[f]:
+            arcs[f][vtx] = row[vtx]
+    for u, w in EDGE_PAIRS:
+        crossings[u][w] = crossings[w][u] = row[u] + row[w]
+    q = types[0] if types else None
+    if types:
+        n = row[4 + q]
+        for f in range(4):
+            arcs[f][QUAD_CUT[q][f]] += n
+        for u, w in QUAD_CROSSES[q]:
+            crossings[u][w] += n
+            crossings[w][u] += n
+    return RowCounts(q, tuple(map(tuple, arcs)), tuple(map(tuple, crossings)))
 
 
 @dataclass(frozen=True)
@@ -63,13 +104,16 @@ class NormalVector:
     def quad(self, t, q):
         return self.coords[t][4 + q]
 
+    def counts(self, t) -> RowCounts:
+        """``row_counts`` of tetrahedron t."""
+        try:
+            return row_counts(self.coords[t])
+        except ValueError:
+            raise ValueError(f"tetrahedron {t} has two quad types") from None
+
     def quad_type(self, t):
         """The single quad type present in tetrahedron t, or None."""
-        row = self.coords[t]
-        types = [q for q in range(3) if row[4 + q] > 0]
-        if len(types) > 1:
-            raise ValueError(f"tetrahedron {t} has two quad types")
-        return types[0] if types else None
+        return self.counts(t).quad
 
     def piece_count(self):
         return sum(sum(row) for row in self.coords)
@@ -116,36 +160,42 @@ def check_admissible(v: NormalVector) -> bool:
 
 def arc_count(v: NormalVector, t, f, vtx):
     """Arcs of the given type (cut-off vertex) in face f of tetrahedron t."""
-    n = v.tri(t, vtx)
-    q = v.quad_type(t)
-    if q is not None and QUAD_CUT[q][f] == vtx:
-        n += v.quad(t, q)
-    return n
+    return v.counts(t).arcs[f][vtx]
+
+
+class _Tables(dict):
+    """Each tetrahedron's counts, looked up when a face or edge first needs
+    them: once per tetrahedron and call, in the order of the reads."""
+
+    def __init__(self, v: NormalVector):
+        self.v = v
+
+    def __missing__(self, t):
+        self[t] = counts = self.v.counts(t)
+        return counts
 
 
 def check_matching(tri, v: NormalVector):
     """(ok, violations): one linear equation per interior face and arc type."""
     if len(v.coords) != tri.tet_count:
         raise ValueError("coordinate vector does not match the triangulation size")
+    tables = _Tables(v)
     violations = []
     for idx, slots in enumerate(tri.face_classes):
         if len(slots) != 2:
             continue
         (t1, f1), (t2, f2) = slots
+        arcs1, arcs2 = tables[t1].arcs[f1], tables[t2].arcs[f2]
         perm = tri.gluings[t1][f1][1]
         for vtx in FACE_VERTICES[f1]:
-            if arc_count(v, t1, f1, vtx) != arc_count(v, t2, f2, perm[vtx]):
+            if arcs1[vtx] != arcs2[perm[vtx]]:
                 violations.append((idx, (t1, f1), vtx))
     return (not violations), violations
 
 
 def edge_slot_crossings(v: NormalVector, t, edge):
     u, w = edge
-    n = v.tri(t, u) + v.tri(t, w)
-    q = v.quad_type(t)
-    if q is not None and quad_crosses(q, edge):
-        n += v.quad(t, q)
-    return n
+    return v.counts(t).crossings[u][w]
 
 
 def edge_weight(tri, v: NormalVector, edge_class_index):
@@ -166,11 +216,15 @@ def count_euler(tri, v: NormalVector):
     (the weight) minus arcs plus pieces.  A connected disc has 1.  Each
     edge class and face class is counted at one slot, which is exact for a
     matching vector."""
-    points = sum(edge_slot_crossings(v, *ec.slots[0]) for ec in tri.edge_classes)
+    tables = _Tables(v)
+    points = 0
+    for ec in tri.edge_classes:
+        t, (u, w) = ec.slots[0]
+        points += tables[t].crossings[u][w]
     arcs = 0
     for slots in tri.face_classes:
         t, f = slots[0]
-        arcs += sum(arc_count(v, t, f, vtx) for vtx in FACE_VERTICES[f])
+        arcs += sum(tables[t].arcs[f])
     return points - arcs + v.piece_count()
 
 
@@ -178,30 +232,26 @@ def count_euler(tri, v: NormalVector):
 
 def face_stack(v: NormalVector, t, f, vtx):
     """Pieces behind the type-vtx arcs of face f of tet t, nearest vtx first."""
-    out = [("tri", t, vtx, j) for j in range(v.tri(t, vtx))]
-    q = v.quad_type(t)
-    if q is not None and quad_cut_vertex(q, f) == vtx:
-        count = v.quad(t, q)
-        if vtx in quad_low_side(q):
-            out += [("quad", t, q, m) for m in range(count)]
-        else:
-            out += [("quad", t, q, m) for m in reversed(range(count))]
-    return out
+    counts, n = v.counts(t), v.tri(t, vtx)
+    return ([("tri", t, vtx, j) for j in range(n)]
+            + _quads_from(t, counts.quad, counts.arcs[f][vtx] - n, vtx))
 
 
 def edge_stack(v: NormalVector, t, directed_edge):
     """Pieces crossing the edge, ordered along the given direction."""
     u, w = directed_edge
-    out = [("tri", t, u, j) for j in range(v.tri(t, u))]
-    q = v.quad_type(t)
-    if q is not None and quad_crosses(q, (min(u, w), max(u, w))):
-        count = v.quad(t, q)
-        if u in quad_low_side(q):
-            out += [("quad", t, q, m) for m in range(count)]
-        else:
-            out += [("quad", t, q, m) for m in reversed(range(count))]
-    out += [("tri", t, w, j) for j in reversed(range(v.tri(t, w)))]
-    return out
+    counts, nu, nw = v.counts(t), v.tri(t, u), v.tri(t, w)
+    return ([("tri", t, u, j) for j in range(nu)]
+            + _quads_from(t, counts.quad, counts.crossings[u][w] - nu - nw, u)
+            + [("tri", t, w, j) for j in reversed(range(nw))])
+
+
+def _quads_from(t, q, count, vtx):
+    """The count quads of type q in tet t, nearest the side of vtx first."""
+    if not count:
+        return []
+    order = range(count) if vtx in quad_low_side(q) else reversed(range(count))
+    return [("quad", t, q, m) for m in order]
 
 
 def piece_sides_in_face(piece, f):
@@ -256,13 +306,18 @@ class ReconstructedSurface:
         return len(self.components) == 1
 
 
-def _canonical_edge_index(tri, v, t, directed_edge, position):
-    """Slot position along a directed tet edge -> index along the class rep."""
-    ec = tri.edge_classes[tri.edge_class_of[(t, tuple(sorted(directed_edge)))]]
-    w = edge_slot_crossings(v, t, tuple(sorted(directed_edge)))
-    if ec.dir_sign[(t, directed_edge)] == 1:
-        return ec.index, position
-    return ec.index, w - 1 - position
+def _canonical_edge_indices(tri, v):
+    """(tet, directed edge) -> (edge class, a, s): the crossing at position p
+    along the directed edge is the one at a + s * p along the class rep."""
+    tables = _Tables(v)
+    out = {}
+    for ec in tri.edge_classes:
+        for (t, (u, w)), sign in ec.dir_sign.items():
+            if sign == 1:
+                out[(t, (u, w))] = (ec.index, 0, 1)
+            else:
+                out[(t, (u, w))] = (ec.index, tables[t].crossings[u][w] - 1, -1)
+    return out
 
 
 def reconstruct(tri, v: NormalVector) -> ReconstructedSurface:
@@ -285,10 +340,13 @@ def reconstruct(tri, v: NormalVector) -> ReconstructedSurface:
                 piece_id[("quad", t, q, m)] = len(pieces)
                 pieces.append(("quad", t, q, m))
 
+    canonical = _canonical_edge_indices(tri, v)
     arcs = []
     for fc_idx, slots in enumerate(tri.face_classes):
         t1, f1 = slots[0]
         for vtx in FACE_VERTICES[f1]:
+            x, y = (u for u in FACE_VERTICES[f1] if u != vtx)
+            (cx, ax, sx), (cy, ay, sy) = canonical[(t1, (vtx, x))], canonical[(t1, (vtx, y))]
             stack1 = face_stack(v, t1, f1, vtx)
             if len(slots) == 2:
                 t2, f2 = slots[1]
@@ -300,11 +358,8 @@ def reconstruct(tri, v: NormalVector) -> ReconstructedSurface:
                 sides = [(t1, f1, vtx, piece)]
                 if len(slots) == 2:
                     sides.append((t2, f2, perm[vtx], stack2[j]))
-                x, y = (u for u in FACE_VERTICES[f1] if u != vtx)
-                ends = []
-                for other in (x, y):
-                    ends.append(_canonical_edge_index(tri, v, t1, (vtx, other), j))
-                arcs.append(Arc(fc_idx, (t1, f1), vtx, j, tuple(sides), tuple(ends)))
+                ends = ((cx, ax + sx * j), (cy, ay + sy * j))
+                arcs.append(Arc(fc_idx, (t1, f1), vtx, j, tuple(sides), ends))
 
     # two-sidedness: sigma * side must agree across every interior arc
     relations = []
@@ -323,18 +378,16 @@ def reconstruct(tri, v: NormalVector) -> ReconstructedSurface:
     crossing_comp = {}
     for ec in tri.edge_classes:
         t, e = ec.slots[0]
-        stack = edge_stack(v, t, e)
-        for pos, piece in enumerate(stack):
-            key = _canonical_edge_index(tri, v, t, e, pos)
-            crossing_comp[key] = comp_of[piece_id[piece]]
+        c, a, s = canonical[(t, e)]
+        for pos, piece in enumerate(edge_stack(v, t, e)):
+            crossing_comp[(c, a + s * pos)] = comp_of[piece_id[piece]]
 
     # consistency: every slot sees each crossing in the same component
     for ec in tri.edge_classes:
         for t, e in ec.slots:
-            stack = edge_stack(v, t, e)
-            for pos, piece in enumerate(stack):
-                key = _canonical_edge_index(tri, v, t, e, pos)
-                if crossing_comp[key] != comp_of[piece_id[piece]]:
+            c, a, s = canonical[(t, e)]
+            for pos, piece in enumerate(edge_stack(v, t, e)):
+                if crossing_comp[(c, a + s * pos)] != comp_of[piece_id[piece]]:
                     raise TriangulationError("edge crossing spans two components")
 
     n_comp = len(components)

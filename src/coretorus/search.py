@@ -305,19 +305,26 @@ def find_meridian_discs(tri, budget: SearchBudget, calibration=None) -> DiscSear
     characteristic 1, boundary in the kernel of H1(bdry) -> H1(M).
 
     A vector whose count-level Euler characteristic is not 1 cannot be a
-    connected disc, so it is dropped before reconstruction.  When the time
-    limit stops the enumeration, the discs among the vectors admitted so far
-    are returned with ``complete`` False; such a result is inconclusive."""
+    connected disc, so it is dropped before reconstruction.  The time limit
+    holds for the enumeration and the filter together: when it stops either,
+    the discs found so far are returned with ``complete`` False; such a
+    result is inconclusive."""
     if calibration is None:
         calibration = first_homology(tri).calibration
     if calibration is None:
         raise ValueError("not a solid-torus candidate; no meridian to search for")
+    deadline = None
+    if budget.time_limit is not None:
+        deadline = time.monotonic() + budget.time_limit
     try:
         vectors, complete, note = enumerate_admissible(tri, budget), True, ""
     except BudgetExhausted as e:
         vectors, complete, note = e.found, False, str(e)
     discs = []
     for v in vectors:
+        if deadline is not None and time.monotonic() > deadline:
+            complete, note = False, "time limit reached"
+            break
         if count_euler(tri, v) != 1:
             continue
         surface = reconstruct(tri, v)

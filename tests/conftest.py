@@ -29,7 +29,7 @@ def homology_of(fam):
 def minimal_disc(fam):
     """Certified minimal-complexity meridian discs, cached per family index.
     Recorded minima: fib(i+6) - 5 pieces.  Certification re-enumerates under
-    a weight budget, well under a second for i <= 4."""
+    a weight budget: well under a second for i <= 5, a few seconds at i = 6."""
     def get(i):
         if i not in _disc_cache:
             lt = fam(i)

@@ -1,12 +1,17 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from coretorus.normal import (NormalVector, boundary_counts_match,
-                              boundary_curves_from_counts, check_admissible,
-                              check_matching, count_euler, curve_slopes,
-                              edge_weight, min_curve_length, reconstruct,
+from coretorus.normal import (QUAD_CROSSES, QUAD_CUT, NormalVector, arc_count,
+                              boundary_counts_match, boundary_curves_from_counts,
+                              check_admissible, check_matching, count_euler,
+                              curve_slopes, edge_slot_crossings, edge_weight,
+                              min_curve_length, reconstruct, row_counts,
                               total_weight)
-from coretorus.slopes import Slope, SlopeTriple, intersection, slope_seq
-from coretorus.triangulation import parse_tri
+from coretorus.search import SearchBudget, enumerate_admissible
+from coretorus.slopes import Slope, SlopeTriple, fib, intersection, slope_seq
+from coretorus.triangulation import (EDGE_PAIRS, FACE_VERTICES, Triangulation,
+                                     TriangulationError, parse_tri)
+from test_triangulation import gluing_tables
 
 BALL_TEXT = "tets 1\n0: - - - -\n"
 
@@ -168,3 +173,123 @@ def test_boundary_curve_oracle_attains_formula(fam, homology_of):
             assert curves[0]["length"] == min_curve_length(triple, s)
             mult, got = label_chain_class(lt, curves[0]["chain"])
             assert (mult, got) == (1, s)
+
+
+# -- the per-row count table against the per-call formulas it replaced -------
+
+def _oracle_quad_type(v, t):
+    row = v.coords[t]
+    types = [q for q in range(3) if row[4 + q] > 0]
+    if len(types) > 1:
+        raise ValueError(f"tetrahedron {t} has two quad types")
+    return types[0] if types else None
+
+
+def _oracle_arc_count(v, t, f, vtx):
+    n = v.tri(t, vtx)
+    q = _oracle_quad_type(v, t)
+    if q is not None and QUAD_CUT[q][f] == vtx:
+        n += v.quad(t, q)
+    return n
+
+
+def _oracle_edge_slot_crossings(v, t, edge):
+    u, w = edge
+    n = v.tri(t, u) + v.tri(t, w)
+    q = _oracle_quad_type(v, t)
+    if q is not None and tuple(sorted(edge)) in QUAD_CROSSES[q]:
+        n += v.quad(t, q)
+    return n
+
+
+def _oracle_check_matching(tri, v):
+    violations = []
+    for idx, slots in enumerate(tri.face_classes):
+        if len(slots) != 2:
+            continue
+        (t1, f1), (t2, f2) = slots
+        perm = tri.gluings[t1][f1][1]
+        for vtx in FACE_VERTICES[f1]:
+            if _oracle_arc_count(v, t1, f1, vtx) != _oracle_arc_count(v, t2, f2, perm[vtx]):
+                violations.append((idx, (t1, f1), vtx))
+    return (not violations), violations
+
+
+def _oracle_count_euler(tri, v):
+    points = sum(_oracle_edge_slot_crossings(v, *ec.slots[0]) for ec in tri.edge_classes)
+    arcs = 0
+    for slots in tri.face_classes:
+        t, f = slots[0]
+        arcs += sum(_oracle_arc_count(v, t, f, vtx) for vtx in FACE_VERTICES[f])
+    return points - arcs + v.piece_count()
+
+
+def _assert_counts_match_oracle(v, t):
+    counts = row_counts(v.coords[t])
+    assert counts.quad == v.quad_type(t) == _oracle_quad_type(v, t)
+    for f in range(4):
+        for vtx in FACE_VERTICES[f]:
+            assert counts.arcs[f][vtx] == arc_count(v, t, f, vtx) \
+                == _oracle_arc_count(v, t, f, vtx)
+    for u, w in EDGE_PAIRS:
+        want = _oracle_edge_slot_crossings(v, t, (u, w))
+        assert counts.crossings[u][w] == counts.crossings[w][u] == want
+        assert edge_slot_crossings(v, t, (w, u)) == want
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as e:
+        return ("ValueError", str(e))
+
+
+def test_row_counts_match_the_oracle_on_admissible_vectors(fam):
+    for i in range(5):
+        tri = fam(i).tri
+        for v in enumerate_admissible(tri, SearchBudget(fib(i + 6) - 4)):
+            for t in range(tri.tet_count):
+                _assert_counts_match_oracle(v, t)
+            assert check_matching(tri, v) == _oracle_check_matching(tri, v)
+            assert count_euler(tri, v) == _oracle_count_euler(tri, v)
+            # the tables are shared through the memo, never kept on a vector
+            assert vars(v) == {"coords": v.coords}
+
+
+# a quad coordinate is 0 about half the time, so half the rows have one
+# quad type or none and the rest have two or three
+_quad = st.one_of(st.just(0), st.integers(1, 3))
+_rows = st.tuples(*[st.integers(0, 4)] * 4, _quad, _quad, _quad)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(gluing_tables(), st.data())
+def test_row_counts_match_the_oracle_on_any_rows(table, data):
+    try:
+        tri = Triangulation(table)
+    except TriangulationError:
+        return
+    rows = data.draw(st.lists(_rows, min_size=tri.tet_count, max_size=tri.tet_count))
+    v = NormalVector(rows)
+    for t in range(tri.tet_count):
+        assert _outcome(v.quad_type, t) == _outcome(_oracle_quad_type, v, t)
+        if sum(1 for n in rows[t][4:] if n) > 1:
+            with pytest.raises(ValueError, match=f"^tetrahedron {t} has two quad types$"):
+                arc_count(v, t, 0, 1)
+            with pytest.raises(ValueError):
+                row_counts(rows[t])
+        else:
+            _assert_counts_match_oracle(v, t)
+    # the violations found, or which tetrahedron a two-quad error names (a
+    # tetrahedron with no interior face is never read)
+    assert _outcome(check_matching, tri, v) == _outcome(_oracle_check_matching, tri, v)
+
+
+def test_row_counts_tables_are_tuples():
+    for row in [(0,) * 7, (1, 2, 0, 3, 0, 4, 0), (0, 0, 5, 0, 0, 0, 1)]:
+        counts = row_counts(row)
+        assert isinstance(counts, tuple)
+        for table in (counts.arcs, counts.crossings):
+            assert isinstance(table, tuple) and len(table) == 4
+            assert all(type(r) is tuple and len(r) == 4 for r in table)
+    assert row_counts((1, 2, 0, 3, 0, 4, 0)) is row_counts((1, 2, 0, 3, 0, 4, 0))

@@ -87,20 +87,65 @@ def test_budget_rejects_a_negative_or_nan_time_limit(limit):
     assert SearchBudget(10, time_limit=0.0).time_limit == 0.0
 
 
-def test_time_limit_stops_candidate_generation(fam, homology_of):
-    # T_6 at its recorded budget takes longer than the limit to enumerate;
-    # the search must stop with a bounded overshoot, not finish the walk
-    tri = fam(6).tri
-    start = time.monotonic()
-    res = find_meridian_discs(tri, SearchBudget(fib(12) - 4, time_limit=0.3))
-    assert res.inconclusive and not res.complete
-    assert time.monotonic() - start < 3.0
-    # whatever was found before the stop is a checked meridian disc
-    cal = homology_of(6).calibration
-    for d in res.discs:
+def _assert_meridian_discs(tri, cal, discs):
+    for d in discs:
         assert check_matching(tri, d.vector)[0]
         (curve,) = d.surface.boundary_curves_by_component[0]
         assert cal.is_meridian_class(cal.coords_of_cycle(curve.chain))
+
+
+def test_time_limit_stops_candidate_generation(fam, homology_of):
+    # T_7 at its recorded budget (36,113 admissible vectors) takes several
+    # times the limit to enumerate; the search must stop with a bounded
+    # overshoot, not finish the walk
+    tri = fam(7).tri
+    cal = homology_of(7).calibration
+    start = time.monotonic()
+    res = find_meridian_discs(tri, SearchBudget(fib(13) - 4, time_limit=0.3), cal)
+    assert res.inconclusive and not res.complete
+    assert time.monotonic() - start < 3.0
+    # whatever was found before the stop is a checked meridian disc
+    _assert_meridian_discs(tri, cal, res.discs)
+
+
+def test_time_limit_bounds_the_overshoot(fam, homology_of):
+    # T_8's full search takes longer than T_7's (about 5 s on a 2-core
+    # Xeon), many times the limit; the limit holds through the enumeration
+    # and the disc filter together
+    tri = fam(8).tri
+    cal = homology_of(8).calibration
+    start = time.monotonic()
+    res = find_meridian_discs(tri, SearchBudget(fib(14) - 4, time_limit=1.0), cal)
+    assert time.monotonic() - start < 1.5
+    assert res.inconclusive and not res.complete and res.note == "time limit reached"
+    _assert_meridian_discs(tri, cal, res.discs)
+
+
+def test_disc_filter_keeps_the_time_limit(fam, homology_of, monkeypatch):
+    # T_3 enumerates in milliseconds; a slowed reconstruct makes the filter
+    # run past the limit, and the search stops between vectors with the
+    # discs found so far
+    tri = fam(3).tri
+    cal = homology_of(3).calibration
+    budget = SearchBudget(fib(9) - 4)
+    full = find_meridian_discs(tri, budget, cal)
+    calls = []
+
+    def slow_reconstruct(tri, v):
+        calls.append(v)
+        time.sleep(0.1)
+        return reconstruct(tri, v)
+
+    monkeypatch.setattr(search, "reconstruct", slow_reconstruct)
+    start = time.monotonic()
+    res = find_meridian_discs(tri, SearchBudget(budget.max_piece_count, time_limit=0.25), cal)
+    assert time.monotonic() - start < 1.0
+    assert res.inconclusive and not res.complete and res.note == "time limit reached"
+    filtered = sum(search.count_euler(tri, v) == 1 for v in enumerate_admissible(tri, budget))
+    assert 1 <= len(calls) < filtered
+    found = {d.vector for d in full.discs}
+    assert all(d.vector in found for d in res.discs)
+    _assert_meridian_discs(tri, cal, res.discs)
 
 
 def _stopping_after(n):
@@ -169,13 +214,14 @@ def test_count_filter_keeps_every_disc(fam, homology_of):
 
 def test_discs_found_and_verified(fam, minimal_disc, homology_of):
     # recorded minima: pieces fib(i+6) - 5, length = sum of the cuts
+    # and weight fib(i+6) - 2
     expected = {0: (3, 6, 6), 1: (8, 10, 11), 2: (16, 16, 19),
-                3: (29, 26, 32), 4: (50, 42, 53)}
+                3: (29, 26, 32), 4: (50, 42, 53), 5: (84, 68, 87)}
     for i, (pieces, length, weight) in expected.items():
         d = minimal_disc(i)
         assert d.piece_count == pieces == fib(i + 6) - 5
         assert d.boundary_length == length
-        assert d.weight == weight
+        assert d.weight == weight == fib(i + 6) - 2
 
 
 def test_minimal_disc_length_equals_curve_formula(fam, minimal_disc, homology_of):
