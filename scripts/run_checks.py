@@ -124,19 +124,18 @@ def main():
 
     for i in range(args.max_disc_index + 1):
         lt = family(i)
-        witness = None
-        if i <= args.max_disc_index:
-            found = find_meridian_discs(lt.tri, SearchBudget(fib(i + 6) - 4))
-            witness = found.discs[0] if found.discs else None
-        cert = make_61_curve(lt, witness_disc=witness)
+        found = find_meridian_discs(lt.tri, SearchBudget(fib(i + 6) - 4))
+        cert = make_61_curve(lt, witness_disc=found.discs[0] if found.discs else None)
         fb = face_bound_check(cert.curve)
+        ok = cert.one_skeleton_hits == 1 and fb["ok"]
         detail = (f"kind={cert.kind}, hits={cert.one_skeleton_hits}, "
                   f"pairing={cert.algebraic_pairing}, faces<= {fb['max_arcs']}")
         if i >= 1:
+            # as verify curve-bounds: the push-off's tet bound, endpoints interior
             tb = tet_bound_check(push_off(cert.curve))
+            ok = ok and tb["ok"] and tb["endpoints_interior"]
             detail += f", tets<= {tb['max_arcs']}"
-        row(f"core-curve certificate T_{i}",
-            "ok" if cert.one_skeleton_hits == 1 and fb["ok"] else "FAIL", detail)
+        row(f"core-curve certificate T_{i}", "ok" if ok else "FAIL", detail)
 
     for i in (0, 5, 10):
         rep = min_boundary_precore_length(i)

@@ -58,8 +58,8 @@ class BoundaryComplex:
             walk = class_walk(self.gluings, ec.slots)
             if not walk["boundary"]:
                 raise TriangulationError(f"edge class {ec.index} flagged boundary but link is a circle")
-            t0, f0, d0 = walk["pages"][0]
-            t1, f1, d1 = walk["pages"][-1]
+            t0, d0, f0, _ = walk["sectors"][0]
+            t1, d1, _, f1 = walk["sectors"][-1]
             i0 = self.tri_index[(t0, f0)]
             i1 = self.tri_index[(t1, f1)]
             k0 = self.side_of(i0, d0)

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .normal import (NormalVector, QUAD_MISSED, arc_count, edge_slot_crossings,
-                     edge_weight, edge_stack, face_stack, piece_sides_in_face,
+from .normal import (NormalVector, QUAD_MISSED, arc_count, crossing_position,
+                     edge_weight, edge_stack, face_stack, piece_cycle, piece_sides_in_face,
                      quad_cut_vertex, quad_low_side, reconstruct)
 from .triangulation import (FACE_VERTICES, TriangulationError, _UnionFind, perm_inverse,
                             two_colour)
@@ -222,14 +222,16 @@ class BundleComponent:
         return self.base_orientable
 
 
-def _canonical_gap(tri, v, t, directed_edge, slot_gap):
+def _canonical_gap(crossing_index, t, directed_edge, slot_gap):
     """Gap (j, j+1) along a directed slot edge -> gap along the class."""
-    pair = tuple(sorted(directed_edge))
-    ec = tri.edge_classes[tri.edge_class_of[(t, pair)]]
-    w = edge_slot_crossings(v, t, pair)
-    if ec.dir_sign[(t, directed_edge)] == 1:
-        return slot_gap
-    return w - 2 - slot_gap
+    _, a, s = crossing_index[(t, directed_edge)]
+    return min(a + s * slot_gap, a + s * (slot_gap + 1))
+
+
+def _slab_gap(v, t, lo, hi, directed_edge):
+    """Gap along a directed edge of tet t between two adjacent parallel pieces."""
+    return min(crossing_position(v, t, lo, directed_edge),
+               crossing_position(v, t, hi, directed_edge))
 
 
 def _piece_dir_sign(piece, directed_edge):
@@ -246,7 +248,6 @@ class BundleComplex:
         self.tri = tri
         self.v = vector
         self.surface = surface
-        self.piece_id = {p: i for i, p in enumerate(surface.pieces)}
         self.cells = {}
         self._build_p_cells()
         self._build_r_cells()
@@ -276,71 +277,35 @@ class BundleComplex:
 
     def _build_p_cells(self):
         v = self.v
-        tri = self.tri
-        for t in range(tri.tet_count):
-            for vtx in range(4):
-                for k in range(v.tri(t, vtx) - 1):
-                    x0, x1, x2 = sorted(u for u in range(4) if u != vtx)
-                    f01 = next(u for u in range(4) if u not in (vtx, x0, x1))
-                    f12 = next(u for u in range(4) if u not in (vtx, x1, x2))
-                    f20 = next(u for u in range(4) if u not in (vtx, x2, x0))
-                    seq = [((vtx, x0), f20, f01), ((vtx, x1), f01, f12),
-                           ((vtx, x2), f12, f20)]
-                    sides, corners = [], []
-                    for d, f_prev, f_next in seq:
-                        pair = tuple(sorted(d))
-                        gap = _canonical_gap(tri, v, t, d, k)
-                        sides.append(self._pq_side(t, pair, gap))
-                        corners.append(self._corner(t, pair, gap, f_prev))
-                        sides.append(self._rp_side(t, f_next, vtx, k))
-                        corners.append(self._corner(t, pair, gap, f_next))
-                    sheets = self._p_sheets(("tri", t, vtx, k), ("tri", t, vtx, k + 1))
-                    self._add_cell(("P", t, "tri", vtx, k), sides, corners, sheets)
+        index = self.surface.crossing_index
+        for t in range(self.tri.tet_count):
+            slabs = [(("tri", t, vtx, k), ("tri", t, vtx, k + 1))
+                     for vtx in range(4) for k in range(v.tri(t, vtx) - 1)]
             q = v.quad_type(t)
-            if q is None:
-                continue
-            l0, l1 = sorted(QUAD_MISSED[q][0])
-            h0, h1 = sorted(QUAD_MISSED[q][1])
-            cyc = [(l0, h0), (l0, h1), (l1, h1), (l1, h0)]
-            for m in range(v.quad(t, q) - 1):
+            if q is not None:
+                slabs += [(("quad", t, q, m), ("quad", t, q, m + 1))
+                          for m in range(v.quad(t, q) - 1)]
+            for lo, hi in slabs:
+                cyc = piece_cycle(lo)
                 sides, corners = [], []
                 for idx, d in enumerate(cyc):
-                    prev_d = cyc[idx - 1]
-                    next_d = cyc[(idx + 1) % 4]
-                    f_prev = next(u for u in range(4) if u not in set(d) | set(prev_d))
-                    f_next = next(u for u in range(4) if u not in set(d) | set(next_d))
+                    prev_d, next_d = cyc[idx - 1], cyc[(idx + 1) % len(cyc)]
+                    f_prev = 6 - sum(set(d) | set(prev_d))
+                    f_next = 6 - sum(set(d) | set(next_d))
+                    # the slab's arcs in face f_next cut off the vertex d shares with next_d
+                    vq = (set(d) & set(next_d)).pop()
                     pair = tuple(sorted(d))
-                    slot_gap = self._quad_slot_gap(t, q, m, d)
-                    gap = _canonical_gap(tri, v, t, d, slot_gap)
-                    sides.append(self._pq_side(t, pair, gap))
-                    corners.append(self._corner(t, pair, gap, f_prev))
-                    vq = quad_cut_vertex(q, f_next)
-                    sides.append(self._rp_side(t, f_next, vq,
-                                               self._quad_arc_level(t, q, m, f_next)))
-                    corners.append(self._corner(t, pair, gap, f_next))
-                sheets = self._p_sheets(("quad", t, q, m), ("quad", t, q, m + 1))
-                self._add_cell(("P", t, "quad", q, m), sides, corners, sheets)
-
-    def _quad_slot_gap(self, t, q, m, directed_edge):
-        """Slot gap on the edge between quad copies m and m+1."""
-        u = directed_edge[0]
-        base = self.v.tri(t, u)
-        if u in quad_low_side(q):
-            return base + m
-        return base + self.v.quad(t, q) - 2 - m
-
-    def _quad_arc_level(self, t, q, m, f):
-        """Lower arc level (in the face's corner stack) of the slab between
-        quad copies m and m+1."""
-        vq = quad_cut_vertex(q, f)
-        base = self.v.tri(t, vq)
-        if vq in quad_low_side(q):
-            return base + m
-        return base + self.v.quad(t, q) - 2 - m
+                    gap = _canonical_gap(index, t, d, _slab_gap(v, t, lo, hi, d))
+                    level = _slab_gap(v, t, lo, hi, (vq, sum(d) - vq))
+                    sides += [self._pq_side(t, pair, gap), self._rp_side(t, f_next, vq, level)]
+                    corners += [self._corner(t, pair, gap, f_prev),
+                                self._corner(t, pair, gap, f_next)]
+                self._add_cell(("P", t, lo[0], lo[2], lo[3]), sides, corners,
+                               self._p_sheets(lo, hi))
 
     def _p_sheets(self, piece_lo, piece_hi):
         sig = self.surface.sigma
-        lo, hi = self.piece_id[piece_lo], self.piece_id[piece_hi]
+        lo, hi = self.surface.piece_id[piece_lo], self.surface.piece_id[piece_hi]
         if piece_lo[0] == "tri":
             # the lower triangle faces the slab away from its vertex
             return [-sig[lo], sig[hi]]
@@ -352,6 +317,7 @@ class BundleComplex:
     def _build_r_cells(self):
         v = self.v
         tri = self.tri
+        index = self.surface.crossing_index
         for fc_idx, slots in enumerate(tri.face_classes):
             t1, f1 = slots[0]
             for vtx in FACE_VERTICES[f1]:
@@ -359,8 +325,8 @@ class BundleComplex:
                 x, y = (u for u in FACE_VERTICES[f1] if u != vtx)
                 for j in range(len(stack1) - 1):
                     px, py = tuple(sorted((vtx, x))), tuple(sorted((vtx, y)))
-                    gx = _canonical_gap(tri, v, t1, (vtx, x), j)
-                    gy = _canonical_gap(tri, v, t1, (vtx, y), j)
+                    gx = _canonical_gap(index, t1, (vtx, x), j)
+                    gy = _canonical_gap(index, t1, (vtx, y), j)
                     side_t1 = self._rp_side(t1, f1, vtx, j)
                     end_x = ("QR", (t1, f1), px, gx)
                     end_y = ("QR", (t1, f1), py, gy)
@@ -376,9 +342,9 @@ class BundleComplex:
                             self._corner(t1, px, gx, f1),
                             self._corner(t1, py, gy, f1),
                             self._corner(t2, tuple(sorted(dy2)),
-                                         _canonical_gap(tri, v, t2, dy2, j), f2),
+                                         _canonical_gap(index, t2, dy2, j), f2),
                             self._corner(t2, tuple(sorted(dx2)),
-                                         _canonical_gap(tri, v, t2, dx2, j), f2),
+                                         _canonical_gap(index, t2, dx2, j), f2),
                         ]
                         a_contact = [False] * 4
                     else:
@@ -395,7 +361,7 @@ class BundleComplex:
 
     def _r_sheets(self, f, piece_lo, piece_hi):
         sig = self.surface.sigma
-        lo, hi = self.piece_id[piece_lo], self.piece_id[piece_hi]
+        lo, hi = self.surface.piece_id[piece_lo], self.surface.piece_id[piece_hi]
         # the lower arc faces the slab on the side away from the cut vertex
         return [-sig[lo] * piece_sides_in_face(piece_lo, f),
                 sig[hi] * piece_sides_in_face(piece_hi, f)]
@@ -410,45 +376,33 @@ class BundleComplex:
             if w < 2:
                 continue
             walk = tri.edge_walk(ec.index)
+            sectors = walk["sectors"]
             for gap in range(w - 1):
-                name = ("Q", ec.index, gap)
-                sheets = self._q_sheets(ec, walk, gap)
                 sides, corners, a_contact = [], [], []
-                pages, sectors = walk["pages"], walk["sectors"]
                 if walk["boundary"]:
-                    t0, fin0, d0 = pages[0]
-                    t_l, f_l, d_l = pages[-1]
-                    sides.append(("QA", ec.index, gap))
-                    corners.append(self._q_corner(t_l, d_l, gap, f_l, bd=True))
-                    a_contact.append(True)
-                    sides.append(self._q_page_side(pages[0], gap))
-                    corners.append(self._q_corner(t0, d0, gap, fin0, bd=True))
-                    a_contact.append(False)
-                    for idx, (t, d, f_in, f_out) in enumerate(sectors):
-                        sides.append(self._pq_side(t, tuple(sorted(d)), gap))
-                        corners.append(self._q_corner(t, d, gap, f_in))
-                        a_contact.append(False)
-                        sides.append(self._q_page_side(pages[idx + 1], gap))
-                        corners.append(self._q_corner(t, d, gap, f_out))
-                        a_contact.append(False)
-                    self._add_cell(name, sides, corners, sheets, a_contact)
-                else:
-                    for idx, (t, d, f_in, f_out) in enumerate(sectors):
-                        sides.append(self._pq_side(t, tuple(sorted(d)), gap))
-                        corners.append(self._q_corner(t, d, gap, f_in))
-                        a_contact.append(False)
-                        sides.append(self._q_page_side(pages[idx], gap))
-                        corners.append(self._q_corner(t, d, gap, f_out))
-                        a_contact.append(False)
-                    self._add_cell(name, sides, corners, sheets, a_contact)
+                    # the annulus side, then the boundary face the walk enters by
+                    t0, d0, f0, _ = sectors[0]
+                    t1, d1, _, f1 = sectors[-1]
+                    sides += [("QA", ec.index, gap), self._q_page_side(t0, f0, d0, gap)]
+                    corners += [self._q_corner(t1, d1, gap, f1, bd=True),
+                                self._q_corner(t0, d0, gap, f0, bd=True)]
+                    a_contact += [True, False]
+                for t, d, f_in, f_out in sectors:
+                    sides += [self._pq_side(t, tuple(sorted(d)), gap),
+                              self._q_page_side(t, f_out, d, gap)]
+                    corners += [self._q_corner(t, d, gap, f_in),
+                                self._q_corner(t, d, gap, f_out)]
+                    a_contact += [False, False]
+                self._add_cell(("Q", ec.index, gap), sides, corners,
+                               self._q_sheets(walk, gap), a_contact)
 
     def _q_corner(self, t, d, canonical_gap, f, bd=False):
         return self._corner(t, tuple(sorted(d)), canonical_gap, f, bd)
 
-    def _q_page_side(self, page, canonical_gap):
-        """Name of the 2-handle 1-cell this page crosses, in the coordinates
-        of the face class's representative slot."""
-        t, f, d = page
+    def _q_page_side(self, t, f, d, canonical_gap):
+        """Name of the 2-handle 1-cell that face slot (t, f) carries along
+        directed edge d, in the coordinates of the face class's
+        representative slot."""
         fc_idx = self.tri.face_class_of[(t, f)]
         slots = self.tri.face_classes[fc_idx]
         t1, f1 = slots[0]
@@ -459,20 +413,19 @@ class BundleComplex:
             rep_pair = tuple(sorted((inv[d[0]], inv[d[1]])))
         return ("QR", (t1, f1), rep_pair, canonical_gap)
 
-    def _q_sheets(self, ec, walk, gap):
-        v = self.v
+    def _q_sheets(self, walk, gap):
+        sigma, piece_id = self.surface.sigma, self.surface.piece_id
         signs = set()
         for t, d, f_in, f_out in walk["sectors"]:
-            pair = tuple(sorted(d))
-            w = edge_slot_crossings(v, t, pair)
-            aligned = ec.dir_sign[(t, d)] == 1
-            slot_gap = gap if aligned else w - 2 - gap
-            stack = edge_stack(v, t, d)
+            # the slot gap of the class gap, read back through the crossing index
+            _, a, s = self.surface.crossing_index[(t, d)]
+            slot_gap = min(s * (gap - a), s * (gap + 1 - a))
+            stack = edge_stack(self.v, t, d)
             p_a, p_b = stack[slot_gap], stack[slot_gap + 1]
-            lo_piece, hi_piece = (p_a, p_b) if aligned else (p_b, p_a)
-            toward_hi = d if aligned else (d[1], d[0])
-            lo = self.surface.sigma[self.piece_id[lo_piece]] * _piece_dir_sign(lo_piece, toward_hi)
-            hi = -self.surface.sigma[self.piece_id[hi_piece]] * _piece_dir_sign(hi_piece, toward_hi)
+            lo_piece, hi_piece = (p_a, p_b) if s == 1 else (p_b, p_a)
+            toward_hi = d if s == 1 else (d[1], d[0])
+            lo = sigma[piece_id[lo_piece]] * _piece_dir_sign(lo_piece, toward_hi)
+            hi = -sigma[piece_id[hi_piece]] * _piece_dir_sign(hi_piece, toward_hi)
             signs.add((lo, hi))
         if len(signs) != 1:
             raise TriangulationError("edge slab sheet signs disagree between sectors")

@@ -462,20 +462,21 @@ def push_off(curve: PLCurve, delta=Fraction(1, 16)) -> TransverseCurve:
         slot_a, pair_a = sides[k], ea[2]
         slot_b, pair_b = sides[(k + 1) % n], eb[2]
         walk = tri.edge_walk(ec)
+        sectors = walk["sectors"]
         occs = _page_occurrences(walk)
         key_a = (slot_a, tuple(sorted(pair_a)))
         key_b = (slot_b, tuple(sorted(pair_b)))
         if key_a not in occs or key_b not in occs:
             raise CurveError("carrier face is not a page of the junction edge link")
-        for page_idx, s_from, s_to in _sector_steps(walk, occs[key_a], occs[key_b]):
-            side_from = _page_side(walk, page_idx, s_from)
-            side_to = _page_side(walk, page_idx, s_to)
-            pt_from = _near_edge_point(tri, ec, u, side_from[0][0], side_from[0][1],
-                                       side_from[1], delta)
-            pt_to = _near_edge_point(tri, ec, u, side_to[0][0], side_to[0][1],
-                                     side_to[1], delta)
-            tet_after = walk["sectors"][s_to][0]
-            events.append((side_from[0], pt_from, side_to[0], pt_to, tet_after))
+        for s_from, s_to, forward in _sector_steps(walk, occs[key_a], occs[key_b]):
+            # a forward step leaves through face_out and enters through face_in
+            t_from, d_from, in_from, out_from = sectors[s_from]
+            t_to, d_to, in_to, out_to = sectors[s_to]
+            slot_from = (t_from, out_from if forward else in_from)
+            slot_to = (t_to, in_to if forward else out_to)
+            pt_from = _near_edge_point(tri, ec, u, *slot_from, tuple(sorted(d_from)), delta)
+            pt_to = _near_edge_point(tri, ec, u, *slot_to, tuple(sorted(d_to)), delta)
+            events.append((slot_from, pt_from, slot_to, pt_to, t_to))
 
     if not events:
         raise CurveError("push-off crosses no faces; the curve sits in one tetrahedron")
@@ -497,50 +498,22 @@ def _page_occurrences(walk):
     return occs
 
 
-def _page_side(walk, page_idx, sector_idx):
-    """((slot, pair)) of the page as seen from the given adjacent sector."""
-    t, d, f_in, f_out = walk["sectors"][sector_idx]
-    pg_t, pg_f, pg_d = walk["pages"][page_idx]
-    pair = tuple(sorted(d))
-    if walk["boundary"]:
-        if sector_idx == page_idx - 1:
-            return ((t, f_out), pair)
-        if sector_idx == page_idx:
-            return ((t, f_in), pair)
-    else:
-        n = len(walk["sectors"])
-        if sector_idx == page_idx:
-            return ((t, f_out), pair)
-        if sector_idx == (page_idx + 1) % n:
-            return ((t, f_in), pair)
-    raise CurveError("sector is not adjacent to the page")
-
-
 def _sector_steps(walk, sector_a, sector_b):
-    """Oriented page crossings (page index, from sector, to sector) leading
-    from one sector of an edge link to another, the shorter way around for
-    interior edges."""
+    """Steps (from sector, to sector, forward) leading from one sector of an
+    edge link to another, the shorter way around for interior edges.  A
+    forward step goes from a sector to the next one in the walk."""
     n = len(walk["sectors"])
     if walk["boundary"]:
-        steps = []
-        if sector_a <= sector_b:
-            for i in range(sector_a, sector_b):
-                steps.append((i + 1, i, i + 1))     # page i+1 splits i | i+1
-        else:
-            for i in range(sector_a, sector_b, -1):
-                steps.append((i, i, i - 1))
-        return steps
-    fwd, bwd = [], []
+        forward = sector_a <= sector_b
+    else:
+        forward = (sector_b - sector_a) % n <= (sector_a - sector_b) % n
+    steps = []
     i = sector_a
     while i != sector_b:
-        fwd.append((i, i, (i + 1) % n))             # page i splits i | i+1
-        i = (i + 1) % n
-    i = sector_a
-    while i != sector_b:
-        j = (i - 1) % n
-        bwd.append((j, i, j))
+        j = (i + 1 if forward else i - 1) % n
+        steps.append((i, j, forward))
         i = j
-    return fwd if len(fwd) <= len(bwd) else bwd
+    return steps
 
 
 def _near_edge_point(tri, ec, canonical_u, t, f, pair, delta):

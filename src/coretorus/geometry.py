@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .normal import (QUAD_MISSED, edge_slot_crossings, face_stack,
-                     piece_sides_in_face, quad_low_side)
+from .normal import (crossing_position, edge_slot_crossings, face_stack, piece_cycle,
+                     piece_sides_in_face)
 from .triangulation import FACE_VERTICES
 
 
@@ -108,7 +108,6 @@ class GeometrizedSurface:
         self.vector = surface.vector
         if not all(surface.orientable_by_component):
             raise ValueError("geometrized coorientation needs a two-sided surface")
-        self._piece_id = {p: i for i, p in enumerate(surface.pieces)}
         self._face_arcs = {}
         for t in range(tri.tet_count):
             for f in range(4):
@@ -131,7 +130,7 @@ class GeometrizedSurface:
                 s1 = self.edge_point_param(t, (vtx, y), j)
                 p0 = face_chart_point(f, {vtx: 1 - s0, x: s0})
                 p1 = face_chart_point(f, {vtx: 1 - s1, y: s1})
-                pid = self._piece_id[piece]
+                pid = self.surface.piece_id[piece]
                 plus_is_cut = self.surface.sigma[pid] * piece_sides_in_face(piece, f) == 1
                 arcs.append(FaceArc(piece, vtx, j, p0, p1, plus_is_cut))
         return arcs
@@ -153,31 +152,12 @@ class GeometrizedSurface:
     def piece_corners(self, piece):
         """Corner points of a piece in the reference simplex (Q^4 barycentric),
         in cyclic order around the piece."""
-        kind, t, a, level = piece
-        v = self.vector
-        if kind == "tri":
-            corners = []
-            others = [u for u in range(4) if u != a]
-            for x in others:
-                s = self.edge_point_param(t, (a, x), level)
-                corners.append(self._simplex_point(a, x, s))
-            return corners
-        # quad: cyclic order around the four crossed edges
-        low = sorted(QUAD_MISSED[a][0])
-        high = sorted(QUAD_MISSED[a][1])
-        cyc = [(low[0], high[0]), (low[0], high[1]), (low[1], high[1]), (low[1], high[0])]
+        t = piece[1]
         corners = []
-        for u, w in cyc:
-            pos = self._quad_edge_position(t, a, level, (u, w))
-            s = self.edge_point_param(t, (u, w), pos)
-            corners.append(self._simplex_point(u, w, s))
+        for u, w in piece_cycle(piece):
+            pos = crossing_position(self.vector, t, piece, (u, w))
+            corners.append(self._simplex_point(u, w, self.edge_point_param(t, (u, w), pos)))
         return corners
-
-    def _quad_edge_position(self, t, q, m, directed_edge):
-        u, w = directed_edge
-        v = self.vector
-        pos_among_quads = m if u in quad_low_side(q) else v.quad(t, q) - 1 - m
-        return v.tri(t, u) + pos_among_quads
 
     @staticmethod
     def _simplex_point(u, w, s):

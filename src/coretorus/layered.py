@@ -84,8 +84,8 @@ def _layer_step(gluings, sides, removed):
     # the walk Triangulation.edge_walk takes, so T_i's table does not depend
     # on which side of the edge a label was tracked by
     walk = class_walk(gluings, sorted({(s[0], tuple(sorted(s[1]))) for s in sectors}))
-    t0, f0, d0 = walk["pages"][0]
-    t1, f1, d1 = walk["pages"][-1]
+    t0, d0, f0, _ = walk["sectors"][0]
+    t1, d1, _, f1 = walk["sectors"][-1]
     if (t0, f0) == (t1, f1):
         raise ValueError("the two boundary faces across the edge are not distinct")
 

@@ -13,16 +13,24 @@ the rows of the vectors a search meets repeat (T_6's 6,052 admissible
 vectors have 917 distinct rows), so each table is computed once and
 shared, and nothing is stored on a vector.
 
+Where a piece meets a tetrahedron edge also has one rule,
+``crossing_position``: the piece's index along the directed edge, counted
+from the tail, which is also its arc level in the tail's corner stack.
+``piece_cycle`` lists the directed edges a piece crosses, in cyclic order
+around it.
+
 Reconstruction builds the surface cell by cell: edge crossing points,
 face arcs with their stacking order, pieces, connected components, Euler
 characteristic both from the assembled complex and independently from the
 coordinate counts, two-sidedness, and the boundary curves with their slopes
 (computed homologically, by collapsing each curve to a loop of boundary
-edges, never by assuming minimal position).
+edges, never by assuming minimal position).  The surface keeps each
+piece's index and the table from each (tetrahedron, directed edge) to its
+edge class's crossing order, which the bundle and the geometry read.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from typing import NamedTuple
 
@@ -254,6 +262,28 @@ def _quads_from(t, q, count, vtx):
     return [("quad", t, q, m) for m in order]
 
 
+def piece_cycle(piece):
+    """The directed tetrahedron edges the piece crosses, in cyclic order
+    around it: a triangle's from its vertex, a quad's from its low side."""
+    kind, _, a, _ = piece
+    if kind == "tri":
+        return [(a, x) for x in range(4) if x != a]
+    (l0, l1), (h0, h1) = QUAD_MISSED[a]
+    return [(l0, h0), (l0, h1), (l1, h1), (l1, h0)]
+
+
+def crossing_position(v: NormalVector, t, piece, directed_edge):
+    """Where the piece crosses the directed edge of tet t, counted from the
+    edge's tail: its index in ``edge_stack(v, t, directed_edge)``.  In a face
+    through the edge where the piece's arc cuts off the tail, this is also
+    the arc's level in the tail's corner stack (``face_stack``)."""
+    kind, _, a, level = piece
+    u, w = directed_edge
+    if kind == "tri":
+        return level if a == u else v.counts(t).crossings[u][w] - 1 - level
+    return v.tri(t, u) + (level if u in quad_low_side(a) else v.quad(t, a) - 1 - level)
+
+
 def piece_sides_in_face(piece, f):
     """+1 if the piece's canonical coorientation points toward the vertex its
     arc cuts off in face f (triangles point at their vertex; quads point at
@@ -290,6 +320,8 @@ class ReconstructedSurface:
     tri: object
     vector: NormalVector
     pieces: list
+    piece_id: dict            # piece -> its index in pieces
+    crossing_index: dict      # see _canonical_edge_indices
     components: list          # list of sorted piece-id lists
     euler_by_component: list
     orientable_by_component: list
@@ -299,7 +331,6 @@ class ReconstructedSurface:
     euler_total: int
     euler_from_counts: int
     sigma: dict               # piece id -> +1/-1 transverse orientation, if two-sided
-    arcs: list = field(default_factory=list)
 
     @property
     def connected(self):
@@ -415,14 +446,14 @@ def reconstruct(tri, v: NormalVector) -> ReconstructedSurface:
         curves_by_component[comp].append(curve)
 
     return ReconstructedSurface(
-        tri=tri, vector=v, pieces=pieces,
+        tri=tri, vector=v, pieces=pieces, piece_id=piece_id, crossing_index=canonical,
         components=components,
         euler_by_component=euler_by_component,
         orientable_by_component=orientable,
         boundary_curves_by_component=curves_by_component,
         weight=weight, piece_count=v.piece_count(),
         euler_total=euler_total, euler_from_counts=euler_from_counts,
-        sigma=sigma, arcs=arcs,
+        sigma=sigma,
     )
 
 

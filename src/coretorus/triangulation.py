@@ -343,29 +343,26 @@ def link_walk(gluings, t, d, f_in):
     """Walk the link of directed edge ``d`` of tetrahedron ``t``, entering its
     sector through face ``f_in``.
 
-    Returns {"boundary": bool, "pages": [...], "sectors": [...]} where a
-    sector is (tet, directed_edge, face_in, face_out) and a page is (tet,
-    face, directed_edge) naming the face slot crossed after the sector, in
-    the tetrahedron it is about to leave.  If face ``f_in`` is a boundary
-    face the walk runs to the other boundary face, and the pages start and
-    end with the two boundary face slots; otherwise both lists are cyclic
-    and aligned so that pages[i] separates sectors[i] from sectors[i+1].
+    Returns {"boundary": bool, "sectors": [...]}, a sector being (tet,
+    directed_edge, face_in, face_out).  Each sector's face_out is glued to
+    the next sector's face_in, the gluing carrying the one directed edge to
+    the other.  If face ``f_in`` is a boundary face the walk runs to the
+    other boundary face: it starts at the face_in of sectors[0] and ends at
+    the face_out of sectors[-1].  Otherwise the list is cyclic, and the last
+    sector's face_out is glued to the first sector's face_in.
     """
-    boundary = gluings[t][f_in] is None
     start = (t, d, f_in)
-    pages = [(t, f_in, d)] if boundary else []
     sectors = []
     while True:
         f_out = 6 - d[0] - d[1] - f_in        # the other face of t containing d
         sectors.append((t, d, f_in, f_out))
-        pages.append((t, f_out, d))
         g = gluings[t][f_out]
         if g is None:
-            return {"boundary": True, "pages": pages, "sectors": sectors}
+            return {"boundary": True, "sectors": sectors}
         t2, perm = g
         t, d, f_in = t2, (perm[d[0]], perm[d[1]]), perm[f_out]
         if (t, d, f_in) == start:
-            return {"boundary": False, "pages": pages, "sectors": sectors}
+            return {"boundary": False, "sectors": sectors}
 
 
 def boundary_side(gluings, slots):

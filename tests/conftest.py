@@ -1,6 +1,7 @@
 import pytest
 
 from coretorus import SearchBudget, family, fib, first_homology, minimal_complexity_disc
+from coretorus.triangulation import FACE_VERTICES
 
 _family_cache = {}
 _disc_cache = {}
@@ -59,3 +60,24 @@ def witness_disc(fam, minimal_disc):
             _witness_cache[i] = res.discs[0]
         return _witness_cache[i]
     return get
+
+
+def side_sum_counts(bc, sums_by_bedge):
+    """Per-triangle corner arc counts of the normal curve on the boundary
+    complex whose arcs cross boundary edge j sums_by_bedge[j] times, in
+    FACE_VERTICES order; None when a count would be negative or half an
+    integer."""
+    counts = []
+    for i, (t, f) in enumerate(bc.triangles):
+        side_sum = {bc.side_vertices(i, k): sums_by_bedge[bc.bedge_of_side[(i, k)]]
+                    for k in range(3)}
+        row = []
+        for vtx in FACE_VERTICES[f]:
+            incident = sum(side_sum[p] for p in side_sum if vtx in p)
+            opposite = next(side_sum[p] for p in side_sum if vtx not in p)
+            num = incident - opposite
+            if num < 0 or num % 2:
+                return None
+            row.append(num // 2)
+        counts.append(row)
+    return counts

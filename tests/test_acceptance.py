@@ -20,6 +20,7 @@ from coretorus import (SearchBudget, Slope, at_least_golden_power,
                        tet_bound_check, verify_61_1, verify_61_2)
 from coretorus.layered import label_chain_class
 from coretorus.normal import boundary_curves_from_counts, edge_weight
+from conftest import side_sum_counts
 
 
 @contextmanager
@@ -136,27 +137,6 @@ def _primitive_slopes(bound):
     return out
 
 
-def _counts_for_side_sums(bc, sums_by_bedge):
-    from coretorus.triangulation import FACE_VERTICES
-    counts = []
-    for i, (t, f) in enumerate(bc.triangles):
-        verts = FACE_VERTICES[f]
-        side_sum = {}
-        for k in range(3):
-            pair = bc.side_vertices(i, k)
-            side_sum[pair] = sums_by_bedge[bc.bedge_of_side[(i, k)]]
-        row = []
-        for vtx in verts:
-            incident = sum(side_sum[p] for p in side_sum if vtx in p)
-            opposite = next(side_sum[p] for p in side_sum if vtx not in p)
-            num = incident - opposite
-            if num < 0 or num % 2:
-                return None
-            row.append(num // 2)
-        counts.append(row)
-    return counts
-
-
 def test_criterion_8_curve_length_oracle(fam):
     """min_curve_length equals the brute-force minimum over reconstructed
     normal curves.
@@ -181,7 +161,7 @@ def test_criterion_8_curve_length_oracle(fam):
                 formula = min_curve_length(lt.triple, s)
                 l_max = max(l_max, formula)
                 sums = {j: intersection(s, labels[j]) for j in bedges}
-                counts = _counts_for_side_sums(bc, sums)
+                counts = side_sum_counts(bc, sums)
                 assert counts is not None
                 curves = boundary_curves_from_counts(bc, counts)
                 assert len(curves) == 1, (i, s)
@@ -202,7 +182,7 @@ def test_criterion_8_curve_length_oracle(fam):
                             sums[bedges[pos3]] = a + b
                             sums[bedges[others[0]]] = a
                             sums[bedges[others[1]]] = b
-                            counts = _counts_for_side_sums(bc, sums)
+                            counts = side_sum_counts(bc, sums)
                             if counts is None:
                                 continue
                             curves = boundary_curves_from_counts(bc, counts)
@@ -233,7 +213,7 @@ def test_criterion_8a_connected_curve_classification(fam):
                         if total == 0 or total > 24 or total % 2:
                             continue
                         sums = dict(zip(bedges, (s1, s2, s3)))
-                        counts = _counts_for_side_sums(bc, sums)
+                        counts = side_sum_counts(bc, sums)
                         if counts is None:
                             continue
                         curves = boundary_curves_from_counts(bc, counts)

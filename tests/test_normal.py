@@ -1,16 +1,19 @@
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from coretorus.normal import (QUAD_CROSSES, QUAD_CUT, NormalVector, arc_count,
                               boundary_counts_match, boundary_curves_from_counts,
                               check_admissible, check_matching, count_euler,
-                              curve_slopes, edge_slot_crossings, edge_weight,
-                              min_curve_length, reconstruct, row_counts,
-                              total_weight)
+                              crossing_position, curve_slopes, edge_slot_crossings,
+                              edge_stack, edge_weight, face_stack, min_curve_length,
+                              piece_cycle, reconstruct, row_counts, total_weight)
 from coretorus.search import SearchBudget, enumerate_admissible
 from coretorus.slopes import Slope, SlopeTriple, fib, intersection, slope_seq
 from coretorus.triangulation import (EDGE_PAIRS, FACE_VERTICES, Triangulation,
                                      TriangulationError, parse_tri)
+from conftest import side_sum_counts
 from test_triangulation import gluing_tables
 
 BALL_TEXT = "tets 1\n0: - - - -\n"
@@ -130,31 +133,6 @@ def test_min_curve_length_edge_slope_counts_others():
             assert min_curve_length(t, s) == sum(intersection(s, e) for e in others)
 
 
-def _side_sum_counts(bc, lt, s):
-    """Corner counts of the normal curve with side sums equal to the
-    intersection numbers of s with the tracked edge labels."""
-    from coretorus.triangulation import FACE_VERTICES
-    counts = []
-    for i, (t, f) in enumerate(bc.triangles):
-        verts = FACE_VERTICES[f]
-        side_sum = {}
-        for k in range(3):
-            pair = bc.side_vertices(i, k)
-            be = bc.bedges[bc.bedge_of_side[(i, k)]]
-            lab = lt.boundary_slopes[be.manifold_edge]
-            side_sum[pair] = intersection(s, lab)
-        row = []
-        for vtx in verts:
-            incident = [p for p in side_sum if vtx in p]
-            opposite = next(p for p in side_sum if vtx not in p)
-            num = sum(side_sum[p] for p in incident) - side_sum[opposite]
-            if num < 0 or num % 2:
-                return None
-            row.append(num // 2)
-        counts.append(row)
-    return counts
-
-
 def test_boundary_curve_oracle_attains_formula(fam, homology_of):
     # the canonical curve with the formula's side sums is connected, has the
     # predicted length, and its label-basis class is the slope it was built
@@ -165,7 +143,9 @@ def test_boundary_curve_oracle_attains_formula(fam, homology_of):
         bc = lt.tri.boundary_complex
         triple = lt.triple
         for s in [Slope(0, 1), Slope(1, 0), Slope(1, 2), Slope(3, 1), Slope(2, -1)]:
-            counts = _side_sum_counts(bc, lt, s)
+            sums = {be.index: intersection(s, lt.boundary_slopes[be.manifold_edge])
+                    for be in bc.bedges}
+            counts = side_sum_counts(bc, sums)
             if counts is None or s in triple:
                 continue
             curves = boundary_curves_from_counts(bc, counts)
@@ -173,6 +153,36 @@ def test_boundary_curve_oracle_attains_formula(fam, homology_of):
             assert curves[0]["length"] == min_curve_length(triple, s)
             mult, got = label_chain_class(lt, curves[0]["chain"])
             assert (mult, got) == (1, s)
+
+
+def test_crossing_position_is_the_stack_index(fam):
+    # the one rule for where a piece meets an edge agrees with both stacking
+    # orders: the piece's index along every directed edge it crosses, and its
+    # arc level in every face where its arc cuts off the edge's tail; and the
+    # edges a piece crosses are those of its cycle, consecutive ones sharing
+    # a vertex
+    crossings = 0
+    for i in range(4):
+        tri = fam(i).tri
+        for v in enumerate_admissible(tri, SearchBudget(fib(i + 6) - 3)):
+            for t in range(tri.tet_count):
+                crossed = {}
+                for u, w in permutations(range(4), 2):
+                    for pos, piece in enumerate(edge_stack(v, t, (u, w))):
+                        assert crossing_position(v, t, piece, (u, w)) == pos
+                        crossed.setdefault(piece, set()).add((u, w))
+                        crossings += 1
+                for f in range(4):
+                    for vtx in FACE_VERTICES[f]:
+                        for level, piece in enumerate(face_stack(v, t, f, vtx)):
+                            for x in FACE_VERTICES[f]:
+                                if x != vtx:
+                                    assert crossing_position(v, t, piece, (vtx, x)) == level
+                for piece, edges in crossed.items():
+                    cyc = piece_cycle(piece)
+                    assert edges == set(cyc) | {(w, u) for u, w in cyc}
+                    assert all(len(set(d) & set(cyc[k - 1])) == 1 for k, d in enumerate(cyc))
+    assert crossings > 10_000
 
 
 # -- the per-row count table against the per-call formulas it replaced -------

@@ -1,7 +1,7 @@
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from coretorus.homology import first_homology, solid_torus_candidate
 from coretorus.layered import BASE_T0_TEXT
@@ -101,15 +101,6 @@ def test_face_slot_accounting():
                     if tri.gluings[t][f] is not None)
         assert glued % 2 == 0
         assert glued + len(tri.boundary_faces) == 4 * tri.tet_count
-
-
-def test_edge_walks_cover_slots():
-    tri = parse_tri(BASE_T0_TEXT)
-    for ec in tri.edge_classes:
-        walk = tri.edge_walk(ec.index)
-        seen = {(t, tuple(sorted(d))) for t, d, _, _ in walk["sectors"]}
-        assert seen == {(t, e) for t, e in ec.slots}
-        assert walk["boundary"] == ec.boundary
 
 
 def test_two_colour_consistent_relations():
@@ -215,3 +206,32 @@ def test_edge_classes_match_two_union_find_oracle(table):
     got = [(ec.index, ec.slots, ec.rep, ec.boundary, ec.dir_sign)
            for ec in tri.edge_classes]
     assert got == want
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(gluing_tables())
+@example([list(row) for row in parse_tri(BASE_T0_TEXT).gluings])
+def test_edge_walks_cover_slots(table):
+    # the walk contract: one sector per slot, each sector's face_out glued to
+    # the next sector's face_in carrying the edge, a boundary walk running
+    # from boundary face to boundary face and an interior walk closing up
+    try:
+        tri = Triangulation(table)
+    except TriangulationError:
+        return
+    for ec in tri.edge_classes:
+        walk = tri.edge_walk(ec.index)
+        sectors = walk["sectors"]
+        assert walk["boundary"] == ec.boundary
+        assert len(sectors) == ec.degree
+        assert {(t, tuple(sorted(d))) for t, d, _, _ in sectors} == set(ec.slots)
+        for t, d, f_in, f_out in sectors:
+            assert f_in != f_out and f_in not in d and f_out not in d
+        glued = zip(sectors, sectors[1:] if walk["boundary"] else sectors[1:] + sectors[:1])
+        for (t, d, _, f_out), (t2, d2, f_in2, _) in glued:
+            assert tri.gluings[t][f_out] is not None
+            t_next, perm = tri.gluings[t][f_out]
+            assert (t_next, perm[f_out], (perm[d[0]], perm[d[1]])) == (t2, f_in2, d2)
+        if walk["boundary"]:
+            (t0, _, f0, _), (t1, _, _, f1) = sectors[0], sectors[-1]
+            assert tri.gluings[t0][f0] is None and tri.gluings[t1][f1] is None
