@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from .normal import (NormalVector, QUAD_MISSED, arc_count, crossing_position,
                      edge_weight, edge_stack, face_stack, piece_cycle, piece_sides_in_face,
                      quad_cut_vertex, quad_low_side, reconstruct)
+from .search import MeridianDisc
 from .triangulation import (FACE_VERTICES, TriangulationError, _UnionFind, perm_inverse,
                             two_colour)
 
@@ -52,25 +53,6 @@ def tet_regions(v: NormalVector, t):
     else:
         regions.append(("central", None))
     return regions
-
-
-def region_sweep_oracle(v: NormalVector, t):
-    """Independent region list: sweep positions along each corner stack and
-    across the quad stack, one region per achievable position."""
-    out = []
-    q = v.quad_type(t)
-    qc = v.quad(t, q) if q is not None else 0
-    for vtx in range(4):
-        for depth in range(v.tri(t, vtx)):
-            out.append(("cap", vtx) if depth == 0 else ("tslab", vtx, depth - 1))
-    for pos in range(qc + 1):
-        if pos == 0:
-            out.append(("central", "low") if qc else ("central", None))
-        elif pos == qc:
-            out.append(("central", "high"))
-        else:
-            out.append(("qslab", pos - 1))
-    return out
 
 
 def _central_side(q, vtx):
@@ -130,13 +112,21 @@ class CutComplex:
         return len(self.components)
 
 
+def _vector_and_surface(tri, disc):
+    """``disc``'s vector and its surface on ``tri``.  A MeridianDisc found on
+    ``tri`` carries its surface; any other input is reconstructed."""
+    if isinstance(disc, MeridianDisc) and disc.surface.tri is tri:
+        return disc.vector, disc.surface
+    v = disc if isinstance(disc, NormalVector) else disc.vector
+    return v, reconstruct(tri, v)
+
+
 def cut_along(tri, disc) -> CutComplex:
     """Cut the manifold along a two-sided normal surface.
 
     ``disc`` may be a NormalVector or anything with a ``vector`` attribute.
     """
-    v = disc if isinstance(disc, NormalVector) else disc.vector
-    surface = reconstruct(tri, v)
+    v, surface = _vector_and_surface(tri, disc)
     if not all(surface.orientable_by_component):
         raise ValueError("cutting code requires a two-sided surface")
 
@@ -144,8 +134,6 @@ def cut_along(tri, disc) -> CutComplex:
     for t in range(tri.tet_count):
         for r in tet_regions(v, t):
             regions[(t, r)] = len(regions)
-        if sorted(tet_regions(v, t)) != sorted(region_sweep_oracle(v, t)):
-            raise TriangulationError("region decomposition disagrees with the sweep")
 
     adjacency = set()
     a_patches = 0
@@ -484,9 +472,7 @@ class BundleComplex:
 
 def parallelity_bundle(tri, disc) -> list:
     """Connected components of the parallelity bundle of the cut manifold."""
-    v = disc if isinstance(disc, NormalVector) else disc.vector
-    surface = reconstruct(tri, v)
-    return BundleComplex(tri, v, surface).components()
+    return BundleComplex(tri, *_vector_and_surface(tri, disc)).components()
 
 
 def bundle_prime(components) -> list:
@@ -506,7 +492,7 @@ def check_claims(tri, disc, minimal_disc=None) -> ClaimsReport:
     """Claim 1: every bundle component is a product (orientable base).
     Claim 2: every component meeting A meets both copies of the disc."""
     v = disc if isinstance(disc, NormalVector) else disc.vector
-    comps = parallelity_bundle(tri, v)
+    comps = parallelity_bundle(tri, disc)
     claim1 = all(c.base_orientable for c in comps)
     prime = bundle_prime(comps)
     claim2 = all(c.meets_dminus and c.meets_dplus for c in prime)

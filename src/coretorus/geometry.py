@@ -7,12 +7,16 @@ around the edge.  Arcs are straight segments between their edge points in
 the affine structure of each face; triangles are flat; squares are realized
 as two flat triangles glued along a chosen diagonal.
 
+A face slot's arcs are built on first read and cached, so a caller that
+reads one face (the core-curve certificate) builds only that face.
+
 All predicates (segment intersection, sidedness) are exact over Q.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .normal import (crossing_position, edge_slot_crossings, face_stack, piece_cycle,
                      piece_sides_in_face)
@@ -62,25 +66,16 @@ def segments_cross_properly(p1, q1, p2, q2):
     return d1 * d2 < 0 and d3 * d4 < 0
 
 
-# face charts: vertex order FACE_VERTICES[f]; chart drops the first
-# barycentric coordinate, so corner 0 is the origin
-_CHART = ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
-
-
 def face_chart_point(f, vertex_weights):
     """2D chart point of a barycentric combination on face f.
 
     ``vertex_weights`` maps tetrahedron vertices (of face f) to rationals
-    summing to 1.
+    summing to 1.  The chart drops the weight of the first vertex in
+    FACE_VERTICES[f] order, so that corner is the origin and the other two
+    weights are the coordinates.
     """
-    verts = FACE_VERTICES[f]
-    x = Fraction(0)
-    y = Fraction(0)
-    for i, v in enumerate(verts):
-        w = Fraction(vertex_weights.get(v, 0))
-        x += w * _CHART[i][0]
-        y += w * _CHART[i][1]
-    return (x, y)
+    _, a, b = FACE_VERTICES[f]
+    return (Fraction(vertex_weights.get(a, 0)), Fraction(vertex_weights.get(b, 0)))
 
 
 def corner_point(f, v):
@@ -109,9 +104,6 @@ class GeometrizedSurface:
         if not all(surface.orientable_by_component):
             raise ValueError("geometrized coorientation needs a two-sided surface")
         self._face_arcs = {}
-        for t in range(tri.tet_count):
-            for f in range(4):
-                self._face_arcs[(t, f)] = self._build_face(t, f)
 
     def edge_point_param(self, t, directed_edge, position):
         """Parameter along the directed tet edge of the crossing at the given
@@ -136,16 +128,16 @@ class GeometrizedSurface:
         return arcs
 
     def face_arcs(self, t, f):
-        return self._face_arcs[(t, f)]
+        """The arcs of face slot (t, f), built on first read."""
+        arcs = self._face_arcs.get((t, f))
+        if arcs is None:
+            arcs = self._face_arcs[(t, f)] = self._build_face(t, f)
+        return arcs
 
     def arcs_disjoint_in_every_face(self):
-        for (t, f), arcs in self._face_arcs.items():
-            for i in range(len(arcs)):
-                for j in range(i + 1, len(arcs)):
-                    if segments_intersect(arcs[i].p0, arcs[i].p1,
-                                          arcs[j].p0, arcs[j].p1):
-                        return False
-        return True
+        return not any(segments_intersect(a.p0, a.p1, b.p0, b.p1)
+                       for t in range(self.tri.tet_count) for f in range(4)
+                       for a, b in combinations(self.face_arcs(t, f), 2))
 
     # -- 3D realization ----------------------------------------------------
 

@@ -166,10 +166,12 @@ def family(i: int) -> LayeredTriangulation:
     sides = _sides(base)
     gluings = [list(row) for row in base.tri.gluings]
     history, layered = [], []
+    removed, nxt = slope_seq(0), slope_seq(1)     # (s_k, s_{k+1})
     for k in range(i):
-        inserted, slot = _layer_step(gluings, sides, slope_seq(k))
-        history.append((k, slope_seq(k), inserted))
+        inserted, slot = _layer_step(gluings, sides, removed)
+        history.append((k, removed, inserted))
         layered.append(slot)
+        removed, nxt = nxt, Slope(nxt.x + nxt.y, nxt.x)
     lt = _labeled(Triangulation(gluings), sides, layered, history)
     if set(lt.boundary_slopes.values()) != {slope_seq(i), slope_seq(i + 1), slope_seq(i + 2)}:
         raise TriangulationError("slope bookkeeping does not follow the slope recursion")

@@ -304,11 +304,19 @@ def find_meridian_discs(tri, budget: SearchBudget, calibration=None) -> DiscSear
     """All normal meridian discs within the budget: connected, Euler
     characteristic 1, boundary in the kernel of H1(bdry) -> H1(M).
 
-    A vector whose count-level Euler characteristic is not 1 cannot be a
-    connected disc, so it is dropped before reconstruction.  The time limit
-    holds for the enumeration and the filter together: when it stops either,
-    the discs found so far are returned with ``complete`` False; such a
-    result is inconclusive."""
+    Two count filters drop a vector before reconstruction.  First, the cut
+    filter: a vector that meets some boundary edge loop e fewer than
+    cut(e) times is no disc.  A disc's one boundary curve has class
+    +-kernel and crosses e at exactly the w(e) points where the surface
+    meets e, so w(e) >= |<kernel, e>|.  If M has a meridian disc,
+    H1(bdry) -> H1(M) = Z is onto, and its kernel is spanned by the kernel
+    class, so |<kernel, e>| is the image of e in H1(M), which is cut(e);
+    if M has none, no vector passes the later checks anyway.
+    ``minimal_meridian_length`` rests on the same bound.  Second, a vector
+    whose count-level Euler characteristic is not 1 cannot be a connected
+    disc.  The time limit holds for the enumeration and the filter
+    together: when it stops either, the discs found so far are returned
+    with ``complete`` False; such a result is inconclusive."""
     if calibration is None:
         calibration = first_homology(tri).calibration
     if calibration is None:
@@ -325,6 +333,8 @@ def find_meridian_discs(tri, budget: SearchBudget, calibration=None) -> DiscSear
         if deadline is not None and time.monotonic() > deadline:
             complete, note = False, "time limit reached"
             break
+        if any(edge_weight(tri, v, e) < cut for e, cut in calibration.cuts.items()):
+            continue
         if count_euler(tri, v) != 1:
             continue
         surface = reconstruct(tri, v)

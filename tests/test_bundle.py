@@ -1,20 +1,43 @@
 import pytest
 
+from coretorus import bundle
 from coretorus.bundle import (bundle_prime, check_claims, cut_along,
                               parallelity_bundle, region_behind_face_bit,
-                              region_sweep_oracle, tet_regions)
+                              tet_regions)
 from coretorus.normal import NormalVector, reconstruct
+from coretorus.search import SearchBudget, enumerate_admissible
+from coretorus.slopes import fib
+from coretorus.triangulation import parse_tri, serialize_tri
+
+
+def region_sweep_oracle(v: NormalVector, t):
+    """Independent region list: sweep positions along each corner stack and
+    across the quad stack, one region per achievable position."""
+    out = []
+    q = v.quad_type(t)
+    qc = v.quad(t, q) if q is not None else 0
+    for vtx in range(4):
+        for depth in range(v.tri(t, vtx)):
+            out.append(("cap", vtx) if depth == 0 else ("tslab", vtx, depth - 1))
+    for pos in range(qc + 1):
+        if pos == 0:
+            out.append(("central", "low") if qc else ("central", None))
+        elif pos == qc:
+            out.append(("central", "high"))
+        else:
+            out.append(("qslab", pos - 1))
+    return out
 
 
 def test_region_count_is_pieces_plus_one(fam):
-    tri = fam(1).tri
-    from coretorus.search import SearchBudget, enumerate_admissible
-    for v in enumerate_admissible(tri, SearchBudget(6)):
-        for t in range(tri.tet_count):
-            pieces_t = sum(v.coords[t])
-            regions = tet_regions(v, t)
-            assert len(regions) == pieces_t + 1
-            assert sorted(regions) == sorted(region_sweep_oracle(v, t))
+    for i in range(4):
+        tri = fam(i).tri
+        for v in enumerate_admissible(tri, SearchBudget(fib(i + 6) - 3)):
+            for t in range(tri.tet_count):
+                pieces_t = sum(v.coords[t])
+                regions = tet_regions(v, t)
+                assert len(regions) == pieces_t + 1
+                assert sorted(regions) == sorted(region_sweep_oracle(v, t))
 
 
 def test_face_bits_map_to_regions(fam):
@@ -105,6 +128,29 @@ def test_claims_on_minimal_discs(fam, minimal_disc):
         for euler, orientable, dm, dp, a in rep.details["bases"]:
             if a:
                 assert dm and dp
+
+
+def test_claims_reuse_the_disc_surface(fam, minimal_disc, monkeypatch):
+    # a disc found on this triangulation carries its surface; a bare
+    # vector, or a disc found on another copy of the triangulation, is
+    # reconstructed, and every input gives the same report
+    calls = []
+
+    def counting(tri, v):
+        calls.append(v)
+        return reconstruct(tri, v)
+
+    monkeypatch.setattr(bundle, "reconstruct", counting)
+    for i in (0, 1, 2):
+        tri, d = fam(i).tri, minimal_disc(i)
+        calls.clear()
+        rep = check_claims(tri, d, minimal_disc=d)
+        assert calls == []
+        assert check_claims(tri, d.vector, minimal_disc=d) == rep
+        assert calls == [d.vector]
+        copy = parse_tri(serialize_tri(tri))
+        assert check_claims(copy, d, minimal_disc=d) == rep
+        assert calls == [d.vector, d.vector]
 
 
 def test_claims_report_flags_non_minimal_input(fam, minimal_disc):

@@ -2,9 +2,12 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from coretorus.geometry import (GeometrizedSurface, orient2,
+from coretorus.geometry import (FaceArc, GeometrizedSurface, face_chart_point, orient2,
                                 segments_cross_properly, segments_intersect)
-from coretorus.normal import NormalVector, reconstruct
+from coretorus.normal import NormalVector, face_stack, piece_sides_in_face, reconstruct
+from coretorus.search import SearchBudget, enumerate_admissible
+from coretorus.slopes import fib
+from coretorus.triangulation import FACE_VERTICES
 
 F = Fraction
 
@@ -106,3 +109,83 @@ def test_transversality_margin(fam, minimal_disc):
     g = GeometrizedSurface(fam(0).tri, minimal_disc(0).surface)
     m = g.transversality_margin()
     assert 0 < m < F(1, 4)
+
+
+# -- the lazy face arcs against an eager oracle ------------------------------
+
+_CHART = ((F(0), F(0)), (F(1), F(0)), (F(0), F(1)))
+
+
+def _weighted_chart_point(f, vertex_weights):
+    """A face chart point as the weighted sum of the corners' chart points."""
+    x = y = F(0)
+    for i, v in enumerate(FACE_VERTICES[f]):
+        w = F(vertex_weights.get(v, 0))
+        x += w * _CHART[i][0]
+        y += w * _CHART[i][1]
+    return (x, y)
+
+
+def _eager_face_arcs(g, tri):
+    """Every face slot's arcs, built up front by the chart's weighted sums."""
+    out = {}
+    for t in range(tri.tet_count):
+        for f in range(4):
+            arcs = []
+            for vtx in FACE_VERTICES[f]:
+                x, y = (u for u in FACE_VERTICES[f] if u != vtx)
+                for j, piece in enumerate(face_stack(g.vector, t, f, vtx)):
+                    s0 = g.edge_point_param(t, (vtx, x), j)
+                    s1 = g.edge_point_param(t, (vtx, y), j)
+                    p0 = _weighted_chart_point(f, {vtx: 1 - s0, x: s0})
+                    p1 = _weighted_chart_point(f, {vtx: 1 - s1, y: s1})
+                    sigma = g.surface.sigma[g.surface.piece_id[piece]]
+                    arcs.append(FaceArc(piece, vtx, j, p0, p1,
+                                        sigma * piece_sides_in_face(piece, f) == 1))
+            out[(t, f)] = arcs
+    return out
+
+
+def test_lazy_face_arcs_match_the_eager_build(fam):
+    checked = 0
+    for i in range(4):
+        tri = fam(i).tri
+        slots = [(t, f) for t in range(tri.tet_count) for f in range(4)]
+        for v in enumerate_admissible(tri, SearchBudget(fib(i + 6) - 3)):
+            surface = reconstruct(tri, v)
+            if not all(surface.orientable_by_component):
+                continue
+            forward, backward = GeometrizedSurface(tri, surface), GeometrizedSurface(tri, surface)
+            want = _eager_face_arcs(forward, tri)
+            assert [forward.face_arcs(t, f) for t, f in slots] == [want[s] for s in slots]
+            assert ([backward.face_arcs(t, f) for t, f in reversed(slots)]
+                    == [want[s] for s in reversed(slots)])
+            # a second read returns the cached arcs
+            assert all(forward.face_arcs(t, f) is forward.face_arcs(t, f) for t, f in slots)
+            checked += 1
+    assert checked == 85
+
+
+@given(st.integers(0, 3), coords, coords, coords)
+def test_face_chart_point_is_the_weighted_sum(f, a, b, c):
+    weights = dict(zip(FACE_VERTICES[f], (a, b, c)))
+    assert face_chart_point(f, weights) == _weighted_chart_point(f, weights)
+    # a vertex left out weighs 0
+    del weights[FACE_VERTICES[f][1]]
+    assert face_chart_point(f, weights) == _weighted_chart_point(f, weights)
+
+
+def test_geometry_builds_only_the_faces_read(fam, minimal_disc, monkeypatch):
+    built = []
+    build = GeometrizedSurface._build_face
+
+    def counting(self, t, f):
+        built.append((t, f))
+        return build(self, t, f)
+
+    monkeypatch.setattr(GeometrizedSurface, "_build_face", counting)
+    g = GeometrizedSurface(fam(2).tri, minimal_disc(2).surface)
+    assert built == []
+    g.face_arcs(1, 2)
+    g.face_arcs(1, 2)
+    assert built == [(1, 2)]

@@ -58,6 +58,24 @@ def test_family_builds_only_the_base_and_the_result(monkeypatch):
         assert lt.tri.tet_count == i + 1
 
 
+def test_family_carries_the_slope_pair(monkeypatch):
+    # each layering steps (s_k, s_{k+1}) on to (s_{k+1}, s_{k+2}) instead of
+    # recomputing s_k, so slope_seq is called a fixed number of times
+    from coretorus import layered
+    calls = []
+
+    def counting(k):
+        calls.append(k)
+        return slope_seq(k)
+
+    monkeypatch.setattr(layered, "slope_seq", counting)
+    for i in (0, 7, 60):
+        calls.clear()
+        lt = family(i)
+        assert len(calls) <= 8
+        assert [h[1] for h in lt.history] == [slope_seq(k) for k in range(i)]
+
+
 def test_dropped_triangulation_is_freed_without_the_cycle_collector():
     # nothing cached on a triangulation (edge classes, boundary complex,
     # the H1 memo and calibration) may refer back to it

@@ -2,14 +2,15 @@ import time
 
 import pytest
 
-from coretorus import search
+from coretorus import first_homology, search
 from coretorus.normal import (NormalVector, check_admissible, check_matching,
-                              reconstruct)
-from coretorus.search import (BudgetExhausted, SearchBudget, _enumerate_raw,
-                              enumerate_admissible, find_meridian_discs,
-                              minimal_complexity_disc, verify_61_1,
-                              verify_61_2)
+                              count_euler, edge_weight, reconstruct)
+from coretorus.search import (BudgetExhausted, MeridianDisc, SearchBudget,
+                              _enumerate_raw, enumerate_admissible,
+                              find_meridian_discs, minimal_complexity_disc,
+                              verify_61_1, verify_61_2)
 from coretorus.slopes import fib
+from coretorus.triangulation import parse_tri
 
 
 def test_zero_budget_gives_zero_vector(fam):
@@ -124,10 +125,12 @@ def test_time_limit_bounds_the_overshoot(fam, homology_of):
 def test_disc_filter_keeps_the_time_limit(fam, homology_of, monkeypatch):
     # T_3 enumerates in milliseconds; a slowed reconstruct makes the filter
     # run past the limit, and the search stops between vectors with the
-    # discs found so far
+    # discs found so far.  At twice the least disc's piece count, 5 of the
+    # 326 admitted vectors pass both count filters, so several reconstructs
+    # are due.
     tri = fam(3).tri
     cal = homology_of(3).calibration
-    budget = SearchBudget(fib(9) - 4)
+    budget = SearchBudget(2 * (fib(9) - 5))
     full = find_meridian_discs(tri, budget, cal)
     calls = []
 
@@ -146,6 +149,61 @@ def test_disc_filter_keeps_the_time_limit(fam, homology_of, monkeypatch):
     found = {d.vector for d in full.discs}
     assert all(d.vector in found for d in res.discs)
     _assert_meridian_discs(tri, cal, res.discs)
+
+
+def _is_disc_surface(cal, surface):
+    """The checks the disc filter makes after reconstruct."""
+    if not surface.connected or surface.euler_by_component[0] != 1:
+        return False
+    curves = surface.boundary_curves_by_component[0]
+    return len(curves) == 1 and cal.is_meridian_class(cal.coords_of_cycle(curves[0].chain))
+
+
+def _discs_without_cut_filter(tri, cal, vectors):
+    """The disc filter as it was before the cut filter: the Euler count,
+    then reconstruct and the disc checks on every vector that passes it."""
+    discs = []
+    for v in vectors:
+        if count_euler(tri, v) != 1:
+            continue
+        surface = reconstruct(tri, v)
+        if _is_disc_surface(cal, surface):
+            (curve,) = surface.boundary_curves_by_component[0]
+            discs.append(MeridianDisc(v, surface, curve.length, surface.weight))
+    discs.sort(key=lambda d: (d.complexity, d.vector.coords))
+    return discs
+
+
+# a solid torus whose boundary torus has two vertices: two of its six
+# boundary edges are loops with a cut number, the others join the vertices
+TWO_VERTEX_TEXT = ("tets 3\n0: - 1:1032 - 2:1230\n1: 0:1032 2:3102 - -\n"
+                   "2: 0:3012 1:2130 2:1230 2:3012\n")
+
+
+def _cut_filter_cases(fam):
+    for i in range(4):
+        yield f"T_{i}", fam(i).tri, 2 * (fib(i + 6) - 5)
+    # its least disc has 13 pieces
+    yield "two-vertex", parse_tri(TWO_VERTEX_TEXT), 13
+
+
+def test_cut_filter_drops_no_disc(fam):
+    for name, tri, pieces in _cut_filter_cases(fam):
+        cal = first_homology(tri).calibration
+        budget = SearchBudget(pieces)
+        vectors = enumerate_admissible(tri, budget)
+        res = find_meridian_discs(tri, budget, cal)
+        want = _discs_without_cut_filter(tri, cal, vectors)
+        assert res.complete and want, name
+        assert ([(d.vector, d.complexity) for d in res.discs]
+                == [(d.vector, d.complexity) for d in want]), name
+        if name == "two-vertex":
+            assert 0 < len(cal.cuts) < sum(ec.boundary for ec in tri.edge_classes)
+        dropped = [v for v in vectors
+                   if any(edge_weight(tri, v, e) < cut for e, cut in cal.cuts.items())]
+        assert dropped, name
+        for v in dropped:
+            assert not _is_disc_surface(cal, reconstruct(tri, v)), (name, v.coords)
 
 
 def _stopping_after(n):
