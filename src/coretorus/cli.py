@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Exit codes: 0 all checks pass, 1 a verification failed, 2 invalid input,
-3 inconclusive (a budget ran out before the question was settled).
+3 inconclusive (a budget ran out or a certificate was too weak to settle it).
 Reports go to stdout (JSON with --json); diagnostics go to stderr.
 Integers that may exceed 64 bits are emitted as strings in JSON.
 """
@@ -218,10 +218,7 @@ def cmd_curve(args, report):
 
 def cmd_verify(args, report):
     if args.check == "61-1":
-        budget = None
-        if args.max_pieces is not None:
-            budget = SearchBudget(max_piece_count=args.max_pieces)
-        rep = verify_61_1(args.i, budget)
+        rep = verify_61_1(args.i)
     elif args.check == "61-2":
         rep = verify_61_2(args.i)
     elif args.check == "claims":
@@ -309,7 +306,8 @@ def build_parser():
     w = sub.add_parser("verify")
     w.add_argument("check", choices=["61-1", "61-2", "claims", "curve-bounds"])
     w.add_argument("--i", type=int, required=True)
-    w.add_argument("--max-pieces", type=int, default=None)
+    w.add_argument("--max-pieces", type=int, default=None,
+                   help="piece budget of the disc search; only 'claims' reads it")
 
     return p
 

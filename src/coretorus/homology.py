@@ -352,14 +352,12 @@ def calibrate(tri) -> MeridianCalibration | None:
     if kernel[0] < 0 or (kernel[0] == 0 and kernel[1] < 0):
         kernel = (-kernel[0], -kernel[1])
 
-    def extended_gcd(a, b):
-        if b == 0:
-            return (a, 1, 0)
-        g2, x, y = extended_gcd(b, a % b)
-        return (g2, y, x - (a // b) * y)
-
-    # lam with det(lam, kernel) = 1
-    g2, u, v = extended_gcd(kernel[1], -kernel[0])
+    # lam with det(lam, kernel) = 1 by extended Euclid, as a loop: on T_i it
+    # takes about i steps, too deep for recursion near T_1000
+    g2, b, u, v, u1, v1 = kernel[1], -kernel[0], 1, 0, 0, 1
+    while b:
+        q = g2 // b
+        g2, b, u, v, u1, v1 = b, g2 - q * b, u1, v1, u - q * u1, v - q * v1
     assert g2 in (1, -1)
     lam0 = (u // g2, v // g2)
 

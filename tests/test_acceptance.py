@@ -67,10 +67,16 @@ def test_criterion_3_exponential_discs(fam, homology_of):
             assert res.discs, f"no disc found for T_{i} within {budget.max_piece_count} pieces"
             x = fib(i + 3)
             newest = lt.class_with_label(slope_seq(i + 2))
+            # the enumeration is the oracle for the one-edge certificate
+            rep = verify_61_1(i)
+            bound = rep.details["newest_edge_cut"]
+            assert rep.status == "pass" and bound >= x
             for d in res.discs:
                 assert d.piece_count >= x
                 assert at_least_golden_power(d.piece_count, i + 1)
                 assert edge_weight(lt.tri, d.vector, newest) >= x
+                assert d.piece_count >= bound
+                assert edge_weight(lt.tri, d.vector, newest) >= bound
 
 
 def test_criterion_4_precore_lengths():

@@ -89,9 +89,8 @@ def test_verify_subcommands(capsys):
     assert data["results"]["check"] == "theorem-6.1(2)"
     code, out = _capture(capsys, ["--json", "verify", "61-1", "--i", "1"])
     assert code == 0
-    code, out = _capture(capsys, ["--json", "verify", "61-1", "--i", "2",
-                                  "--max-pieces", "6"])
-    assert code == 3
+    code, out = _capture(capsys, ["--json", "verify", "61-1", "--i", "99"])
+    assert code == 0
     code, out = _capture(capsys, ["--json", "verify", "curve-bounds", "--i", "1"])
     assert code == 0
 

@@ -1,15 +1,17 @@
 import time
+from dataclasses import replace
 
 import pytest
 
 from coretorus import first_homology, search
+from coretorus.layered import LayeredTriangulation
 from coretorus.normal import (NormalVector, check_admissible, check_matching,
                               count_euler, edge_weight, reconstruct)
-from coretorus.search import (BudgetExhausted, MeridianDisc, SearchBudget,
+from coretorus.search import (BudgetExhausted, DiscSearchResult, MeridianDisc, SearchBudget,
                               _enumerate_raw, enumerate_admissible,
                               find_meridian_discs, minimal_complexity_disc,
                               verify_61_1, verify_61_2)
-from coretorus.slopes import fib
+from coretorus.slopes import fib, slope_seq
 from coretorus.triangulation import parse_tri
 
 
@@ -231,11 +233,6 @@ def test_stopped_search_keeps_what_it_found(fam, monkeypatch):
         assert not res.complete and res.inconclusive and res.note == "time limit reached"
         want = [d for d in full.discs if d.vector in order[:n]]
         assert [d.vector for d in res.discs] == [d.vector for d in want]
-    # every disc was found, and each one meets the bound, but the search
-    # did not finish: that is no proof
-    rep = verify_61_1(3)
-    assert rep.status == "inconclusive"
-    assert rep.details["discs_found"] == 1 and rep.details["min_pieces"] == fib(9) - 5
 
 
 def test_time_limit_inside_one_tetrahedron(fam):
@@ -305,6 +302,41 @@ def test_inconclusive_minimal_disc(fam):
     assert res.inconclusive and res.disc is None
 
 
+def _stub_cover_pass(monkeypatch, cover_pass):
+    """Run minimal_complexity_disc's first pass for real, pause 0.2 s after
+    it, and answer the cover pass with cover_pass; returns the budgets of
+    both passes."""
+    real = search.find_meridian_discs
+    budgets = []
+
+    def passes(tri, budget, calibration=None):
+        budgets.append(budget)
+        if len(budgets) > 1:
+            return cover_pass(tri, budget, calibration)
+        res = real(tri, budget, calibration)
+        time.sleep(0.2)
+        return res
+    monkeypatch.setattr(search, "find_meridian_discs", passes)
+    return budgets
+
+
+def test_cover_pass_gets_what_is_left_of_the_time_limit(fam, monkeypatch):
+    budgets = _stub_cover_pass(monkeypatch, search.find_meridian_discs)
+    res = minimal_complexity_disc(fam(2).tri, SearchBudget(fib(8) - 4, time_limit=5.0))
+    assert res.certified and not res.inconclusive
+    assert budgets[0].time_limit == 5.0
+    assert 0 <= budgets[1].time_limit <= 5.0 - 0.2
+
+
+def test_stopped_cover_pass_is_inconclusive(fam, monkeypatch):
+    def stopped(tri, budget, calibration):
+        return DiscSearchResult([], False, True, "time limit reached")
+    _stub_cover_pass(monkeypatch, stopped)
+    res = minimal_complexity_disc(fam(2).tri, SearchBudget(fib(8) - 4, time_limit=5.0))
+    assert res.disc is not None
+    assert not res.certified and res.inconclusive
+
+
 def test_every_disc_passes_surface_checks(fam, homology_of):
     tri = fam(1).tri
     cal = homology_of(1).calibration
@@ -319,15 +351,43 @@ def test_every_disc_passes_surface_checks(fam, homology_of):
 
 
 def test_verify_61_1_small():
-    for i in range(3):
+    # a pass at every index, and the bound never above the recorded minimal
+    # discs of fib(i+6) - 5 pieces
+    for i in (*range(8), 99, 1000):
         rep = verify_61_1(i)
-        assert rep.status == "pass"
-        assert rep.details["min_pieces"] >= fib(i + 3)
-        assert rep.details["min_crossings_of_newest_edge"] >= fib(i + 3)
+        d = rep.details
+        assert rep.status == "pass" and d["newest_edge_degree"] == 1
+        assert d["newest_edge_cut"] >= d["required_pieces"] == fib(i + 3)
+        if i <= 7:
+            assert d["newest_edge_cut"] <= fib(i + 6) - 5
 
 
-def test_verify_61_1_inconclusive():
-    rep = verify_61_1(2, SearchBudget(6))
+def test_verify_61_1_does_not_enumerate(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify_61_1 enumerated")
+    monkeypatch.setattr(search, "enumerate_admissible", refuse)
+    monkeypatch.setattr(search, "_enumerate_raw", refuse)
+    assert verify_61_1(7).status == "pass"
+
+
+def test_weak_certificate_is_inconclusive(fam, homology_of, monkeypatch):
+    lt, h = fam(3), homology_of(3)
+    newest, middle = lt.class_with_label(slope_seq(5)), lt.class_with_label(slope_seq(4))
+    # the newest label on an edge of degree > 1 whose cut, fib(6), is enough
+    swapped = dict(lt.boundary_slopes)
+    swapped[newest], swapped[middle] = swapped[middle], swapped[newest]
+    monkeypatch.setattr(search, "family", lambda i: LayeredTriangulation(lt.tri, swapped))
+    rep = verify_61_1(3)
+    assert rep.details["newest_edge_degree"] > 1
+    assert rep.details["newest_edge_cut"] >= fib(6)
+    assert rep.status == "inconclusive"
+    # degree 1, but a cut below fib(i+3)
+    monkeypatch.setattr(search, "family", lambda i: lt)
+    cuts = {**h.boundary_edge_cuts, newest: fib(6) - 1}
+    monkeypatch.setattr(search, "first_homology",
+                        lambda tri: replace(h, boundary_edge_cuts=cuts))
+    rep = verify_61_1(3)
+    assert rep.details["newest_edge_degree"] == 1
     assert rep.status == "inconclusive"
 
 
