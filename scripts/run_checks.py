@@ -6,7 +6,8 @@ calibration, the exponential lower bound on meridian discs from the newest
 edge's degree and cut number (also at T_99 and T_1000), the boundary
 pre-core length bound, parallelity-bundle claims on the minimal discs, and
 the one-crossing core-curve certificates with their arc bounds, each with a
-witness disc from the exhaustive search.  Everything recomputes from
+witness disc from the exhaustive search whose boundary curve is traced again
+from its boundary corner counts.  Everything recomputes from
 scratch; expect a few seconds with the default settings.
 """
 import argparse
@@ -23,6 +24,8 @@ from coretorus import (SearchBudget, boundary_h1, check_claims, face_bound_check
                        tet_bound_check, verify_61_1, verify_61_2)
 from coretorus.curves import min_boundary_precore_length
 from coretorus.layered import family
+from coretorus.normal import arc_count, boundary_curves_from_counts
+from coretorus.triangulation import FACE_VERTICES
 
 # one tetrahedron with two faces folded together: a ball
 FOLDED_BALL_TEXT = "tets 1\n0: - - 0:0132 0:0132\n"
@@ -140,6 +143,16 @@ def main():
             ok = ok and tb["ok"] and tb["endpoints_interior"]
             detail += f", tets<= {tb['max_arcs']}"
         row(f"core-curve certificate T_{i}", "ok" if ok else "FAIL", detail)
+        if found.discs:
+            # the witness's boundary, traced again from its boundary corner counts
+            disc, bc = found.discs[0], lt.tri.boundary_complex
+            counts = [[arc_count(disc.vector, t, f, vtx) for vtx in FACE_VERTICES[f]]
+                      for t, f in bc.triangles]
+            traced = boundary_curves_from_counts(bc, counts)
+            (curve,) = disc.surface.boundary_curves_by_component[0]
+            ok = [(c["length"], c["chain"]) for c in traced] == [(curve.length, curve.chain)]
+            row(f"boundary curve T_{i}", "ok" if ok else "FAIL",
+                f"{len(traced)} curve(s) from corner counts, length {curve.length}")
 
     for i in (0, 5, 10):
         rep = min_boundary_precore_length(i)

@@ -7,7 +7,7 @@ from .curves import (CurveCertificate, PLCurve, Segment, TransverseCurve,
                      algebraic_intersection, arcs_per_face, curve_h1_class,
                      face_bound_check, is_embedded, make_61_curve,
                      min_boundary_precore_length, push_off, tet_bound_check)
-from .geometry import GeometrizedSurface, geometrize
+from .geometry import GeometrizedSurface
 from .homology import (HomologySummary, MeridianCalibration, SolidTorusReport,
                        boundary_h1, calibrate, first_homology, manifold_h1,
                        smith_normal_form, solid_torus_candidate)

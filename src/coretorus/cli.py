@@ -141,7 +141,7 @@ def cmd_meridian(args, report):
         "boundary_length": d.boundary_length,
         "weight": d.weight,
     } for d in res.discs])
-    if not res.complete or res.inconclusive:
+    if res.inconclusive:
         report.set("status", "inconclusive")
         return EXIT_INCONCLUSIVE
     report.set("status", "found")

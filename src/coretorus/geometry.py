@@ -184,6 +184,3 @@ class GeometrizedSurface:
             gaps.append(Fraction(1, w + 1))
         return min(gaps) / 4
 
-
-def geometrize(tri, surface) -> GeometrizedSurface:
-    return GeometrizedSurface(tri, surface)

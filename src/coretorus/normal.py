@@ -27,6 +27,12 @@ coordinate counts, two-sidedness, and the boundary curves with their slopes
 edges, never by assuming minimal position).  The surface keeps each
 piece's index and the table from each (tetrahedron, directed edge) to its
 edge class's crossing order, which the bundle and the geometry read.
+
+Boundary curves have one tracer, ``trace_boundary_arcs``: it pairs the
+ends of boundary arcs at their crossings and walks each cycle once.  A
+reconstructed surface feeds it the arcs of its boundary faces, and
+``boundary_curves_from_counts`` the arcs of a curve given only by its
+corner counts on the boundary surface.
 """
 from __future__ import annotations
 
@@ -297,16 +303,6 @@ def piece_sides_in_face(piece, f):
 # -- reconstruction ----------------------------------------------------------
 
 @dataclass
-class Arc:
-    face_class: int
-    rep_slot: tuple          # (t, f) used for the type/stack coordinates
-    cut_vertex: int          # in rep_slot coordinates
-    level: int
-    sides: tuple             # ((t, f, vtx, piece), ...) one or two entries
-    endpoints: tuple = ()    # ((edge_class, canonical_index), ...) length 2
-
-
-@dataclass
 class NormalCurve:
     """One boundary curve component."""
     length: int
@@ -372,33 +368,34 @@ def reconstruct(tri, v: NormalVector) -> ReconstructedSurface:
                 pieces.append(("quad", t, q, m))
 
     canonical = _canonical_edge_indices(tri, v)
-    arcs = []
-    for fc_idx, slots in enumerate(tri.face_classes):
+    bc = tri.boundary_complex
+    arc_pieces = []         # per face arc: the piece on its first side
+    relations = []          # two-sidedness: sigma * side agrees across interior arcs
+    boundary_arcs = []      # the tracer's input, see trace_boundary_arcs
+    boundary_pieces = []    # the piece behind each boundary arc
+    for slots in tri.face_classes:
         t1, f1 = slots[0]
         for vtx in FACE_VERTICES[f1]:
-            x, y = (u for u in FACE_VERTICES[f1] if u != vtx)
-            (cx, ax, sx), (cy, ay, sy) = canonical[(t1, (vtx, x))], canonical[(t1, (vtx, y))]
             stack1 = face_stack(v, t1, f1, vtx)
+            arc_pieces += stack1
             if len(slots) == 2:
                 t2, f2 = slots[1]
                 perm = tri.gluings[t1][f1][1]
                 stack2 = face_stack(v, t2, f2, perm[vtx])
                 if len(stack1) != len(stack2):
                     raise TriangulationError("matching holds but stacks disagree")
-            for j, piece in enumerate(stack1):
-                sides = [(t1, f1, vtx, piece)]
-                if len(slots) == 2:
-                    sides.append((t2, f2, perm[vtx], stack2[j]))
-                ends = ((cx, ax + sx * j), (cy, ay + sy * j))
-                arcs.append(Arc(fc_idx, (t1, f1), vtx, j, tuple(sides), ends))
+                for p1, p2 in zip(stack1, stack2):
+                    relations.append((piece_id[p1], piece_id[p2],
+                                      piece_sides_in_face(p1, f1) * piece_sides_in_face(p2, f2)))
+                continue
+            i = bc.tri_index[(t1, f1)]
+            (cx, ax, sx), (cy, ay, sy) = (canonical[(t1, (vtx, x))]
+                                          for x in FACE_VERTICES[f1] if x != vtx)
+            bx, by = bc.bedge_of_manifold_edge[cx], bc.bedge_of_manifold_edge[cy]
+            for j in range(len(stack1)):
+                boundary_arcs.append((i, vtx, ((bx, ax + sx * j), (by, ay + sy * j))))
+            boundary_pieces += stack1
 
-    # two-sidedness: sigma * side must agree across every interior arc
-    relations = []
-    for arc in arcs:
-        if len(arc.sides) == 2:
-            (t1, f1, v1, p1), (t2, f2, v2, p2) = arc.sides
-            relations.append((piece_id[p1], piece_id[p2],
-                              piece_sides_in_face(p1, f1) * piece_sides_in_face(p2, f2)))
     sigma, comps = two_colour(range(len(pieces)), relations)
     components = [members for members, _ in comps]
     orientable = [ok for _, ok in comps]
@@ -427,9 +424,8 @@ def reconstruct(tri, v: NormalVector) -> ReconstructedSurface:
     f_count = [0] * n_comp
     for key, c in crossing_comp.items():
         v_count[c] += 1
-    for arc in arcs:
-        c = comp_of[piece_id[arc.sides[0][3]]]
-        e_count[c] += 1
+    for piece in arc_pieces:
+        e_count[comp_of[piece_id[piece]]] += 1
     for pid in range(len(pieces)):
         f_count[comp_of[pid]] += 1
     euler_by_component = [v_count[i] - e_count[i] + f_count[i] for i in range(n_comp)]
@@ -440,10 +436,10 @@ def reconstruct(tri, v: NormalVector) -> ReconstructedSurface:
     if euler_total != euler_from_counts:
         raise TriangulationError("Euler characteristic computations disagree")
 
-    curves = _boundary_curves(tri, arcs, piece_id, comp_of)
     curves_by_component = [[] for _ in range(n_comp)]
-    for comp, curve in curves:
-        curves_by_component[comp].append(curve)
+    for arc_ids, chain in trace_boundary_arcs(bc, boundary_arcs):
+        comp = comp_of[piece_id[boundary_pieces[arc_ids[0]]]]
+        curves_by_component[comp].append(NormalCurve(length=len(arc_ids), chain=chain))
 
     return ReconstructedSurface(
         tri=tri, vector=v, pieces=pieces, piece_id=piece_id, crossing_index=canonical,
@@ -457,56 +453,47 @@ def reconstruct(tri, v: NormalVector) -> ReconstructedSurface:
     )
 
 
-def _boundary_curves(tri, arcs, piece_id, comp_of):
-    bc = tri.boundary_complex
-    boundary_arcs = [i for i, a in enumerate(arcs)
-                     if len(tri.face_classes[a.face_class]) == 1]
-    # half-edge pairing: each boundary crossing matches its two arc ends
-    by_endpoint = {}
-    for i in boundary_arcs:
-        for which in (0, 1):
-            by_endpoint.setdefault(arcs[i].endpoints[which], []).append((i, which))
+def trace_boundary_arcs(bc, arcs):
+    """The one normal-curve tracer on the boundary surface.
+
+    Each arc is (boundary triangle, cut-off corner, (key0, key1)): key k is
+    the crossing ``(boundary edge, index)`` at the arc's end through the
+    corner's k-th other vertex of the face.  Ends with the same key are
+    paired, and each cycle is walked once from its first arc, entering at
+    end 0.  Per curve: its arc indices in walk order and its boundary-edge
+    1-cycle (bedge -> nonzero coefficient)."""
+    ends = {}
+    for a, (_, _, keys) in enumerate(arcs):
+        for end, key in enumerate(keys):
+            ends.setdefault(key, []).append((a, end))
     partner = {}
-    for end, halves in by_endpoint.items():
+    for key, halves in ends.items():
         if len(halves) != 2:
-            raise TriangulationError(f"boundary crossing {end} has {len(halves)} arc ends")
+            raise TriangulationError(f"boundary crossing {key} has {len(halves)} arc ends")
         partner[halves[0]] = halves[1]
         partner[halves[1]] = halves[0]
 
-    visited = set()
+    seen = [False] * len(arcs)
     out = []
-    for start_arc in boundary_arcs:
-        if (start_arc, 0) in visited:
+    for start in range(len(arcs)):
+        if seen[start]:
             continue
-        cyc = []                    # (arc id, entry end slot)
-        cur = (start_arc, 0)
+        arc_ids, chain = [], {}
+        a, entry = start, 0
         while True:
-            a, s = cur
-            visited.add((a, s))
-            visited.add((a, 1 - s))
-            cyc.append(cur)
-            nxt = partner[(a, 1 - s)]
-            if nxt == (start_arc, 0):
+            seen[a] = True
+            arc_ids.append(a)
+            i, vtx, keys = arcs[a]
+            b, b_entry = partner[(a, 1 - entry)]
+            a_end = _corner_end(bc, i, vtx, 1 - entry)
+            b_end = _corner_end(bc, arcs[b][0], arcs[b][1], b_entry)
+            if a_end != b_end:
+                bedge = keys[1 - entry][0]
+                chain[bedge] = chain.get(bedge, 0) + (1 if a_end == 0 else -1)
+            if (b, b_entry) == (start, 0):
                 break
-            cur = nxt
-
-        chain = {}
-        n = len(cyc)
-        for k in range(n):
-            prev_id, prev_entry = cyc[k]
-            next_id, next_entry = cyc[(k + 1) % n]
-            ecls, _ = arcs[prev_id].endpoints[1 - prev_entry]
-            bedge = bc.bedge_of_manifold_edge[ecls]
-            prev, nxt = arcs[prev_id], arcs[next_id]
-            prev_end = _corner_end(bc, bc.tri_index[prev.rep_slot], prev.cut_vertex,
-                                   1 - prev_entry)
-            next_end = _corner_end(bc, bc.tri_index[nxt.rep_slot], nxt.cut_vertex, next_entry)
-            if prev_end != next_end:
-                chain[bedge] = chain.get(bedge, 0) + (1 if prev_end == 0 else -1)
-
-        comp = comp_of[piece_id[arcs[start_arc].sides[0][3]]]
-        out.append((comp, NormalCurve(length=n,
-                                      chain={k: c for k, c in chain.items() if c})))
+            a, entry = b, b_entry
+        out.append((arc_ids, {k: c for k, c in chain.items() if c}))
     return out
 
 
@@ -557,71 +544,22 @@ def boundary_curves_from_counts(bc, counts):
     if not boundary_counts_match(bc, counts):
         raise ValueError("corner counts violate the matching equations")
 
-    arcs = []        # (triangle, corner vertex, level)
+    arcs = []
     for i, (t, f) in enumerate(bc.triangles):
         verts = FACE_VERTICES[f]
         for pos, vtx in enumerate(verts):
+            ends = []           # per end: (bedge, crossing index of level 0, step)
+            for other in (u for u in verts if u != vtx):
+                pair = tuple(sorted((vtx, other)))
+                be = bc.bedges[bc.bedge_of_side[(i, bc.side_of(i, pair))]]
+                last = counts[i][verts.index(pair[0])] + counts[i][verts.index(pair[1])] - 1
+                # levels run from the corner; the bedge counts along its sign
+                if (vtx == pair[0]) == (be.sign[(i, pair)] == 1):
+                    ends.append((be.index, 0, 1))
+                else:
+                    ends.append((be.index, last, -1))
+            (b0, a0, s0), (b1, a1, s1) = ends
             for level in range(counts[i][pos]):
-                arcs.append((i, vtx, level))
-
-    def endpoints(arc):
-        i, vtx, level = arc
-        t, f = bc.triangles[i]
-        verts = FACE_VERTICES[f]
-        out = []
-        for other in (u for u in verts if u != vtx):
-            pair = tuple(sorted((vtx, other)))
-            k = bc.side_of(i, pair)
-            be = bc.bedges[bc.bedge_of_side[(i, k)]]
-            c_a = counts[i][verts.index(pair[0])]
-            c_b = counts[i][verts.index(pair[1])]
-            pos = level if vtx == pair[0] else c_a + c_b - 1 - level
-            sign = be.sign[(i, pair)]
-            canonical = pos if sign == 1 else c_a + c_b - 1 - pos
-            out.append((be.index, canonical))
-        return tuple(out)
-
-    ends = {}
-    for idx, arc in enumerate(arcs):
-        for which, pt in enumerate(endpoints(arc)):
-            ends.setdefault(pt, []).append((idx, which))
-    partner = {}
-    for pt, halves in ends.items():
-        if len(halves) != 2:
-            raise ValueError(f"crossing {pt} has {len(halves)} arc ends")
-        partner[halves[0]] = halves[1]
-        partner[halves[1]] = halves[0]
-
-    visited = set()
-    out = []
-    for start in range(len(arcs)):
-        if (start, 0) in visited:
-            continue
-        cyc = []
-        cur = (start, 0)
-        while True:
-            a, s = cur
-            visited.add((a, s))
-            visited.add((a, 1 - s))
-            cyc.append(cur)
-            nxt = partner[(a, 1 - s)]
-            if nxt == (start, 0):
-                break
-            cur = nxt
-        chain = {}
-        n = len(cyc)
-        for k in range(n):
-            a_id, a_in = cyc[k]
-            b_id, b_in = cyc[(k + 1) % n]
-            pt = endpoints(arcs[a_id])[1 - a_in]
-            be_idx = pt[0]
-            end_a = _corner_end(bc, *arcs[a_id][:2], 1 - a_in)
-            end_b = _corner_end(bc, *arcs[b_id][:2], b_in)
-            if end_a != end_b:
-                chain[be_idx] = chain.get(be_idx, 0) + (1 if end_a == 0 else -1)
-        out.append({
-            "arcs": [arcs[a] for a, _ in cyc],
-            "length": n,
-            "chain": {k: c for k, c in chain.items() if c},
-        })
-    return out
+                arcs.append((i, vtx, ((b0, a0 + s0 * level), (b1, a1 + s1 * level))))
+    return [{"length": len(arc_ids), "chain": chain}
+            for arc_ids, chain in trace_boundary_arcs(bc, arcs)]

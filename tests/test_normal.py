@@ -155,6 +155,33 @@ def test_boundary_curve_oracle_attains_formula(fam, homology_of):
             assert (mult, got) == (1, s)
 
 
+def test_surface_and_count_tracing_agree(fam, minimal_disc):
+    # a reconstructed surface's boundary curves are those traced from its
+    # boundary corner counts, in the same order, with the same lengths and
+    # chains: on every admissible vector of T_0..T_3 within the recorded
+    # piece budget, and on the doubled minimal discs (two curves each)
+    def agree(tri, v):
+        bc = tri.boundary_complex
+        counts = [[arc_count(v, t, f, vtx) for vtx in FACE_VERTICES[f]]
+                  for t, f in bc.triangles]
+        surface = reconstruct(tri, v)
+        got = [(c.length, c.chain) for curves in surface.boundary_curves_by_component
+               for c in curves]
+        assert got == [(c["length"], c["chain"])
+                       for c in boundary_curves_from_counts(bc, counts)]
+        return len(got)
+
+    vectors = 0
+    for i in range(4):
+        tri = fam(i).tri
+        for v in enumerate_admissible(tri, SearchBudget(fib(i + 6) - 4)):
+            agree(tri, v)
+            vectors += 1
+    assert vectors == 111
+    for i in range(3):
+        assert agree(fam(i).tri, 2 * minimal_disc(i).vector) == 2
+
+
 def test_crossing_position_is_the_stack_index(fam):
     # the one rule for where a piece meets an edge agrees with both stacking
     # orders: the piece's index along every directed edge it crosses, and its
