@@ -236,6 +236,11 @@ def cmd_verify(args, report):
         report.set("claim2_prime_meets_both_copies", claims.claim2)
         report.set("minimal_certified", m.certified)
         report.set("details", claims.details)
+        # the claims are stated for the minimal disc: an uncertified minimum
+        # neither proves nor refutes them
+        if not m.certified:
+            report.set("status", "inconclusive")
+            return EXIT_INCONCLUSIVE
         report.set("status", "pass" if claims.claim1 and claims.claim2 else "fail")
         return EXIT_PASS if claims.claim1 and claims.claim2 else EXIT_FAIL
     elif args.check == "curve-bounds":

@@ -80,17 +80,19 @@ class _TetPlan:
 
     targets[k] are the arc counts of the earlier tetrahedra across its
     glued-down faces, each the sum of one triangle and one quad coordinate
-    of an earlier row.  A forced coordinate v is targets[k] + c * qcount.
-    ``checks`` are pairs of targets that must agree; ``pins`` are (k, j, m)
-    with targets[k] - targets[j] = m * qcount (index None reads 0).  Each
-    free class is a representative coordinate x >= 0 and its members at
-    x + c * qcount.
+    of an earlier row; one extra last slot reads 0.  Triangle coordinate v
+    starts at targets[k] + c * qcount for its term (k, c): a forced
+    coordinate keeps that value, and a coordinate of a free class starts at
+    the least value that keeps the whole class nonnegative.  ``checks`` are
+    pairs of targets that must agree; ``pins`` are (k, j, m) with
+    targets[k] - targets[j] = m * qcount.  Each free class is (members,
+    size, weight): raising it by one adds one to each member coordinate.
     """
     qtype: int | None
-    forced: list              # (v, k, c)
+    terms: tuple              # (k, c) per triangle coordinate
     checks: list              # (k, j)
     pins: list                # (k, j, m)
-    classes: list             # [(v, c), ...] per class, representative first
+    classes: list             # (members, size, weight)
     quad_weight: int          # first-slot edges the quad crosses
 
 
@@ -123,30 +125,33 @@ def _plans(tri):
             elif t2 == t and perm[f] > f:
                 selfs += [(f, vtx, perm[f], perm[vtx]) for vtx in FACE_VERTICES[f]]
         wcoef = [sum(v in e for e in first_slots[t]) for v in range(4)]
-        plans = [_plan(qt, cross, selfs, first_slots[t]) for qt in (None, 0, 1, 2)]
+        plans = [_plan(qt, cross, selfs, first_slots[t], wcoef, len(sources))
+                 for qt in (None, 0, 1, 2)]
         out.append((sources, wcoef, plans))
     return out
 
 
-def _plan(qt, cross, selfs, first_slots):
+def _plan(qt, cross, selfs, first_slots, wcoef, zero):
     def cut(f, vtx):
         return int(qt is not None and QUAD_CUT[qt][f] == vtx)
 
     # edges x -> y with value(y) = value(x) + targets[k] + c * qcount, where
-    # node 4 is the constant 0 and k is None on a self-gluing equation
+    # node 4 is the constant 0 and k is the zero slot on a self-gluing
+    # equation
     adj = {x: [] for x in range(5)}
     for f, vtx, k in cross:
         adj[4].append((vtx, k, -cut(f, vtx)))
     for f1, v1, f2, v2 in selfs:
         c = cut(f1, v1) - cut(f2, v2)
-        adj[v1].append((v2, None, c))
-        adj[v2].append((v1, None, -c))
-    form = {}                 # node -> (target index or None, c)
-    forced, checks, pins, classes = [], [], [], []
+        adj[v1].append((v2, zero, c))
+        adj[v2].append((v1, zero, -c))
+    form = {}                 # node -> (target index, c)
+    terms = [None] * 4
+    checks, pins, classes = [], [], []
     for root in (4, 0, 1, 2, 3):
         if root in form or (root == 4 and not adj[4]):
             continue
-        form[root] = (None, 0)
+        form[root] = (zero, 0)
         members = []
         queue = [root]
         while queue:
@@ -155,7 +160,7 @@ def _plan(qt, cross, selfs, first_slots):
             if x != 4:
                 members.append((x, cx))
             for y, k, c in adj[x]:
-                want = (kx if k is None else k, cx + c)
+                want = (kx if k == zero else k, cx + c)
                 if y not in form:
                     form[y] = want
                     queue.append(y)
@@ -168,11 +173,18 @@ def _plan(qt, cross, selfs, first_slots):
                 elif cw != cy:
                     pins.append((ky, kw, cw - cy))
         if root == 4:
-            forced = [(v, k, c) for v, (k, c) in form.items() if v != 4]
+            for v, _ in members:
+                terms[v] = form[v]
         else:
-            classes.append(members)
+            # the representative (c = 0) is a member, so the least value
+            # lo * qcount is >= 0
+            lo = max(-c for _, c in members)
+            for v, c in members:
+                terms[v] = (zero, lo + c)
+            vs = tuple(v for v, _ in members)
+            classes.append((vs, len(vs), sum(wcoef[v] for v in vs)))
     quad_weight = 0 if qt is None else sum(e in QUAD_CROSSES[qt] for e in first_slots)
-    return _TetPlan(qt, forced, checks, pins, classes, quad_weight)
+    return _TetPlan(qt, tuple(terms), checks, pins, classes, quad_weight)
 
 
 def _enumerate_raw(tri, budget):
@@ -189,68 +201,77 @@ def _enumerate_raw(tri, budget):
         if deadline is not None and time.monotonic() > deadline:
             raise BudgetExhausted("time limit reached")
 
+    def fill(out, classes, i, vals, quad, pieces, weight, piece_left, weight_left):
+        """Extend vals by the free classes from i on, each from its least
+        value up while the budgets hold; pieces and weight count vals with
+        those classes at their least values, which are within the budgets."""
+        if i == len(classes):
+            out.append((tuple(vals) + quad, pieces, weight))
+            return
+        members, size, class_weight = classes[i]
+        steps = 0
+        while True:
+            fill(out, classes, i + 1, vals, quad, pieces, weight, piece_left, weight_left)
+            pieces += size
+            weight += class_weight
+            if pieces > piece_left or (weight_left is not None and weight > weight_left):
+                break
+            check_deadline()
+            for v in members:
+                vals[v] += 1
+            steps += 1
+        for v in members:
+            vals[v] -= steps
+
     def tet_candidates(t, rows, piece_left, weight_left):
         """(row, pieces, weight) for tetrahedron t within the budgets."""
-        sources, wcoef, tplans = plans[t]
+        sources, (w0, w1, w2, w3), tplans = plans[t]
         targets = [rows[tp][v] + rows[tp][q] for tp, v, q in sources]
-
-        def value(k):
-            return 0 if k is None else targets[k]
-
-        def fill(classes, vals, quad, quad_weight):
-            """Extend by the free classes, each from its least value on;
-            False when even the least values exceed a budget."""
-            pieces = sum(vals) + sum(quad)
-            weight = sum(w * x for w, x in zip(wcoef, vals)) + quad_weight
-            if pieces > piece_left or (weight_left is not None and weight > weight_left):
-                return False
-            if not classes:
-                out.append((tuple(vals) + quad, pieces, weight))
-                return True
-            steps = 0
-            while fill(classes[1:], vals, quad, quad_weight):
-                check_deadline()
-                for v, _ in classes[0]:
-                    vals[v] += 1
-                steps += 1
-            for v, _ in classes[0]:
-                vals[v] -= steps
-            return True
-
+        targets.append(0)
         out = []
         for plan in tplans:
-            if any(value(k) != value(j) for k, j in plan.checks):
+            agree = True
+            for k, j in plan.checks:
+                if targets[k] != targets[j]:
+                    agree = False
+                    break
+            if not agree:
                 continue
             qt = plan.qtype
             if qt is None:
                 qrange = (0,)
             elif plan.pins:
                 k, j, m = plan.pins[0]
-                qc, rem = divmod(value(k) - value(j), m)
-                if rem or qc < 1 or any(value(k) - value(j) != m * qc
-                                        for k, j, m in plan.pins[1:]):
+                qc = (targets[k] - targets[j]) // m
+                for k, j, m in plan.pins:       # the first fails on a remainder
+                    if targets[k] - targets[j] != m * qc:
+                        agree = False
+                        break
+                if not agree or qc < 1:
                     continue
                 qrange = (qc,)
             else:
+                # only a forced coordinate falls as the quad count grows
                 hi = piece_left
-                for _, k, c in plan.forced:
+                for k, c in plan.terms:
                     if c < 0:
                         hi = min(hi, targets[k] // -c)
                 qrange = range(1, hi + 1)
-            for qc in qrange:
+            (k0, c0), (k1, c1), (k2, c2), (k3, c3) = plan.terms
+            classes, quad_weight = plan.classes, plan.quad_weight
+            for qc in qrange:           # qc is 0 without a quad type
                 check_deadline()
-                vals = [0, 0, 0, 0]
-                for v, k, c in plan.forced:
-                    vals[v] = targets[k] + c * qc
-                if min(vals) < 0:
+                a, b, c, d = (targets[k0] + c0 * qc, targets[k1] + c1 * qc,
+                              targets[k2] + c2 * qc, targets[k3] + c3 * qc)
+                if a < 0 or b < 0 or c < 0 or d < 0:
                     continue
-                for members in plan.classes:
-                    # the representative (c = 0) is a member, so x >= 0
-                    x = max(-c * qc for _, c in members)
-                    for v, c in members:
-                        vals[v] = x + c * qc
-                quad = (qc if qt == 0 else 0, qc if qt == 1 else 0, qc if qt == 2 else 0)
-                fill(plan.classes, vals, quad, qc * plan.quad_weight)
+                pieces = a + b + c + d + qc
+                weight = w0 * a + w1 * b + w2 * c + w3 * d + quad_weight * qc
+                if pieces > piece_left or (weight_left is not None and weight > weight_left):
+                    continue
+                quad = (qc, 0, 0) if qt == 0 else (0, qc, 0) if qt == 1 else (0, 0, qc)
+                fill(out, classes, 0, [a, b, c, d], quad, pieces, weight,
+                     piece_left, weight_left)
         return out
 
     stack_rows = []

@@ -1,11 +1,12 @@
 import json
 import os
 import tempfile
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from coretorus import search
+from coretorus import cli, search
 from coretorus.cli import run
 from coretorus.curves import make_61_curve
 from coretorus.layered import family
@@ -93,6 +94,26 @@ def test_verify_subcommands(capsys):
     assert code == 0
     code, out = _capture(capsys, ["--json", "verify", "curve-bounds", "--i", "1"])
     assert code == 0
+
+
+def test_verify_claims_needs_a_certified_minimum(capsys, monkeypatch):
+    code, out = _capture(capsys, ["--json", "verify", "claims", "--i", "1"])
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["status"] == "pass" and results["minimal_certified"] is True
+    # the same disc without its certificate: the claims hold on it, but they
+    # are stated for the minimal disc, so the run settles nothing
+    real = cli.minimal_complexity_disc
+
+    def uncertified(tri, budget):
+        return replace(real(tri, budget), certified=False, inconclusive=True,
+                       note="certification pass hit the budget")
+    monkeypatch.setattr(cli, "minimal_complexity_disc", uncertified)
+    code, out = _capture(capsys, ["--json", "verify", "claims", "--i", "1"])
+    assert code == 3
+    results = json.loads(out)["results"]
+    assert results["status"] == "inconclusive" and results["minimal_certified"] is False
+    assert results["claim1_all_products"] and results["claim2_prime_meets_both_copies"]
 
 
 def test_curve_roundtrip(tmp_path, capsys):

@@ -1,18 +1,23 @@
+import hashlib
 import time
 from dataclasses import replace
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
 
 from coretorus import first_homology, search
 from coretorus.layered import LayeredTriangulation
 from coretorus.normal import (NormalVector, check_admissible, check_matching,
-                              count_euler, edge_weight, reconstruct)
+                              count_euler, edge_weight, reconstruct, total_weight)
 from coretorus.search import (BudgetExhausted, DiscSearchResult, MeridianDisc, SearchBudget,
                               _enumerate_raw, enumerate_admissible,
                               find_meridian_discs, minimal_complexity_disc,
                               verify_61_1, verify_61_2)
 from coretorus.slopes import fib, slope_seq
-from coretorus.triangulation import parse_tri
+from coretorus.triangulation import Triangulation, TriangulationError, parse_tri
+
+from test_triangulation import gluing_tables
 
 
 def test_zero_budget_gives_zero_vector(fam):
@@ -41,7 +46,6 @@ def test_enumeration_prefix_monotone(fam):
 def test_enumeration_matches_brute_force_on_one_tet(fam):
     # independent oracle: scan the whole coordinate grid of the single
     # tetrahedron and keep what is admissible and matching
-    from itertools import product
     tri = fam(0).tri
     budget = 4
     brute = []
@@ -55,6 +59,75 @@ def test_enumeration_matches_brute_force_on_one_tet(fam):
     assert enumerate_admissible(tri, SearchBudget(budget)) == brute
 
 
+# every admissible row (at most one quad type) with at most 3 pieces
+SMALL_ROWS = [r for r in product(range(4), repeat=7)
+              if sum(r) <= 3 and sum(q > 0 for q in r[4:]) <= 1]
+
+
+def _assert_matches_brute_force(tri):
+    """The enumerator against every admissible vector of at most 3 pieces
+    that matches, at piece budget 3 and with a weight budget of 2."""
+    brute = [NormalVector(rows) for rows in product(SMALL_ROWS, repeat=tri.tet_count)
+             if sum(map(sum, rows)) <= 3]
+    brute = [v for v in brute if check_matching(tri, v)[0]]
+    brute.sort(key=lambda v: (v.piece_count(), v.coords))
+    assert enumerate_admissible(tri, SearchBudget(3)) == brute
+    light = [v for v in brute if total_weight(tri, v) <= 2]
+    assert enumerate_admissible(tri, SearchBudget(3, max_weight=2)) == light
+
+
+# two tetrahedra whose plans check two targets against each other, pin the
+# quad count, cap a quad scan by a target and leave free classes
+CHECKED_TEXT = "tets 2\n0: 1:3201 1:2031 - 1:2031\n1: 0:1302 0:1302 - 0:2310\n"
+
+
+def test_brute_force_reaches_every_kind_of_plan():
+    assert len(SMALL_ROWS) == 98
+    tri = parse_tri(CHECKED_TEXT)
+    plans = [p for _, _, tplans in search._plans(tri) for p in tplans]
+    assert any(p.checks for p in plans) and any(p.pins for p in plans)
+    assert any(c < 0 for p in plans for _, c in p.terms)
+    assert any(p.classes for p in plans)
+    _assert_matches_brute_force(tri)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(gluing_tables(max_tets=2))
+def test_enumeration_matches_brute_force_on_random_tables(table):
+    try:
+        tri = Triangulation(table)
+    except TriangulationError:
+        return
+    _assert_matches_brute_force(tri)
+
+
+# sha256 of repr([v.coords for v in vectors]) for enumerate_admissible's
+# output, recorded before the per-tetrahedron step was flattened: the order
+# and the vectors must not change
+ENUMERATION_DIGESTS = {
+    ("T_0", 4, None): "15e1b17688c22e8488ce7cac566fb70d3d47f30599d64756ca86c9caf61b649c",
+    ("T_1", 9, None): "216f8d9e3b76a0d4b08a37d083044ad3b8bd3be0ec4a9c0c8e53e166239d2fa7",
+    ("T_2", 17, None): "ca39eddc5952bd64aa23fcc5019cf9b7104b12f913a01eff99e06a637a4c9e6e",
+    ("T_3", 30, None): "3d80a39267d0c6533924f94f9f1da28789570214ed1c7ab86a91d3f129de6bc0",
+    ("T_4", 51, None): "33380932cc81d37d14279c7d394efe488e0306315550de66cb1f61fb3fcbd86a",
+    ("T_0", 12, 6): "cb07270e5ac3fd86c5ddce2fda4f9c46c5c5add30e0fe19a40983ce9464a380e",
+    ("T_1", 22, 11): "6fdadcfb1b0ab4fedcf444ebaad9f28f4fe2ae752b5becf44a4107483b09969d",
+    ("T_2", 38, 19): "970a4d2e26e73166da058088ff284d18cf89360a61b442ae58b9494fe0a5cfac",
+    ("T_3", 64, 32): "578333eb3b71e7b612b68552faf12bd415724b2902f9881b89935a5d7c729c51",
+    ("two-vertex", 13, None): "ee949bd6b12bd9a52dee2330a213d7a5d8086332cb25c1fb695c7afe0118249e",
+}
+
+
+def test_enumeration_output_is_unchanged(fam):
+    # T_0..T_4 at fib(i+6) - 4, T_0..T_3 at the weight fib(i+6) - 2 of the
+    # least disc (twice that in pieces), and the two-vertex torus at 13
+    for (name, pieces, weight), want in ENUMERATION_DIGESTS.items():
+        tri = parse_tri(TWO_VERTEX_TEXT) if name == "two-vertex" else fam(int(name[2:])).tri
+        vectors = enumerate_admissible(tri, SearchBudget(pieces, max_weight=weight))
+        got = hashlib.sha256(repr([v.coords for v in vectors]).encode()).hexdigest()
+        assert got == want, (name, pieces, weight)
+
+
 def test_admissible_counts_at_recorded_budgets(fam):
     # computed regression values at the recorded piece budgets fib(i+6) - 4
     counts = {0: 8, 1: 9, 2: 28, 3: 66, 4: 175, 5: 1173}
@@ -65,7 +138,6 @@ def test_admissible_counts_at_recorded_budgets(fam):
 
 def test_weight_budget(fam):
     tri = fam(0).tri
-    from coretorus.normal import total_weight
     vecs = enumerate_admissible(tri, SearchBudget(8, max_weight=6))
     assert all(total_weight(tri, v) <= 6 for v in vecs)
     all_vecs = enumerate_admissible(tri, SearchBudget(8))

@@ -124,10 +124,10 @@ _PERMS = tuple(permutations(range(4)))
 
 
 @st.composite
-def gluing_tables(draw):
-    """Random gluing tables on 1-3 tetrahedra: face slots paired at random,
-    each pair glued by a permutation carrying one face to the other."""
-    n = draw(st.integers(1, 3))
+def gluing_tables(draw, max_tets=3):
+    """Random gluing tables on 1 to max_tets tetrahedra: face slots paired at
+    random, each pair glued by a permutation carrying one face to the other."""
+    n = draw(st.integers(1, max_tets))
     slots = draw(st.permutations([(t, f) for t in range(n) for f in range(4)]))
     pairs = draw(st.integers(0, len(slots) // 2))
     table = [[None] * 4 for _ in range(n)]
