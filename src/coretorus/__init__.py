@@ -19,8 +19,7 @@ from .search import (BudgetExhausted, DiscSearchResult, MeridianDisc,
                      MinimalDiscResult, SearchBudget, enumerate_admissible,
                      find_meridian_discs, minimal_complexity_disc, verify_61_1,
                      verify_61_2)
-from .slopes import (Slope, SlopeTriple, at_least_golden_power, binet_check,
-                     elementary_move, fib, intersection, lucas, mediant,
-                     normalize_slope, slope_seq)
+from .slopes import (Slope, SlopeTriple, at_least_golden_power, elementary_move, fib,
+                     intersection, lucas, mediant, normalize_slope, slope_seq)
 from .triangulation import (ParseError, SkeletonSummary, Triangulation,
                             TriangulationError, parse_tri, serialize_tri)

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .normal import (NormalVector, QUAD_MISSED, arc_count, crossing_position,
-                     edge_weight, edge_stack, face_stack, piece_cycle, piece_sides_in_face,
+                     edge_weight, face_stack, piece_at, piece_cycle, piece_sides_in_face,
                      quad_cut_vertex, quad_low_side, reconstruct)
 from .search import MeridianDisc
 from .triangulation import (FACE_VERTICES, TriangulationError, _UnionFind, perm_inverse,
@@ -74,12 +74,12 @@ def region_behind_face_bit(v: NormalVector, t, f, bit):
         vq = quad_cut_vertex(q, f)
         return ("central", "high" if _central_side(q, vq) == "low" else "low")
     _, vtx, k = bit
-    stack = face_stack(v, t, f, vtx)
     if k == 0:
         if v.tri(t, vtx) >= 1:
             return ("cap", vtx)
         return ("central", _central_side(q, vtx))
-    lo, hi = stack[k - 1], stack[k]
+    edge = (vtx, next(x for x in FACE_VERTICES[f] if x != vtx))
+    lo, hi = piece_at(v, t, edge, k - 1), piece_at(v, t, edge, k)
     if lo[0] == "tri" and hi[0] == "tri":
         return ("tslab", vtx, lo[3])
     if lo[0] == "quad" and hi[0] == "quad":
@@ -408,8 +408,7 @@ class BundleComplex:
             # the slot gap of the class gap, read back through the crossing index
             _, a, s = self.surface.crossing_index[(t, d)]
             slot_gap = min(s * (gap - a), s * (gap + 1 - a))
-            stack = edge_stack(self.v, t, d)
-            p_a, p_b = stack[slot_gap], stack[slot_gap + 1]
+            p_a, p_b = piece_at(self.v, t, d, slot_gap), piece_at(self.v, t, d, slot_gap + 1)
             lo_piece, hi_piece = (p_a, p_b) if s == 1 else (p_b, p_a)
             toward_hi = d if s == 1 else (d[1], d[0])
             lo = sigma[piece_id[lo_piece]] * _piece_dir_sign(lo_piece, toward_hi)

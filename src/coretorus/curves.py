@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .geometry import (GeometrizedSurface, corner_point, face_chart_point,
+from .geometry import (GeometrizedSurface, corner_point, face_chart_point, on_segment,
                        orient2, segments_cross_properly, segments_intersect)
 from .homology import manifold_h1
 from .slopes import at_least_golden_power, fib, min_pre_core_intersection, slope_seq
@@ -146,16 +146,6 @@ class PLCurve:
         return PLCurve(tri, segs)
 
 
-def _on_segment_strict(a, b, q):
-    """Is q on the closed segment ab, excluding the endpoint a == q, b == q?"""
-    if q == a or q == b:
-        return False
-    if orient2(a, b, q) != 0:
-        return False
-    return (min(a[0], b[0]) <= q[0] <= max(a[0], b[0])
-            and min(a[1], b[1]) <= q[1] <= max(a[1], b[1]))
-
-
 def is_embedded(curve: PLCurve) -> bool:
     """Exact pairwise disjointness, allowing only the shared junction point
     between cyclically consecutive segments."""
@@ -192,8 +182,9 @@ def is_embedded(curve: PLCurve) -> bool:
                 if d1[0] * d2[0] + d1[1] * d2[1] > 0:
                     return False
             # an endpoint in the other segment's interior
-            if _on_segment_strict(a1, b1, q2) or _on_segment_strict(a2, b2, q1):
-                return False
+            for a, b, q in ((a1, b1, q2), (a2, b2, q1)):
+                if q not in (a, b) and orient2(a, b, q) == 0 and on_segment(a, b, q):
+                    return False
     return True
 
 

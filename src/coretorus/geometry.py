@@ -1,11 +1,10 @@
-"""Straight-line realization of normal surfaces in exact rational arithmetic.
+"""Straight face arcs of normal surfaces in exact rational arithmetic.
 
 The k-th crossing point along an edge of weight w sits at parameter
 (k+1)/(w+1) measured along the edge class's representative direction, which
 makes the ordering of crossing points consistent in every tetrahedron
 around the edge.  Arcs are straight segments between their edge points in
-the affine structure of each face; triangles are flat; squares are realized
-as two flat triangles glued along a chosen diagonal.
+the affine structure of each face.
 
 A face slot's arcs are built on first read and cached, so a caller that
 reads one face (the core-curve certificate) builds only that face.
@@ -16,10 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
-from .normal import (crossing_position, edge_slot_crossings, face_stack, piece_cycle,
-                     piece_sides_in_face)
+from .normal import edge_slot_crossings, face_stack, piece_sides_in_face
 from .triangulation import FACE_VERTICES
 
 
@@ -94,8 +91,7 @@ class FaceArc:
 
 class GeometrizedSurface:
     """Per face slot: straight arcs with exactly placed endpoints and the
-    global transverse orientation; per piece: flat 3D triangles in the
-    reference simplex."""
+    global transverse orientation."""
 
     def __init__(self, tri, surface):
         self.tri = tri
@@ -133,54 +129,3 @@ class GeometrizedSurface:
         if arcs is None:
             arcs = self._face_arcs[(t, f)] = self._build_face(t, f)
         return arcs
-
-    def arcs_disjoint_in_every_face(self):
-        return not any(segments_intersect(a.p0, a.p1, b.p0, b.p1)
-                       for t in range(self.tri.tet_count) for f in range(4)
-                       for a, b in combinations(self.face_arcs(t, f), 2))
-
-    # -- 3D realization ----------------------------------------------------
-
-    def piece_corners(self, piece):
-        """Corner points of a piece in the reference simplex (Q^4 barycentric),
-        in cyclic order around the piece."""
-        t = piece[1]
-        corners = []
-        for u, w in piece_cycle(piece):
-            pos = crossing_position(self.vector, t, piece, (u, w))
-            corners.append(self._simplex_point(u, w, self.edge_point_param(t, (u, w), pos)))
-        return corners
-
-    @staticmethod
-    def _simplex_point(u, w, s):
-        pt = [Fraction(0)] * 4
-        pt[u] = 1 - s
-        pt[w] = s
-        return tuple(pt)
-
-    def piece_flat_triangles(self, piece):
-        """One triangle for a normal triangle, two (sharing the chosen
-        diagonal) for a square.  The diagonal is the one whose endpoints have
-        the lexicographically larger pair of edge positions, a documented
-        arbitrary-but-fixed choice."""
-        corners = self.piece_corners(piece)
-        if len(corners) == 3:
-            return [tuple(corners)]
-        d1 = tuple(sorted((corners[0], corners[2])))
-        d2 = tuple(sorted((corners[1], corners[3])))
-        if d1 >= d2:
-            return [(corners[0], corners[1], corners[2]),
-                    (corners[0], corners[2], corners[3])]
-        return [(corners[1], corners[2], corners[3]),
-                (corners[1], corners[3], corners[0])]
-
-    def transversality_margin(self):
-        """A rational smaller than every gap between special points on every
-        edge, safe as a perturbation budget for transverse curves."""
-        gaps = [Fraction(1)]
-        for ec in self.tri.edge_classes:
-            t, e = ec.slots[0]
-            w = edge_slot_crossings(self.vector, t, e)
-            gaps.append(Fraction(1, w + 1))
-        return min(gaps) / 4
-

@@ -317,15 +317,6 @@ class MeridianCalibration:
     def is_meridian_class(self, w):
         return tuple(w) in (tuple(self.kernel), tuple(-c for c in self.kernel))
 
-    def manifold_image(self, w):
-        return _manifold_image(self.bc, self.h1_bdry, self.h1_mfld, w)
-
-    def cut_number(self, manifold_edge_index):
-        """|image in H1(M)| of a boundary edge loop, i.e. its meridian
-        intersection number; None if the edge joins two different vertices
-        of the boundary (a loop there is a loop in M too)."""
-        return self.cuts.get(manifold_edge_index)
-
     def boundary_edge_slope(self, manifold_edge_index):
         return self.slope_of_coords(self.edge_coords[manifold_edge_index])[1]
 

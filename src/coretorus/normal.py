@@ -16,6 +16,8 @@ shared, and nothing is stored on a vector.
 Where a piece meets a tetrahedron edge also has one rule,
 ``crossing_position``: the piece's index along the directed edge, counted
 from the tail, which is also its arc level in the tail's corner stack.
+Its inverse ``piece_at`` names the piece at a given position, and the
+whole corner stack of a face (``face_stack``) is read through it.
 ``piece_cycle`` lists the directed edges a piece crosses, in cyclic order
 around it.
 
@@ -142,13 +144,6 @@ class NormalVector:
     def to_json(self):
         return [list(row) for row in self.coords]
 
-    def to_text(self):
-        lines = []
-        for t, row in enumerate(self.coords):
-            lines.append(f"tet {t}: T {row[0]} {row[1]} {row[2]} {row[3]} | "
-                         f"Q {row[4]} {row[5]} {row[6]}")
-        return "\n".join(lines) + "\n"
-
     @staticmethod
     def from_json(data):
         try:
@@ -159,10 +154,6 @@ class NormalVector:
     @staticmethod
     def zero(tet_count):
         return NormalVector(tuple((0,) * 7 for _ in range(tet_count)))
-
-    @staticmethod
-    def vertex_link(tri):
-        return NormalVector(tuple((1, 1, 1, 1, 0, 0, 0) for _ in range(tri.tet_count)))
 
 
 def check_admissible(v: NormalVector) -> bool:
@@ -242,30 +233,37 @@ def count_euler(tri, v: NormalVector):
     return points - arcs + v.piece_count()
 
 
-# -- stacking orders ---------------------------------------------------------
+# -- stacking order ----------------------------------------------------------
+
+def piece_at(v: NormalVector, t, directed_edge, k):
+    """The piece at position k along the directed edge of tet t, counted
+    from the tail: the triangles at the tail nearest first, then the quads,
+    then the triangles at the head.  The inverse of ``crossing_position``."""
+    u, w = directed_edge
+    counts, nu = v.counts(t), v.tri(t, u)
+    if k < nu:
+        return ("tri", t, u, k)
+    n = counts.crossings[u][w]
+    nq = n - nu - v.tri(t, w)
+    if k < nu + nq:
+        q, m = counts.quad, k - nu
+        return ("quad", t, q, m if u in quad_low_side(q) else nq - 1 - m)
+    return ("tri", t, w, n - 1 - k)
+
 
 def face_stack(v: NormalVector, t, f, vtx):
-    """Pieces behind the type-vtx arcs of face f of tet t, nearest vtx first."""
-    counts, n = v.counts(t), v.tri(t, vtx)
-    return ([("tri", t, vtx, j) for j in range(n)]
-            + _quads_from(t, counts.quad, counts.arcs[f][vtx] - n, vtx))
-
-
-def edge_stack(v: NormalVector, t, directed_edge):
-    """Pieces crossing the edge, ordered along the given direction."""
-    u, w = directed_edge
-    counts, nu, nw = v.counts(t), v.tri(t, u), v.tri(t, w)
-    return ([("tri", t, u, j) for j in range(nu)]
-            + _quads_from(t, counts.quad, counts.crossings[u][w] - nu - nw, u)
-            + [("tri", t, w, j) for j in reversed(range(nw))])
-
-
-def _quads_from(t, q, count, vtx):
-    """The count quads of type q in tet t, nearest the side of vtx first."""
-    if not count:
-        return []
-    order = range(count) if vtx in quad_low_side(q) else reversed(range(count))
-    return [("quad", t, q, m) for m in order]
+    """Pieces behind the type-vtx arcs of face f of tet t, nearest vtx first:
+    the first ``arcs[f][vtx]`` positions along either edge of f from vtx,
+    built as two runs whose quad ends ``piece_at`` gives."""
+    n, total = v.tri(t, vtx), v.counts(t).arcs[f][vtx]
+    stack = [("tri", t, vtx, j) for j in range(n)]
+    if total > n:
+        edge = (vtx, next(x for x in FACE_VERTICES[f] if x != vtx))
+        _, _, q, first = piece_at(v, t, edge, n)
+        last = piece_at(v, t, edge, total - 1)[3]
+        step = 1 if first <= last else -1
+        stack += [("quad", t, q, m) for m in range(first, last + step, step)]
+    return stack
 
 
 def piece_cycle(piece):
@@ -280,9 +278,9 @@ def piece_cycle(piece):
 
 def crossing_position(v: NormalVector, t, piece, directed_edge):
     """Where the piece crosses the directed edge of tet t, counted from the
-    edge's tail: its index in ``edge_stack(v, t, directed_edge)``.  In a face
-    through the edge where the piece's arc cuts off the tail, this is also
-    the arc's level in the tail's corner stack (``face_stack``)."""
+    edge's tail; ``piece_at`` is the inverse.  In a face through the edge
+    where the piece's arc cuts off the tail, this is also the arc's level in
+    the tail's corner stack (``face_stack``)."""
     kind, _, a, level = piece
     u, w = directed_edge
     if kind == "tri":
@@ -401,22 +399,17 @@ def reconstruct(tri, v: NormalVector) -> ReconstructedSurface:
     orientable = [ok for _, ok in comps]
     comp_of = {pid: c for c, members in enumerate(components) for pid in members}
 
-    # crossing points, each once per edge class
+    # crossing points, each keyed by its place along its edge class; every
+    # slot must see each crossing in the same component
     weight = total_weight(tri, v)
     crossing_comp = {}
-    for ec in tri.edge_classes:
-        t, e = ec.slots[0]
-        c, a, s = canonical[(t, e)]
-        for pos, piece in enumerate(edge_stack(v, t, e)):
-            crossing_comp[(c, a + s * pos)] = comp_of[piece_id[piece]]
-
-    # consistency: every slot sees each crossing in the same component
-    for ec in tri.edge_classes:
-        for t, e in ec.slots:
-            c, a, s = canonical[(t, e)]
-            for pos, piece in enumerate(edge_stack(v, t, e)):
-                if crossing_comp[(c, a + s * pos)] != comp_of[piece_id[piece]]:
-                    raise TriangulationError("edge crossing spans two components")
+    for pid, piece in enumerate(pieces):
+        comp, t = comp_of[pid], piece[1]
+        for d in piece_cycle(piece):
+            c, a, s = canonical[(t, d)]
+            key = (c, a + s * crossing_position(v, t, piece, d))
+            if crossing_comp.setdefault(key, comp) != comp:
+                raise TriangulationError("edge crossing spans two components")
 
     n_comp = len(components)
     v_count = [0] * n_comp

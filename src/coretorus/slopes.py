@@ -164,22 +164,6 @@ def slope_seq(i: int) -> Slope:
     return Slope(fib(i + 1), fib(i))
 
 
-def binet_check(i: int) -> bool:
-    """Does the recursion value fib(i) agree with the rounded Binet form?
-
-    Floating point stays exact for Fibonacci numbers below 2**53, i.e. up
-    to index 78; larger indices are refused rather than silently rounded.
-    """
-    if i < 0:
-        raise ValueError("index must be nonnegative")
-    if i > 78:
-        raise ValueError("rounded Binet form exceeds double precision beyond index 78")
-    sqrt5 = math.sqrt(5.0)
-    phi = (1.0 + sqrt5) / 2.0
-    psi = (1.0 - sqrt5) / 2.0
-    return round((phi ** i - psi ** i) / sqrt5) == fib(i)
-
-
 def golden_power_cmp(value, k: int) -> int:
     """Exact sign of (value - phi**k) for a rational value and integer k.
 

@@ -1,6 +1,7 @@
 import pytest
 
-from coretorus import SearchBudget, family, fib, first_homology, minimal_complexity_disc
+from coretorus import (NormalVector, SearchBudget, family, fib, first_homology,
+                       minimal_complexity_disc)
 from coretorus.triangulation import FACE_VERTICES
 
 _family_cache = {}
@@ -60,6 +61,11 @@ def witness_disc(fam, minimal_disc):
             _witness_cache[i] = res.discs[0]
         return _witness_cache[i]
     return get
+
+
+def vertex_link(tri):
+    """The vertex-linking surface: one of each normal triangle per tetrahedron."""
+    return NormalVector(tuple((1, 1, 1, 1, 0, 0, 0) for _ in range(tri.tet_count)))
 
 
 def side_sum_counts(bc, sums_by_bedge):

@@ -1,13 +1,18 @@
+import hashlib
+
 import pytest
 
 from coretorus import bundle
 from coretorus.bundle import (bundle_prime, check_claims, cut_along,
                               parallelity_bundle, region_behind_face_bit,
                               tet_regions)
+from coretorus.geometry import GeometrizedSurface
 from coretorus.normal import NormalVector, reconstruct
 from coretorus.search import SearchBudget, enumerate_admissible
 from coretorus.slopes import fib
 from coretorus.triangulation import parse_tri, serialize_tri
+
+from conftest import vertex_link
 
 
 def region_sweep_oracle(v: NormalVector, t):
@@ -85,7 +90,7 @@ def test_vertex_link_bundle_is_edge_slabs_only(fam):
     # between the two crossing points on each edge lies a product slab of
     # the edge's thickening; nothing else of the link is parallel
     tri = fam(0).tri
-    comps = parallelity_bundle(tri, NormalVector.vertex_link(tri))
+    comps = parallelity_bundle(tri, vertex_link(tri))
     assert len(comps) == len(tri.edge_classes)
     for c in comps:
         assert len(c.cells) == 1 and c.cells[0][0] == "Q"
@@ -97,7 +102,7 @@ def test_doubled_vertex_link_bundle(fam):
     # edge between the two innermost crossings; the slabs meet A but only one
     # disc copy, so Claim 2 genuinely needs a meridian disc
     tri = fam(0).tri
-    comps = parallelity_bundle(tri, 2 * NormalVector.vertex_link(tri))
+    comps = parallelity_bundle(tri, 2 * vertex_link(tri))
     assert len(comps) == 4
     big = max(comps, key=lambda c: len(c.cells))
     assert big.base_euler == 1 and big.base_orientable and big.meets_a
@@ -204,3 +209,34 @@ def test_one_sided_surface_is_rejected(fam):
         cut_along(tri, v)
     with pytest.raises(ValueError):
         GeometrizedSurface(tri, surface)
+
+
+# sha256 prefixes of each closed-form disc's claims details, cut complex
+# (components, Euler characteristic, A-patch count, adjacency) and face arcs
+CLOSED_FORM_DIGESTS = {
+    0: "4452d46e06d681d5", 1: "8b0fdf97902153c6", 2: "b0dc6d988d64961d",
+    3: "13499250bb8dd403", 4: "13ec11680e19c347", 5: "430c42279448447c",
+    6: "3bf6fda01b306457", 7: "23f3d732d52ed495", 8: "c60dd4a407825745",
+    9: "d13e873cb25982cb", 10: "da37ae8ecdd11965", 11: "23b2c7bb24d3d8a0",
+    12: "2e06c80731b3a311",
+}
+
+
+def closed_form_disc(i):
+    """D_i: row k is (0, 0, F(k+2), F(k+2), 0, 0, F(k+1)) for k = 0..i."""
+    return NormalVector([(0, 0, fib(k + 2), fib(k + 2), 0, 0, fib(k + 1))
+                         for k in range(i + 1)])
+
+
+def test_closed_form_discs_keep_their_digests(fam):
+    got = {}
+    for i in range(13):
+        tri, v = fam(i).tri, closed_form_disc(i)
+        claims, cut = check_claims(tri, v), cut_along(tri, v)
+        geom = GeometrizedSurface(tri, cut.surface)
+        arcs = [(a.piece, a.cut_vertex, a.level, a.p0, a.p1, a.plus_side_is_cut)
+                for t in range(tri.tet_count) for f in range(4) for a in geom.face_arcs(t, f)]
+        record = (claims.claim1, claims.claim2, claims.details, cut.components, cut.euler_cut,
+                  cut.a_patch_count, cut.adjacency, arcs)
+        got[i] = hashlib.sha256(repr(record).encode()).hexdigest()[:16]
+    assert got == CLOSED_FORM_DIGESTS

@@ -12,6 +12,8 @@ from coretorus.geometry import GeometrizedSurface
 from coretorus.normal import reconstruct
 from coretorus.slopes import fib, slope_seq
 
+from conftest import vertex_link
+
 F = Fraction
 
 
@@ -90,10 +92,9 @@ def test_pairing_invariant_under_refinement(fam, minimal_disc):
 
 
 def test_vertex_link_pairs_to_zero(fam, minimal_disc):
-    from coretorus.normal import NormalVector
     lt = fam(1)
     cert = make_61_curve(lt)
-    link = GeometrizedSurface(lt.tri, reconstruct(lt.tri, NormalVector.vertex_link(lt.tri)))
+    link = GeometrizedSurface(lt.tri, reconstruct(lt.tri, vertex_link(lt.tri)))
     assert algebraic_intersection(cert.curve, link) == 0
 
 

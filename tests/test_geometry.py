@@ -1,15 +1,25 @@
 from fractions import Fraction
+from itertools import combinations
 
 from hypothesis import given, strategies as st
 
 from coretorus.geometry import (FaceArc, GeometrizedSurface, face_chart_point, orient2,
                                 segments_cross_properly, segments_intersect)
-from coretorus.normal import NormalVector, face_stack, piece_sides_in_face, reconstruct
+from coretorus.normal import face_stack, piece_sides_in_face, reconstruct
 from coretorus.search import SearchBudget, enumerate_admissible
 from coretorus.slopes import fib
 from coretorus.triangulation import FACE_VERTICES
 
+from conftest import vertex_link
+
 F = Fraction
+
+
+def arcs_disjoint_in_every_face(g):
+    """No two straight arcs of any face slot of g share a point."""
+    return not any(segments_intersect(a.p0, a.p1, b.p0, b.p1)
+                   for t in range(g.tri.tet_count) for f in range(4)
+                   for a, b in combinations(g.face_arcs(t, f), 2))
 
 
 def test_orientation_predicate():
@@ -44,9 +54,9 @@ def test_intersection_symmetry(ax, ay, bx, by, cx, cy, dx, dy):
 
 def test_geometrize_vertex_link(fam):
     tri = fam(0).tri
-    s = reconstruct(tri, NormalVector.vertex_link(tri))
+    s = reconstruct(tri, vertex_link(tri))
     g = GeometrizedSurface(tri, s)
-    assert g.arcs_disjoint_in_every_face()
+    assert arcs_disjoint_in_every_face(g)
     # every edge has weight 2 here, so crossing parameters are thirds
     for (t, f), arcs in g._face_arcs.items():
         for arc in arcs:
@@ -57,14 +67,14 @@ def test_geometrize_minimal_disc(fam, minimal_disc):
     for i in (0, 1):
         tri = fam(i).tri
         g = GeometrizedSurface(tri, minimal_disc(i).surface)
-        assert g.arcs_disjoint_in_every_face()
+        assert arcs_disjoint_in_every_face(g)
 
 
 def test_geometrize_doubled_disc_stays_disjoint(fam, minimal_disc):
     tri = fam(0).tri
     doubled = reconstruct(tri, 2 * minimal_disc(0).vector)
     g = GeometrizedSurface(tri, doubled)
-    assert g.arcs_disjoint_in_every_face()
+    assert arcs_disjoint_in_every_face(g)
 
 
 def test_edge_points_ordered_consistently(fam, minimal_disc):
@@ -86,29 +96,6 @@ def test_edge_points_ordered_consistently(fam, minimal_disc):
                 pts.append(p)
             params.add(tuple(sorted(pts)))
         assert len(params) <= 1
-
-
-def test_flat_pieces(fam, minimal_disc):
-    tri = fam(0).tri
-    d = minimal_disc(0)
-    g = GeometrizedSurface(tri, d.surface)
-    for piece in d.surface.pieces:
-        tris = g.piece_flat_triangles(piece)
-        if piece[0] == "tri":
-            assert len(tris) == 1
-        else:
-            assert len(tris) == 2
-            shared = set(tris[0]) & set(tris[1])
-            assert len(shared) == 2     # the straight diagonal
-        for tr in tris:
-            for pt in tr:
-                assert sum(pt) == 1 and all(c >= 0 for c in pt)
-
-
-def test_transversality_margin(fam, minimal_disc):
-    g = GeometrizedSurface(fam(0).tri, minimal_disc(0).surface)
-    m = g.transversality_margin()
-    assert 0 < m < F(1, 4)
 
 
 # -- the lazy face arcs against an eager oracle ------------------------------

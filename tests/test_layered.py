@@ -92,7 +92,7 @@ def test_dropped_triangulation_is_freed_without_the_cycle_collector():
     # the summary keeps what it needs to answer on its own
     cal = h.calibration
     for e, cut in h.boundary_edge_cuts.items():
-        assert cal.cut_number(e) == cut
+        assert cal.cuts.get(e) == cut
         be = cal.bc.bedge_of_manifold_edge[e]
         assert cal.slope_of_coords(cal.coords_of_cycle({be: 1}))[1] == \
             h.boundary_edge_slopes[e]

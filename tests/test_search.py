@@ -17,6 +17,7 @@ from coretorus.search import (BudgetExhausted, DiscSearchResult, MeridianDisc, S
 from coretorus.slopes import fib, slope_seq
 from coretorus.triangulation import Triangulation, TriangulationError, parse_tri
 
+from conftest import vertex_link
 from test_triangulation import gluing_tables
 
 
@@ -33,7 +34,7 @@ def test_enumeration_is_exhaustive_and_valid(fam):
         assert check_admissible(v)
         assert check_matching(tri, v)[0]
         assert v.piece_count() <= 8
-    assert NormalVector.vertex_link(tri) in vecs
+    assert vertex_link(tri) in vecs
 
 
 def test_enumeration_prefix_monotone(fam):
