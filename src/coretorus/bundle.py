@@ -14,7 +14,7 @@ base surface F is therefore assembled from three kinds of 2-cells:
   Q cells: slabs between consecutive crossing points of an edge,
 
 glued along canonically named 1-cells, with 0-cells named by (tetrahedron,
-edge pair, crossing gap, adjacent face).  Components, base Euler
+edge pair, crossing gap counted along the edge class, adjacent face).  Components, base Euler
 characteristics, base orientability (product versus twisted) and the
 contacts with the two disc copies and the annulus A all come out of this
 complex by counting and 2-coloring.
@@ -23,9 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .normal import (NormalVector, QUAD_MISSED, arc_count, crossing_position,
-                     edge_weight, face_stack, piece_at, piece_cycle, piece_sides_in_face,
-                     quad_cut_vertex, quad_low_side, reconstruct)
+from .normal import (NormalVector, QUAD_CUT, QUAD_MISSED, arc_count, coorientation,
+                     crossing_position, edge_weight, face_stack, piece_at, piece_cycle,
+                     reconstruct)
 from .search import MeridianDisc
 from .triangulation import (FACE_VERTICES, TriangulationError, _UnionFind, perm_inverse,
                             two_colour)
@@ -56,7 +56,7 @@ def tet_regions(v: NormalVector, t):
 
 
 def _central_side(q, vtx):
-    return "low" if vtx in quad_low_side(q) else "high"
+    return "low" if vtx in QUAD_MISSED[q][0] else "high"
 
 
 def region_behind_face_bit(v: NormalVector, t, f, bit):
@@ -71,8 +71,7 @@ def region_behind_face_bit(v: NormalVector, t, f, bit):
     if bit[0] == "central":
         if qc == 0:
             return ("central", None)
-        vq = quad_cut_vertex(q, f)
-        return ("central", "high" if _central_side(q, vq) == "low" else "low")
+        return ("central", "high" if _central_side(q, QUAD_CUT[q][f]) == "low" else "low")
     _, vtx, k = bit
     if k == 0:
         if v.tri(t, vtx) >= 1:
@@ -105,7 +104,6 @@ class CutComplex:
     components: list               # list of sorted node lists
     euler_cut: int
     a_patch_count: int
-    sheet_patches: dict            # piece id -> labels of its (plus, minus) sides
 
     @property
     def component_count(self):
@@ -173,13 +171,8 @@ def cut_along(tri, disc) -> CutComplex:
     if euler_cut != chi_m + surface.euler_total:
         raise TriangulationError("cut Euler characteristic fails chi(X) = chi(M) + chi(S)")
 
-    sheet_patches = {}
-    for pid in range(len(surface.pieces)):
-        s = surface.sigma[pid]
-        sheet_patches[pid] = ("D+", "D-") if s == 1 else ("D-", "D+")
-
     return CutComplex(tri, v, surface, regions, sorted(adjacency), components,
-                      euler_cut, a_patches, sheet_patches)
+                      euler_cut, a_patches)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +184,6 @@ class _Cell:
     name: tuple
     sides: list          # 1-cell names, cyclic
     corners: list        # corners[i] sits between sides[i-1] and sides[i]
-    free: list           # per side, filled in during assembly
     a_contact: list      # per side: touches the annulus A
     sheets: list         # global signs of the two horizontal sheets
 
@@ -210,25 +202,10 @@ class BundleComponent:
         return self.base_orientable
 
 
-def _canonical_gap(crossing_index, t, directed_edge, slot_gap):
-    """Gap (j, j+1) along a directed slot edge -> gap along the class."""
-    _, a, s = crossing_index[(t, directed_edge)]
-    return min(a + s * slot_gap, a + s * (slot_gap + 1))
-
-
 def _slab_gap(v, t, lo, hi, directed_edge):
     """Gap along a directed edge of tet t between two adjacent parallel pieces."""
     return min(crossing_position(v, t, lo, directed_edge),
                crossing_position(v, t, hi, directed_edge))
-
-
-def _piece_dir_sign(piece, directed_edge):
-    """Sign of the piece's canonical coorientation along the directed edge."""
-    kind, t, a, _ = piece
-    u, w = directed_edge
-    if kind == "tri":
-        return -1 if a == u else 1
-    return 1 if w in QUAD_MISSED[a][1] else -1
 
 
 class BundleComplex:
@@ -258,14 +235,26 @@ class BundleComplex:
             a_contact = [False] * len(sides)
         if len(sides) != len(corners) or len(sides) != len(a_contact):
             raise AssertionError(f"malformed cell {name}")
-        self.cells[name] = _Cell(name, sides, corners, [True] * len(sides),
-                                 a_contact, sheets)
+        self.cells[name] = _Cell(name, sides, corners, a_contact, sheets)
+
+    def _sheets(self, lo, hi, toward_hi):
+        """Global signs of the two horizontal sheets of the slab between
+        adjacent parallel pieces lo and hi, given a directed edge both cross
+        that points from lo to hi: lo's sheet faces the slab along it, hi's
+        against it."""
+        sigma = self.surface.sigma
+        return [sigma[lo] * coorientation(lo, toward_hi),
+                -sigma[hi] * coorientation(hi, toward_hi)]
+
+    def _class_gap(self, t, lo, hi, directed_edge):
+        """The gap between two adjacent parallel pieces on an edge of tet t,
+        counted along the edge class."""
+        return _slab_gap(self.v, t, lo, hi, self.tri.class_direction[(t, directed_edge)][1])
 
     # -- P cells -----------------------------------------------------------
 
     def _build_p_cells(self):
         v = self.v
-        index = self.surface.crossing_index
         for t in range(self.tri.tet_count):
             slabs = [(("tri", t, vtx, k), ("tri", t, vtx, k + 1))
                      for vtx in range(4) for k in range(v.tri(t, vtx) - 1)]
@@ -283,42 +272,34 @@ class BundleComplex:
                     # the slab's arcs in face f_next cut off the vertex d shares with next_d
                     vq = (set(d) & set(next_d)).pop()
                     pair = tuple(sorted(d))
-                    gap = _canonical_gap(index, t, d, _slab_gap(v, t, lo, hi, d))
+                    gap = self._class_gap(t, lo, hi, d)
                     level = _slab_gap(v, t, lo, hi, (vq, sum(d) - vq))
                     sides += [self._pq_side(t, pair, gap), self._rp_side(t, f_next, vq, level)]
                     corners += [self._corner(t, pair, gap, f_prev),
                                 self._corner(t, pair, gap, f_next)]
                 self._add_cell(("P", t, lo[0], lo[2], lo[3]), sides, corners,
-                               self._p_sheets(lo, hi))
-
-    def _p_sheets(self, piece_lo, piece_hi):
-        sig = self.surface.sigma
-        lo, hi = self.surface.piece_id[piece_lo], self.surface.piece_id[piece_hi]
-        if piece_lo[0] == "tri":
-            # the lower triangle faces the slab away from its vertex
-            return [-sig[lo], sig[hi]]
-        # the lower quad copy faces the slab toward the high side
-        return [sig[lo], -sig[hi]]
+                               self._sheets(lo, hi, cyc[0]))
 
     # -- R cells -----------------------------------------------------------
 
     def _build_r_cells(self):
         v = self.v
         tri = self.tri
-        index = self.surface.crossing_index
         for fc_idx, slots in enumerate(tri.face_classes):
             t1, f1 = slots[0]
             for vtx in FACE_VERTICES[f1]:
                 stack1 = face_stack(v, t1, f1, vtx)
                 x, y = (u for u in FACE_VERTICES[f1] if u != vtx)
+                px, py = tuple(sorted((vtx, x))), tuple(sorted((vtx, y)))
                 for j in range(len(stack1) - 1):
-                    px, py = tuple(sorted((vtx, x))), tuple(sorted((vtx, y)))
-                    gx = _canonical_gap(index, t1, (vtx, x), j)
-                    gy = _canonical_gap(index, t1, (vtx, y), j)
+                    lo, hi = stack1[j], stack1[j + 1]
+                    # a glued slot sees the same crossings, so the same class gaps
+                    gx = self._class_gap(t1, lo, hi, (vtx, x))
+                    gy = self._class_gap(t1, lo, hi, (vtx, y))
                     side_t1 = self._rp_side(t1, f1, vtx, j)
                     end_x = ("QR", (t1, f1), px, gx)
                     end_y = ("QR", (t1, f1), py, gy)
-                    sheets = self._r_sheets(f1, stack1[j], stack1[j + 1])
+                    sheets = self._sheets(lo, hi, (vtx, x))
                     if len(slots) == 2:
                         t2, f2 = slots[1]
                         perm = tri.gluings[t1][f1][1]
@@ -329,10 +310,8 @@ class BundleComplex:
                         corners = [
                             self._corner(t1, px, gx, f1),
                             self._corner(t1, py, gy, f1),
-                            self._corner(t2, tuple(sorted(dy2)),
-                                         _canonical_gap(index, t2, dy2, j), f2),
-                            self._corner(t2, tuple(sorted(dx2)),
-                                         _canonical_gap(index, t2, dx2, j), f2),
+                            self._corner(t2, tuple(sorted(dy2)), gy, f2),
+                            self._corner(t2, tuple(sorted(dx2)), gx, f2),
                         ]
                         a_contact = [False] * 4
                     else:
@@ -346,13 +325,6 @@ class BundleComplex:
                         a_contact = [False, False, True, False]
                     self._add_cell(("R", fc_idx, vtx, j), sides, corners,
                                    sheets, a_contact)
-
-    def _r_sheets(self, f, piece_lo, piece_hi):
-        sig = self.surface.sigma
-        lo, hi = self.surface.piece_id[piece_lo], self.surface.piece_id[piece_hi]
-        # the lower arc faces the slab on the side away from the cut vertex
-        return [-sig[lo] * piece_sides_in_face(piece_lo, f),
-                sig[hi] * piece_sides_in_face(piece_hi, f)]
 
     # -- Q cells -----------------------------------------------------------
 
@@ -402,18 +374,11 @@ class BundleComplex:
         return ("QR", (t1, f1), rep_pair, canonical_gap)
 
     def _q_sheets(self, walk, gap):
-        sigma, piece_id = self.surface.sigma, self.surface.piece_id
         signs = set()
-        for t, d, f_in, f_out in walk["sectors"]:
-            # the slot gap of the class gap, read back through the crossing index
-            _, a, s = self.surface.crossing_index[(t, d)]
-            slot_gap = min(s * (gap - a), s * (gap + 1 - a))
-            p_a, p_b = piece_at(self.v, t, d, slot_gap), piece_at(self.v, t, d, slot_gap + 1)
-            lo_piece, hi_piece = (p_a, p_b) if s == 1 else (p_b, p_a)
-            toward_hi = d if s == 1 else (d[1], d[0])
-            lo = sigma[piece_id[lo_piece]] * _piece_dir_sign(lo_piece, toward_hi)
-            hi = -sigma[piece_id[hi_piece]] * _piece_dir_sign(hi_piece, toward_hi)
-            signs.add((lo, hi))
+        for t, d, _, _ in walk["sectors"]:
+            e = self.tri.class_direction[(t, d)][1]
+            lo, hi = piece_at(self.v, t, e, gap), piece_at(self.v, t, e, gap + 1)
+            signs.add(tuple(self._sheets(lo, hi, e)))
         if len(signs) != 1:
             raise TriangulationError("edge slab sheet signs disagree between sectors")
         return list(signs.pop())
@@ -425,15 +390,10 @@ class BundleComplex:
         for cell in self.cells.values():
             for i, s in enumerate(cell.sides):
                 side_users.setdefault(s, []).append((cell.name, i))
+        relations = []
         for s, users in side_users.items():
             if len(users) > 2:
                 raise TriangulationError(f"1-cell {s} has {len(users)} users")
-            if len(users) == 2:
-                for cname, i in users:
-                    self.cells[cname].free[i] = False
-
-        relations = []
-        for s, users in side_users.items():
             if len(users) != 2:
                 continue
             (n1, i1), (n2, i2) = users

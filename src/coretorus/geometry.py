@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .normal import edge_slot_crossings, face_stack, piece_sides_in_face
+from .normal import coorientation, edge_slot_crossings, face_stack
 from .triangulation import FACE_VERTICES
 
 
@@ -118,8 +118,7 @@ class GeometrizedSurface:
                 s1 = self.edge_point_param(t, (vtx, y), j)
                 p0 = face_chart_point(f, {vtx: 1 - s0, x: s0})
                 p1 = face_chart_point(f, {vtx: 1 - s1, y: s1})
-                pid = self.surface.piece_id[piece]
-                plus_is_cut = self.surface.sigma[pid] * piece_sides_in_face(piece, f) == 1
+                plus_is_cut = self.surface.sigma[piece] * coorientation(piece, (x, vtx)) == 1
                 arcs.append(FaceArc(piece, vtx, j, p0, p1, plus_is_cut))
         return arcs
 

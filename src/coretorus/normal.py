@@ -21,14 +21,24 @@ whole corner stack of a face (``face_stack``) is read through it.
 ``piece_cycle`` lists the directed edges a piece crosses, in cyclic order
 around it.
 
+Two more rules say what the bundle and the geometry read of a piece.
+Which way it faces: ``coorientation(piece, directed_edge)`` is +1 when
+the piece's canonical coorientation (a triangle's toward its vertex, a
+quad's toward the high side of the edges it misses) points along the
+directed edge, and a two-sided surface's global sign on the piece is
+``sigma[piece]`` times it.  Which crossing it passes through: a crossing
+point is named by its edge class and its ``crossing_position`` along the
+slot edge directed as the class representative
+(``Triangulation.class_direction``), a name every slot of the class
+agrees on.
+
 Reconstruction builds the surface cell by cell: edge crossing points,
 face arcs with their stacking order, pieces, connected components, Euler
 characteristic both from the assembled complex and independently from the
 coordinate counts, two-sidedness, and the boundary curves with their slopes
 (computed homologically, by collapsing each curve to a loop of boundary
-edges, never by assuming minimal position).  The surface keeps each
-piece's index and the table from each (tetrahedron, directed edge) to its
-edge class's crossing order, which the bundle and the geometry read.
+edges, never by assuming minimal position).  The surface keys its
+components and its transverse signs ``sigma`` by piece.
 
 Boundary curves have one tracer, ``trace_boundary_arcs``: it pairs the
 ends of boundary arcs at their crossings and walks each cycle once.  A
@@ -55,15 +65,6 @@ QUAD_CUT = tuple(tuple(b if a == f else a for f in range(4)
 # QUAD_CROSSES[q]: the four (sorted) tetrahedron edges a type-q quad crosses
 QUAD_CROSSES = tuple(frozenset(e for e in EDGE_PAIRS if e not in QUAD_MISSED[q])
                      for q in range(3))
-
-
-def quad_cut_vertex(q, f):
-    """The vertex cut off by the type-q quad's arc in face f."""
-    return QUAD_CUT[q][f]
-
-
-def quad_low_side(q):
-    return QUAD_MISSED[q][0]
 
 
 class RowCounts(NamedTuple):
@@ -247,7 +248,7 @@ def piece_at(v: NormalVector, t, directed_edge, k):
     nq = n - nu - v.tri(t, w)
     if k < nu + nq:
         q, m = counts.quad, k - nu
-        return ("quad", t, q, m if u in quad_low_side(q) else nq - 1 - m)
+        return ("quad", t, q, m if u in QUAD_MISSED[q][0] else nq - 1 - m)
     return ("tri", t, w, n - 1 - k)
 
 
@@ -285,17 +286,17 @@ def crossing_position(v: NormalVector, t, piece, directed_edge):
     u, w = directed_edge
     if kind == "tri":
         return level if a == u else v.counts(t).crossings[u][w] - 1 - level
-    return v.tri(t, u) + (level if u in quad_low_side(a) else v.quad(t, a) - 1 - level)
+    return v.tri(t, u) + (level if u in QUAD_MISSED[a][0] else v.quad(t, a) - 1 - level)
 
 
-def piece_sides_in_face(piece, f):
-    """+1 if the piece's canonical coorientation points toward the vertex its
-    arc cuts off in face f (triangles point at their vertex; quads point at
-    the high side of the pair of edges they miss)."""
-    kind, t, a, _ = piece
+def coorientation(piece, directed_edge):
+    """+1 if the piece's canonical coorientation points along the directed
+    edge it crosses, else -1.  A triangle's points at its vertex; a quad's
+    points at the high side ``QUAD_MISSED[q][1]`` of the edges it misses."""
+    kind, _, a, _ = piece
     if kind == "tri":
-        return 1
-    return 1 if quad_cut_vertex(a, f) in QUAD_MISSED[a][1] else -1
+        return -1 if directed_edge[0] == a else 1
+    return 1 if directed_edge[1] in QUAD_MISSED[a][1] else -1
 
 
 # -- reconstruction ----------------------------------------------------------
@@ -314,9 +315,7 @@ class ReconstructedSurface:
     tri: object
     vector: NormalVector
     pieces: list
-    piece_id: dict            # piece -> its index in pieces
-    crossing_index: dict      # see _canonical_edge_indices
-    components: list          # list of sorted piece-id lists
+    components: list          # lists of pieces, each in pieces order
     euler_by_component: list
     orientable_by_component: list
     boundary_curves_by_component: list
@@ -324,25 +323,11 @@ class ReconstructedSurface:
     piece_count: int
     euler_total: int
     euler_from_counts: int
-    sigma: dict               # piece id -> +1/-1 transverse orientation, if two-sided
+    sigma: dict               # piece -> +1/-1 transverse orientation, if two-sided
 
     @property
     def connected(self):
         return len(self.components) == 1
-
-
-def _canonical_edge_indices(tri, v):
-    """(tet, directed edge) -> (edge class, a, s): the crossing at position p
-    along the directed edge is the one at a + s * p along the class rep."""
-    tables = _Tables(v)
-    out = {}
-    for ec in tri.edge_classes:
-        for (t, (u, w)), sign in ec.dir_sign.items():
-            if sign == 1:
-                out[(t, (u, w))] = (ec.index, 0, 1)
-            else:
-                out[(t, (u, w))] = (ec.index, tables[t].crossings[u][w] - 1, -1)
-    return out
 
 
 def reconstruct(tri, v: NormalVector) -> ReconstructedSurface:
@@ -353,27 +338,23 @@ def reconstruct(tri, v: NormalVector) -> ReconstructedSurface:
         raise ValueError(f"matching equations violated: {violations[:3]}")
 
     pieces = []
-    piece_id = {}
     for t in range(tri.tet_count):
         for vtx in range(4):
-            for j in range(v.tri(t, vtx)):
-                piece_id[("tri", t, vtx, j)] = len(pieces)
-                pieces.append(("tri", t, vtx, j))
+            pieces += [("tri", t, vtx, j) for j in range(v.tri(t, vtx))]
         q = v.quad_type(t)
         if q is not None:
-            for m in range(v.quad(t, q)):
-                piece_id[("quad", t, q, m)] = len(pieces)
-                pieces.append(("quad", t, q, m))
+            pieces += [("quad", t, q, m) for m in range(v.quad(t, q))]
 
-    canonical = _canonical_edge_indices(tri, v)
+    direction = tri.class_direction
     bc = tri.boundary_complex
     arc_pieces = []         # per face arc: the piece on its first side
-    relations = []          # two-sidedness: sigma * side agrees across interior arcs
+    relations = []          # two-sidedness: sigma * coorientation agrees across interior arcs
     boundary_arcs = []      # the tracer's input, see trace_boundary_arcs
     boundary_pieces = []    # the piece behind each boundary arc
     for slots in tri.face_classes:
         t1, f1 = slots[0]
         for vtx in FACE_VERTICES[f1]:
+            x, y = (u for u in FACE_VERTICES[f1] if u != vtx)
             stack1 = face_stack(v, t1, f1, vtx)
             arc_pieces += stack1
             if len(slots) == 2:
@@ -383,45 +364,41 @@ def reconstruct(tri, v: NormalVector) -> ReconstructedSurface:
                 if len(stack1) != len(stack2):
                     raise TriangulationError("matching holds but stacks disagree")
                 for p1, p2 in zip(stack1, stack2):
-                    relations.append((piece_id[p1], piece_id[p2],
-                                      piece_sides_in_face(p1, f1) * piece_sides_in_face(p2, f2)))
+                    relations.append((p1, p2, coorientation(p1, (x, vtx))
+                                      * coorientation(p2, (perm[x], perm[vtx]))))
                 continue
             i = bc.tri_index[(t1, f1)]
-            (cx, ax, sx), (cy, ay, sy) = (canonical[(t1, (vtx, x))]
-                                          for x in FACE_VERTICES[f1] if x != vtx)
+            (cx, ex), (cy, ey) = direction[(t1, (vtx, x))], direction[(t1, (vtx, y))]
             bx, by = bc.bedge_of_manifold_edge[cx], bc.bedge_of_manifold_edge[cy]
-            for j in range(len(stack1)):
-                boundary_arcs.append((i, vtx, ((bx, ax + sx * j), (by, ay + sy * j))))
+            for p in stack1:
+                boundary_arcs.append((i, vtx, ((bx, crossing_position(v, t1, p, ex)),
+                                               (by, crossing_position(v, t1, p, ey)))))
             boundary_pieces += stack1
 
-    sigma, comps = two_colour(range(len(pieces)), relations)
+    sigma, comps = two_colour(pieces, relations)
     components = [members for members, _ in comps]
     orientable = [ok for _, ok in comps]
-    comp_of = {pid: c for c, members in enumerate(components) for pid in members}
+    comp_of = {piece: c for c, members in enumerate(components) for piece in members}
 
-    # crossing points, each keyed by its place along its edge class; every
+    # crossing points, each named by its place along its edge class; every
     # slot must see each crossing in the same component
     weight = total_weight(tri, v)
     crossing_comp = {}
-    for pid, piece in enumerate(pieces):
-        comp, t = comp_of[pid], piece[1]
+    for piece in pieces:
+        comp, t = comp_of[piece], piece[1]
         for d in piece_cycle(piece):
-            c, a, s = canonical[(t, d)]
-            key = (c, a + s * crossing_position(v, t, piece, d))
-            if crossing_comp.setdefault(key, comp) != comp:
+            c, e = direction[(t, d)]
+            if crossing_comp.setdefault((c, crossing_position(v, t, piece, e)), comp) != comp:
                 raise TriangulationError("edge crossing spans two components")
 
     n_comp = len(components)
     v_count = [0] * n_comp
     e_count = [0] * n_comp
-    f_count = [0] * n_comp
-    for key, c in crossing_comp.items():
+    for c in crossing_comp.values():
         v_count[c] += 1
     for piece in arc_pieces:
-        e_count[comp_of[piece_id[piece]]] += 1
-    for pid in range(len(pieces)):
-        f_count[comp_of[pid]] += 1
-    euler_by_component = [v_count[i] - e_count[i] + f_count[i] for i in range(n_comp)]
+        e_count[comp_of[piece]] += 1
+    euler_by_component = [v_count[i] - e_count[i] + len(components[i]) for i in range(n_comp)]
 
     # independent Euler characteristic from the coordinates alone
     euler_from_counts = count_euler(tri, v)
@@ -431,12 +408,11 @@ def reconstruct(tri, v: NormalVector) -> ReconstructedSurface:
 
     curves_by_component = [[] for _ in range(n_comp)]
     for arc_ids, chain in trace_boundary_arcs(bc, boundary_arcs):
-        comp = comp_of[piece_id[boundary_pieces[arc_ids[0]]]]
+        comp = comp_of[boundary_pieces[arc_ids[0]]]
         curves_by_component[comp].append(NormalCurve(length=len(arc_ids), chain=chain))
 
     return ReconstructedSurface(
-        tri=tri, vector=v, pieces=pieces, piece_id=piece_id, crossing_index=canonical,
-        components=components,
+        tri=tri, vector=v, pieces=pieces, components=components,
         euler_by_component=euler_by_component,
         orientable_by_component=orientable,
         boundary_curves_by_component=curves_by_component,

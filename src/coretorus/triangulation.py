@@ -237,6 +237,15 @@ class Triangulation:
         return classes
 
     @cached_property
+    def class_direction(self):
+        """(tet, directed edge) -> (edge class, the slot's edge directed as
+        the class representative).  A crossing point is named by its class
+        and its ``crossing_position`` along that direction, the same in
+        every slot of the class."""
+        return {(t, d): (ec.index, d if sign == 1 else d[::-1])
+                for ec in self.edge_classes for (t, d), sign in ec.dir_sign.items()}
+
+    @cached_property
     def edge_class_of(self):
         out = {}
         for ec in self.edge_classes:

@@ -3,7 +3,7 @@ import hashlib
 import pytest
 
 from coretorus import bundle
-from coretorus.bundle import (bundle_prime, check_claims, cut_along,
+from coretorus.bundle import (BundleComplex, bundle_prime, check_claims, cut_along,
                               parallelity_bundle, region_behind_face_bit,
                               tet_regions)
 from coretorus.geometry import GeometrizedSurface
@@ -78,8 +78,6 @@ def test_cut_boundary_patches(fam, minimal_disc):
     tri = fam(0).tri
     d = minimal_disc(0)
     cut = cut_along(tri, d.vector)
-    assert set(cut.sheet_patches) == set(range(d.piece_count))
-    assert all(sorted(v) == ["D+", "D-"] for v in cut.sheet_patches.values())
     # A patches: one per boundary face bit
     from coretorus.bundle import face_bits
     expect = sum(len(face_bits(d.vector, t, f)) for t, f in tri.boundary_faces)
@@ -240,3 +238,54 @@ def test_closed_form_discs_keep_their_digests(fam):
                   cut.a_patch_count, cut.adjacency, arcs)
         got[i] = hashlib.sha256(repr(record).encode()).hexdigest()[:16]
     assert got == CLOSED_FORM_DIGESTS
+
+
+def _surface_record(tri, v):
+    """Everything read off one input: the surface, and for a two-sided
+    surface its bundle cells and components, its cut complex and its face
+    arcs."""
+    s = reconstruct(tri, v)
+    curves = [[(c.length, sorted(c.chain.items())) for c in comp]
+              for comp in s.boundary_curves_by_component]
+    record = [s.pieces, [s.sigma[p] for p in s.pieces], s.components, s.euler_by_component,
+              s.orientable_by_component, curves]
+    if all(s.orientable_by_component):
+        bc = BundleComplex(tri, v, s)
+        cells = [(c.name, c.sides, c.corners, c.a_contact, c.sheets)
+                 for c in (bc.cells[n] for n in sorted(bc.cells))]
+        comps = [(c.cells, c.base_euler, c.base_orientable, c.meets_dminus, c.meets_dplus,
+                  c.meets_a) for c in bc.components()]
+        cut = cut_along(tri, v)
+        geom = GeometrizedSurface(tri, s)
+        arcs = [(a.piece, a.cut_vertex, a.level, a.p0, a.p1, a.plus_side_is_cut)
+                for t in range(tri.tet_count) for f in range(4) for a in geom.face_arcs(t, f)]
+        record += [cells, comps, sorted(cut.regions.items()), cut.adjacency, cut.components,
+                   cut.euler_cut, cut.a_patch_count, arcs]
+    return record
+
+
+# sha256 prefixes of _surface_record over the admissible vectors of T_i
+# within fib(i+6) - 4 pieces ("T_i"), and over D_i and 2·D_i ("D_i")
+SURFACE_DIGESTS = {
+    "T_0": "2de052ccf99879c3", "T_1": "014037192becfa2a", "T_2": "842240bc3789f35c",
+    "T_3": "7fc292106ce8b54e", "D_0": "5f788b547a42b16e", "D_1": "3189ea3d6cc65bf4",
+    "D_2": "383ee57af548dc5c", "D_3": "e4331875507f0444", "D_4": "d37bd8d53ef7ac8e",
+    "D_5": "e64d4975f3f03ac4", "D_6": "5aa6e8ee9fb54ae0", "D_7": "174d662bcdf6f486",
+    "D_8": "5d734a495f7a8a1d",
+}
+
+
+def test_surfaces_bundles_and_arcs_keep_their_digests(fam):
+    got, admissible = {}, 0
+    for i in range(4):
+        tri = fam(i).tri
+        vectors = enumerate_admissible(tri, SearchBudget(fib(i + 6) - 4))
+        admissible += len(vectors)
+        records = [_surface_record(tri, v) for v in vectors]
+        got[f"T_{i}"] = hashlib.sha256(repr(records).encode()).hexdigest()[:16]
+    for i in range(9):
+        tri, v = fam(i).tri, closed_form_disc(i)
+        records = [_surface_record(tri, v), _surface_record(tri, 2 * v)]
+        got[f"D_{i}"] = hashlib.sha256(repr(records).encode()).hexdigest()[:16]
+    assert admissible == 111
+    assert got == SURFACE_DIGESTS

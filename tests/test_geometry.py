@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from coretorus.geometry import (FaceArc, GeometrizedSurface, face_chart_point, orient2,
                                 segments_cross_properly, segments_intersect)
-from coretorus.normal import face_stack, piece_sides_in_face, reconstruct
+from coretorus.normal import coorientation, face_stack, reconstruct
 from coretorus.search import SearchBudget, enumerate_admissible
 from coretorus.slopes import fib
 from coretorus.triangulation import FACE_VERTICES
@@ -126,9 +126,8 @@ def _eager_face_arcs(g, tri):
                     s1 = g.edge_point_param(t, (vtx, y), j)
                     p0 = _weighted_chart_point(f, {vtx: 1 - s0, x: s0})
                     p1 = _weighted_chart_point(f, {vtx: 1 - s1, y: s1})
-                    sigma = g.surface.sigma[g.surface.piece_id[piece]]
-                    arcs.append(FaceArc(piece, vtx, j, p0, p1,
-                                        sigma * piece_sides_in_face(piece, f) == 1))
+                    plus = g.surface.sigma[piece] * coorientation(piece, (x, vtx))
+                    arcs.append(FaceArc(piece, vtx, j, p0, p1, plus == 1))
             out[(t, f)] = arcs
     return out
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from coretorus.normal import (QUAD_CROSSES, QUAD_CUT, QUAD_MISSED, NormalVector, arc_count,
                               boundary_counts_match, boundary_curves_from_counts,
-                              check_admissible, check_matching, count_euler,
+                              check_admissible, check_matching, coorientation, count_euler,
                               crossing_position, curve_slopes, edge_slot_crossings,
                               edge_weight, face_stack, min_curve_length, piece_at,
                               piece_cycle, reconstruct, row_counts, total_weight)
@@ -232,6 +232,63 @@ def test_crossing_position_is_the_stack_index(fam):
                     assert edges == set(cyc) | {(w, u) for u, w in cyc}
                     assert all(len(set(d) & set(cyc[k - 1])) == 1 for k, d in enumerate(cyc))
     assert crossings > 10_000
+
+
+def test_coorientation_points_one_way_through_each_piece():
+    # a triangle's coorientation points at its vertex, a quad's from the low
+    # side of its missed edges to the high side; reversing the edge flips it
+    pieces = [("tri", 0, a, 0) for a in range(4)] + [("quad", 0, q, 0) for q in range(3)]
+    for piece in pieces:
+        kind, _, a, _ = piece
+        for u, w in piece_cycle(piece):
+            toward = w == a if kind == "tri" else w in QUAD_MISSED[a][1]
+            assert coorientation(piece, (u, w)) == (1 if toward else -1)
+            assert coorientation(piece, (w, u)) == -coorientation(piece, (u, w))
+
+
+def _glued_arcs_at_one_class_position(tri, v):
+    """Assert that the paired arcs of the two slots of every glued face cross
+    each edge of the face at the same place along its edge class; return how
+    many arc ends were compared."""
+    compared = 0
+    for slots in tri.face_classes:
+        if len(slots) != 2:
+            continue
+        (t1, f1), (t2, f2) = slots
+        perm = tri.gluings[t1][f1][1]
+        for vtx in FACE_VERTICES[f1]:
+            stack1, stack2 = face_stack(v, t1, f1, vtx), face_stack(v, t2, f2, perm[vtx])
+            assert len(stack1) == len(stack2)
+            for x in FACE_VERTICES[f1]:
+                if x == vtx:
+                    continue
+                c1, e1 = tri.class_direction[(t1, (vtx, x))]
+                c2, e2 = tri.class_direction[(t2, (perm[vtx], perm[x]))]
+                assert c1 == c2 and (perm[e1[0]], perm[e1[1]]) == e2
+                for p1, p2 in zip(stack1, stack2):
+                    assert crossing_position(v, t1, p1, e1) == crossing_position(v, t2, p2, e2)
+                    compared += 1
+    return compared
+
+
+def test_glued_slots_put_paired_arcs_at_one_class_position(fam):
+    compared = 0
+    for i in range(4):
+        tri = fam(i).tri
+        for v in enumerate_admissible(tri, SearchBudget(fib(i + 6) - 4)):
+            compared += _glued_arcs_at_one_class_position(tri, v)
+    assert compared == 5230
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(gluing_tables(max_tets=2))
+def test_glued_slots_agree_on_class_positions_on_random_tables(table):
+    try:
+        tri = Triangulation(table)
+    except TriangulationError:
+        return
+    for v in enumerate_admissible(tri, SearchBudget(4)):
+        _glued_arcs_at_one_class_position(tri, v)
 
 
 # -- the per-row count table against the per-call formulas it replaced -------
