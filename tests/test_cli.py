@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import tempfile
@@ -10,9 +11,11 @@ from coretorus import cli, search
 from coretorus.cli import run
 from coretorus.curves import make_61_curve
 from coretorus.layered import family
+from coretorus.slopes import fib
 from coretorus.search import BudgetExhausted, SearchBudget, _enumerate_raw, enumerate_admissible
 from coretorus.triangulation import Triangulation, TriangulationError, serialize_tri
 
+from test_homology import TWO_VERTEX_TEXT
 from test_triangulation import gluing_tables
 
 
@@ -281,3 +284,61 @@ def test_curve_check_exits_0_to_3_on_any_disc(t1_files, data):
     code = run(["--json", "--deterministic", "curve", "check", "--in", str(d / "c1.json"),
                 "--tri", str(d / "t1.tri"), "--disc", str(disc)])
     assert code in (0, 1, 2, 3)
+
+
+def _report_commands():
+    """(name, argv, written file) for every command whose --json
+    --deterministic report and written file are pinned, in run order."""
+    cmds = []
+    for i in (0, 1, 2, 3, 8):
+        cmds += [(f"gen {i}", ["gen", "--family", str(i), "--out", f"t{i}.tri"], f"t{i}.tri"),
+                 (f"homology {i}", ["homology", "--in", f"t{i}.tri"], None),
+                 (f"make-61 {i}", ["curve", "make-61", "--i", str(i), "--out", f"c{i}.json"],
+                  f"c{i}.json"),
+                 (f"curve-bounds {i}", ["verify", "curve-bounds", "--i", str(i)], None),
+                 (f"61-1 {i}", ["verify", "61-1", "--i", str(i)], None)]
+    for i in (0, 1, 2):
+        cmds += [(f"meridian {i}", ["meridian", "--in", f"t{i}.tri", "--max-pieces",
+                                    str(fib(i + 6) - 4), "--out", f"d{i}.json"], f"d{i}.json"),
+                 (f"bundle {i}", ["bundle", "--in", f"t{i}.tri", "--disc", f"d{i}.json"], None),
+                 (f"curve check {i}", ["curve", "check", "--in", f"c{i}.json", "--tri",
+                                       f"t{i}.tri", "--disc", f"d{i}.json"], None),
+                 (f"claims {i}", ["verify", "claims", "--i", str(i)], None)]
+    cmds.append(("homology two-vertex", ["homology", "--in", "two_vertex.tri"], None))
+    return cmds
+
+
+# sha256 prefixes of each command's report and written file
+REPORT_DIGESTS = {
+    "gen 0": "0c0d16ab032d08c9", "homology 0": "f1ffbd9a33db3d8b",
+    "make-61 0": "7a073508dd184ad2", "curve-bounds 0": "781a4a22fca0d64f",
+    "61-1 0": "7c72cbc7fa339aea", "gen 1": "7690ea17f8c747b3",
+    "homology 1": "81e8323b7834074e", "make-61 1": "7890df390b5948e0",
+    "curve-bounds 1": "39dcf1ba337cac76", "61-1 1": "2139a66cdb699b6e",
+    "gen 2": "1095f84c96730777", "homology 2": "157ae1ad5c992661",
+    "make-61 2": "bfe78fd44fe1b5e4", "curve-bounds 2": "996379f850e4d7cf",
+    "61-1 2": "a816b6e64f15602e", "gen 3": "e8cb48e565be98a3",
+    "homology 3": "8a3b7e8edb0290ae", "make-61 3": "584b4cd3377e0dd8",
+    "curve-bounds 3": "3d7264fc9164c7e9", "61-1 3": "e68f7af4763048cb",
+    "gen 8": "49ae4d57800caa49", "homology 8": "29d05eaba7150ea8",
+    "make-61 8": "180f4a5852353448", "curve-bounds 8": "ffcbc56319bdfde3",
+    "61-1 8": "1a1426d20b2bd617", "meridian 0": "497659af0a332893",
+    "bundle 0": "88197d07854c8dbe", "curve check 0": "842370bd2fd60bc3",
+    "claims 0": "c02a7393bd6bf74f", "meridian 1": "e47c0d92b30e0220",
+    "bundle 1": "761488600c4821b9", "curve check 1": "fe627cbff8044720",
+    "claims 1": "56437150c6d45d6f", "meridian 2": "4aff6073e5aaabfb",
+    "bundle 2": "05c94ac3659edca2", "curve check 2": "857689b106238821",
+    "claims 2": "e3796c1c53c3fbd7", "homology two-vertex": "3fa55e843c13da87",
+}
+
+
+def test_reports_keep_their_digests(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "two_vertex.tri").write_text(TWO_VERTEX_TEXT)
+    got = {}
+    for name, argv, written in _report_commands():
+        code, out = _capture(capsys, ["--json", "--deterministic"] + argv)
+        assert code == 0, name
+        data = out.encode() + (b"" if written is None else (tmp_path / written).read_bytes())
+        got[name] = hashlib.sha256(data).hexdigest()[:16]
+    assert got == REPORT_DIGESTS

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -182,3 +183,27 @@ def test_curve_json_roundtrip(fam):
     tri = fam(0).tri
     again = PLCurve.from_json(tri, cert.curve.to_json())
     assert again.segments == cert.curve.segments
+
+
+def _certificate_record(cert):
+    return (cert.curve.to_json(), cert.curve.junctions, cert.kind, cert.winding,
+            cert.hit_edge_class, cert.algebraic_pairing)
+
+
+# sha256 of the one-crossing curves of T_0..T_13 (segments, junctions with
+# their class parameters, kind, winding, hit edge class), their push-off
+# chords from T_1 on, and the curves witnessed by the minimal disc on T_0..T_2
+# with their pairings
+CURVE_CERTIFICATES_DIGEST = "f9c09f75912d9c83916253882e2a8c40f0f0c946685802ebdc74b20e7f71df12"
+
+
+def test_curve_certificates_keep_their_digests(fam, minimal_disc):
+    record = []
+    for i in range(14):
+        cert = make_61_curve(fam(i))
+        record.append(_certificate_record(cert))
+        if i >= 1:
+            record.append([(ch.tet, ch.entry, ch.exit) for ch in push_off(cert.curve).chords])
+        if i <= 2:
+            record.append(_certificate_record(make_61_curve(fam(i), witness_disc=minimal_disc(i))))
+    assert hashlib.sha256(repr(record).encode()).hexdigest() == CURVE_CERTIFICATES_DIGEST
