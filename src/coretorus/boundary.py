@@ -33,9 +33,10 @@ class BoundaryEdge:
 
 
 class BoundaryComplex:
-    def __init__(self, gluings, edge_classes, boundary_faces):
+    def __init__(self, gluings, edge_classes, class_direction, boundary_faces):
         self.gluings = gluings
         self.edge_classes = edge_classes
+        self.class_direction = class_direction
         self.triangles = list(boundary_faces)
         self.tri_index = {slot: i for i, slot in enumerate(self.triangles)}
 
@@ -76,7 +77,7 @@ class BoundaryComplex:
                 rep_dir=(i0, d0),
                 sign=sign,
                 manifold_edge=ec.index,
-                manifold_sign=ec.dir_sign[(t0, d0)],
+                manifold_sign=1 if self.class_direction[(t0, d0)][1] == d0 else -1,
             ))
         if 2 * len(out) != 3 * len(self.triangles):
             raise TriangulationError("boundary surface sides do not pair up")

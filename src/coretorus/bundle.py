@@ -23,9 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .normal import (NormalVector, QUAD_CUT, QUAD_MISSED, arc_count, coorientation,
-                     crossing_position, edge_weight, face_stack, piece_at, piece_cycle,
-                     reconstruct)
+from .normal import (NormalVector, QUAD_CUT, QUAD_MISSED, ReconstructedSurface, arc_count,
+                     coorientation, crossing_position, edge_weight, face_stack, piece_at,
+                     piece_cycle, reconstruct)
 from .search import MeridianDisc
 from .triangulation import (FACE_VERTICES, TriangulationError, _UnionFind, perm_inverse,
                             two_colour)
@@ -111,10 +111,12 @@ class CutComplex:
 
 
 def _vector_and_surface(tri, disc):
-    """``disc``'s vector and its surface on ``tri``.  A MeridianDisc found on
-    ``tri`` carries its surface; any other input is reconstructed."""
-    if isinstance(disc, MeridianDisc) and disc.surface.tri is tri:
-        return disc.vector, disc.surface
+    """``disc``'s vector and its surface on ``tri``.  A surface reconstructed
+    on ``tri``, or a MeridianDisc found on ``tri``, is its own surface; any
+    other input is reconstructed."""
+    surface = disc.surface if isinstance(disc, MeridianDisc) else disc
+    if isinstance(surface, ReconstructedSurface) and surface.tri is tri:
+        return surface.vector, surface
     v = disc if isinstance(disc, NormalVector) else disc.vector
     return v, reconstruct(tri, v)
 

@@ -156,7 +156,7 @@ def cmd_bundle(args, report):
     tri = _load_tri(args.infile, report)
     vec = _load_disc(args.disc, report)
     cut = cut_along(tri, vec)
-    comps = parallelity_bundle(tri, vec)
+    comps = parallelity_bundle(tri, cut.surface)
     report.set("cut_components", cut.component_count)
     report.set("cut_euler", cut.euler_cut)
     report.set("a_patches", cut.a_patch_count)

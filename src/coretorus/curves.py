@@ -60,8 +60,9 @@ class PLCurve:
         return self.tri.face_classes[seg.face_class][0]
 
     def _edge_point(self, seg, which):
-        """(edge_class, canonical parameter, pair, slot) when the endpoint is
-        on an edge, else None."""
+        """(edge_class, class parameter, pair, slot) when the endpoint is on
+        an edge, else None.  The class parameter is the weight of the head of
+        the side directed as its class (``Triangulation.class_direction``)."""
         t, f = self.rep_slot(seg)
         bary = seg.p0 if which == 0 else seg.p1
         verts = FACE_VERTICES[f]
@@ -71,15 +72,12 @@ class PLCurve:
         if len(zeros) != 1:
             raise CurveError("curve touches a vertex")
         a, b = (verts[j] for j in range(3) if j != zeros[0])
-        param_ab = bary[verts.index(b)]
-        ec = self.tri.edge_class_of[(t, (a, b))]
-        sign = self.tri.edge_classes[ec].dir_sign[(t, (a, b))]
-        canonical = param_ab if sign == 1 else 1 - param_ab
-        return ec, canonical, (a, b), (t, f)
+        ec, (_, head) = self.tri.class_direction[(t, (a, b))]
+        return ec, bary[verts.index(head)], (a, b), (t, f)
 
     def _junctions(self):
         """Per cyclic gap between segment k and k+1: either
-        ("edge", edge_class, canonical param, exit data, entry data) or
+        ("edge", edge_class, class parameter, exit data, entry data) or
         ("interior", face_class, point)."""
         out = []
         n = len(self.segments)
@@ -210,16 +208,13 @@ def _face_runs(curve: PLCurve):
     edge_positions = [k for k, j in enumerate(curve.junctions) if j[0] == "edge"]
     if not edge_positions:
         return []
-    n = len(curve.segments)
     runs = []
     for idx, k in enumerate(edge_positions):
         nxt = edge_positions[(idx + 1) % len(edge_positions)]
         # the run starts with segment k+1 and ends with segment nxt
-        first = (k + 1) % n
         j_in = curve.junctions[k]
         j_out = curve.junctions[nxt]
         runs.append({
-            "face_class": curve.segments[first].face_class,
             "entry": j_in[4][1],     # edge data where the run begins
             "exit": j_out[3][1],     # edge data where the run ends
         })
@@ -246,17 +241,14 @@ def curve_h1_class(curve: PLCurve):
 
 
 def _cut_corner_end(tri, other_edge_data, this_edge_data):
-    """Which end (0 tail / 1 head of the class representative) of this edge
-    the corner shared with the run's other side sits at."""
-    ec, canonical, (a, b), (t, f) = this_edge_data
+    """Which end (0 tail / 1 head of the side directed as its class) of this
+    edge the corner shared with the run's other side sits at."""
+    _, _, pair, (t, _) = this_edge_data
     _, _, other_pair, _ = other_edge_data
-    shared = set(other_pair) & {a, b}
+    shared = set(other_pair) & set(pair)
     if len(shared) != 1:
         raise CurveError("face run does not join two distinct sides")
-    corner = shared.pop()
-    sign = tri.edge_classes[ec].dir_sign[(t, (a, b))]
-    local_end = 0 if corner == a else 1
-    return local_end if sign == 1 else 1 - local_end
+    return 0 if shared.pop() == tri.class_direction[(t, pair)][1][0] else 1
 
 
 def algebraic_intersection(curve: PLCurve, geom: GeometrizedSurface) -> int:
@@ -303,7 +295,6 @@ class CurveCertificate:
     one_skeleton_hits: int
     hit_edge_class: int | None
     max_arcs_per_face: int
-    max_arcs_per_tet: int | None = None
     embedded: bool = True
 
 
@@ -323,7 +314,7 @@ def make_61_curve(lt, witness_disc=None) -> CurveCertificate:
     else:
         # the (1,0) edge is interior once layered; its base-tetrahedron slot
         # still identifies the class
-        target_edge = tri.edge_class_of[(0, (0, 1))]
+        target_edge = tri.class_direction[(0, (0, 1))][0]
     geom = None
     if witness_disc is not None:
         geom = GeometrizedSurface(tri, witness_disc.surface)
@@ -331,24 +322,16 @@ def make_61_curve(lt, witness_disc=None) -> CurveCertificate:
     candidates = []
     for fc_idx, slots in enumerate(tri.face_classes):
         t, f = slots[0]
-        verts = FACE_VERTICES[f]
-        pairs = list(combinations(verts, 2))
-        for k1, k2 in combinations(range(3), 2):
-            ec1 = tri.edge_class_of[(t, pairs[k1])]
-            ec2 = tri.edge_class_of[(t, pairs[k2])]
-            if ec1 == ec2 and ec1 == target_edge:
-                candidates.append((fc_idx, t, f, pairs[k1], pairs[k2]))
+        on_target = [pair for pair in combinations(FACE_VERTICES[f], 2)
+                     if tri.class_direction[(t, pair)][0] == target_edge]
+        for pair1, pair2 in combinations(on_target, 2):
+            candidates.append((fc_idx, t, f, pair1, pair2))
     params = [Fraction(1, 4), Fraction(3, 4), Fraction(1, 3), Fraction(2, 3),
               Fraction(1, 5), Fraction(2, 5), Fraction(3, 5), Fraction(4, 5)]
     for fc_idx, t, f, pair1, pair2 in candidates:
-        ec = tri.edge_class_of[(t, pair1)]
-        sign1 = tri.edge_classes[ec].dir_sign[(t, pair1)]
-        sign2 = tri.edge_classes[ec].dir_sign[(t, pair2)]
         for u in params:
-            u1 = u if sign1 == 1 else 1 - u
-            u2 = u if sign2 == 1 else 1 - u
-            p0 = _side_point(f, pair1, u1)
-            p1 = _side_point(f, pair2, u2)
+            p0 = _class_point(tri, t, f, pair1, u, 0)
+            p1 = _class_point(tri, t, f, pair2, u, 0)
             if p0 == p1:
                 continue
             try:
@@ -375,20 +358,21 @@ def make_61_curve(lt, witness_disc=None) -> CurveCertificate:
             return CurveCertificate(
                 curve=curve, kind=kind, witness_disc=witness_disc,
                 algebraic_pairing=pairing, winding=winding,
-                one_skeleton_hits=1, hit_edge_class=ec,
+                one_skeleton_hits=1, hit_edge_class=target_edge,
                 max_arcs_per_face=mx, embedded=True,
             )
     raise CurveError("no one-crossing pre-core curve found; this is a bug")
 
 
-def _side_point(f, pair, param):
-    """Barycentric point on the side with the given vertex pair, at the given
-    parameter from the first vertex of the (sorted) pair."""
+def _class_point(tri, t, f, pair, u, depth):
+    """Barycentric point of face slot (t, f) at class parameter u along its
+    side ``pair`` (u is the weight of the head of the side directed as its
+    class), pushed ``depth`` off that side toward the opposite corner."""
+    tail, head = tri.class_direction[(t, pair)][1]
     verts = FACE_VERTICES[f]
-    a, b = pair
-    bary = [Fraction(0)] * 3
-    bary[verts.index(a)] = 1 - param
-    bary[verts.index(b)] = param
+    bary = [Fraction(depth)] * 3
+    bary[verts.index(tail)] = (1 - u) * (1 - depth)
+    bary[verts.index(head)] = u * (1 - depth)
     return tuple(bary)
 
 
@@ -465,8 +449,8 @@ def push_off(curve: PLCurve, delta=Fraction(1, 16)) -> TransverseCurve:
             t_to, d_to, in_to, out_to = sectors[s_to]
             slot_from = (t_from, out_from if forward else in_from)
             slot_to = (t_to, in_to if forward else out_to)
-            pt_from = _near_edge_point(tri, ec, u, *slot_from, tuple(sorted(d_from)), delta)
-            pt_to = _near_edge_point(tri, ec, u, *slot_to, tuple(sorted(d_to)), delta)
+            pt_from = _class_point(tri, *slot_from, d_from, u, delta)
+            pt_to = _class_point(tri, *slot_to, d_to, u, delta)
             events.append((slot_from, pt_from, slot_to, pt_to, t_to))
 
     if not events:
@@ -505,21 +489,6 @@ def _sector_steps(walk, sector_a, sector_b):
         steps.append((i, j, forward))
         i = j
     return steps
-
-
-def _near_edge_point(tri, ec, canonical_u, t, f, pair, delta):
-    """Interior point of face slot (t, f) at edge-class parameter u along the
-    class representative, pushed depth delta off the edge."""
-    sign = tri.edge_classes[ec].dir_sign[(t, pair)]
-    u = canonical_u if sign == 1 else 1 - canonical_u
-    a, b = pair
-    c = next(v for v in FACE_VERTICES[f] if v not in pair)
-    verts = FACE_VERTICES[f]
-    bary = [Fraction(0)] * 3
-    bary[verts.index(a)] = (1 - u) * (1 - delta)
-    bary[verts.index(b)] = u * (1 - delta)
-    bary[verts.index(c)] = delta
-    return tuple(bary)
 
 
 # ---------------------------------------------------------------------------

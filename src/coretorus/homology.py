@@ -249,8 +249,8 @@ def manifold_h1(tri) -> H1Group:
         a, b, c = FACE_VERTICES[f]
         col = {}
         for p, q in ((a, b), (b, c), (c, a)):
-            ec = tri.edge_class_of[(t, tuple(sorted((p, q))))]
-            col[ec] = col.get(ec, 0) + tri.edge_classes[ec].dir_sign[(t, (p, q))]
+            ec, d = tri.class_direction[(t, (p, q))]
+            col[ec] = col.get(ec, 0) + (1 if d == (p, q) else -1)
         d2_cols.append(col)
     return H1Group(ends, d2_cols)
 
@@ -310,9 +310,6 @@ class MeridianCalibration:
             return 0, None
         g = gcd(x, y)
         return g, normalize_slope(x, y)
-
-    def slope_of_cycle(self, bedge_chain):
-        return self.slope_of_coords(self.coords_of_cycle(bedge_chain))
 
     def is_meridian_class(self, w):
         return tuple(w) in (tuple(self.kernel), tuple(-c for c in self.kernel))

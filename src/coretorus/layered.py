@@ -117,9 +117,9 @@ def _labeled(tri, sides, layered, history) -> LayeredTriangulation:
     every layered edge is interior and the labels sit on distinct boundary
     edge classes."""
     classes = tri.edge_classes
-    if any(classes[tri.edge_class_of[slot]].boundary for slot in layered):
+    if any(classes[tri.class_direction[slot][0]].boundary for slot in layered):
         raise TriangulationError("a layered edge is still on the boundary")
-    labels = {tri.edge_class_of[(t, e)]: lab for lab, (t, f, e) in sides.items()}
+    labels = {tri.class_direction[(t, e)][0]: lab for lab, (t, f, e) in sides.items()}
     if len(labels) != len(sides) or not all(classes[c].boundary for c in labels):
         raise TriangulationError("the slope labels are not distinct boundary edges")
     return LayeredTriangulation(tri, labels, history)

@@ -306,8 +306,6 @@ class NormalCurve:
     """One boundary curve component."""
     length: int
     chain: dict              # boundary-edge 1-cycle (bedge -> coefficient)
-    multiplicity: int = 0    # |class| as a multiple of a primitive slope
-    slope: object = None     # Slope or None when null-homologous
 
 
 @dataclass
@@ -472,16 +470,6 @@ def _corner_end(bc, i, vtx, end_slot):
     the other vertex in the given end slot."""
     others = [u for u in FACE_VERTICES[bc.triangles[i][1]] if u != vtx]
     return bc.corner_end(i, bc.side_of(i, (vtx, others[end_slot])), vtx)
-
-
-def curve_slopes(tri, surface: ReconstructedSurface, calibration):
-    """Attach (multiplicity, slope) to every boundary curve, in place."""
-    for curves in surface.boundary_curves_by_component:
-        for c in curves:
-            mult, slope = calibration.slope_of_cycle(c.chain)
-            c.multiplicity = mult
-            c.slope = slope
-    return surface
 
 
 def min_curve_length(triple, s) -> int:

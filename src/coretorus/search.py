@@ -26,7 +26,7 @@ from fractions import Fraction
 from .homology import first_homology
 from .layered import family
 from .normal import (QUAD_CROSSES, QUAD_CUT, NormalVector, check_matching,
-                     count_euler, curve_slopes, edge_weight, reconstruct)
+                     count_euler, edge_weight, reconstruct)
 from .slopes import at_least_golden_power, fib, min_pre_core_intersection, slope_seq
 from .triangulation import FACE_VERTICES
 
@@ -369,7 +369,6 @@ def find_meridian_discs(tri, budget: SearchBudget, calibration=None) -> DiscSear
         w = calibration.coords_of_cycle(curves[0].chain)
         if not calibration.is_meridian_class(w):
             continue
-        curve_slopes(tri, surface, calibration)
         discs.append(MeridianDisc(v, surface, curves[0].length,
                                   surface.weight))
     discs.sort(key=lambda d: (d.complexity, d.vector.coords))

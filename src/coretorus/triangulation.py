@@ -12,8 +12,11 @@ The quotient skeleton (vertex, edge and face classes) is computed by
 union-find over the identifications induced by the gluings.  Edge classes
 come from a single union-find over directed edges: an edge class is the
 directed class of its representative together with the directed class of
-the reverse, so every chain-level computation downstream has exact signs
-available, and an edge identified with its own reverse is caught there.
+the reverse, and an edge identified with its own reverse is caught there.
+The same pass builds ``Triangulation.class_direction``, the one signed-edge
+table: each directed edge slot maps to its class and to the slot's edge
+directed as the class representative.  Every chain sign downstream (H1, the
+boundary complex, the PL curves' class parameters) is read from it.
 """
 from __future__ import annotations
 
@@ -127,7 +130,6 @@ class EdgeClass:
     slots: list                  # [(tet, (u, v)) with u < v]
     rep: tuple                   # representative directed edge (tet, (a, b))
     boundary: bool
-    dir_sign: dict               # (tet, (p, q)) -> +1/-1 relative to rep
 
     @property
     def degree(self):
@@ -175,16 +177,11 @@ class Triangulation:
                 if back is None or back != (t, perm_inverse(perm)):
                     raise TriangulationError(
                         f"gluing of face ({t},{f}) to ({t2},{f2}) is not an involution")
-        self._check_edges()
-        self._check_orientability()
+        # raises if an edge is identified with its reverse
+        self.edge_classes, self.class_direction = self._edge_classes()
+        self.orientation       # raises if no consistent orientation exists
         for ec in self.edge_classes:
             self._walk_for_validation(ec)
-
-    def _check_edges(self):
-        self.edge_classes  # raises if an edge is identified with its reverse
-
-    def _check_orientability(self):
-        self.orientation  # raises if inconsistent
 
     def _walk_for_validation(self, ec):
         walk = self.edge_walk(ec.index)
@@ -195,8 +192,14 @@ class Triangulation:
 
     # -- quotient skeleton -----------------------------------------------
 
-    @cached_property
-    def edge_classes(self):
+    def _edge_classes(self):
+        """The edge classes, and ``class_direction``: (tet, directed edge) ->
+        (edge class, the slot's edge directed as the class representative),
+        for both directions of every slot.  It is the one signed-edge table:
+        a directed edge runs along its class exactly when it is its own class
+        direction.  A crossing point is named by its class and its
+        ``crossing_position`` along that direction, the same in every slot of
+        the class."""
         # one union-find over directed edges (t, (p, q)), keyed 16t + 4p + q;
         # an undirected class is the directed class of its representative
         # together with the directed class of the reverse
@@ -224,34 +227,15 @@ class Triangulation:
                 members.setdefault(min(ra, rb), []).append((t, (u, v)))
         # _UnionFind roots every class at its least key, so a class's root
         # is the key of its least slot, which is its representative
-        classes = []
+        classes, direction = [], {}
         for idx, root in enumerate(sorted(members)):
             slots = members[root]
-            rep = slots[0]
-            sign = {}
             for t, (u, v) in slots:
-                sign[(t, (u, v))] = 1 if uf.find(16 * t + 4 * u + v) == root else -1
-                sign[(t, (v, u))] = -sign[(t, (u, v))]
+                d = (u, v) if uf.find(16 * t + 4 * u + v) == root else (v, u)
+                direction[(t, (u, v))] = direction[(t, (v, u))] = (idx, d)
             boundary = boundary_side(self.gluings, slots) is not None
-            classes.append(EdgeClass(idx, slots, rep, boundary, sign))
-        return classes
-
-    @cached_property
-    def class_direction(self):
-        """(tet, directed edge) -> (edge class, the slot's edge directed as
-        the class representative).  A crossing point is named by its class
-        and its ``crossing_position`` along that direction, the same in
-        every slot of the class."""
-        return {(t, d): (ec.index, d if sign == 1 else d[::-1])
-                for ec in self.edge_classes for (t, d), sign in ec.dir_sign.items()}
-
-    @cached_property
-    def edge_class_of(self):
-        out = {}
-        for ec in self.edge_classes:
-            for t, e in ec.slots:
-                out[(t, e)] = ec.index
-        return out
+            classes.append(EdgeClass(idx, slots, slots[0], boundary))
+        return classes, direction
 
     @cached_property
     def vertex_classes(self):
@@ -343,7 +327,8 @@ class Triangulation:
     @cached_property
     def boundary_complex(self):
         from .boundary import BoundaryComplex
-        return BoundaryComplex(self.gluings, self.edge_classes, self.boundary_faces)
+        return BoundaryComplex(self.gluings, self.edge_classes, self.class_direction,
+                               self.boundary_faces)
 
 
 # -- edge links on a gluing table --------------------------------------------

@@ -13,7 +13,7 @@ from math import gcd
 import pytest
 
 from coretorus import (SearchBudget, Slope, at_least_golden_power,
-                       check_claims, curve_slopes, enumerate_admissible,
+                       check_claims, enumerate_admissible,
                        face_bound_check, fib, find_meridian_discs,
                        intersection, make_61_curve, min_curve_length,
                        normalize_slope, push_off, reconstruct, slope_seq,

@@ -7,12 +7,13 @@ from dataclasses import replace
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from coretorus import cli, search
+from coretorus import bundle, cli, search
 from coretorus.cli import run
 from coretorus.curves import make_61_curve
 from coretorus.layered import family
-from coretorus.slopes import fib
+from coretorus.normal import reconstruct
 from coretorus.search import BudgetExhausted, SearchBudget, _enumerate_raw, enumerate_admissible
+from coretorus.slopes import fib
 from coretorus.triangulation import Triangulation, TriangulationError, serialize_tri
 
 from test_homology import TWO_VERTEX_TEXT
@@ -246,6 +247,25 @@ def test_bundle_rejects_a_malformed_disc_file(t1_files, tmp_path, capsys, disc):
     bad.write_text(json.dumps(disc))
     code, _ = _capture(capsys, ["bundle", "--in", str(d / "t1.tri"), "--disc", str(bad)])
     assert code == 2
+
+
+def test_bundle_reconstructs_the_disc_once(tmp_path, capsys, monkeypatch):
+    # the cut complex and the parallelity bundle read one surface
+    calls = []
+
+    def counting(tri, v):
+        calls.append(v)
+        return reconstruct(tri, v)
+
+    monkeypatch.setattr(bundle, "reconstruct", counting)
+    for i in (0, 1, 2):
+        tri_path, disc_path = str(tmp_path / f"t{i}.tri"), str(tmp_path / f"d{i}.json")
+        _capture(capsys, ["gen", "--family", str(i), "--out", tri_path])
+        _capture(capsys, ["meridian", "--in", tri_path, "--max-pieces", str(fib(i + 6) - 4),
+                          "--out", disc_path])
+        calls.clear()
+        code, _ = _capture(capsys, ["bundle", "--in", tri_path, "--disc", disc_path])
+        assert code == 0 and len(calls) == 1
 
 
 @settings(max_examples=60, deadline=None, derandomize=True,

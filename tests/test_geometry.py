@@ -91,7 +91,7 @@ def test_edge_points_ordered_consistently(fam, minimal_disc):
             pts = []
             for pos in range(w):
                 p = g.edge_point_param(t, e, pos)
-                if ec.dir_sign[(t, e)] == -1:
+                if tri.class_direction[(t, e)][1] != e:
                     p = 1 - p
                 pts.append(p)
             params.add(tuple(sorted(pts)))

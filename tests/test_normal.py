@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from coretorus.normal import (QUAD_CROSSES, QUAD_CUT, QUAD_MISSED, NormalVector, arc_count,
                               boundary_counts_match, boundary_curves_from_counts,
                               check_admissible, check_matching, coorientation, count_euler,
-                              crossing_position, curve_slopes, edge_slot_crossings,
+                              crossing_position, edge_slot_crossings,
                               edge_weight, face_stack, min_curve_length, piece_at,
                               piece_cycle, reconstruct, row_counts, total_weight)
 from coretorus.search import SearchBudget, enumerate_admissible
@@ -52,11 +52,11 @@ def test_vertex_link_reconstruction(fam, homology_of):
     assert s.euler_by_component == [1]          # boundary vertex: link is a disc
     assert s.orientable_by_component == [True]
     assert s.weight == 6
-    curve_slopes(tri, s, homology_of(0).calibration)
+    cal = homology_of(0).calibration
     (curve,) = s.boundary_curves_by_component[0]
     assert curve.length == 6
     assert curve.chain == {}                    # null-homologous on the torus
-    assert curve.slope is None and curve.multiplicity == 0
+    assert cal.slope_of_coords(cal.coords_of_cycle(curve.chain)) == (0, None)
 
 
 def test_ball_vertex_link_is_four_spheres_worth():
@@ -73,7 +73,8 @@ def test_minimal_disc_reconstruction(fam, homology_of, minimal_disc):
     assert s.connected and s.euler_by_component == [1]
     assert d.boundary_length == 6 and d.weight == 6
     (curve,) = s.boundary_curves_by_component[0]
-    assert curve.multiplicity == 1 and curve.slope == Slope(0, 1)
+    cal = homology_of(0).calibration
+    assert cal.slope_of_coords(cal.coords_of_cycle(curve.chain)) == (1, Slope(0, 1))
     # crossings of each boundary edge equal the cut numbers
     cuts = homology_of(0).boundary_edge_cuts
     for e, c in cuts.items():

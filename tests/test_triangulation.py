@@ -159,7 +159,7 @@ def test_valid_gluing_tables_go_through_homology(table):
 
 def _edge_classes_oracle(table):
     """Edge classes from two tuple-keyed union-finds, one over directed and
-    one over undirected edges: (index, slots, rep, boundary, dir_sign) per
+    one over undirected edges: (index, slots, rep, boundary, sign) per
     class, or None if some edge is identified with its own reverse."""
     n = len(table)
     directed = _UnionFind([(t, (p, q)) for t in range(n)
@@ -203,9 +203,13 @@ def test_edge_classes_match_two_union_find_oracle(table):
         assert (want is None) == ("reversing orientation" in str(e))
         return
     assert want is not None
-    got = [(ec.index, ec.slots, ec.rep, ec.boundary, ec.dir_sign)
+    # a direction signs +1 exactly when class_direction names it, in its class
+    got = [(ec.index, ec.slots, ec.rep, ec.boundary,
+            {(t, d): 1 if tri.class_direction[(t, d)] == (ec.index, d) else -1
+             for t, (u, v) in ec.slots for d in ((u, v), (v, u))})
            for ec in tri.edge_classes]
     assert got == want
+    assert len(tri.class_direction) == 12 * tri.tet_count
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
