@@ -2,15 +2,17 @@
 
 Boundary face slots become triangles; two triangle sides are identified when
 the walk around their common manifold edge connects them through the
-interior.  The resulting surface keeps a map back to carrier faces, directed
-boundary-edge classes with signs, vertex classes, components, Euler
-characteristics and orientability, which is everything the homology and
-normal-curve machinery needs.
+interior.  Each boundary edge is one record, ``BoundaryEdge.ends``: its two
+triangle sides, both directed the way the link walk runs, which is the
+direction the edge counts +1.  From these the surface keeps a map back to
+carrier faces, vertex classes, components, Euler characteristics and
+orientability, which is everything the homology and normal-curve machinery
+needs.
 
-A boundary complex keeps the gluing table and edge classes it reads, not
-the triangulation, so a triangulation that caches its boundary complex (and
-the calibration built on it) forms no reference cycle and is freed as soon
-as it is dropped.
+A boundary complex keeps the edge links and the signed-edge table it reads,
+not the triangulation, so a triangulation that caches its boundary complex
+(and the calibration built on it) forms no reference cycle and is freed as
+soon as it is dropped.
 """
 from __future__ import annotations
 
@@ -18,24 +20,26 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .triangulation import (FACE_VERTICES, TriangulationError, _UnionFind, class_walk,
-                            two_colour)
+from .triangulation import FACE_VERTICES, TriangulationError, _UnionFind, two_colour
 
 
 @dataclass
 class BoundaryEdge:
     index: int
-    sides: list              # [(triangle, side_k), (triangle, side_k)]
-    rep_dir: tuple            # (triangle, (p, q)) directed representative
-    sign: dict                # (triangle, (p, q)) -> +1/-1 vs rep_dir
+    ends: tuple               # ((triangle, (p, q)), (triangle, (p, q))), as the link walk runs
     manifold_edge: int        # edge class index in the 3-manifold
-    manifold_sign: int        # sign of rep_dir inside the manifold edge class
+    manifold_sign: int        # +1 if the walk runs along the manifold edge class, else -1
+
+
+def _along(f, d):
+    """+1 if the directed pair d runs along the (a, b, c) cycle of face f, else -1."""
+    a, b, c = FACE_VERTICES[f]
+    return 1 if d in ((a, b), (b, c), (c, a)) else -1
 
 
 class BoundaryComplex:
-    def __init__(self, gluings, edge_classes, class_direction, boundary_faces):
-        self.gluings = gluings
-        self.edge_classes = edge_classes
+    def __init__(self, edge_walks, class_direction, boundary_faces):
+        self.edge_walks = edge_walks
         self.class_direction = class_direction
         self.triangles = list(boundary_faces)
         self.tri_index = {slot: i for i, slot in enumerate(self.triangles)}
@@ -53,43 +57,21 @@ class BoundaryComplex:
     @cached_property
     def bedges(self):
         out = []
-        for ec in self.edge_classes:
-            if not ec.boundary:
-                continue
-            walk = class_walk(self.gluings, ec.slots)
+        for e, walk in enumerate(self.edge_walks):
             if not walk["boundary"]:
-                raise TriangulationError(f"edge class {ec.index} flagged boundary but link is a circle")
-            t0, d0, f0, _ = walk["sectors"][0]
-            t1, d1, _, f1 = walk["sectors"][-1]
-            i0 = self.tri_index[(t0, f0)]
-            i1 = self.tri_index[(t1, f1)]
-            k0 = self.side_of(i0, d0)
-            k1 = self.side_of(i1, d1)
-            sign = {
-                (i0, d0): 1, (i0, (d0[1], d0[0])): -1,
-            }
-            # the walk carries d0 to d1, so d1 is the same directed boundary edge
-            sign[(i1, d1)] = 1
-            sign[(i1, (d1[1], d1[0]))] = -1
-            out.append(BoundaryEdge(
-                index=len(out),
-                sides=[(i0, k0), (i1, k1)],
-                rep_dir=(i0, d0),
-                sign=sign,
-                manifold_edge=ec.index,
-                manifold_sign=1 if self.class_direction[(t0, d0)][1] == d0 else -1,
-            ))
+                continue
+            (t0, d0, f0, _), (t1, d1, _, f1) = walk["sectors"][0], walk["sectors"][-1]
+            # the walk carries d0 to d1, so both sides run the same way
+            ends = ((self.tri_index[(t0, f0)], d0), (self.tri_index[(t1, f1)], d1))
+            sign = 1 if self.class_direction[(t0, d0)][1] == d0 else -1
+            out.append(BoundaryEdge(len(out), ends, e, sign))
         if 2 * len(out) != 3 * len(self.triangles):
             raise TriangulationError("boundary surface sides do not pair up")
         return out
 
     @cached_property
     def bedge_of_side(self):
-        out = {}
-        for be in self.bedges:
-            for s in be.sides:
-                out[s] = be.index
-        return out
+        return {(i, self.side_of(i, d)): be.index for be in self.bedges for i, d in be.ends}
 
     @cached_property
     def bedge_of_manifold_edge(self):
@@ -98,15 +80,14 @@ class BoundaryComplex:
     @cached_property
     def side_dir(self):
         """Side (i, k) -> its direction (p, q) that the boundary edge counts +1."""
-        return {(i, self.side_of(i, d)): d for be in self.bedges
-                for (i, d), s in be.sign.items() if s == 1}
+        return {(i, self.side_of(i, d)): d for be in self.bedges for i, d in be.ends}
 
     @cached_property
     def vertex_classes(self):
         corners = [(i, v) for i, (t, f) in enumerate(self.triangles) for v in FACE_VERTICES[f]]
         uf = _UnionFind(corners)
         for be in self.bedges:
-            (i0, d0), (i1, d1) = ((i, self.side_dir[(i, k)]) for i, k in be.sides)
+            (i0, d0), (i1, d1) = be.ends
             uf.union((i0, d0[0]), (i1, d1[0]))
             uf.union((i0, d0[1]), (i1, d1[1]))
         return uf.classes()
@@ -120,32 +101,26 @@ class BoundaryComplex:
         return out
 
     @cached_property
-    def components(self):
-        uf = _UnionFind(range(len(self.triangles)))
+    def _colouring(self):
+        """``two_colour`` of the triangles: the two triangles at a boundary
+        edge have the same orientation when they induce opposite directions
+        on it."""
+        relations = []
         for be in self.bedges:
-            (i0, _), (i1, _) = be.sides
-            uf.union(i0, i1)
-        return uf.classes()
+            (i0, d0), (i1, d1) = be.ends
+            along = _along(self.triangles[i0][1], d0) * _along(self.triangles[i1][1], d1)
+            relations.append((i0, i1, -along))
+        return two_colour(range(len(self.triangles)), relations)
 
-    def _traversal_dir(self, i, k):
-        """Directed pair of side k as traversed by the triangle's (a,b,c) cycle."""
-        u, v = self.side_vertices(i, k)
-        t, f = self.triangles[i]
-        a, b, c = FACE_VERTICES[f]
-        return (u, v) if (u, v) in ((a, b), (b, c)) else (v, u)
+    @cached_property
+    def components(self):
+        return [members for members, _ in self._colouring[1]]
 
     @cached_property
     def orientation(self):
         """Orientation sign per boundary triangle (the surface of an
         orientable manifold is orientable, but this is computed, not assumed)."""
-        relations = []
-        for be in self.bedges:
-            (i0, k0), (i1, k1) = be.sides
-            s0 = be.sign[(i0, self._traversal_dir(i0, k0))]
-            s1 = be.sign[(i1, self._traversal_dir(i1, k1))]
-            # opposite induced directions <=> same orientation
-            relations.append((i0, i1, -s0 * s1))
-        sign, components = two_colour(range(len(self.triangles)), relations)
+        sign, components = self._colouring
         if not all(ok for _, ok in components):
             raise TriangulationError("boundary surface is not orientable")
         return sign
@@ -196,9 +171,8 @@ class BoundaryComplex:
     def triangle_boundary_chain(self, i):
         """The triangle's boundary as a 1-chain over boundary edges."""
         chain = {}
+        f = self.triangles[i][1]
         for k in range(3):
             be = self.bedge_of_side[(i, k)]
-            d = self._traversal_dir(i, k)
-            coeff = self.bedges[be].sign[(i, d)]
-            chain[be] = chain.get(be, 0) + coeff
+            chain[be] = chain.get(be, 0) + _along(f, self.side_dir[(i, k)])
         return chain

@@ -337,7 +337,7 @@ class BundleComplex:
             w = edge_weight(tri, v, ec.index)
             if w < 2:
                 continue
-            walk = tri.edge_walk(ec.index)
+            walk = tri.edge_walks[ec.index]
             sectors = walk["sectors"]
             for gap in range(w - 1):
                 sides, corners, a_contact = [], [], []

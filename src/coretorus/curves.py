@@ -12,7 +12,7 @@ class of a curve is computed by collapsing each edge crossing to the edge.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -380,12 +380,16 @@ def _class_point(tri, t, f, pair, u, depth):
 # transverse push-off and the per-tetrahedron bound
 # ---------------------------------------------------------------------------
 
+# how far a pushed-off point sits off its junction edge, toward the
+# opposite corner of its face
+PUSH_DEPTH = Fraction(1, 16)
+
+
 @dataclass
 class Chord:
     tet: int
     entry: tuple        # (face, barycentric point in slot coordinates)
     exit: tuple
-    bends: list = field(default_factory=list)
 
 
 @dataclass
@@ -414,14 +418,15 @@ def tet_bound_check(tc: TransverseCurve, bound=18):
             "violations": bad, "endpoints_interior": tc.endpoints_interior()}
 
 
-def push_off(curve: PLCurve, delta=Fraction(1, 16)) -> TransverseCurve:
+def push_off(curve: PLCurve) -> TransverseCurve:
     """Displace a 2-skeleton curve to a curve transverse to the 2-skeleton.
 
     Each segment is pushed into the tetrahedron behind the first slot of its
     carrier face; around each edge junction the displaced curve runs through
     the pages of the edge's link between the two carrier slots, meeting each
-    intermediate face in one interior point near the junction.  The chords
-    between consecutive face crossings are the per-tetrahedron arcs.
+    intermediate face in one interior point ``PUSH_DEPTH`` off the junction.
+    The chords between consecutive face crossings are the per-tetrahedron
+    arcs.
     """
     tri = curve.tri
     if any(j[0] != "edge" for j in curve.junctions):
@@ -436,7 +441,7 @@ def push_off(curve: PLCurve, delta=Fraction(1, 16)) -> TransverseCurve:
         _, ec, u, (seg_a, ea), (seg_b, eb) = j
         slot_a, pair_a = sides[k], ea[2]
         slot_b, pair_b = sides[(k + 1) % n], eb[2]
-        walk = tri.edge_walk(ec)
+        walk = tri.edge_walks[ec]
         sectors = walk["sectors"]
         occs = _page_occurrences(walk)
         key_a = (slot_a, tuple(sorted(pair_a)))
@@ -449,8 +454,8 @@ def push_off(curve: PLCurve, delta=Fraction(1, 16)) -> TransverseCurve:
             t_to, d_to, in_to, out_to = sectors[s_to]
             slot_from = (t_from, out_from if forward else in_from)
             slot_to = (t_to, in_to if forward else out_to)
-            pt_from = _class_point(tri, *slot_from, d_from, u, delta)
-            pt_to = _class_point(tri, *slot_to, d_to, u, delta)
+            pt_from = _class_point(tri, *slot_from, d_from, u, PUSH_DEPTH)
+            pt_to = _class_point(tri, *slot_to, d_to, u, PUSH_DEPTH)
             events.append((slot_from, pt_from, slot_to, pt_to, t_to))
 
     if not events:

@@ -102,8 +102,10 @@ class GeometrizedSurface:
         self._face_arcs = {}
 
     def edge_point_param(self, t, directed_edge, position):
-        """Parameter along the directed tet edge of the crossing at the given
-        slot position, i.e. (k+1)/(w+1) in the class direction."""
+        """Parameter, from the tail of the directed tet edge, of the crossing
+        at ``position`` k counted from that tail: (k+1)/(w+1) of w crossings.
+        The spacing is even, so the same crossing counted from the head, as
+        position w-1-k, lands on the same point."""
         w = edge_slot_crossings(self.vector, t, tuple(sorted(directed_edge)))
         return Fraction(position + 1, w + 1)
 

@@ -227,7 +227,7 @@ def _per_triangulation(build):
     The result is kept in the triangulation's own ``__dict__``, so it lives
     exactly as long as the triangulation does.  Nothing in it refers back to
     the triangulation (a calibration holds the boundary complex, which holds
-    only the gluing table and edge classes), so dropping the triangulation
+    only edge links and the signed-edge table), so dropping the triangulation
     frees both by reference counting.  A freshly parsed copy of the same
     text is another object and starts cold.
     """
@@ -257,7 +257,7 @@ def manifold_h1(tri) -> H1Group:
 
 def boundary_h1(bc) -> H1Group:
     vc = bc.vertex_class_of
-    ends = [(vc[(i, p)], vc[(i, q)]) for i, (p, q) in (be.rep_dir for be in bc.bedges)]
+    ends = [(vc[(i, p)], vc[(i, q)]) for i, (p, q) in (be.ends[0] for be in bc.bedges)]
     return H1Group(ends, [bc.triangle_boundary_chain(i) for i in range(len(bc.triangles))])
 
 
@@ -270,7 +270,7 @@ def _det2(a, b):
 def _manifold_image(bc, h1b, h1m, w):
     """Image in H1(M) = Z of the class with boundary coordinates w."""
     z = h1b.representative_cycle(list(w))
-    chain = [0] * len(bc.edge_classes)
+    chain = [0] * h1m.n_edges
     for be in bc.bedges:
         chain[be.manifold_edge] += be.manifold_sign * z[be.index]
     return h1m.class_of_cycle(chain)[0]
@@ -353,9 +353,9 @@ def calibrate(tri) -> MeridianCalibration | None:
     cuts, coords = {}, {}
     vc = bc.vertex_class_of
     for e, be in bc.bedge_of_manifold_edge.items():
-        i, (p, q) = bc.bedges[be].rep_dir
+        i, (p, q) = bc.bedges[be].ends[0]
         if vc[(i, p)] == vc[(i, q)]:
-            chain, z = [0] * len(bc.edge_classes), [0] * len(bc.bedges)
+            chain, z = [0] * h1m.n_edges, [0] * h1b.n_edges
             chain[e], z[be] = 1, 1
             cuts[e] = abs(h1m.class_of_cycle(chain)[0])
             coords[e] = h1b.class_of_cycle(z)

@@ -81,7 +81,7 @@ def _layer_step(gluings, sides, removed):
     inserted = next(s for s in elementary_move(SlopeTriple(sides), removed) if s not in kept)
     t, f, e = sides.pop(removed)
     sectors = link_walk(gluings, t, e, f)["sectors"]
-    # the walk Triangulation.edge_walk takes, so T_i's table does not depend
+    # the walk Triangulation.edge_walks holds, so T_i's table does not depend
     # on which side of the edge a label was tracked by
     walk = class_walk(gluings, sorted({(s[0], tuple(sorted(s[1]))) for s in sectors}))
     t0, d0, f0, _ = walk["sectors"][0]

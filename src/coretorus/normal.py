@@ -485,8 +485,7 @@ def boundary_counts_match(bc, counts):
     """Do per-triangle corner counts satisfy the edge matching equations?"""
     for be in bc.bedges:
         sums = set()
-        for i, k in be.sides:
-            u, v = bc.side_vertices(i, k)
+        for i, (u, v) in be.ends:
             verts = FACE_VERTICES[bc.triangles[i][1]]
             sums.add(counts[i][verts.index(u)] + counts[i][verts.index(v)])
         if len(sums) != 1:
@@ -507,14 +506,14 @@ def boundary_curves_from_counts(bc, counts):
         for pos, vtx in enumerate(verts):
             ends = []           # per end: (bedge, crossing index of level 0, step)
             for other in (u for u in verts if u != vtx):
-                pair = tuple(sorted((vtx, other)))
-                be = bc.bedges[bc.bedge_of_side[(i, bc.side_of(i, pair))]]
-                last = counts[i][verts.index(pair[0])] + counts[i][verts.index(pair[1])] - 1
-                # levels run from the corner; the bedge counts along its sign
-                if (vtx == pair[0]) == (be.sign[(i, pair)] == 1):
-                    ends.append((be.index, 0, 1))
+                k = bc.side_of(i, (vtx, other))
+                be = bc.bedge_of_side[(i, k)]
+                last = counts[i][verts.index(vtx)] + counts[i][verts.index(other)] - 1
+                # levels run from the corner; the bedge counts along its direction
+                if vtx == bc.side_dir[(i, k)][0]:
+                    ends.append((be, 0, 1))
                 else:
-                    ends.append((be.index, last, -1))
+                    ends.append((be, last, -1))
             (b0, a0, s0), (b1, a1, s1) = ends
             for level in range(counts[i][pos]):
                 arcs.append((i, vtx, ((b0, a0 + s0 * level), (b1, a1 + s1 * level))))

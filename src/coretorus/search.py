@@ -321,7 +321,7 @@ class DiscSearchResult:
     note: str = ""
 
 
-def find_meridian_discs(tri, budget: SearchBudget, calibration=None) -> DiscSearchResult:
+def find_meridian_discs(tri, budget: SearchBudget) -> DiscSearchResult:
     """All normal meridian discs within the budget: connected, Euler
     characteristic 1, boundary in the kernel of H1(bdry) -> H1(M).
 
@@ -338,8 +338,7 @@ def find_meridian_discs(tri, budget: SearchBudget, calibration=None) -> DiscSear
     disc.  The time limit holds for the enumeration and the filter
     together: when it stops either, the discs found so far are returned
     with ``complete`` False; such a result is inconclusive."""
-    if calibration is None:
-        calibration = first_homology(tri).calibration
+    calibration = first_homology(tri).calibration
     if calibration is None:
         raise ValueError("not a solid-torus candidate; no meridian to search for")
     deadline = None
@@ -389,7 +388,7 @@ class MinimalDiscResult:
     note: str = ""
 
 
-def minimal_complexity_disc(tri, budget: SearchBudget, calibration=None) -> MinimalDiscResult:
+def minimal_complexity_disc(tri, budget: SearchBudget) -> MinimalDiscResult:
     """Lexicographic minimum of (boundary length, weight); ties broken by
     coordinate order.
 
@@ -402,16 +401,14 @@ def minimal_complexity_disc(tri, budget: SearchBudget, calibration=None) -> Mini
     The time limit covers both passes: the cover pass gets what is left, and
     a stopped cover pass leaves the result inconclusive.
     """
-    if calibration is None:
-        calibration = first_homology(tri).calibration
     deadline = None
     if budget.time_limit is not None:
         deadline = time.monotonic() + budget.time_limit
-    res = find_meridian_discs(tri, budget, calibration)
+    res = find_meridian_discs(tri, budget)
     if not res.discs:
         return MinimalDiscResult(None, False, True, "no disc within budget")
     best = res.discs[0]
-    lmin = minimal_meridian_length(calibration)
+    lmin = minimal_meridian_length(first_homology(tri).calibration)
     if best.boundary_length != lmin:
         return MinimalDiscResult(best, False, not res.complete,
                                  f"best length {best.boundary_length} > homological bound {lmin}")
@@ -421,7 +418,7 @@ def minimal_complexity_disc(tri, budget: SearchBudget, calibration=None) -> Mini
                          max_weight=best.weight,
                          time_limit=None if deadline is None
                          else max(0.0, deadline - time.monotonic()))
-    res2 = find_meridian_discs(tri, cover, calibration)
+    res2 = find_meridian_discs(tri, cover)
     if res2.inconclusive:
         return MinimalDiscResult(best, False, True, "certification pass hit the budget")
     return MinimalDiscResult(res2.discs[0], True, False, "")

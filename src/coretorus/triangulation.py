@@ -16,7 +16,10 @@ the reverse, and an edge identified with its own reverse is caught there.
 The same pass builds ``Triangulation.class_direction``, the one signed-edge
 table: each directed edge slot maps to its class and to the slot's edge
 directed as the class representative.  Every chain sign downstream (H1, the
-boundary complex, the PL curves' class parameters) is read from it.
+boundary complex, the PL curves' class parameters) is read from it.  The
+same pass walks each class's link once (``Triangulation.edge_walks``); the
+pinched-edge check, the boundary complex, the bundle's Q cells and the
+curves' push-off all read those walks.
 """
 from __future__ import annotations
 
@@ -178,28 +181,24 @@ class Triangulation:
                     raise TriangulationError(
                         f"gluing of face ({t},{f}) to ({t2},{f2}) is not an involution")
         # raises if an edge is identified with its reverse
-        self.edge_classes, self.class_direction = self._edge_classes()
+        self.edge_classes, self.class_direction, self.edge_walks = self._edge_classes()
         self.orientation       # raises if no consistent orientation exists
-        for ec in self.edge_classes:
-            self._walk_for_validation(ec)
-
-    def _walk_for_validation(self, ec):
-        walk = self.edge_walk(ec.index)
-        seen = {(t, tuple(sorted(d))) for (t, d, _, _) in walk["sectors"]}
-        if seen != {(t, e) for t, e in ec.slots}:
-            raise TriangulationError(
-                f"edge class {ec.index} has a disconnected link (pinched edge)")
+        for ec, walk in zip(self.edge_classes, self.edge_walks):
+            if {(t, tuple(sorted(d))) for t, d, _, _ in walk["sectors"]} != set(ec.slots):
+                raise TriangulationError(
+                    f"edge class {ec.index} has a disconnected link (pinched edge)")
 
     # -- quotient skeleton -----------------------------------------------
 
     def _edge_classes(self):
-        """The edge classes, and ``class_direction``: (tet, directed edge) ->
+        """The edge classes; ``class_direction``: (tet, directed edge) ->
         (edge class, the slot's edge directed as the class representative),
-        for both directions of every slot.  It is the one signed-edge table:
-        a directed edge runs along its class exactly when it is its own class
-        direction.  A crossing point is named by its class and its
-        ``crossing_position`` along that direction, the same in every slot of
-        the class."""
+        for both directions of every slot; and the ``class_walk`` of each
+        class, its one ordered link.  ``class_direction`` is the one
+        signed-edge table: a directed edge runs along its class exactly when
+        it is its own class direction.  A crossing point is named by its
+        class and its ``crossing_position`` along that direction, the same in
+        every slot of the class."""
         # one union-find over directed edges (t, (p, q)), keyed 16t + 4p + q;
         # an undirected class is the directed class of its representative
         # together with the directed class of the reverse
@@ -227,15 +226,15 @@ class Triangulation:
                 members.setdefault(min(ra, rb), []).append((t, (u, v)))
         # _UnionFind roots every class at its least key, so a class's root
         # is the key of its least slot, which is its representative
-        classes, direction = [], {}
+        classes, direction, walks = [], {}, []
         for idx, root in enumerate(sorted(members)):
             slots = members[root]
             for t, (u, v) in slots:
                 d = (u, v) if uf.find(16 * t + 4 * u + v) == root else (v, u)
                 direction[(t, (u, v))] = direction[(t, (v, u))] = (idx, d)
-            boundary = boundary_side(self.gluings, slots) is not None
-            classes.append(EdgeClass(idx, slots, slots[0], boundary))
-        return classes, direction
+            walks.append(class_walk(self.gluings, slots))
+            classes.append(EdgeClass(idx, slots, slots[0], walks[-1]["boundary"]))
+        return classes, direction, walks
 
     @cached_property
     def vertex_classes(self):
@@ -318,17 +317,10 @@ class Triangulation:
             euler_characteristic=v - e + f - self.tet_count,
         )
 
-    # -- edge links --------------------------------------------------------
-
-    def edge_walk(self, edge_class_index):
-        """Ordered link of an edge class (see ``class_walk``)."""
-        return class_walk(self.gluings, self.edge_classes[edge_class_index].slots)
-
     @cached_property
     def boundary_complex(self):
         from .boundary import BoundaryComplex
-        return BoundaryComplex(self.gluings, self.edge_classes, self.class_direction,
-                               self.boundary_faces)
+        return BoundaryComplex(self.edge_walks, self.class_direction, self.boundary_faces)
 
 
 # -- edge links on a gluing table --------------------------------------------

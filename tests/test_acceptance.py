@@ -58,12 +58,12 @@ def test_criterion_2_meridian_detection(fam, homology_of):
             assert h.boundary_map_kernel_slope == Slope(0, 1)
 
 
-def test_criterion_3_exponential_discs(fam, homology_of):
+def test_criterion_3_exponential_discs(fam):
     with criterion(3, "every meridian disc of T_i has >= fib(i+3) pieces, i <= 3", 300.0):
         for i in range(4):
             lt = fam(i)
             budget = SearchBudget(max_piece_count=fib(i + 6) - 4)
-            res = find_meridian_discs(lt.tri, budget, homology_of(i).calibration)
+            res = find_meridian_discs(lt.tri, budget)
             assert res.discs, f"no disc found for T_{i} within {budget.max_piece_count} pieces"
             x = fib(i + 3)
             newest = lt.class_with_label(slope_seq(i + 2))

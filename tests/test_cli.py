@@ -16,6 +16,7 @@ from coretorus.search import BudgetExhausted, SearchBudget, _enumerate_raw, enum
 from coretorus.slopes import fib
 from coretorus.triangulation import Triangulation, TriangulationError, serialize_tri
 
+from test_curves import crowded_curve
 from test_homology import TWO_VERTEX_TEXT
 from test_triangulation import gluing_tables
 
@@ -226,6 +227,17 @@ def test_curve_check_rejects_a_malformed_curve_file(t1_files, tmp_path, capsys, 
     bad.write_text(json.dumps(curve))
     code, _ = _capture(capsys, ["curve", "check", "--in", str(bad), "--tri", str(d / "t1.tri")])
     assert code == 2
+
+
+def test_curve_check_fails_a_crowded_face(t1_files, tmp_path, capsys):
+    d, _ = t1_files
+    curve, face = crowded_curve(make_61_curve(family(1)).curve)
+    crowded = tmp_path / "crowded.json"
+    crowded.write_text(json.dumps(curve.to_json()))
+    code, out = _capture(capsys, ["--json", "curve", "check", "--in", str(crowded),
+                                  "--tri", str(d / "t1.tri")])
+    assert code == 1
+    assert json.loads(out)["results"]["face_bound"]["violations"] == [face]
 
 
 # T_1 has two tetrahedra and [[1,1,0,0,1,0,0],[0,0,0,0,0,2,0]] is a two-sided

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from coretorus.curves import (CurveError, PLCurve, Segment,
+from coretorus.curves import (Chord, CurveError, PLCurve, Segment, TransverseCurve,
                               algebraic_intersection, arcs_per_face,
                               curve_h1_class, face_bound_check, is_embedded,
                               make_61_curve, min_boundary_precore_length,
@@ -136,6 +136,42 @@ def test_push_off_bounds(fam):
         assert rep["endpoints_interior"]
         counts, mx = tc.arcs_per_tet()
         assert mx <= 18
+
+
+def crowded_curve(curve, arcs=11):
+    """The curve refined by ``_refine`` until some face carries ``arcs``
+    segments, and that face; every other face carries fewer."""
+    rng = random.Random(20261019)
+    while True:
+        counts, mx = arcs_per_face(curve)
+        if mx == arcs:
+            return curve, max(counts, key=counts.get)
+        curve = _refine(curve, rng)
+
+
+def test_face_bound_check_names_a_crowded_face(fam):
+    curve, face = crowded_curve(make_61_curve(fam(1)).curve)
+    rep = face_bound_check(curve)
+    assert not rep["ok"]
+    assert (rep["max_arcs"], rep["violations"]) == (11, [face])
+
+
+def test_tet_bound_check_names_a_crowded_tetrahedron(fam):
+    tc = push_off(make_61_curve(fam(1)).curve)
+    ch = tc.chords[0]
+    rep = tet_bound_check(TransverseCurve(tc.tri, [ch] * 19))
+    assert not rep["ok"]
+    assert (rep["max_arcs"], rep["violations"]) == (19, [ch.tet])
+    assert rep["endpoints_interior"]
+
+
+def test_endpoint_on_a_face_side_is_not_interior(fam):
+    tc = push_off(make_61_curve(fam(1)).curve)
+    ch = tc.chords[0]
+    assert tc.endpoints_interior()
+    on_side = Chord(ch.tet, (ch.entry[0], (F(0), F(1, 2), F(1, 2))), ch.exit)
+    assert not TransverseCurve(tc.tri, [on_side] + tc.chords[1:]).endpoints_interior()
+    assert not tet_bound_check(TransverseCurve(tc.tri, [on_side]))["endpoints_interior"]
 
 
 def test_push_off_is_closed_chain(fam):

@@ -177,7 +177,7 @@ def test_time_limit_stops_candidate_generation(fam, homology_of):
     tri = fam(7).tri
     cal = homology_of(7).calibration
     start = time.monotonic()
-    res = find_meridian_discs(tri, SearchBudget(fib(13) - 4, time_limit=0.3), cal)
+    res = find_meridian_discs(tri, SearchBudget(fib(13) - 4, time_limit=0.3))
     assert res.inconclusive and not res.complete
     assert time.monotonic() - start < 3.0
     # whatever was found before the stop is a checked meridian disc
@@ -191,7 +191,7 @@ def test_time_limit_bounds_the_overshoot(fam, homology_of):
     tri = fam(8).tri
     cal = homology_of(8).calibration
     start = time.monotonic()
-    res = find_meridian_discs(tri, SearchBudget(fib(14) - 4, time_limit=1.0), cal)
+    res = find_meridian_discs(tri, SearchBudget(fib(14) - 4, time_limit=1.0))
     assert time.monotonic() - start < 1.5
     assert res.inconclusive and not res.complete and res.note == "time limit reached"
     _assert_meridian_discs(tri, cal, res.discs)
@@ -206,7 +206,7 @@ def test_disc_filter_keeps_the_time_limit(fam, homology_of, monkeypatch):
     tri = fam(3).tri
     cal = homology_of(3).calibration
     budget = SearchBudget(2 * (fib(9) - 5))
-    full = find_meridian_discs(tri, budget, cal)
+    full = find_meridian_discs(tri, budget)
     calls = []
 
     def slow_reconstruct(tri, v):
@@ -216,7 +216,7 @@ def test_disc_filter_keeps_the_time_limit(fam, homology_of, monkeypatch):
 
     monkeypatch.setattr(search, "reconstruct", slow_reconstruct)
     start = time.monotonic()
-    res = find_meridian_discs(tri, SearchBudget(budget.max_piece_count, time_limit=0.25), cal)
+    res = find_meridian_discs(tri, SearchBudget(budget.max_piece_count, time_limit=0.25))
     assert time.monotonic() - start < 1.0
     assert res.inconclusive and not res.complete and res.note == "time limit reached"
     filtered = sum(search.count_euler(tri, v) == 1 for v in enumerate_admissible(tri, budget))
@@ -267,7 +267,7 @@ def test_cut_filter_drops_no_disc(fam):
         cal = first_homology(tri).calibration
         budget = SearchBudget(pieces)
         vectors = enumerate_admissible(tri, budget)
-        res = find_meridian_discs(tri, budget, cal)
+        res = find_meridian_discs(tri, budget)
         want = _discs_without_cut_filter(tri, cal, vectors)
         assert res.complete and want, name
         assert ([(d.vector, d.complexity) for d in res.discs]
@@ -335,7 +335,7 @@ def test_count_filter_keeps_every_disc(fam, homology_of):
             if len(curves) == 1 and cal.is_meridian_class(
                     cal.coords_of_cycle(curves[0].chain)):
                 want.append(v.coords)
-        res = find_meridian_discs(tri, budget, cal)
+        res = find_meridian_discs(tri, budget)
         assert want
         assert sorted(d.vector.coords for d in res.discs) == sorted(want)
 
@@ -382,11 +382,11 @@ def _stub_cover_pass(monkeypatch, cover_pass):
     real = search.find_meridian_discs
     budgets = []
 
-    def passes(tri, budget, calibration=None):
+    def passes(tri, budget):
         budgets.append(budget)
         if len(budgets) > 1:
-            return cover_pass(tri, budget, calibration)
-        res = real(tri, budget, calibration)
+            return cover_pass(tri, budget)
+        res = real(tri, budget)
         time.sleep(0.2)
         return res
     monkeypatch.setattr(search, "find_meridian_discs", passes)
@@ -402,7 +402,7 @@ def test_cover_pass_gets_what_is_left_of_the_time_limit(fam, monkeypatch):
 
 
 def test_stopped_cover_pass_is_inconclusive(fam, monkeypatch):
-    def stopped(tri, budget, calibration):
+    def stopped(tri, budget):
         return DiscSearchResult([], False, True, "time limit reached")
     _stub_cover_pass(monkeypatch, stopped)
     res = minimal_complexity_disc(fam(2).tri, SearchBudget(fib(8) - 4, time_limit=5.0))
@@ -413,7 +413,7 @@ def test_stopped_cover_pass_is_inconclusive(fam, monkeypatch):
 def test_every_disc_passes_surface_checks(fam, homology_of):
     tri = fam(1).tri
     cal = homology_of(1).calibration
-    res = find_meridian_discs(tri, SearchBudget(fib(7) - 4), cal)
+    res = find_meridian_discs(tri, SearchBudget(fib(7) - 4))
     assert res.discs
     for d in res.discs:
         s = d.surface

@@ -224,7 +224,7 @@ def test_edge_walks_cover_slots(table):
     except TriangulationError:
         return
     for ec in tri.edge_classes:
-        walk = tri.edge_walk(ec.index)
+        walk = tri.edge_walks[ec.index]
         sectors = walk["sectors"]
         assert walk["boundary"] == ec.boundary
         assert len(sectors) == ec.degree
