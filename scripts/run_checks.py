@@ -21,9 +21,9 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 
 from coretorus import (NormalVector, SearchBudget, boundary_h1, check_claims,
-                       enumerate_admissible, face_bound_check, fib, find_meridian_discs,
-                       first_homology, make_61_curve, minimal_complexity_disc, parse_tri,
-                       push_off, slope_seq, tet_bound_check, verify_61_1, verify_61_2)
+                       enumerate_admissible, fib, find_meridian_discs, first_homology,
+                       make_61_curve, parse_tri, slope_seq, verify_61_1, verify_61_2,
+                       verify_claims, verify_curve_bounds)
 from coretorus.curves import min_boundary_precore_length
 from coretorus.layered import family
 from coretorus.normal import arc_count, boundary_curves_from_counts
@@ -128,16 +128,12 @@ def main():
         "ok" if worst is None else "FAIL", "|n x - y| >= x/3 and >= phi^(i-1)")
 
     for i in range(args.max_claims_index + 1):
-        lt = family(i)
-        res = minimal_complexity_disc(lt.tri, SearchBudget(fib(i + 6) - 4))
-        claims = check_claims(lt.tri, res.disc, minimal_disc=res.disc)
-        # the claims are stated for the minimal disc, so they need its certificate
-        row(f"claims 1-2 T_{i}",
-            "inconclusive" if not res.certified
-            else "ok" if claims.claim1 and claims.claim2 else "FAIL",
-            f"minimal disc ({res.disc.boundary_length},{res.disc.weight}), "
-            f"certified={res.certified}, "
-            f"{claims.details['components']} bundle component(s)")
+        rep = verify_claims(i)
+        d = rep.details
+        row(f"claims 1-2 T_{i}", rep.status,
+            f"minimal disc certified={d['minimal_certified']}, "
+            f"{d['details']['components']} bundle component(s)"
+            if d else f"no disc within fib({i + 6})-4 pieces")
 
     # the closed-form disc D_14, row k = (0, 0, F(k+2), F(k+2), 0, 0, F(k+1)):
     # no enumeration reaches T_14, so this times the bundle at scale
@@ -153,15 +149,15 @@ def main():
         lt = family(i)
         found = find_meridian_discs(lt.tri, SearchBudget(fib(i + 6) - 4))
         cert = make_61_curve(lt, witness_disc=found.discs[0] if found.discs else None)
-        fb = face_bound_check(cert.curve)
-        ok = cert.one_skeleton_hits == 1 and fb["ok"]
+        # the arc bounds are verify curve-bounds' verdict, on the curve found
+        # without a witness; at these indices the witness keeps the first curve
+        bounds = verify_curve_bounds(i)
+        ok = cert.one_skeleton_hits == 1 and bounds.status == "pass"
         detail = (f"kind={cert.kind}, hits={cert.one_skeleton_hits}, "
-                  f"pairing={cert.algebraic_pairing}, faces<= {fb['max_arcs']}")
-        if i >= 1:
-            # as verify curve-bounds: the push-off's tet bound, endpoints interior
-            tb = tet_bound_check(push_off(cert.curve))
-            ok = ok and tb["ok"] and tb["endpoints_interior"]
-            detail += f", tets<= {tb['max_arcs']}"
+                  f"pairing={cert.algebraic_pairing}, "
+                  f"faces<= {bounds.details['face_bound']['max_arcs']}")
+        if "tet_bound" in bounds.details:
+            detail += f", tets<= {bounds.details['tet_bound']['max_arcs']}"
         row(f"core-curve certificate T_{i}", "ok" if ok else "FAIL", detail)
         if found.discs:
             # the witness's boundary, traced again from its boundary corner counts

@@ -2,11 +2,12 @@
 PL core-curve certificates, all in exact arithmetic."""
 
 from .bundle import (BundleComponent, ClaimsReport, CutComplex, bundle_prime,
-                     check_claims, cut_along, parallelity_bundle)
+                     check_claims, cut_along, parallelity_bundle, verify_claims)
 from .curves import (CurveCertificate, PLCurve, Segment, TransverseCurve,
                      algebraic_intersection, arcs_per_face, curve_h1_class,
                      face_bound_check, is_embedded, make_61_curve,
-                     min_boundary_precore_length, push_off, tet_bound_check)
+                     min_boundary_precore_length, push_off, tet_bound_check,
+                     verify_curve_bounds)
 from .geometry import GeometrizedSurface
 from .homology import (HomologySummary, MeridianCalibration, SolidTorusReport,
                        boundary_h1, calibrate, first_homology, manifold_h1,

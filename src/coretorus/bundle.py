@@ -26,7 +26,9 @@ from dataclasses import dataclass, field
 from .normal import (NormalVector, QUAD_CUT, QUAD_MISSED, ReconstructedSurface, arc_count,
                      coorientation, crossing_position, edge_weight, face_stack, piece_at,
                      piece_cycle, reconstruct)
-from .search import MeridianDisc
+from .layered import family
+from .search import MeridianDisc, SearchBudget, VerifyReport, minimal_complexity_disc
+from .slopes import fib
 from .triangulation import (FACE_VERTICES, TriangulationError, _UnionFind, perm_inverse,
                             two_colour)
 
@@ -471,3 +473,23 @@ def check_claims(tri, disc, minimal_disc=None) -> ClaimsReport:
     if minimal is False:
         details["note"] = "input not minimal"
     return ClaimsReport(claim1, claim2, minimal, details)
+
+
+def verify_claims(i: int) -> VerifyReport:
+    """Claims 1-2 on the minimal meridian disc of the i-th layered
+    triangulation, searched within fib(i+6)-4 pieces, one piece above the
+    least disc.  The claims are stated for the minimal disc: with no disc,
+    or with an uncertified minimum, the verdict is inconclusive."""
+    lt = family(i)
+    m = minimal_complexity_disc(lt.tri, SearchBudget(fib(i + 6) - 4))
+    if m.disc is None:
+        return VerifyReport("claims-1-2", "inconclusive")
+    claims = check_claims(lt.tri, m.disc, minimal_disc=m.disc)
+    ok = claims.claim1 and claims.claim2
+    status = "inconclusive" if not m.certified else "pass" if ok else "fail"
+    return VerifyReport("claims-1-2", status, {
+        "claim1_all_products": claims.claim1,
+        "claim2_prime_meets_both_copies": claims.claim2,
+        "minimal_certified": m.certified,
+        "details": claims.details,
+    })

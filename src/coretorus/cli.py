@@ -14,10 +14,9 @@ import sys
 import time
 from fractions import Fraction
 
-from .bundle import bundle_prime, check_claims, cut_along, parallelity_bundle
-from .curves import (PLCurve, algebraic_intersection, curve_h1_class,
-                     face_bound_check, is_embedded, make_61_curve, push_off,
-                     tet_bound_check)
+from .bundle import bundle_prime, cut_along, parallelity_bundle, verify_claims
+from .curves import (PLCurve, algebraic_intersection, curve_h1_class, face_bound_check,
+                     is_embedded, make_61_curve, verify_curve_bounds)
 from .geometry import GeometrizedSurface
 from .homology import first_homology, solid_torus_candidate
 from .layered import family
@@ -216,57 +215,17 @@ def cmd_curve(args, report):
     raise ValueError(args.curve_cmd)
 
 
+VERIFY = {"61-1": verify_61_1, "61-2": verify_61_2,
+          "claims": verify_claims, "curve-bounds": verify_curve_bounds}
+
+
 def cmd_verify(args, report):
-    if args.check == "61-1":
-        rep = verify_61_1(args.i)
-    elif args.check == "61-2":
-        rep = verify_61_2(args.i)
-    elif args.check == "claims":
-        lt = family(args.i)
-        budget = SearchBudget(max_piece_count=args.max_pieces
-                              if args.max_pieces is not None else fib(args.i + 6) - 4)
-        m = minimal_complexity_disc(lt.tri, budget)
-        if m.disc is None:
-            report.set("status", "inconclusive")
-            report.set("check", "claims-1-2")
-            return EXIT_INCONCLUSIVE
-        claims = check_claims(lt.tri, m.disc, minimal_disc=m.disc)
-        report.set("check", "claims-1-2")
-        report.set("claim1_all_products", claims.claim1)
-        report.set("claim2_prime_meets_both_copies", claims.claim2)
-        report.set("minimal_certified", m.certified)
-        report.set("details", claims.details)
-        # the claims are stated for the minimal disc: an uncertified minimum
-        # neither proves nor refutes them
-        if not m.certified:
-            report.set("status", "inconclusive")
-            return EXIT_INCONCLUSIVE
-        report.set("status", "pass" if claims.claim1 and claims.claim2 else "fail")
-        return EXIT_PASS if claims.claim1 and claims.claim2 else EXIT_FAIL
-    elif args.check == "curve-bounds":
-        lt = family(args.i)
-        cert = make_61_curve(lt)
-        fb = face_bound_check(cert.curve)
-        report.set("check", "theorem-1.1/1.2 bounds on the 6.1(3) curve")
-        report.set("face_bound", fb)
-        ok = fb["ok"]
-        if args.i >= 1:
-            tb = tet_bound_check(push_off(cert.curve))
-            report.set("tet_bound", tb)
-            ok = ok and tb["ok"] and tb["endpoints_interior"]
-        report.set("status", "pass" if ok else "fail")
-        return EXIT_PASS if ok else EXIT_FAIL
-    else:
-        raise ValueError(args.check)
+    rep = VERIFY[args.check](args.i)
     report.set("check", rep.name)
     report.set("status", rep.status)
     for k, v in rep.details.items():
         report.set(k, v)
-    if rep.status == "pass":
-        return EXIT_PASS
-    if rep.status == "inconclusive":
-        return EXIT_INCONCLUSIVE
-    return EXIT_FAIL
+    return {"pass": EXIT_PASS, "inconclusive": EXIT_INCONCLUSIVE}.get(rep.status, EXIT_FAIL)
 
 
 def build_parser():
@@ -309,10 +268,8 @@ def build_parser():
     cchk.add_argument("--disc", default=None)
 
     w = sub.add_parser("verify")
-    w.add_argument("check", choices=["61-1", "61-2", "claims", "curve-bounds"])
+    w.add_argument("check", choices=list(VERIFY))
     w.add_argument("--i", type=int, required=True)
-    w.add_argument("--max-pieces", type=int, default=None,
-                   help="piece budget of the disc search; only 'claims' reads it")
 
     return p
 

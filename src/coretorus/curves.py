@@ -19,6 +19,8 @@ from itertools import combinations
 from .geometry import (GeometrizedSurface, corner_point, face_chart_point, on_segment,
                        orient2, segments_cross_properly, segments_intersect)
 from .homology import manifold_h1
+from .layered import family
+from .search import VerifyReport
 from .slopes import at_least_golden_power, fib, min_pre_core_intersection, slope_seq
 from .triangulation import FACE_VERTICES
 
@@ -201,40 +203,19 @@ def face_bound_check(curve: PLCurve, bound=10):
     return {"max_arcs": mx, "bound": bound, "ok": mx <= bound, "violations": bad}
 
 
-def _face_runs(curve: PLCurve):
-    """Compress the curve to maximal runs within one face, each run carrying
-    its entry and exit edge data.  Interior junctions (from subdivision)
-    disappear; a curve with no edge junction has no runs."""
-    edge_positions = [k for k, j in enumerate(curve.junctions) if j[0] == "edge"]
-    if not edge_positions:
-        return []
-    runs = []
-    for idx, k in enumerate(edge_positions):
-        nxt = edge_positions[(idx + 1) % len(edge_positions)]
-        # the run starts with segment k+1 and ends with segment nxt
-        j_in = curve.junctions[k]
-        j_out = curve.junctions[nxt]
-        runs.append({
-            "entry": j_in[4][1],     # edge data where the run begins
-            "exit": j_out[3][1],     # edge data where the run ends
-        })
-    return runs
-
-
 def curve_h1_class(curve: PLCurve):
     """Class of the curve in H1(M): collapse each edge junction to a run
     along the edge between the corners cut off by the face paths on its two
-    sides."""
+    sides.  Interior junctions (from subdivision) do not bend the path out
+    of its face, so only edge junctions are read."""
     tri = curve.tri
-    runs = _face_runs(curve)
+    edges = [j for j in curve.junctions if j[0] == "edge"]
     chain = [0] * len(tri.edge_classes)
-    m = len(runs)
-    for idx, run in enumerate(runs):
-        nxt = runs[(idx + 1) % m]
-        # junction between run idx (exiting) and run idx+1 (entering)
-        ec = run["exit"][0]
-        end_a = _cut_corner_end(tri, run["entry"], run["exit"])
-        end_b = _cut_corner_end(tri, nxt["exit"], nxt["entry"])
+    for k, (_, ec, _, (_, exit_data), (_, entry_data)) in enumerate(edges):
+        # the path reaching this junction entered its face at junction k-1,
+        # the path leaving it exits its face at junction k+1
+        end_a = _cut_corner_end(tri, edges[k - 1][4][1], exit_data)
+        end_b = _cut_corner_end(tri, edges[(k + 1) % len(edges)][3][1], entry_data)
         if end_a != end_b:
             chain[ec] += 1 if end_a == 0 else -1
     return manifold_h1(tri).class_of_cycle(chain)
@@ -242,12 +223,12 @@ def curve_h1_class(curve: PLCurve):
 
 def _cut_corner_end(tri, other_edge_data, this_edge_data):
     """Which end (0 tail / 1 head of the side directed as its class) of this
-    edge the corner shared with the run's other side sits at."""
+    edge the corner shared with the face path's other side sits at."""
     _, _, pair, (t, _) = this_edge_data
     _, _, other_pair, _ = other_edge_data
     shared = set(other_pair) & set(pair)
     if len(shared) != 1:
-        raise CurveError("face run does not join two distinct sides")
+        raise CurveError("face path does not join two distinct sides")
     return 0 if shared.pop() == tri.class_direction[(t, pair)][1][0] else 1
 
 
@@ -431,16 +412,10 @@ def push_off(curve: PLCurve) -> TransverseCurve:
     tri = curve.tri
     if any(j[0] != "edge" for j in curve.junctions):
         raise CurveError("push-off expects a curve with edge junctions only")
-    n = len(curve.segments)
-    sides = [curve.rep_slot(s) for s in curve.segments]
-
     # events: cyclic list of oriented face crossings:
     # (entry-side slot and point, exit-side slot and point, tet entered)
     events = []
-    for k, j in enumerate(curve.junctions):
-        _, ec, u, (seg_a, ea), (seg_b, eb) = j
-        slot_a, pair_a = sides[k], ea[2]
-        slot_b, pair_b = sides[(k + 1) % n], eb[2]
+    for _, ec, u, (_, (_, _, pair_a, slot_a)), (_, (_, _, pair_b, slot_b)) in curve.junctions:
         walk = tri.edge_walks[ec]
         sectors = walk["sectors"]
         occs = _page_occurrences(walk)
@@ -466,6 +441,23 @@ def push_off(curve: PLCurve) -> TransverseCurve:
         nxt = events[(i + 1) % m]
         chords.append(Chord(tet_after, (slot_to[1], pt_to), (nxt[0][1], nxt[1])))
     return TransverseCurve(tri, chords)
+
+
+def verify_curve_bounds(i: int) -> VerifyReport:
+    """Theorems 1.1/1.2 bounds on the one-crossing curve of the i-th layered
+    triangulation: at most 10 arcs in each face and, from the first
+    layering on, where the curve is a core curve, at most 18 arcs in each
+    tetrahedron of its push-off, whose endpoints lie inside faces."""
+    curve = make_61_curve(family(i)).curve
+    fb = face_bound_check(curve)
+    details = {"face_bound": fb}
+    ok = fb["ok"]
+    if i >= 1:
+        tb = tet_bound_check(push_off(curve))
+        details["tet_bound"] = tb
+        ok = ok and tb["ok"] and tb["endpoints_interior"]
+    return VerifyReport("theorem-1.1/1.2 bounds on the 6.1(3) curve",
+                        "pass" if ok else "fail", details)
 
 
 def _page_occurrences(walk):

@@ -1,10 +1,10 @@
 """Straight face arcs of normal surfaces in exact rational arithmetic.
 
-The k-th crossing point along an edge of weight w sits at parameter
-(k+1)/(w+1) measured along the edge class's representative direction, which
-makes the ordering of crossing points consistent in every tetrahedron
-around the edge.  Arcs are straight segments between their edge points in
-the affine structure of each face.
+The k-th crossing point along an edge of weight w, counted from the given
+edge's tail, sits at parameter (k+1)/(w+1) from that tail.  The spacing is
+even, so the point is the same counted from either end, and the crossing
+points sit alike in every tetrahedron around the edge.  Arcs are straight
+segments between their edge points in the affine structure of each face.
 
 A face slot's arcs are built on first read and cached, so a caller that
 reads one face (the core-curve certificate) builds only that face.

@@ -183,10 +183,6 @@ class Triangulation:
         # raises if an edge is identified with its reverse
         self.edge_classes, self.class_direction, self.edge_walks = self._edge_classes()
         self.orientation       # raises if no consistent orientation exists
-        for ec, walk in zip(self.edge_classes, self.edge_walks):
-            if {(t, tuple(sorted(d))) for t, d, _, _ in walk["sectors"]} != set(ec.slots):
-                raise TriangulationError(
-                    f"edge class {ec.index} has a disconnected link (pinched edge)")
 
     # -- quotient skeleton -----------------------------------------------
 
@@ -198,7 +194,13 @@ class Triangulation:
         signed-edge table: a directed edge runs along its class exactly when
         it is its own class direction.  A crossing point is named by its
         class and its ``crossing_position`` along that direction, the same in
-        every slot of the class."""
+        every slot of the class.
+
+        Each class's walk covers all its slots, so no edge link is pinched:
+        the union-find joins two slots only across a face that both contain,
+        which is one ``link_walk`` step, and each slot lies in two faces, so a
+        class is a path of slots or a cycle, and ``class_walk`` starts at an
+        end of a path."""
         # one union-find over directed edges (t, (p, q)), keyed 16t + 4p + q;
         # an undirected class is the directed class of its representative
         # together with the directed class of the reverse

@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from coretorus import bundle, cli, search
+from coretorus import bundle, curves, search
 from coretorus.cli import run
 from coretorus.curves import make_61_curve
 from coretorus.layered import family
@@ -108,17 +108,46 @@ def test_verify_claims_needs_a_certified_minimum(capsys, monkeypatch):
     assert results["status"] == "pass" and results["minimal_certified"] is True
     # the same disc without its certificate: the claims hold on it, but they
     # are stated for the minimal disc, so the run settles nothing
-    real = cli.minimal_complexity_disc
+    real = bundle.minimal_complexity_disc
 
     def uncertified(tri, budget):
         return replace(real(tri, budget), certified=False, inconclusive=True,
                        note="certification pass hit the budget")
-    monkeypatch.setattr(cli, "minimal_complexity_disc", uncertified)
+    monkeypatch.setattr(bundle, "minimal_complexity_disc", uncertified)
     code, out = _capture(capsys, ["--json", "verify", "claims", "--i", "1"])
     assert code == 3
     results = json.loads(out)["results"]
     assert results["status"] == "inconclusive" and results["minimal_certified"] is False
     assert results["claim1_all_products"] and results["claim2_prime_meets_both_copies"]
+
+
+def test_verify_failures_exit_1(capsys, monkeypatch):
+    # each check's fail verdict reaches exit code 1 through the VERIFY table
+    real_claims = bundle.check_claims
+
+    def claim1_false(*args, **kwargs):
+        return replace(real_claims(*args, **kwargs), claim1=False)
+    monkeypatch.setattr(bundle, "check_claims", claim1_false)
+    code, out = _capture(capsys, ["--json", "verify", "claims", "--i", "1"])
+    assert code == 1
+    results = json.loads(out)["results"]
+    assert results["status"] == "fail" and results["claim1_all_products"] is False
+
+    # at i >= 1 the refined curve's interior junctions stop push_off (exit 2),
+    # so the face bound fails on T_0's curve
+    cert = make_61_curve(family(0))
+    crowded, face = crowded_curve(cert.curve)
+    monkeypatch.setattr(curves, "make_61_curve", lambda lt: replace(cert, curve=crowded))
+    code, out = _capture(capsys, ["--json", "verify", "curve-bounds", "--i", "0"])
+    assert code == 1
+    results = json.loads(out)["results"]
+    assert results["status"] == "fail" and results["face_bound"]["violations"] == [face]
+
+    monkeypatch.setattr(search, "min_pre_core_intersection", lambda slopes: (0, 0))
+    code, out = _capture(capsys, ["--json", "verify", "61-2", "--i", "5"])
+    assert code == 1
+    results = json.loads(out)["results"]
+    assert results["status"] == "fail" and results["min_intersection"] == 0
 
 
 def test_curve_roundtrip(tmp_path, capsys):
