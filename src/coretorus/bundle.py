@@ -477,9 +477,10 @@ def check_claims(tri, disc, minimal_disc=None) -> ClaimsReport:
 
 def verify_claims(i: int) -> VerifyReport:
     """Claims 1-2 on the minimal meridian disc of the i-th layered
-    triangulation, searched within fib(i+6)-4 pieces, one piece above the
-    least disc.  The claims are stated for the minimal disc: with no disc,
-    or with an uncertified minimum, the verdict is inconclusive."""
+    triangulation, which ``minimal_complexity_disc`` certifies by the
+    homology floor without a search.  The claims are stated for the minimal
+    disc: with no disc, or with an uncertified minimum, the verdict is
+    inconclusive."""
     lt = family(i)
     m = minimal_complexity_disc(lt.tri, SearchBudget(fib(i + 6) - 4))
     if m.disc is None:

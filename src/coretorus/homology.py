@@ -255,6 +255,26 @@ def manifold_h1(tri) -> H1Group:
     return H1Group(ends, d2_cols)
 
 
+@_per_triangulation
+def loop_cuts(tri) -> dict:
+    """c(e) = |[e]| in H1(M) = Z for each edge class e that is a loop, one
+    ``class_of_cycle`` each; empty unless H1(M) = Z.
+
+    A meridian disc meets a loop e at least c(e) times: pushed off the
+    boundary near its vertex, e pairs with the disc, which generates
+    H2(M, bdry) = Z, to +-[e]."""
+    h1m = manifold_h1(tri)
+    if not h1m.is_infinite_cyclic:
+        return {}
+    cuts = {}
+    for e, (tail, head) in enumerate(h1m.ends):
+        if tail == head:
+            chain = [0] * h1m.n_edges
+            chain[e] = 1
+            cuts[e] = abs(h1m.class_of_cycle(chain)[0])
+    return cuts
+
+
 def boundary_h1(bc) -> H1Group:
     vc = bc.vertex_class_of
     ends = [(vc[(i, p)], vc[(i, q)]) for i, (p, q) in (be.ends[0] for be in bc.bedges)]

@@ -103,6 +103,33 @@ def row_counts(row) -> RowCounts:
     return RowCounts(q, tuple(map(tuple, arcs)), tuple(map(tuple, crossings)))
 
 
+def row_of_crossings(crossings):
+    """The admissible row whose ``row_counts`` crossings are the given 4x4
+    table, or None if no row has them.
+
+    The two edges a quad misses carry the triangle total T between them and
+    every other opposite pair carries T plus twice the quad count, so the
+    quad misses the pair with the smallest sum and its count is half the
+    gap; the triangle counts follow from the edge weights less the quads.
+    A candidate is returned only if its crossings are the table, so the
+    row is unique."""
+    sums = [crossings[a][b] + crossings[c][d] for (a, b), (c, d) in QUAD_MISSED]
+    q = sums.index(min(sums))
+    n = (max(sums) - sums[q]) // 2
+
+    def bare(u, w):
+        return crossings[u][w] - n * ((min(u, w), max(u, w)) in QUAD_CROSSES[q])
+
+    tris = []
+    for v in range(4):
+        a, b, _ = (x for x in range(4) if x != v)
+        tris.append((bare(v, a) + bare(v, b) - bare(a, b)) // 2)
+    row = tuple(tris + [n if k == q else 0 for k in range(3)])
+    if min(row) < 0 or row_counts(row).crossings != tuple(map(tuple, crossings)):
+        return None
+    return row
+
+
 @dataclass(frozen=True)
 class NormalVector:
     """Per tetrahedron: (tri0, tri1, tri2, tri3, q01_23, q02_13, q03_12)."""

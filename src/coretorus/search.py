@@ -14,6 +14,11 @@ Output order is deterministic and budget monotone: vectors sorted by
 (piece count, coordinates), so a run with a larger budget streams the
 smaller run as a prefix.
 
+A minimal meridian disc is looked for first without enumerating: where
+every edge is a loop, the vector that meets each edge as often as its class
+in H1(M) = Z says it must is the unique minimum if it is a disc
+(``minimal_complexity_disc``).
+
 Budgets never masquerade as proofs: every report distinguishes a failed
 check from an inconclusive search.
 """
@@ -23,10 +28,10 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .homology import first_homology
+from .homology import first_homology, loop_cuts
 from .layered import family
 from .normal import (QUAD_CROSSES, QUAD_CUT, NormalVector, check_matching,
-                     count_euler, edge_weight, reconstruct)
+                     count_euler, edge_weight, reconstruct, row_of_crossings)
 from .slopes import at_least_golden_power, fib, min_pre_core_intersection, slope_seq
 from .triangulation import FACE_VERTICES
 
@@ -355,23 +360,49 @@ def find_meridian_discs(tri, budget: SearchBudget) -> DiscSearchResult:
             break
         if any(edge_weight(tri, v, e) < cut for e, cut in calibration.cuts.items()):
             continue
-        if count_euler(tri, v) != 1:
-            continue
-        surface = reconstruct(tri, v)
-        if not surface.connected:
-            continue
-        if surface.euler_by_component[0] != 1:
-            continue
-        curves = surface.boundary_curves_by_component[0]
-        if len(curves) != 1:
-            continue
-        w = calibration.coords_of_cycle(curves[0].chain)
-        if not calibration.is_meridian_class(w):
-            continue
-        discs.append(MeridianDisc(v, surface, curves[0].length,
-                                  surface.weight))
+        disc = _meridian_disc(tri, calibration, v)
+        if disc is not None:
+            discs.append(disc)
     discs.sort(key=lambda d: (d.complexity, d.vector.coords))
     return DiscSearchResult(discs, complete, not complete or not discs, note)
+
+
+def _meridian_disc(tri, calibration, v):
+    """v as a MeridianDisc if it is one -- connected, Euler characteristic 1
+    (checked on the counts before reconstructing), one boundary curve in the
+    meridian class -- else None."""
+    if count_euler(tri, v) != 1:
+        return None
+    surface = reconstruct(tri, v)
+    if not surface.connected or surface.euler_by_component[0] != 1:
+        return None
+    curves = surface.boundary_curves_by_component[0]
+    if len(curves) != 1:
+        return None
+    if not calibration.is_meridian_class(calibration.coords_of_cycle(curves[0].chain)):
+        return None
+    return MeridianDisc(v, surface, curves[0].length, surface.weight)
+
+
+def floor_vector(tri):
+    """v*, the vector that meets every edge class e exactly c(e) times
+    (``loop_cuts``), built row by row; None when some edge class is not a
+    loop or some tetrahedron has no row with those crossings.  v* always
+    matches: a face's arc counts are fixed by the weights of its three
+    edges, which both of its sides read.  Whether it is a disc is not
+    checked here."""
+    cuts = loop_cuts(tri)
+    if len(cuts) != len(tri.edge_classes):
+        return None
+    direction = tri.class_direction
+    rows = []
+    for t in range(tri.tet_count):
+        row = row_of_crossings([[cuts[direction[(t, (u, w))][0]] if u != w else 0
+                                 for w in range(4)] for u in range(4)])
+        if row is None:
+            return None
+        rows.append(row)
+    return NormalVector(rows)
 
 
 def minimal_meridian_length(calibration):
@@ -392,11 +423,21 @@ def minimal_complexity_disc(tri, budget: SearchBudget) -> MinimalDiscResult:
     """Lexicographic minimum of (boundary length, weight); ties broken by
     coordinate order.
 
-    Certification: the boundary length of a meridian disc is at least the sum
-    of the meridian cut numbers, and a piece meets at most one crossing point
-    per edge-link sector, so once a disc of minimal length with weight W is
-    found, re-enumerating with weight budget W (piece budget W * max link
-    degree / 3) provably covers every competitor.
+    Floor certificate: where every edge class e is a loop, a meridian disc
+    meets it at least c(e) times (``loop_cuts``), so the vector v* that
+    meets each e exactly c(e) times (``floor_vector``) has the least weight
+    and, a row having (least + greatest opposite-pair sum) / 2 pieces, the
+    fewest pieces of any meridian disc.  If v* is a meridian disc, it is
+    the unique minimum and is returned certified with no enumeration; if it
+    lies over the budget, no meridian disc fits.
+
+    Otherwise (an edge that is not a loop, a tetrahedron with no row, or a
+    v* that is no disc) the minimum is searched for and certified by a
+    cover pass: the boundary length of a meridian disc is at least the sum
+    of the meridian cut numbers, and a piece meets at most one crossing
+    point per edge-link sector, so once a disc of minimal length with
+    weight W is found, re-enumerating with weight budget W (piece budget
+    W * max link degree / 3) provably covers every competitor.
 
     The time limit covers both passes: the cover pass gets what is left, and
     a stopped cover pass leaves the result inconclusive.
@@ -404,11 +445,21 @@ def minimal_complexity_disc(tri, budget: SearchBudget) -> MinimalDiscResult:
     deadline = None
     if budget.time_limit is not None:
         deadline = time.monotonic() + budget.time_limit
+    calibration = first_homology(tri).calibration
+    floor = None if calibration is None else floor_vector(tri)
+    if floor is not None:
+        if (floor.piece_count() > budget.max_piece_count
+                or (budget.max_weight is not None
+                    and sum(loop_cuts(tri).values()) > budget.max_weight)):
+            return MinimalDiscResult(None, False, True, "no disc within budget")
+        disc = _meridian_disc(tri, calibration, floor)
+        if disc is not None:
+            return MinimalDiscResult(disc, True, False, "")
     res = find_meridian_discs(tri, budget)
     if not res.discs:
         return MinimalDiscResult(None, False, True, "no disc within budget")
     best = res.discs[0]
-    lmin = minimal_meridian_length(first_homology(tri).calibration)
+    lmin = minimal_meridian_length(calibration)
     if best.boundary_length != lmin:
         return MinimalDiscResult(best, False, not res.complete,
                                  f"best length {best.boundary_length} > homological bound {lmin}")

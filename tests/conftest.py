@@ -30,8 +30,9 @@ def homology_of(fam):
 @pytest.fixture(scope="session")
 def minimal_disc(fam):
     """Certified minimal-complexity meridian discs, cached per family index.
-    Recorded minima: fib(i+6) - 5 pieces.  Certification re-enumerates under
-    a weight budget: well under a second for i <= 5, a few seconds at i = 6."""
+    Recorded minima: fib(i+6) - 5 pieces.  The homology floor certifies
+    them without enumerating; the surface is reconstructed, about 0.1 s at
+    i = 14."""
     def get(i):
         if i not in _disc_cache:
             lt = fam(i)
@@ -39,27 +40,6 @@ def minimal_disc(fam):
             assert res.disc is not None and res.certified
             _disc_cache[i] = res.disc
         return _disc_cache[i]
-    return get
-
-
-_witness_cache = {}
-
-
-@pytest.fixture(scope="session")
-def witness_disc(fam, minimal_disc):
-    """A meridian disc usable as a pairing witness: the certified minimal one
-    where that is cheap, otherwise the least disc found within the recorded
-    piece budget."""
-    def get(i):
-        if i <= 4:
-            return minimal_disc(i)
-        if i not in _witness_cache:
-            from coretorus import find_meridian_discs
-            lt = fam(i)
-            res = find_meridian_discs(lt.tri, SearchBudget(fib(i + 6) - 4))
-            assert res.discs
-            _witness_cache[i] = res.discs[0]
-        return _witness_cache[i]
     return get
 
 

@@ -91,17 +91,17 @@ def test_criterion_4_precore_lengths():
             assert rep.details["min_intersection"] == best
 
 
-def test_criterion_5_one_crossing_curve(fam, witness_disc):
+def test_criterion_5_one_crossing_curve(fam, minimal_disc):
     with criterion(5, "6.1(3) curve: one crossing on the (1,0) edge; core for i >= 1", 30.0):
         lt0 = fam(0)
-        cert0 = make_61_curve(lt0, witness_disc=witness_disc(0))
+        cert0 = make_61_curve(lt0, witness_disc=minimal_disc(0))
         assert cert0.embedded
         assert cert0.one_skeleton_hits == 1
         assert lt0.boundary_slopes[cert0.hit_edge_class] == Slope(1, 0)
         assert abs(cert0.algebraic_pairing) == 1
         assert cert0.kind == "pre-core"
         for i in (1, 2, 3):
-            cert = make_61_curve(fam(i), witness_disc=witness_disc(i))
+            cert = make_61_curve(fam(i), witness_disc=minimal_disc(i))
             assert cert.embedded and cert.one_skeleton_hits == 1
             assert abs(cert.algebraic_pairing) == 1
             assert cert.kind == "core"

@@ -53,6 +53,14 @@ def test_61_curve_certificates(fam, minimal_disc):
             assert abs(cert.algebraic_pairing) == 1
 
 
+def test_minimal_disc_witnesses_the_core_curve(fam, minimal_disc):
+    # the floor certificate makes the minimal disc cheap at every index, so
+    # the +-1 pairing is checked past the reach of the enumeration
+    for i in range(15):
+        cert = make_61_curve(fam(i), witness_disc=minimal_disc(i))
+        assert abs(cert.algebraic_pairing) == 1
+
+
 def test_pairing_additive_under_doubling(fam, minimal_disc):
     lt = fam(1)
     d = minimal_disc(1)

@@ -1,4 +1,4 @@
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +8,8 @@ from coretorus.normal import (QUAD_CROSSES, QUAD_CUT, QUAD_MISSED, NormalVector,
                               check_admissible, check_matching, coorientation, count_euler,
                               crossing_position, edge_slot_crossings,
                               edge_weight, face_stack, min_curve_length, piece_at,
-                              piece_cycle, reconstruct, row_counts, total_weight)
+                              piece_cycle, reconstruct, row_counts, row_of_crossings,
+                              total_weight)
 from coretorus.search import SearchBudget, enumerate_admissible
 from coretorus.slopes import Slope, SlopeTriple, fib, intersection, slope_seq
 from coretorus.triangulation import (EDGE_PAIRS, FACE_VERTICES, Triangulation,
@@ -410,3 +411,54 @@ def test_row_counts_tables_are_tuples():
             assert isinstance(table, tuple) and len(table) == 4
             assert all(type(r) is tuple and len(r) == 4 for r in table)
     assert row_counts((1, 2, 0, 3, 0, 4, 0)) is row_counts((1, 2, 0, 3, 0, 4, 0))
+
+
+# admissible rows: at most one quad type, with counts that often tie
+_admissible_rows = st.tuples(st.tuples(*[st.integers(0, 5)] * 4), st.integers(0, 2),
+                             st.integers(0, 5)).map(
+    lambda r: r[0] + tuple(r[2] if q == r[1] else 0 for q in range(3)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_admissible_rows)
+def test_row_of_crossings_inverts_row_counts(row):
+    assert row_of_crossings(row_counts(row).crossings) == row
+    assert row_of_crossings([list(r) for r in row_counts(row).crossings]) == row
+
+
+def test_row_of_crossings_on_admissible_vectors(fam):
+    vectors = 0
+    for i in range(4):
+        tri = fam(i).tri
+        for v in enumerate_admissible(tri, SearchBudget(fib(i + 6) - 4)):
+            vectors += 1
+            for row in v.coords:
+                assert row_of_crossings(row_counts(row).crossings) == row
+    assert vectors == 111
+
+
+def _crossings_table(weights):
+    """The symmetric 4x4 table with the given weights on EDGE_PAIRS."""
+    table = [[0] * 4 for _ in range(4)]
+    for (u, w), x in zip(EDGE_PAIRS, weights):
+        table[u][w] = table[w][u] = x
+    return table
+
+
+def test_row_of_crossings_is_none_without_a_row():
+    # every admissible row with all edge weights below 4 has entries below
+    # 4, so this table of them is complete for those weights; no two rows
+    # share their crossings
+    rows = {}
+    for tris in product(range(4), repeat=4):
+        for q, n in [(0, 0)] + [(q, n) for q in range(3) for n in range(1, 4)]:
+            row = tris + tuple(n if k == q else 0 for k in range(3))
+            crossings = row_counts(row).crossings
+            if max(map(max, crossings)) < 4:
+                assert rows.setdefault(crossings, row) == row
+    for weights in product(range(4), repeat=6):
+        table = _crossings_table(weights)
+        assert row_of_crossings(table) == rows.get(tuple(map(tuple, table)))
+    # an odd face, unequal crossed-pair sums, a quad count above an edge weight
+    for weights in [(1,) * 6, (1, 2, 3, 3, 2, 1), (0, 1, 2, 2, 3, 0)]:
+        assert row_of_crossings(_crossings_table(weights)) is None

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from coretorus import first_homology, search
+from coretorus.homology import loop_cuts
 from coretorus.layered import LayeredTriangulation
 from coretorus.normal import (NormalVector, check_admissible, check_matching,
                               count_euler, edge_weight, reconstruct, total_weight)
@@ -18,6 +19,8 @@ from coretorus.slopes import fib, slope_seq
 from coretorus.triangulation import Triangulation, TriangulationError, parse_tri
 
 from conftest import vertex_link
+from test_bundle import closed_form_disc
+from test_homology import TWO_VERTEX_TEXT
 from test_triangulation import gluing_tables
 
 
@@ -394,6 +397,7 @@ def _stub_cover_pass(monkeypatch, cover_pass):
 
 
 def test_cover_pass_gets_what_is_left_of_the_time_limit(fam, monkeypatch):
+    monkeypatch.setattr(search, "floor_vector", lambda tri: None)
     budgets = _stub_cover_pass(monkeypatch, search.find_meridian_discs)
     res = minimal_complexity_disc(fam(2).tri, SearchBudget(fib(8) - 4, time_limit=5.0))
     assert res.certified and not res.inconclusive
@@ -404,10 +408,75 @@ def test_cover_pass_gets_what_is_left_of_the_time_limit(fam, monkeypatch):
 def test_stopped_cover_pass_is_inconclusive(fam, monkeypatch):
     def stopped(tri, budget):
         return DiscSearchResult([], False, True, "time limit reached")
+    monkeypatch.setattr(search, "floor_vector", lambda tri: None)
     _stub_cover_pass(monkeypatch, stopped)
     res = minimal_complexity_disc(fam(2).tri, SearchBudget(fib(8) - 4, time_limit=5.0))
     assert res.disc is not None
     assert not res.certified and res.inconclusive
+
+
+def test_floor_vector_is_the_closed_form_disc(fam):
+    for i in range(31):
+        assert search.floor_vector(fam(i).tri) == closed_form_disc(i)
+
+
+def _floor_and_searched(monkeypatch, tri, budget):
+    """minimal_complexity_disc as it is, and with the enumeration and its
+    cover pass forced, as when floor_vector finds no v*; the two agree."""
+    floor = minimal_complexity_disc(tri, budget)
+    with monkeypatch.context() as m:
+        m.setattr(search, "floor_vector", lambda tri: None)
+        searched = minimal_complexity_disc(tri, budget)
+    assert replace(floor, disc=None) == replace(searched, disc=None)
+    assert (floor.disc is None) == (searched.disc is None)
+    if floor.disc is not None:
+        assert floor.disc.vector == searched.disc.vector
+        assert floor.disc.complexity == searched.disc.complexity
+    return floor
+
+
+def test_floor_disc_is_the_searched_minimum(fam, monkeypatch):
+    # the recorded budget, budgets that v* just fits, and budgets it misses
+    # by one piece or one crossing
+    for i in range(6):
+        tri = fam(i).tri
+        least, weight = fib(i + 6) - 5, fib(i + 6) - 2
+        for budget in (SearchBudget(least + 1), SearchBudget(least),
+                       SearchBudget(least + 1, max_weight=weight)):
+            assert _floor_and_searched(monkeypatch, tri, budget).certified
+        for budget in (SearchBudget(least - 1), SearchBudget(least + 1, max_weight=weight - 1)):
+            assert _floor_and_searched(monkeypatch, tri, budget).disc is None
+
+
+# a solid torus whose v* is an annulus (found among seeded random 3-tet tables)
+ANNULUS_FLOOR_TEXT = ("tets 3\n0: 1:1302 - 2:3012 -\n1: 2:2031 0:2031 - 2:2103\n"
+                      "2: - 0:1230 1:1302 1:2103\n")
+
+
+def test_floor_bound_holds_where_v_star_is_no_disc(monkeypatch):
+    # v* still has the fewest pieces a meridian disc can have: below them
+    # no disc fits, and the searched minimum meets every edge e at least
+    # c(e) times
+    tri = parse_tri(ANNULUS_FLOOR_TEXT)
+    v = search.floor_vector(tri)
+    surface = reconstruct(tri, v)
+    assert surface.connected and surface.euler_by_component == [0]
+    assert _floor_and_searched(monkeypatch, tri, SearchBudget(v.piece_count() - 1)).disc is None
+    res = _floor_and_searched(monkeypatch, tri, SearchBudget(13))
+    assert res.disc.piece_count == 13 > v.piece_count()
+    cuts = loop_cuts(tri)
+    assert len(cuts) == len(tri.edge_classes)
+    assert all(edge_weight(tri, res.disc.vector, e) >= c for e, c in cuts.items())
+
+
+def test_floor_disc_off_the_family():
+    # the boundary torus has two vertices, the manifold one: every edge is a
+    # loop, and v* is the least disc the enumeration finds
+    tri = parse_tri(TWO_VERTEX_TEXT)
+    res = minimal_complexity_disc(tri, SearchBudget(13))
+    assert res.certified and not res.inconclusive
+    assert res.disc.piece_count == 13 and res.disc.complexity == (20, 20)
+    assert find_meridian_discs(tri, SearchBudget(13)).discs[0].vector == res.disc.vector
 
 
 def test_every_disc_passes_surface_checks(fam, homology_of):
