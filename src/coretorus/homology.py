@@ -1,7 +1,7 @@
 """First homology by exact integer reduction, and meridian calibration.
 
 Everything here is arbitrary-precision integer arithmetic: Smith normal form
-with its unimodular row transform, cellular H1 of the quotient complex and of
+with a log of its row operations, cellular H1 of the quotient complex and of
 the boundary surface, the map between them, and the slope basis of the
 boundary torus calibrated from the kernel of that map (the meridian is
 computed, never assumed).
@@ -9,8 +9,10 @@ computed, never assumed).
 Each H1 group is one Smith normal form of its cotree presentation: d2
 restricted to the edges off a spanning forest of the 1-skeleton, with no
 kernel lattice and no solves.  The Smith normal form is computed on sparse
-rows and returns only what H1 reads: the diagonal, U and U^-1, never V.  Its
-pivot rule and operation order are those of the dense reduction kept in the
+rows and returns the diagonal and the log of its row operations; U, U^-1
+and V are never formed.  H1 replays from the log the few rows of U and
+columns of U^-1 it reads, one backward pass over the log each.  The pivot
+rule and operation order are those of the dense reduction kept in the
 tests as its oracle.  H1(M) and the calibration are computed once per
 triangulation object and kept with it.
 """
@@ -26,23 +28,16 @@ from .triangulation import FACE_VERTICES, _UnionFind
 
 # -- small exact linear algebra over Z --------------------------------------
 
-def _axpy(y, x, c):
-    """y += c * x for sparse vectors, dropping the entries that cancel."""
-    for k, v in x.items():
-        s = y.get(k, 0) + c * v
-        if s:
-            y[k] = s
-        else:
-            del y[k]
-
-
 def smith_normal_form(rows, n):
-    """Diagonal and transforms of U*A*V = D in Smith normal form.
+    """Diagonal of U*A*V = D in Smith normal form, and a log of the row
+    operations whose product is U.
 
     ``rows`` holds A as one {column: entry} dict per row, with ``n``
-    columns; zero entries are ignored.  Returns (factors, U, Uinv): the m
-    diagonal entries of D, 0 past the rank, the nonzero entries of each row
-    of U and of each column of U^-1.  V is never formed.  Each row of D is a
+    columns; zero entries are ignored.  Returns (factors, log): the m
+    diagonal entries of D, 0 past the rank, and the row operations in order,
+    each (i, j, c) for row_i += c * row_j, (i, j) for a swap or (i,) for a
+    negation, so U = E_k ... E_1; ``replay`` reads a row of U or a column of
+    U^-1 off the log.  U, U^-1 and V are never formed.  Each row of D is a
     {column: entry} dict, and a column swap exchanges two entries of the
     position <-> column permutation.  A row or column operation touches only
     nonzeros, and a column operation only the rows that hold the pivot
@@ -50,13 +45,17 @@ def smith_normal_form(rows, n):
     """
     m = len(rows)
     D = [{c: x for c, x in row.items() if x} for row in rows]
-    U, Uinv = [{i: 1} for i in range(m)], [{i: 1} for i in range(m)]
     col, pos = list(range(n)), list(range(n))
+    log = []
 
-    def row_add(i, j, c):          # row_i += c * row_j
-        _axpy(D[i], D[j], c)
-        _axpy(U[i], U[j], c)
-        _axpy(Uinv[j], Uinv[i], -c)
+    def row_add(i, j, c):          # row_i += c * row_j, dropping what cancels
+        for k, x in D[j].items():
+            s = D[i].get(k, 0) + c * x
+            if s:
+                D[i][k] = s
+            else:
+                del D[i][k]
+        log.append((i, j, c))
 
     t = 0
     while True:
@@ -76,16 +75,15 @@ def smith_normal_form(rows, n):
         i, j = pivot
         if i != t:
             D[t], D[i] = D[i], D[t]
-            U[t], U[i] = U[i], U[t]
-            Uinv[t], Uinv[i] = Uinv[i], Uinv[t]
+            log.append((t, i))
         if j != t:
             col[t], col[j] = col[j], col[t]
             pos[col[t]], pos[col[j]] = t, j
         piv, row = col[t], D[t]
         if row[piv] < 0:
-            for vec in (row, U[t], Uinv[t]):
-                for k in vec:
-                    vec[k] = -vec[k]
+            for k in row:
+                row[k] = -row[k]
+            log.append((t,))
         d = row[piv]
         clean, holders = True, [t]
         for i in range(t + 1, m):
@@ -115,7 +113,27 @@ def smith_normal_form(rows, n):
             row_add(t, bad, 1)
             continue
         t += 1
-    return [D[i][col[i]] for i in range(t)] + [0] * (m - t), U, Uinv
+    return [D[i][col[i]] for i in range(t)] + [0] * (m - t), log
+
+
+def replay(log, r, column=False):
+    """Row r of U = E_k ... E_1, or with ``column`` column r of U^-1 =
+    E_1^-1 ... E_k^-1, as a {index: entry} dict of its nonzeros, in
+    O(len(log)): both start from the unit vector e_r and read the log
+    backwards.  On a row, row_i += c * row_j does x[j] += c * x[i]; on a
+    column it does x[i] -= c * x[j]."""
+    x = {r: 1}
+    for op in reversed(log):
+        if len(op) == 3:
+            i, j, c = (op[1], op[0], -op[2]) if column else op
+            if i in x:
+                x[j] = x.get(j, 0) + c * x[i]
+        elif len(op) == 2:                 # a swap
+            i, j = op
+            x[i], x[j] = x.get(j, 0), x.get(i, 0)
+        elif op[0] in x:                   # a negation
+            x[op[0]] = -x[op[0]]
+    return {k: v for k, v in x.items() if v}
 
 
 # -- cellular H1 -------------------------------------------------------------
@@ -128,9 +146,10 @@ class H1Group:
     determined by its entries on the edges off a spanning forest of the
     1-skeleton (the cotree edges), so H1 is the cokernel of d2 restricted to
     the cotree rows: one Smith normal form U A V = D of the sparse cotree
-    rows.  Only the diagonal and the nonzero entries of the coordinate rows
-    of U and columns of U^-1 are kept, so an H1 group kept with its
-    triangulation stays small.
+    rows.  Only the diagonal is kept, with the coordinate rows of U and
+    columns of U^-1 (those of the factors other than 1), each replayed from
+    the reduction's log, so an H1 group kept with its triangulation stays
+    small.
 
     Classes are canonical coordinate tuples: one residue per torsion factor,
     then one integer per free factor.
@@ -171,14 +190,14 @@ class H1Group:
                 if e in rows:
                     rows[e][f] = x
         # factor: 0 free, 1 dead, d > 1 torsion
-        self.factor, U, Uinv = smith_normal_form(list(rows.values()), len(d2_cols))
+        self.factor, log = smith_normal_form(list(rows.values()), len(d2_cols))
         self.rank = sum(1 for d in self.factor if d == 0)
         self.torsion = sorted(d for d in self.factor if d > 1)
         self.coord_index = [i for i, d in enumerate(self.factor) if d != 1]
         # the coordinate rows of U and columns of U^-1, over edges
-        self._U_rows = [[(cotree[k], x) for k, x in U[i].items()] for i in self.coord_index]
-        self._Uinv_cols = [[(cotree[k], x) for k, x in Uinv[i].items()]
-                           for i in self.coord_index]
+        self._U_rows, self._Uinv_cols = (
+            [[(cotree[k], x) for k, x in replay(log, i, column).items()]
+             for i in self.coord_index] for column in (False, True))
 
     def _d1(self, entries):
         """d1 of the chain with the given (edge, coefficient) entries."""

@@ -337,10 +337,9 @@ def find_meridian_discs(tri, budget: SearchBudget) -> DiscSearchResult:
     meets e, so w(e) >= |<kernel, e>|.  If M has a meridian disc,
     H1(bdry) -> H1(M) = Z is onto, and its kernel is spanned by the kernel
     class, so |<kernel, e>| is the image of e in H1(M), which is cut(e);
-    if M has none, no vector passes the later checks anyway.
-    ``minimal_meridian_length`` rests on the same bound.  Second, a vector
-    whose count-level Euler characteristic is not 1 cannot be a connected
-    disc.  The time limit holds for the enumeration and the filter
+    if M has none, no vector passes the later checks anyway.  Second, a
+    vector whose count-level Euler characteristic is not 1 cannot be a
+    connected disc.  The time limit holds for the enumeration and the filter
     together: when it stops either, the discs found so far are returned
     with ``complete`` False; such a result is inconclusive."""
     calibration = first_homology(tri).calibration
@@ -405,10 +404,12 @@ def floor_vector(tri):
     return NormalVector(rows)
 
 
-def minimal_meridian_length(calibration):
-    """Homological lower bound: a meridian curve crosses each boundary edge
-    at least its cut number of times."""
-    return sum(calibration.cuts.values())
+def minimal_meridian_length(tri):
+    """Homological lower bound on a meridian disc's boundary length: a
+    boundary edge e that is a loop in M meets the disc at least c(e) times
+    (``loop_cuts``), and only at points of its boundary curve."""
+    cuts = loop_cuts(tri)
+    return sum(cuts.get(ec.index, 0) for ec in tri.edge_classes if ec.boundary)
 
 
 @dataclass
@@ -434,7 +435,8 @@ def minimal_complexity_disc(tri, budget: SearchBudget) -> MinimalDiscResult:
     Otherwise (an edge that is not a loop, a tetrahedron with no row, or a
     v* that is no disc) the minimum is searched for and certified by a
     cover pass: the boundary length of a meridian disc is at least the sum
-    of the meridian cut numbers, and a piece meets at most one crossing
+    of c(e) over the boundary edges e that are loops
+    (``minimal_meridian_length``), and a piece meets at most one crossing
     point per edge-link sector, so once a disc of minimal length with
     weight W is found, re-enumerating with weight budget W (piece budget
     W * max link degree / 3) provably covers every competitor.
@@ -459,7 +461,7 @@ def minimal_complexity_disc(tri, budget: SearchBudget) -> MinimalDiscResult:
     if not res.discs:
         return MinimalDiscResult(None, False, True, "no disc within budget")
     best = res.discs[0]
-    lmin = minimal_meridian_length(calibration)
+    lmin = minimal_meridian_length(tri)
     if best.boundary_length != lmin:
         return MinimalDiscResult(best, False, not res.complete,
                                  f"best length {best.boundary_length} > homological bound {lmin}")

@@ -8,18 +8,18 @@ relation is a fixed-point-free involution, that no edge is identified with
 itself reversing orientation, that every edge link is connected, and that a
 consistent orientation exists.
 
-The quotient skeleton (vertex, edge and face classes) is computed by
-union-find over the identifications induced by the gluings.  Edge classes
-come from a single union-find over directed edges: an edge class is the
-directed class of its representative together with the directed class of
-the reverse, and an edge identified with its own reverse is caught there.
-The same pass builds ``Triangulation.class_direction``, the one signed-edge
-table: each directed edge slot maps to its class and to the slot's edge
-directed as the class representative.  Every chain sign downstream (H1, the
-boundary complex, the PL curves' class parameters) is read from it.  The
-same pass walks each class's link once (``Triangulation.edge_walks``); the
-pinched-edge check, the boundary complex, the bundle's Q cells and the
-curves' push-off all read those walks.
+Vertex classes come from union-find over the identifications induced by
+the gluings.  Each edge class is found by walking its link (``link_walk``)
+from its least slot, and the other way too when the walk ends on the
+boundary.  A walk step carries the directed edge across a glued face, so
+the walks give ``Triangulation.class_direction``, the one signed-edge table:
+each directed edge slot maps to its class and to the slot's edge directed as
+the class representative.  A slot that comes back reversed is an edge
+identified with its own reverse.  Every chain sign downstream (H1, the
+boundary complex, the PL curves' class parameters) is read from it.  Each
+class's link, walked from a fixed start, is kept in
+``Triangulation.edge_walks``; the boundary complex, the bundle's Q cells and
+the curves' push-off all read those walks.
 """
 from __future__ import annotations
 
@@ -190,52 +190,38 @@ class Triangulation:
         """The edge classes; ``class_direction``: (tet, directed edge) ->
         (edge class, the slot's edge directed as the class representative),
         for both directions of every slot; and the ``class_walk`` of each
-        class, its one ordered link.  ``class_direction`` is the one
-        signed-edge table: a directed edge runs along its class exactly when
-        it is its own class direction.  A crossing point is named by its
-        class and its ``crossing_position`` along that direction, the same in
-        every slot of the class.
+        class, its one ordered link.  A directed edge runs along its class
+        exactly when it is its own class direction, and a crossing point is
+        named by its class and its ``crossing_position`` along it, the same
+        in every slot of the class.
 
-        Each class's walk covers all its slots, so no edge link is pinched:
-        the union-find joins two slots only across a face that both contain,
-        which is one ``link_walk`` step, and each slot lies in two faces, so a
-        class is a path of slots or a cycle, and ``class_walk`` starts at an
-        end of a path."""
-        # one union-find over directed edges (t, (p, q)), keyed 16t + 4p + q;
-        # an undirected class is the directed class of its representative
-        # together with the directed class of the reverse
-        uf = _UnionFind([16 * t + 4 * p + q for t in range(self.tet_count)
-                         for p in range(4) for q in range(4) if p != q])
-        for t in range(self.tet_count):
-            for f in range(4):
-                g = self.gluings[t][f]
-                if g is None:
-                    continue
-                t2, perm = g
-                if (t2, perm[f]) < (t, f):
-                    continue                      # the pair was visited from the other side
-                for p in FACE_VERTICES[f]:
-                    for q in FACE_VERTICES[f]:
-                        if p != q:
-                            uf.union(16 * t + 4 * p + q, 16 * t2 + 4 * perm[p] + perm[q])
-        members = {}
+        A class is found by walking its link from its least slot (u, v),
+        u < v, the representative, through the slot's first face, and the
+        other way too if the walk ends on the boundary.  Each sector's
+        directed edge is its slot's class direction; a slot met again
+        reversed is an edge identified with itself reversing orientation.
+        An interior class's walk is its ``class_walk``."""
+        classes, direction, walks = [], {}, []
         for t in range(self.tet_count):
             for u, v in EDGE_PAIRS:
-                ra, rb = uf.find(16 * t + 4 * u + v), uf.find(16 * t + 4 * v + u)
-                if ra == rb:
-                    raise TriangulationError(
-                        f"edge {(t, (u, v))} is identified with itself reversing orientation")
-                members.setdefault(min(ra, rb), []).append((t, (u, v)))
-        # _UnionFind roots every class at its least key, so a class's root
-        # is the key of its least slot, which is its representative
-        classes, direction, walks = [], {}, []
-        for idx, root in enumerate(sorted(members)):
-            slots = members[root]
-            for t, (u, v) in slots:
-                d = (u, v) if uf.find(16 * t + 4 * u + v) == root else (v, u)
-                direction[(t, (u, v))] = direction[(t, (v, u))] = (idx, d)
-            walks.append(class_walk(self.gluings, slots))
-            classes.append(EdgeClass(idx, slots, slots[0], walks[-1]["boundary"]))
+                if (t, (u, v)) in direction:
+                    continue
+                idx, f = len(classes), next(f for f in range(4) if f not in (u, v))
+                walk = link_walk(self.gluings, t, (u, v), f)
+                sectors = walk["sectors"]
+                if walk["boundary"]:
+                    sectors = sectors + link_walk(self.gluings, t, (u, v), 6 - u - v - f)["sectors"]
+                slots = []
+                for t2, d, _, _ in sectors:
+                    if (t2, d) not in direction:
+                        direction[(t2, d)] = direction[(t2, d[::-1])] = (idx, d)
+                        slots.append((t2, d if d[0] < d[1] else d[::-1]))
+                    elif direction[(t2, d)][1] != d:
+                        raise TriangulationError(
+                            f"edge {(t, (u, v))} is identified with itself reversing orientation")
+                slots.sort()
+                walks.append(class_walk(self.gluings, slots) if walk["boundary"] else walk)
+                classes.append(EdgeClass(idx, slots, slots[0], walk["boundary"]))
         return classes, direction, walks
 
     @cached_property
@@ -262,21 +248,13 @@ class Triangulation:
     @cached_property
     def face_classes(self):
         """Each interior class is a glued slot pair; boundary faces are singletons."""
-        classes = []
-        seen = set()
+        classes, seen = [], set()
         for t in range(self.tet_count):
-            for f in range(4):
-                if (t, f) in seen:
-                    continue
-                g = self.gluings[t][f]
-                if g is None:
-                    classes.append(((t, f),))
-                    seen.add((t, f))
-                else:
-                    t2, perm = g
-                    classes.append(((t, f), (t2, perm[f])))
-                    seen.add((t, f))
-                    seen.add((t2, perm[f]))
+            for f, g in enumerate(self.gluings[t]):
+                if (t, f) not in seen:
+                    slots = ((t, f),) if g is None else ((t, f), (g[0], g[1][f]))
+                    classes.append(slots)
+                    seen.update(slots)
         return classes
 
     @cached_property

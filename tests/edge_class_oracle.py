@@ -1,0 +1,52 @@
+"""The directed union-find edge classes, kept as the oracle for the link
+walks.
+
+``edge_classes`` here is what ``Triangulation._edge_classes`` computed
+before it walked each class's link instead: one union-find over the directed
+edges (t, (p, q)), keyed 16t + 4p + q, joined across every glued face.  An
+undirected class is the directed class of its representative together with
+the directed class of the reverse, and an edge identified with its own
+reverse is caught where the two coincide.  Tests assert that the two agree.
+"""
+from coretorus.triangulation import (EDGE_PAIRS, FACE_VERTICES, EdgeClass,
+                                     TriangulationError, _UnionFind, class_walk)
+
+
+def edge_classes(gluings):
+    """(edge classes, class_direction, edge walks) of a gluing table whose
+    face gluings are involutions; raises TriangulationError where an edge is
+    identified with itself reversing orientation."""
+    n = len(gluings)
+    uf = _UnionFind([16 * t + 4 * p + q for t in range(n)
+                     for p in range(4) for q in range(4) if p != q])
+    for t in range(n):
+        for f in range(4):
+            g = gluings[t][f]
+            if g is None:
+                continue
+            t2, perm = g
+            if (t2, perm[f]) < (t, f):
+                continue                      # the pair was visited from the other side
+            for p in FACE_VERTICES[f]:
+                for q in FACE_VERTICES[f]:
+                    if p != q:
+                        uf.union(16 * t + 4 * p + q, 16 * t2 + 4 * perm[p] + perm[q])
+    members = {}
+    for t in range(n):
+        for u, v in EDGE_PAIRS:
+            ra, rb = uf.find(16 * t + 4 * u + v), uf.find(16 * t + 4 * v + u)
+            if ra == rb:
+                raise TriangulationError(
+                    f"edge {(t, (u, v))} is identified with itself reversing orientation")
+            members.setdefault(min(ra, rb), []).append((t, (u, v)))
+    # _UnionFind roots every class at its least key, so a class's root is
+    # the key of its least slot, which is its representative
+    classes, direction, walks = [], {}, []
+    for idx, root in enumerate(sorted(members)):
+        slots = members[root]
+        for t, (u, v) in slots:
+            d = (u, v) if uf.find(16 * t + 4 * u + v) == root else (v, u)
+            direction[(t, (u, v))] = direction[(t, (v, u))] = (idx, d)
+        walks.append(class_walk(gluings, slots))
+        classes.append(EdgeClass(idx, slots, slots[0], walks[-1]["boundary"]))
+    return classes, direction, walks

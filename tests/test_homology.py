@@ -7,11 +7,13 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from coretorus import homology
 from coretorus.curves import make_61_curve
-from coretorus.homology import (H1Group, boundary_h1, calibrate, first_homology,
+from coretorus.homology import (H1Group, boundary_h1, calibrate, first_homology, loop_cuts,
                                 manifold_h1, smith_normal_form, solid_torus_candidate)
 from coretorus.layered import BASE_T0_TEXT, family
-from coretorus.slopes import Slope
+from coretorus.slopes import Slope, fib
 from coretorus.triangulation import Triangulation, TriangulationError, parse_tri, serialize_tri
+
+import edge_class_oracle
 from snf_oracle import mat_mul, smith_normal_form as dense_smith_normal_form, sparse_result
 from test_triangulation import gluing_tables
 
@@ -22,6 +24,9 @@ TWO_VERTEX_TEXT = ("tets 3\n0: - 1:1032 - 2:1230\n1: 0:1032 2:3102 - -\n"
 # one tetrahedron with two faces folded together: a ball whose boundary
 # sphere has two sides of one triangle glued to each other
 FOLDED_BALL_TEXT = "tets 1\n0: - - 0:0132 0:0132\n"
+# a solid torus whose v* is an annulus (found among seeded random 3-tet tables)
+ANNULUS_FLOOR_TEXT = ("tets 3\n0: 1:1302 - 2:3012 -\n1: 2:2031 0:2031 - 2:2103\n"
+                      "2: - 0:1230 1:1302 1:2103\n")
 
 
 @given(st.lists(st.lists(st.integers(-9, 9), min_size=1, max_size=5),
@@ -55,9 +60,12 @@ def _matrices(entries):
 
 
 def _sparse_snf(rows):
-    """The sparse reduction of a dense matrix, zero entries included."""
-    return smith_normal_form([dict(enumerate(row)) for row in rows],
-                             len(rows[0]) if rows else 0)
+    """The sparse reduction of a dense matrix, zero entries included: its
+    diagonal, and every row of U and column of U^-1 replayed from its log."""
+    factors, log = smith_normal_form([dict(enumerate(row)) for row in rows],
+                                     len(rows[0]) if rows else 0)
+    return (factors, [homology.replay(log, r) for r in range(len(rows))],
+            [homology.replay(log, r, column=True) for r in range(len(rows))])
 
 
 @given(_matrices(st.integers(-9, 9)))
@@ -93,6 +101,14 @@ def test_snf_matches_the_dense_oracle_on_cotree_matrices(fam, monkeypatch):
     assert len(matrices) == 82
     for A in matrices:
         assert _sparse_snf(A) == sparse_result(A)
+
+
+@pytest.mark.parametrize("i", [100, 300])
+def test_loop_cuts_sum_to_the_floor_weight_at_scale(i):
+    # every edge class of T_i is a loop; its cut numbers, each read through
+    # the one replayed row of U of an (i + 3) x (2i + 3) cotree matrix, sum
+    # to the least weight of a meridian disc
+    assert sum(loop_cuts(family(i).tri).values()) == fib(i + 6) - 2
 
 
 def test_ball_homology():
@@ -290,19 +306,25 @@ def _boundary_record(tri):
     ]
 
 
-def _boundary_inputs():
-    """T_0..T_7, the folded ball, the two-vertex torus and the first 60
-    valid seeded random tables; the seeds skipped on the way give their
-    validation errors."""
-    yield from ((f"T_{i}", family(i).tri) for i in range(8))
-    yield "folded ball", parse_tri(FOLDED_BALL_TEXT)
-    yield "two-vertex", parse_tri(TWO_VERTEX_TEXT)
+def _boundary_tables():
+    """T_0..T_7, the folded ball, the two-vertex torus and seeded random
+    tables, by name, until 60 of the random ones are valid."""
+    yield from ((f"T_{i}", family(i).tri.gluings) for i in range(8))
+    yield "folded ball", parse_tri(FOLDED_BALL_TEXT).gluings
+    yield "two-vertex", parse_tri(TWO_VERTEX_TEXT).gluings
     valid, seed = 0, 0
     while valid < 60:
-        tri = _outcome(lambda: Triangulation(_seeded_table(random.Random(seed))))
-        valid += not isinstance(tri, str)
-        yield f"seed {seed}", tri
+        table = _seeded_table(random.Random(seed))
+        valid += not isinstance(_outcome(lambda: Triangulation(table)), str)
+        yield f"seed {seed}", table
         seed += 1
+
+
+def _boundary_inputs():
+    """The triangulations of ``_boundary_tables``; the seeds skipped on the
+    way give their validation errors."""
+    for name, table in _boundary_tables():
+        yield name, _outcome(lambda: Triangulation(table))
 
 
 def test_boundary_complexes_keep_their_digests():
@@ -310,3 +332,23 @@ def test_boundary_complexes_keep_their_digests():
                for name, tri in _boundary_inputs()]
     assert sum(not isinstance(r, str) for _, r in records) == 70
     assert hashlib.sha256(repr(records).encode()).hexdigest()[:16] == "19f380423f147649"
+
+
+def test_edge_classes_match_the_union_find_oracle(fam):
+    # the link walks give the directed union-find's classes, directions and
+    # walks, and the same error where an edge comes back reversed
+    tables = [(f"T_{i}", fam(i).tri.gluings) for i in range(41)]
+    tables.append(("annulus floor", parse_tri(ANNULUS_FLOOR_TEXT).gluings))
+    tables += _boundary_tables()            # the folded ball and two-vertex torus too
+    reversed_edges = 0
+    for name, table in tables:
+        got = _outcome(lambda: Triangulation(table))
+        want = _outcome(lambda: edge_class_oracle.edge_classes(table))
+        if isinstance(want, str):
+            assert got == want, name
+            reversed_edges += 1
+        elif isinstance(got, str):
+            assert "reversing orientation" not in got, name
+        else:
+            assert (got.edge_classes, got.class_direction, got.edge_walks) == want, name
+    assert reversed_edges > 0

@@ -20,7 +20,7 @@ from coretorus.triangulation import Triangulation, TriangulationError, parse_tri
 
 from conftest import vertex_link
 from test_bundle import closed_form_disc
-from test_homology import TWO_VERTEX_TEXT
+from test_homology import ANNULUS_FLOOR_TEXT, TWO_VERTEX_TEXT
 from test_triangulation import gluing_tables
 
 
@@ -448,11 +448,6 @@ def test_floor_disc_is_the_searched_minimum(fam, monkeypatch):
             assert _floor_and_searched(monkeypatch, tri, budget).disc is None
 
 
-# a solid torus whose v* is an annulus (found among seeded random 3-tet tables)
-ANNULUS_FLOOR_TEXT = ("tets 3\n0: 1:1302 - 2:3012 -\n1: 2:2031 0:2031 - 2:2103\n"
-                      "2: - 0:1230 1:1302 1:2103\n")
-
-
 def test_floor_bound_holds_where_v_star_is_no_disc(monkeypatch):
     # v* still has the fewest pieces a meridian disc can have: below them
     # no disc fits, and the searched minimum meets every edge e at least
@@ -467,6 +462,21 @@ def test_floor_bound_holds_where_v_star_is_no_disc(monkeypatch):
     cuts = loop_cuts(tri)
     assert len(cuts) == len(tri.edge_classes)
     assert all(edge_weight(tri, res.disc.vector, e) >= c for e, c in cuts.items())
+
+
+def test_meridian_length_bound_counts_every_boundary_loop(fam, homology_of):
+    # a boundary edge that is a loop in M meets a meridian disc at least c(e)
+    # times, all on its boundary curve, whether or not it is a loop of the
+    # boundary torus; on a one-vertex torus every boundary edge is both
+    for i in range(6):
+        want = sum(homology_of(i).calibration.cuts.values())
+        assert search.minimal_meridian_length(fam(i).tri) == want
+    tri = parse_tri(ANNULUS_FLOOR_TEXT)
+    assert len(first_homology(tri).boundary_edge_cuts) < sum(
+        ec.boundary for ec in tri.edge_classes)
+    res = minimal_complexity_disc(tri, SearchBudget(13))
+    assert res.disc.piece_count == 13 and not res.certified
+    assert res.note == "best length 18 > homological bound 14"
 
 
 def test_floor_disc_off_the_family():
