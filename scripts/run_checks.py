@@ -2,9 +2,10 @@
 """Run every desk-scale verification and print a summary table.
 
 Covers the layered family through a chosen index: homology and meridian
-calibration (also at T_20..T_1000), the exponential lower bound on meridian
-discs from the newest edge's degree and cut number (also at T_99 and
-T_1000), the boundary pre-core length bound, the enumerator off the family
+calibration (also at T_20..T_1000), the cut numbers of all edge loops
+summing to the least disc weight (timed at T_300 and T_1000), the
+exponential lower bound on meridian discs from the newest edge's degree and
+cut number (also at T_99 and T_1000), the boundary pre-core length bound, the enumerator off the family
 (a two-vertex solid torus, timed), parallelity-bundle claims on the
 certified minimal discs (through T_14, timed), and the one-crossing
 core-curve certificates with their arc bounds, each with a witness disc
@@ -21,10 +22,11 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 
 from coretorus import (SearchBudget, boundary_h1, enumerate_admissible, fib,
-                       find_meridian_discs, first_homology, make_61_curve, parse_tri,
-                       slope_seq, verify_61_1, verify_61_2, verify_claims,
+                       find_meridian_discs, first_homology, make_61_curve, manifold_h1,
+                       parse_tri, slope_seq, verify_61_1, verify_61_2, verify_claims,
                        verify_curve_bounds)
 from coretorus.curves import min_boundary_precore_length
+from coretorus.homology import loop_cuts
 from coretorus.layered import family
 from coretorus.normal import arc_count, boundary_curves_from_counts
 from coretorus.triangulation import FACE_VERTICES
@@ -72,10 +74,17 @@ def main():
     for i in (300, 1000):
         lt = family(i)
         start = time.time()
+        manifold_h1(lt.tri)
+        cuts_start = time.time()
+        cuts = loop_cuts(lt.tri)
+        cuts_seconds = time.time() - cuts_start
         h = first_homology(lt.tri)
         seconds = time.time() - start
         row(f"homology T_{i} H1", "ok" if h.h1_rank == 1 and not h.h1_torsion else "FAIL",
             f"H1=Z, computed in {seconds:.2f}s")
+        row(f"floor weight T_{i}", "ok" if sum(cuts.values()) == fib(i + 6) - 2 else "FAIL",
+            f"sum of c(e) over {len(cuts)} edge loops = fib({i + 6})-2, "
+            f"loop_cuts in {cuts_seconds:.4f}s")
         row(f"homology T_{i} kernel slope",
             "ok" if str(h.boundary_map_kernel_slope) == "(0,1)" else "FAIL", "(0,1)")
         ok = all(h.boundary_edge_cuts.get(e) == s.x + s.y for e, s in lt.boundary_slopes.items())

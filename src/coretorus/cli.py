@@ -192,27 +192,26 @@ def cmd_curve(args, report):
                 json.dump(cert.curve.to_json(), fh)
             report.set("written", args.out)
         return EXIT_PASS
-    if args.curve_cmd == "check":
-        tri = _load_tri(args.tri, report)
-        report.add_input(args.infile)
-        with open(args.infile) as fh:
-            curve = PLCurve.from_json(tri, json.load(fh))
-        emb = is_embedded(curve)
-        report.set("embedded", emb)
-        report.set("one_skeleton_hits", curve.one_skeleton_hits)
-        report.set("winding", curve_h1_class(curve)[0] if curve.one_skeleton_hits else 0)
-        ok = emb
-        if args.disc:
-            vec = _load_disc(args.disc, report)
-            from .normal import reconstruct
-            geom = GeometrizedSurface(tri, reconstruct(tri, vec))
-            pairing = algebraic_intersection(curve, geom)
-            report.set("pairing", pairing)
-        fb = face_bound_check(curve)
-        report.set("face_bound", fb)
-        ok = ok and fb["ok"]
-        return EXIT_PASS if ok else EXIT_FAIL
-    raise ValueError(args.curve_cmd)
+    # "check", the only other choice of the required curve subcommand
+    tri = _load_tri(args.tri, report)
+    report.add_input(args.infile)
+    with open(args.infile) as fh:
+        curve = PLCurve.from_json(tri, json.load(fh))
+    emb = is_embedded(curve)
+    report.set("embedded", emb)
+    report.set("one_skeleton_hits", curve.one_skeleton_hits)
+    report.set("winding", curve_h1_class(curve)[0] if curve.one_skeleton_hits else 0)
+    ok = emb
+    if args.disc:
+        vec = _load_disc(args.disc, report)
+        from .normal import reconstruct
+        geom = GeometrizedSurface(tri, reconstruct(tri, vec))
+        pairing = algebraic_intersection(curve, geom)
+        report.set("pairing", pairing)
+    fb = face_bound_check(curve)
+    report.set("face_bound", fb)
+    ok = ok and fb["ok"]
+    return EXIT_PASS if ok else EXIT_FAIL
 
 
 VERIFY = {"61-1": verify_61_1, "61-2": verify_61_2,

@@ -210,14 +210,14 @@ def curve_h1_class(curve: PLCurve):
     of its face, so only edge junctions are read."""
     tri = curve.tri
     edges = [j for j in curve.junctions if j[0] == "edge"]
-    chain = [0] * len(tri.edge_classes)
+    chain = {}
     for k, (_, ec, _, (_, exit_data), (_, entry_data)) in enumerate(edges):
         # the path reaching this junction entered its face at junction k-1,
         # the path leaving it exits its face at junction k+1
         end_a = _cut_corner_end(tri, edges[k - 1][4][1], exit_data)
         end_b = _cut_corner_end(tri, edges[(k + 1) % len(edges)][3][1], entry_data)
         if end_a != end_b:
-            chain[ec] += 1 if end_a == 0 else -1
+            chain[ec] = chain.get(ec, 0) + (1 if end_a == 0 else -1)
     return manifold_h1(tri).class_of_cycle(chain)
 
 

@@ -6,6 +6,11 @@ the boundary surface, the map between them, and the slope basis of the
 boundary torus calibrated from the kernel of that map (the meridian is
 computed, never assumed).
 
+A 1-chain is a sparse {edge: coefficient} dict everywhere: the boundary of
+a 2-cell, a cycle given to ``H1Group.class_of_cycle``, the cycle
+``representative_cycle`` returns, and the boundary curves of reconstructed
+surfaces.
+
 Each H1 group is one Smith normal form of its cotree presentation: d2
 restricted to the edges off a spanning forest of the 1-skeleton, with no
 kernel lattice and no solves.  The Smith normal form is computed on sparse
@@ -148,8 +153,9 @@ class H1Group:
     the cotree rows: one Smith normal form U A V = D of the sparse cotree
     rows.  Only the diagonal is kept, with the coordinate rows of U and
     columns of U^-1 (those of the factors other than 1), each replayed from
-    the reduction's log, so an H1 group kept with its triangulation stays
-    small.
+    the reduction's log as an {edge: entry} dict, so an H1 group kept with
+    its triangulation stays small and reading a class costs the size of the
+    cycle.
 
     Classes are canonical coordinate tuples: one residue per torsion factor,
     then one integer per free factor.
@@ -157,7 +163,6 @@ class H1Group:
 
     def __init__(self, ends, d2_cols):
         self.ends = ends
-        self.n_edges = len(ends)
         self.n_vertices = 1 + max((v for e in ends for v in e), default=-1)
         uf = _UnionFind(range(self.n_vertices))
         cotree, adjacent = [], {v: [] for v in range(self.n_vertices)}
@@ -182,7 +187,7 @@ class H1Group:
                             order.append((w, e))
         self._leaf_first = order[::-1]
         for col in d2_cols:
-            if any(self._d1(col.items())):
+            if self._d1(col):
                 raise ValueError("d1*d2 != 0: not a chain complex")
         rows = {e: {} for e in cotree}                   # d2 on the cotree edges
         for f, col in enumerate(d2_cols):
@@ -196,44 +201,46 @@ class H1Group:
         self.coord_index = [i for i, d in enumerate(self.factor) if d != 1]
         # the coordinate rows of U and columns of U^-1, over edges
         self._U_rows, self._Uinv_cols = (
-            [[(cotree[k], x) for k, x in replay(log, i, column).items()]
+            [{cotree[k]: x for k, x in replay(log, i, column).items()}
              for i in self.coord_index] for column in (False, True))
 
-    def _d1(self, entries):
-        """d1 of the chain with the given (edge, coefficient) entries."""
-        out = [0] * self.n_vertices
-        for e, c in entries:
-            if c:
-                tail, head = self.ends[e]
-                out[head] += c
-                out[tail] -= c
-        return out
+    def _d1(self, z):
+        """d1 of the chain z, as a {vertex: coefficient} dict of its nonzeros."""
+        out = {}
+        for e, c in z.items():
+            tail, head = self.ends[e]
+            out[head] = out.get(head, 0) + c
+            out[tail] = out.get(tail, 0) - c
+        return {v: x for v, x in out.items() if x}
 
     def class_of_cycle(self, z):
-        """Canonical coordinates of the 1-cycle z (length n_edges)."""
-        if any(self._d1(enumerate(z))):
+        """Canonical coordinates of the 1-cycle z, an {edge: coefficient}
+        chain."""
+        if self._d1(z):
             raise ValueError("not a 1-cycle")
         out = []
         for i, row in zip(self.coord_index, self._U_rows):
-            w = sum(x * z[e] for e, x in row)
+            w = sum(c * row.get(e, 0) for e, c in z.items())
             d = self.factor[i]
             out.append(w % d if d > 1 else w)
         return tuple(out)
 
     def representative_cycle(self, coords):
-        """A 1-cycle whose class has the given canonical coordinates."""
-        z = [0] * self.n_edges
+        """A 1-cycle, as an {edge: coefficient} chain, whose class has the
+        given canonical coordinates."""
+        z = {}
         for c, col in zip(coords, self._Uinv_cols):
-            for e, x in col:
-                z[e] += c * x
+            for e, x in col.items():
+                z[e] = z.get(e, 0) + c * x
         # fill the tree edges leaf-first so that d1 z = 0
-        excess = self._d1(enumerate(z))
+        excess = self._d1(z)
         for v, e in self._leaf_first:
-            x = excess[v]
+            x = excess.get(v, 0)
             tail, head = self.ends[e]
             z[e] = x if v == tail else -x
-            excess[head if v == tail else tail] += x
-        return z
+            w = head if v == tail else tail
+            excess[w] = excess.get(w, 0) + x
+        return {e: x for e, x in z.items() if x}
 
     @property
     def is_infinite_cyclic(self):
@@ -245,10 +252,10 @@ def _per_triangulation(build):
 
     The result is kept in the triangulation's own ``__dict__``, so it lives
     exactly as long as the triangulation does.  Nothing in it refers back to
-    the triangulation (a calibration holds the boundary complex, which holds
-    only edge links and the signed-edge table), so dropping the triangulation
-    frees both by reference counting.  A freshly parsed copy of the same
-    text is another object and starts cold.
+    the triangulation (a calibration holds one H1 group and coordinate
+    tuples), so dropping the triangulation frees both by reference
+    counting.  A freshly parsed copy of the same text is another object and
+    starts cold.
     """
     @wraps(build)
     def memoised(tri):
@@ -277,21 +284,19 @@ def manifold_h1(tri) -> H1Group:
 @_per_triangulation
 def loop_cuts(tri) -> dict:
     """c(e) = |[e]| in H1(M) = Z for each edge class e that is a loop, one
-    ``class_of_cycle`` each; empty unless H1(M) = Z.
+    ``class_of_cycle`` of the one-edge chain each; empty unless H1(M) = Z.
+    This is the only table of cut numbers.
 
-    A meridian disc meets a loop e at least c(e) times: pushed off the
-    boundary near its vertex, e pairs with the disc, which generates
-    H2(M, bdry) = Z, to +-[e]."""
+    A meridian disc D meets a loop e at least c(e) times.  Where the
+    boundary is a torus and H1(M) = Z, H2(M) = 0, so [D] generates
+    H2(M, bdry) = Hom(H1(M), Z).  Pushed off the boundary near its vertex,
+    which D avoids, e meets D only where D meets e, and its algebraic
+    intersection with D is +-[e]."""
     h1m = manifold_h1(tri)
     if not h1m.is_infinite_cyclic:
         return {}
-    cuts = {}
-    for e, (tail, head) in enumerate(h1m.ends):
-        if tail == head:
-            chain = [0] * h1m.n_edges
-            chain[e] = 1
-            cuts[e] = abs(h1m.class_of_cycle(chain)[0])
-    return cuts
+    return {e: abs(h1m.class_of_cycle({e: 1})[0])
+            for e, (tail, head) in enumerate(h1m.ends) if tail == head}
 
 
 def boundary_h1(bc) -> H1Group:
@@ -308,10 +313,10 @@ def _det2(a, b):
 
 def _manifold_image(bc, h1b, h1m, w):
     """Image in H1(M) = Z of the class with boundary coordinates w."""
-    z = h1b.representative_cycle(list(w))
-    chain = [0] * h1m.n_edges
-    for be in bc.bedges:
-        chain[be.manifold_edge] += be.manifold_sign * z[be.index]
+    chain = {}
+    for i, x in h1b.representative_cycle(w).items():
+        be = bc.bedges[i]
+        chain[be.manifold_edge] = chain.get(be.manifold_edge, 0) + be.manifold_sign * x
     return h1m.class_of_cycle(chain)[0]
 
 
@@ -321,25 +326,21 @@ class MeridianCalibration:
 
     ``kernel`` generates ker(H1(bdry) -> H1(M)); lam and mu form a basis of
     H1(bdry) = Z^2 with mu = kernel, so the meridian has slope (0,1) by
-    construction and every other slope is measured against it.  ``cuts`` and
-    ``edge_coords`` hold, for each boundary edge that is a loop of the torus
-    (by manifold edge class), its cut number and its H1(bdry) coordinates.
+    construction and every other slope is measured against it.
+    ``edge_coords`` holds, for each boundary edge that is a loop of the torus
+    (by manifold edge class), its H1(bdry) coordinates; its cut number is in
+    ``loop_cuts``.
     """
-    bc: object
     h1_bdry: H1Group
-    h1_mfld: H1Group
     kernel: tuple
     lam: tuple
     mu: tuple
     basis_det: int
-    cuts: dict
     edge_coords: dict
 
     def coords_of_cycle(self, bedge_chain):
-        z = [0] * len(self.bc.bedges)
-        for be, coeff in bedge_chain.items():
-            z[be] += coeff
-        return self.h1_bdry.class_of_cycle(z)
+        """H1(bdry) coordinates of a {boundary edge: coefficient} cycle."""
+        return self.h1_bdry.class_of_cycle(bedge_chain)
 
     def slope_of_coords(self, w):
         """(multiplicity, Slope) of a class; (0, None) for the trivial class."""
@@ -388,21 +389,18 @@ def calibrate(tri) -> MeridianCalibration | None:
     assert g2 in (1, -1)
     lam0 = (u // g2, v // g2)
 
-    # cut number and H1(bdry) coordinates of each boundary edge loop
-    cuts, coords = {}, {}
+    # H1(bdry) coordinates of each boundary edge loop
+    cuts, coords = loop_cuts(tri), {}
     vc = bc.vertex_class_of
     for e, be in bc.bedge_of_manifold_edge.items():
         i, (p, q) = bc.bedges[be].ends[0]
         if vc[(i, p)] == vc[(i, q)]:
-            chain, z = [0] * h1m.n_edges, [0] * h1b.n_edges
-            chain[e], z[be] = 1, 1
-            cuts[e] = abs(h1m.class_of_cycle(chain)[0])
-            coords[e] = h1b.class_of_cycle(z)
+            coords[e] = h1b.class_of_cycle({be: 1})
 
     def calibrated(mu):
         # shear so the lowest-cut boundary edge has 0 <= y < x
         lam = lam0
-        for e in sorted(cuts, key=lambda e: (cuts[e], e)):
+        for e in sorted(coords, key=lambda e: (cuts[e], e)):
             w = coords[e]
             x = _det2(w, mu) // _det2(lam0, mu)
             if x == 0:
@@ -414,11 +412,10 @@ def calibrate(tri) -> MeridianCalibration | None:
             n = y // x
             lam = (lam[0] + n * mu[0], lam[1] + n * mu[1])
             break
-        return MeridianCalibration(bc, h1b, h1m, kernel, lam, mu, _det2(lam, mu),
-                                   cuts, coords)
+        return MeridianCalibration(h1b, kernel, lam, mu, _det2(lam, mu), coords)
 
     def sign_key(cal):
-        return sorted((s.x, -s.y) for s in map(cal.boundary_edge_slope, cuts) if s is not None)
+        return sorted((s.x, -s.y) for s in map(cal.boundary_edge_slope, coords) if s is not None)
 
     plus = calibrated(kernel)
     minus = calibrated((-kernel[0], -kernel[1]))
@@ -440,11 +437,12 @@ def first_homology(tri) -> HomologySummary:
     cal = calibrate(tri)
     if cal is None:
         return HomologySummary(h1.rank, tuple(h1.torsion), None, {}, {}, None)
-    slopes = {e: cal.boundary_edge_slope(e) for e in cal.cuts}
+    cuts = loop_cuts(tri)
+    slopes = {e: cal.boundary_edge_slope(e) for e in cal.edge_coords}
     mult, kernel_slope = cal.slope_of_coords(cal.kernel)
     assert mult == 1 and kernel_slope == Slope(0, 1)
-    return HomologySummary(h1.rank, tuple(h1.torsion), kernel_slope, dict(cal.cuts),
-                           slopes, cal)
+    return HomologySummary(h1.rank, tuple(h1.torsion), kernel_slope,
+                           {e: cuts[e] for e in cal.edge_coords}, slopes, cal)
 
 
 @dataclass

@@ -331,20 +331,17 @@ def find_meridian_discs(tri, budget: SearchBudget) -> DiscSearchResult:
     characteristic 1, boundary in the kernel of H1(bdry) -> H1(M).
 
     Two count filters drop a vector before reconstruction.  First, the cut
-    filter: a vector that meets some boundary edge loop e fewer than
-    cut(e) times is no disc.  A disc's one boundary curve has class
-    +-kernel and crosses e at exactly the w(e) points where the surface
-    meets e, so w(e) >= |<kernel, e>|.  If M has a meridian disc,
-    H1(bdry) -> H1(M) = Z is onto, and its kernel is spanned by the kernel
-    class, so |<kernel, e>| is the image of e in H1(M), which is cut(e);
-    if M has none, no vector passes the later checks anyway.  Second, a
-    vector whose count-level Euler characteristic is not 1 cannot be a
-    connected disc.  The time limit holds for the enumeration and the filter
-    together: when it stops either, the discs found so far are returned
-    with ``complete`` False; such a result is inconclusive."""
+    filter: a vector that meets some edge loop e fewer than c(e) times is
+    no disc (``loop_cuts``); the loops are tried largest c(e) first, which
+    drops the most vectors soonest.  Second, a vector whose count-level
+    Euler characteristic is not 1 cannot be a connected disc.  The time
+    limit holds for the enumeration and the filter together: when it stops
+    either, the discs found so far are returned with ``complete`` False;
+    such a result is inconclusive."""
     calibration = first_homology(tri).calibration
     if calibration is None:
         raise ValueError("not a solid-torus candidate; no meridian to search for")
+    cuts = sorted(loop_cuts(tri).items(), key=lambda item: -item[1])
     deadline = None
     if budget.time_limit is not None:
         deadline = time.monotonic() + budget.time_limit
@@ -357,7 +354,7 @@ def find_meridian_discs(tri, budget: SearchBudget) -> DiscSearchResult:
         if deadline is not None and time.monotonic() > deadline:
             complete, note = False, "time limit reached"
             break
-        if any(edge_weight(tri, v, e) < cut for e, cut in calibration.cuts.items()):
+        if any(edge_weight(tri, v, e) < cut for e, cut in cuts):
             continue
         disc = _meridian_disc(tri, calibration, v)
         if disc is not None:
@@ -493,9 +490,9 @@ def verify_61_1(i: int) -> VerifyReport:
 
     Certificate: the edge e labelled s_{i+2} has degree 1, so it lies in one
     tetrahedron slot, a piece meets it at most once, and a surface has at
-    least w(e) pieces; a meridian disc has w(e) >= cut(e), as the cut filter
-    of ``find_meridian_discs`` shows.  Without degree 1 or a large enough
-    cut the verdict is inconclusive: a weak certificate refutes nothing."""
+    least w(e) pieces; a meridian disc has w(e) >= cut(e), as ``loop_cuts``
+    shows.  Without degree 1 or a large enough cut the verdict is
+    inconclusive: a weak certificate refutes nothing."""
     lt = family(i)
     newest = lt.class_with_label(slope_seq(i + 2))
     degree = lt.tri.edge_classes[newest].degree

@@ -276,12 +276,54 @@ def test_cut_filter_drops_no_disc(fam):
         assert ([(d.vector, d.complexity) for d in res.discs]
                 == [(d.vector, d.complexity) for d in want]), name
         if name == "two-vertex":
-            assert 0 < len(cal.cuts) < sum(ec.boundary for ec in tri.edge_classes)
+            assert 0 < len(cal.edge_coords) < sum(ec.boundary for ec in tri.edge_classes)
+        cuts = loop_cuts(tri)
         dropped = [v for v in vectors
-                   if any(edge_weight(tri, v, e) < cut for e, cut in cal.cuts.items())]
+                   if any(edge_weight(tri, v, e) < cut for e, cut in cuts.items())]
         assert dropped, name
         for v in dropped:
             assert not _is_disc_surface(cal, reconstruct(tri, v)), (name, v.coords)
+
+
+def test_cut_filter_reads_every_loop_edge(fam, monkeypatch):
+    # a vector reaches the Euler count only if it meets every edge loop,
+    # interior edges included, at least c(e) times
+    seen = []
+
+    def recorded(tri, v):
+        seen.append(v)
+        return count_euler(tri, v)
+
+    monkeypatch.setattr(search, "count_euler", recorded)
+    for i in (2, 3):
+        tri = fam(i).tri
+        cuts = loop_cuts(tri)
+        assert any(not ec.boundary for ec in tri.edge_classes if ec.index in cuts)
+        seen.clear()
+        # at twice the least disc's piece count, where the boundary loops
+        # alone let through vectors that an interior loop drops
+        assert find_meridian_discs(tri, SearchBudget(2 * (fib(i + 6) - 5))).discs
+        assert len(seen) > 1
+        for v in seen:
+            assert all(edge_weight(tri, v, e) >= c for e, c in cuts.items()), (i, v.coords)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(gluing_tables(max_tets=3))
+def test_cut_filter_drops_no_disc_on_random_tables(table):
+    # the filter drops only non-discs, also where an interior edge is a loop
+    try:
+        tri = Triangulation(table)
+    except TriangulationError:
+        return
+    cal = first_homology(tri).calibration
+    if cal is None:
+        return
+    budget = SearchBudget(8)
+    res = find_meridian_discs(tri, budget)
+    want = _discs_without_cut_filter(tri, cal, enumerate_admissible(tri, budget))
+    assert ([(d.vector, d.complexity) for d in res.discs]
+            == [(d.vector, d.complexity) for d in want])
 
 
 def _stopping_after(n):
@@ -469,7 +511,7 @@ def test_meridian_length_bound_counts_every_boundary_loop(fam, homology_of):
     # times, all on its boundary curve, whether or not it is a loop of the
     # boundary torus; on a one-vertex torus every boundary edge is both
     for i in range(6):
-        want = sum(homology_of(i).calibration.cuts.values())
+        want = sum(homology_of(i).boundary_edge_cuts.values())
         assert search.minimal_meridian_length(fam(i).tri) == want
     tri = parse_tri(ANNULUS_FLOOR_TEXT)
     assert len(first_homology(tri).boundary_edge_cuts) < sum(
