@@ -1,11 +1,14 @@
 import gc
+import random
 import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from coretorus import layered
 from coretorus.homology import first_homology, solid_torus_candidate
 from coretorus.layered import base_t0, family, layer
-from coretorus.slopes import Slope, slope_seq
+from coretorus.slopes import Slope, SlopeTriple, slope_seq
 from coretorus.triangulation import Triangulation, serialize_tri
 
 
@@ -32,17 +35,82 @@ def test_layer_requires_boundary_label(fam):
         layer(fam(0), Slope(5, 3))
 
 
-def test_family_matches_iterated_layering(fam):
-    lt = fam(0)
+def _fresh_sequence(monkeypatch):
+    monkeypatch.setattr(layered, "_sequence", layered._LayeringSequence())
+
+
+def test_family_matches_iterated_layering(fam, monkeypatch):
+    iterated = [fam(0)]
     for k in range(40):
-        lt = layer(lt, slope_seq(k))
+        lt = layer(iterated[-1], slope_seq(k))
+        iterated.append(lt)
         direct = family(k + 1)
         assert serialize_tri(lt.tri) == serialize_tri(direct.tri)
         assert lt.boundary_slopes == direct.boundary_slopes
         assert lt.history == direct.history
 
+    # T_i is the same whichever indices the shared layering sequence was
+    # built through first
+    ascending = list(range(len(iterated)))
+    shuffled = ascending[:]
+    random.Random(24).shuffle(shuffled)
+    for order in (ascending[::-1], shuffled):
+        _fresh_sequence(monkeypatch)
+        for i in order:
+            direct = family(i)
+            assert serialize_tri(direct.tri) == serialize_tri(iterated[i].tri)
+            assert direct.boundary_slopes == iterated[i].boundary_slopes
+            assert direct.history == iterated[i].history
+
+    # nothing a call returns or hands to Triangulation is shared with the record
+    handed = []
+    init = Triangulation.__init__
+
+    def keeping(self, gluings):
+        handed.append(gluings)
+        init(self, gluings)
+
+    monkeypatch.setattr(Triangulation, "__init__", keeping)
+    for i in (40, 7, 0):
+        lt = family(i)
+        lt.history.append((i, Slope(0, 1), Slope(1, 0)))
+        lt.history[:1] = []
+        lt.boundary_slopes.clear()
+        for row in handed.pop():
+            row[:] = [None] * 4
+    for i in (40, 7, 0):
+        direct = family(i)
+        assert serialize_tri(direct.tri) == serialize_tri(iterated[i].tri)
+        assert direct.boundary_slopes == iterated[i].boundary_slopes
+        assert direct.history == iterated[i].history
+
+
+def test_family_starts_over_after_a_step_cut_short(fam, monkeypatch):
+    _fresh_sequence(monkeypatch)
+    family(3)
+    step = layered._layer_step
+    calls = []
+
+    def cut_short(gluings, sides, removed):
+        calls.append(removed)
+        if len(calls) == 4:
+            gluings.append([None] * 4)      # half a layering, then the cut
+            raise KeyboardInterrupt
+        return step(gluings, sides, removed)
+
+    monkeypatch.setattr(layered, "_layer_step", cut_short)
+    with pytest.raises(KeyboardInterrupt):
+        family(10)
+    monkeypatch.setattr(layered, "_layer_step", step)
+    for i in (10, 3):
+        assert serialize_tri(family(i).tri) == serialize_tri(fam(i).tri)
+        assert family(i).history == fam(i).history
+
 
 def test_family_builds_only_the_base_and_the_result(monkeypatch):
+    # the base is parsed once per process, when the layering sequence is
+    # first built; every call then constructs T_i alone
+    _fresh_sequence(monkeypatch)
     built = []
     init = Triangulation.__init__
 
@@ -51,10 +119,10 @@ def test_family_builds_only_the_base_and_the_result(monkeypatch):
         init(self, gluings)
 
     monkeypatch.setattr(Triangulation, "__init__", counting)
-    for i in (0, 5, 60):
+    for n, i in enumerate((0, 5, 60) * 2):
         built.clear()
         lt = family(i)
-        assert built == [1, i + 1]           # the base parse, then T_i
+        assert built == ([1] if n == 0 else []) + [i + 1]
         assert lt.tri.tet_count == i + 1
 
 
@@ -131,3 +199,19 @@ def test_history_records_moves(fam):
     lt = fam(3)
     assert [h[1] for h in lt.history] == [slope_seq(0), slope_seq(1), slope_seq(2)]
     assert [h[2] for h in lt.history] == [slope_seq(3), slope_seq(4), slope_seq(5)]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 2), min_size=1, max_size=6))
+def test_random_layering_sequences_keep_labels_and_cut_numbers(fam, picks):
+    # each layering removes a uniformly drawn boundary label, so sequences
+    # leave the family's Farey path and flip the edge just inserted
+    lt = fam(0)
+    for p in picks:
+        lt = layer(lt, sorted(lt.boundary_slopes.values())[p])
+        SlopeTriple(lt.boundary_slopes.values())    # raises off a Farey triangle
+    h = first_homology(lt.tri)
+    assert h.h1_rank == 1 and not h.h1_torsion
+    cuts = h.boundary_edge_cuts
+    for e, lab in lt.boundary_slopes.items():
+        assert cuts[e] == abs(lab.x + lab.y)
