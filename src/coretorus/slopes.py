@@ -81,9 +81,12 @@ def mediant(a: Slope, b: Slope) -> Slope:
 class SlopeTriple:
     """The three boundary edge slopes of a one-vertex torus triangulation.
 
-    Pairwise intersection numbers are 1, and one slope is (up to sign) the
-    sum of the other two, i.e. the triple spans a triangle of the Farey
-    tessellation.
+    Pairwise intersection numbers are 1, which makes one slope the mediant
+    of the other two, so the triple spans a Farey triangle.  Proof:
+    |det(a, b)| = 1 makes (a, b) a basis of Z^2, so c = m a + n b, and
+    det(a, c) = n det(a, b), det(b, c) = -m det(a, b) give |m| = |n| = 1.
+    Either c = +-(a + b), the mediant of a and b, or c = +-(a - b), and then
+    a = b + c or b = a + c is the mediant of the other two.
     """
 
     slopes: frozenset
@@ -96,9 +99,6 @@ class SlopeTriple:
         for u, v in ((a, b), (a, c), (b, c)):
             if intersection(u, v) != 1:
                 raise ValueError(f"{u} and {v} do not intersect once")
-        if not (mediant(a, b) in (c,) or mediant(a, c) in (b,) or mediant(b, c) in (a,)):
-            # one slope must be the mediant of the other two
-            raise ValueError(f"{sorted(slopes)} is not a Farey triangle")
         object.__setattr__(self, "slopes", slopes)
 
     def __iter__(self):

@@ -35,34 +35,29 @@ def test_layer_requires_boundary_label(fam):
         layer(fam(0), Slope(5, 3))
 
 
-def _fresh_sequence(monkeypatch):
-    monkeypatch.setattr(layered, "_sequence", layered._LayeringSequence())
+def _same(direct, lt):
+    assert serialize_tri(direct.tri) == serialize_tri(lt.tri)
+    assert list(direct.boundary_slopes.items()) == list(lt.boundary_slopes.items())
+    assert direct.history == lt.history
 
 
-def test_family_matches_iterated_layering(fam, monkeypatch):
-    iterated = [fam(0)]
-    for k in range(40):
-        lt = layer(iterated[-1], slope_seq(k))
-        iterated.append(lt)
-        direct = family(k + 1)
-        assert serialize_tri(lt.tri) == serialize_tri(direct.tri)
-        assert lt.boundary_slopes == direct.boundary_slopes
-        assert lt.history == direct.history
+def test_family_matches_iterated_layering(monkeypatch):
+    # the chain starts from base_t0, whose labels come from homology, and
+    # takes the long way through layer's step to T_100
+    iterated = [base_t0()]
+    for k in range(100):
+        iterated.append(layer(iterated[-1], slope_seq(k)))
+    for i, lt in enumerate(iterated):
+        _same(family(i), lt)
 
-    # T_i is the same whichever indices the shared layering sequence was
-    # built through first
-    ascending = list(range(len(iterated)))
-    shuffled = ascending[:]
+    # T_i is the same whichever indices were built before it
+    shuffled = list(range(len(iterated)))
     random.Random(24).shuffle(shuffled)
-    for order in (ascending[::-1], shuffled):
-        _fresh_sequence(monkeypatch)
+    for order in (range(len(iterated) - 1, -1, -1), shuffled):
         for i in order:
-            direct = family(i)
-            assert serialize_tri(direct.tri) == serialize_tri(iterated[i].tri)
-            assert direct.boundary_slopes == iterated[i].boundary_slopes
-            assert direct.history == iterated[i].history
+            _same(family(i), iterated[i])
 
-    # nothing a call returns or hands to Triangulation is shared with the record
+    # nothing a call returns or hands to Triangulation is shared with a later call
     handed = []
     init = Triangulation.__init__
 
@@ -79,38 +74,12 @@ def test_family_matches_iterated_layering(fam, monkeypatch):
         for row in handed.pop():
             row[:] = [None] * 4
     for i in (40, 7, 0):
-        direct = family(i)
-        assert serialize_tri(direct.tri) == serialize_tri(iterated[i].tri)
-        assert direct.boundary_slopes == iterated[i].boundary_slopes
-        assert direct.history == iterated[i].history
-
-
-def test_family_starts_over_after_a_step_cut_short(fam, monkeypatch):
-    _fresh_sequence(monkeypatch)
-    family(3)
-    step = layered._layer_step
-    calls = []
-
-    def cut_short(gluings, sides, removed):
-        calls.append(removed)
-        if len(calls) == 4:
-            gluings.append([None] * 4)      # half a layering, then the cut
-            raise KeyboardInterrupt
-        return step(gluings, sides, removed)
-
-    monkeypatch.setattr(layered, "_layer_step", cut_short)
-    with pytest.raises(KeyboardInterrupt):
-        family(10)
-    monkeypatch.setattr(layered, "_layer_step", step)
-    for i in (10, 3):
-        assert serialize_tri(family(i).tri) == serialize_tri(fam(i).tri)
-        assert family(i).history == fam(i).history
+        _same(family(i), iterated[i])
 
 
 def test_family_builds_only_the_base_and_the_result(monkeypatch):
-    # the base is parsed once per process, when the layering sequence is
-    # first built; every call then constructs T_i alone
-    _fresh_sequence(monkeypatch)
+    # T_i's table is written down: each call constructs T_i alone, with no
+    # parse, no homology and no layering step
     built = []
     init = Triangulation.__init__
 
@@ -118,18 +87,22 @@ def test_family_builds_only_the_base_and_the_result(monkeypatch):
         built.append(len(gluings))
         init(self, gluings)
 
+    def forbidden(*args, **kwargs):
+        raise AssertionError("family(i) took the long way")
+
     monkeypatch.setattr(Triangulation, "__init__", counting)
-    for n, i in enumerate((0, 5, 60) * 2):
+    for name in ("parse_tri", "first_homology", "_layer_step"):
+        monkeypatch.setattr(layered, name, forbidden)
+    for i in (0, 5, 60) * 2:
         built.clear()
         lt = family(i)
-        assert built == ([1] if n == 0 else []) + [i + 1]
+        assert built == [i + 1]
         assert lt.tri.tet_count == i + 1
 
 
 def test_family_carries_the_slope_pair(monkeypatch):
-    # each layering steps (s_k, s_{k+1}) on to (s_{k+1}, s_{k+2}) instead of
-    # recomputing s_k, so slope_seq is called a fixed number of times
-    from coretorus import layered
+    # the labels s_0..s_{i+2} are stepped on by s_{k+1} = (x + y, x) instead
+    # of recomputed, so slope_seq is called a fixed number of times
     calls = []
 
     def counting(k):

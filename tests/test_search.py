@@ -531,6 +531,36 @@ def test_floor_disc_off_the_family():
     assert find_meridian_discs(tri, SearchBudget(13)).discs[0].vector == res.disc.vector
 
 
+# a 3-tet solid torus whose manifold has two vertices: 5 of its 7 edges are
+# loops, so it has no v* and only the search and its cover pass certify
+COVER_PASS_TEXT = ("tets 3\n0: - 2:0312 1:1320 1:0123\n1: - - 0:3021 0:0123\n"
+                   "2: 2:1023 2:1023 - 0:0231\n")
+
+
+def test_cover_pass_certifies_where_there_is_no_v_star(monkeypatch):
+    tri = parse_tri(COVER_PASS_TEXT)
+    assert len(tri.vertex_classes) == 2
+    assert len(tri.edge_classes) == 7 and len(loop_cuts(tri)) == 5
+    assert search.floor_vector(tri) is None
+    real = search.find_meridian_discs
+    budgets = []
+
+    def counting(tri, budget):
+        budgets.append(budget)
+        return real(tri, budget)
+
+    monkeypatch.setattr(search, "find_meridian_discs", counting)
+    for pieces in (5, 14):
+        budgets.clear()
+        res = minimal_complexity_disc(tri, SearchBudget(pieces))
+        assert res.certified and not res.inconclusive
+        assert len(budgets) == 2 and budgets[1].max_weight == 7     # the cover pass ran
+        assert res.disc.piece_count == 5 and res.disc.complexity == (6, 7)
+    assert real(tri, SearchBudget(14)).discs[0].vector == res.disc.vector
+    res = minimal_complexity_disc(tri, SearchBudget(4))
+    assert res.disc is None and res.inconclusive and res.note == "no disc within budget"
+
+
 def test_every_disc_passes_surface_checks(fam, homology_of):
     tri = fam(1).tri
     cal = homology_of(1).calibration

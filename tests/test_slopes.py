@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -95,6 +96,20 @@ def test_triple_validation():
         SlopeTriple({Slope(1, 0), Slope(1, 1), Slope(5, 3)})
     with pytest.raises(ValueError):
         SlopeTriple({Slope(1, 0), Slope(1, 1)})
+
+
+def test_pairwise_once_triples_are_farey_triangles():
+    # SlopeTriple checks only the pairwise intersections: every such triple
+    # in a box has one slope the mediant of the other two
+    box = sorted({normalize_slope(x, y) for x in range(10) for y in range(-9, 10)
+                  if (x, y) != (0, 0)})
+    triples = 0
+    for a, b, c in combinations(box, 3):
+        if intersection(a, b) == intersection(a, c) == intersection(b, c) == 1:
+            triples += 1
+            SlopeTriple({a, b, c})
+            assert c == mediant(a, b) or b == mediant(a, c) or a == mediant(b, c)
+    assert triples > 100
 
 
 def test_elementary_move_family_step():
