@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .triangulation import FACE_VERTICES, TriangulationError, _UnionFind, two_colour
+from .triangulation import FACE_VERTICES, TriangulationError, two_colour
 
 
 @dataclass
@@ -85,12 +85,9 @@ class BoundaryComplex:
     @cached_property
     def vertex_classes(self):
         corners = [(i, v) for i, (t, f) in enumerate(self.triangles) for v in FACE_VERTICES[f]]
-        uf = _UnionFind(corners)
-        for be in self.bedges:
-            (i0, d0), (i1, d1) = be.ends
-            uf.union((i0, d0[0]), (i1, d1[0]))
-            uf.union((i0, d0[1]), (i1, d1[1]))
-        return uf.classes()
+        relations = [((i0, d0[k]), (i1, d1[k]), 1)
+                     for (i0, d0), (i1, d1) in (be.ends for be in self.bedges) for k in (0, 1)]
+        return [members for members, _ in two_colour(corners, relations)[1]]
 
     @cached_property
     def vertex_class_of(self):

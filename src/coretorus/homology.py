@@ -209,8 +209,9 @@ class H1Group:
         out = {}
         for e, c in z.items():
             tail, head = self.ends[e]
-            out[head] = out.get(head, 0) + c
-            out[tail] = out.get(tail, 0) - c
+            if tail != head:                # a loop's boundary is 0
+                out[head] = out.get(head, 0) + c
+                out[tail] = out.get(tail, 0) - c
         return {v: x for v, x in out.items() if x}
 
     def class_of_cycle(self, z):
@@ -283,9 +284,10 @@ def manifold_h1(tri) -> H1Group:
 
 @_per_triangulation
 def loop_cuts(tri) -> dict:
-    """c(e) = |[e]| in H1(M) = Z for each edge class e that is a loop, one
-    ``class_of_cycle`` of the one-edge chain each; empty unless H1(M) = Z.
-    This is the only table of cut numbers.
+    """c(e) = |[e]| in H1(M) = Z for each edge class e that is a loop; empty
+    unless H1(M) = Z.  Then the free coordinate is H1's only one, so [e] is
+    the entry at e of its row of U, which is what ``class_of_cycle({e: 1})``
+    reads.  This is the only table of cut numbers.
 
     A meridian disc D meets a loop e at least c(e) times.  Where the
     boundary is a torus and H1(M) = Z, H2(M) = 0, so [D] generates
@@ -295,8 +297,8 @@ def loop_cuts(tri) -> dict:
     h1m = manifold_h1(tri)
     if not h1m.is_infinite_cyclic:
         return {}
-    return {e: abs(h1m.class_of_cycle({e: 1})[0])
-            for e, (tail, head) in enumerate(h1m.ends) if tail == head}
+    row = h1m._U_rows[0]
+    return {e: abs(row.get(e, 0)) for e, (tail, head) in enumerate(h1m.ends) if tail == head}
 
 
 def boundary_h1(bc) -> H1Group:

@@ -8,16 +8,16 @@ relation is a fixed-point-free involution, that no edge is identified with
 itself reversing orientation, that every edge link is connected, and that a
 consistent orientation exists.
 
-Vertex classes come from union-find over the identifications induced by
-the gluings.  Each edge class is found by walking its link (``link_walk``)
-from its least slot, and the other way too when the walk ends on the
-boundary.  A walk step carries the directed edge across a glued face, so
-the walks give ``Triangulation.class_direction``, the one signed-edge table:
-each directed edge slot maps to its class and to the slot's edge directed as
-the class representative.  A slot that comes back reversed is an edge
-identified with its own reverse.  Every chain sign downstream (H1, the
-boundary complex, the PL curves' class parameters) is read from it.  Each
-class's link, walked from a fixed start, is kept in
+Vertex classes are the components (``two_colour``) of the corners joined
+across each glued face pair.  Each edge class is found by walking its link
+(``link_walk``) from its least slot, and the other way too when the walk
+ends on the boundary.  A walk step carries the directed edge across a glued
+face, so the walks give ``Triangulation.class_direction``, the one
+signed-edge table: each directed edge slot maps to its class and to the
+slot's edge directed as the class representative.  A slot that comes back
+reversed is an edge identified with its own reverse.  Every chain sign
+downstream (H1, the boundary complex, the PL curves' class parameters) is
+read from it.  Each class's link, walked from a fixed start, is kept in
 ``Triangulation.edge_walks``; the boundary complex, the bundle's Q cells and
 the curves' push-off all read those walks.
 """
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import permutations
 
 FACE_VERTICES = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
 EDGE_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -41,20 +42,18 @@ class ParseError(TriangulationError):
         super().__init__(f"{message}{where}")
 
 
+# each permutation of {0,1,2,3} -> (its inverse, its sign)
+_PERMS = {p: (tuple(p.index(i) for i in range(4)),
+              (-1) ** sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4)))
+          for p in permutations(range(4))}
+
+
 def perm_inverse(p):
-    inv = [0, 0, 0, 0]
-    for i, v in enumerate(p):
-        inv[v] = i
-    return tuple(inv)
+    return _PERMS[tuple(p)][0]
 
 
 def perm_sign(p):
-    sign = 1
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if p[i] > p[j]:
-                sign = -sign
-    return sign
+    return _PERMS[tuple(p)][1]
 
 
 class _UnionFind:
@@ -154,7 +153,7 @@ class Triangulation:
                     continue
                 t2, perm = g
                 perm = tuple(perm)
-                if sorted(perm) != [0, 1, 2, 3]:
+                if perm not in _PERMS:
                     raise TriangulationError(f"face ({t},{f}): {perm} is not a permutation")
                 if not 0 <= t2 < len(gluings):
                     raise TriangulationError(f"face ({t},{f}) glued to missing tetrahedron {t2}")
@@ -226,16 +225,17 @@ class Triangulation:
 
     @cached_property
     def vertex_classes(self):
-        uf = _UnionFind([(t, v) for t in range(self.tet_count) for v in range(4)])
-        for t in range(self.tet_count):
-            for f in range(4):
-                g = self.gluings[t][f]
-                if g is None:
-                    continue
-                t2, perm = g
-                for v in FACE_VERTICES[f]:
-                    uf.union((t, v), (t2, perm[v]))
-        return uf.classes()
+        """The corners (t, v) of each vertex class, in order of least corner:
+        the components of corners 4t + v, joined across each glued face pair
+        from its side with the smaller (t, f)."""
+        relations = []
+        for t, row in enumerate(self.gluings):
+            for f, g in enumerate(row):
+                if g is not None and (t, f) < (g[0], g[1][f]):
+                    t2, perm = g
+                    relations += [(4 * t + v, 4 * t2 + perm[v], 1) for v in FACE_VERTICES[f]]
+        _, components = two_colour(range(4 * self.tet_count), relations)
+        return [[divmod(x, 4) for x in members] for members, _ in components]
 
     @cached_property
     def vertex_class_of(self):

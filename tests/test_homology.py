@@ -14,6 +14,7 @@ from coretorus.slopes import Slope, fib
 from coretorus.triangulation import Triangulation, TriangulationError, parse_tri, serialize_tri
 
 import edge_class_oracle
+import vertex_class_oracle
 from snf_oracle import mat_mul, smith_normal_form as dense_smith_normal_form, sparse_result
 from test_triangulation import gluing_tables
 
@@ -24,6 +25,10 @@ TWO_VERTEX_TEXT = ("tets 3\n0: - 1:1032 - 2:1230\n1: 0:1032 2:3102 - -\n"
 # one tetrahedron with two faces folded together: a ball whose boundary
 # sphere has two sides of one triangle glued to each other
 FOLDED_BALL_TEXT = "tets 1\n0: - - 0:0132 0:0132\n"
+# a 3-tet solid torus whose manifold has two vertices: 5 of its 7 edges are
+# loops, so it has no v* and only the search and its cover pass certify
+COVER_PASS_TEXT = ("tets 3\n0: - 2:0312 1:1320 1:0123\n1: - - 0:3021 0:0123\n"
+                   "2: 2:1023 2:1023 - 0:0231\n")
 # a solid torus whose v* is an annulus (found among seeded random 3-tet tables)
 ANNULUS_FLOOR_TEXT = ("tets 3\n0: 1:1302 - 2:3012 -\n1: 2:2031 0:2031 - 2:2103\n"
                       "2: - 0:1230 1:1302 1:2103\n")
@@ -350,3 +355,64 @@ def test_edge_classes_match_the_union_find_oracle(fam):
         else:
             assert (got.edge_classes, got.class_direction, got.edge_walks) == want, name
     assert reversed_edges > 0
+
+
+def _assert_vertex_classes_match_the_oracle(tri, name=None):
+    want = vertex_class_oracle.vertex_classes(tri.gluings)
+    assert tri.vertex_classes == want, name
+    assert tri.vertex_class_of == {c: k for k, cs in enumerate(want) for c in cs}, name
+    bc = tri.boundary_complex
+    assert (_outcome(lambda: bc.vertex_classes)
+            == _outcome(lambda: vertex_class_oracle.boundary_vertex_classes(bc))), name
+
+
+def test_vertex_classes_match_the_union_find_oracle(fam):
+    # the corner components give the union-find's classes, in its order
+    tris = [(f"T_{i}", fam(i).tri) for i in range(101)]
+    tris += [("two-vertex", parse_tri(TWO_VERTEX_TEXT)),
+             ("folded ball", parse_tri(FOLDED_BALL_TEXT))]
+    for name, tri in tris:
+        _assert_vertex_classes_match_the_oracle(tri, name)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gluing_tables())
+def test_vertex_classes_match_the_oracle_on_random_tables(table):
+    try:
+        tri = Triangulation(table)
+    except TriangulationError:
+        return
+    _assert_vertex_classes_match_the_oracle(tri)
+
+
+def _check_loop_cuts(tri, name=None):
+    """Asserts that each loop's cut number is |class_of_cycle| of the loop
+    when H1(M) = Z, and that there are none otherwise; says whether
+    H1(M) = Z."""
+    h1m, cuts = manifold_h1(tri), loop_cuts(tri)
+    if not h1m.is_infinite_cyclic:
+        assert cuts == {}, name
+        return False
+    loops = [e for e, (tail, head) in enumerate(h1m.ends) if tail == head]
+    assert sorted(cuts) == loops, name
+    for e in loops:
+        assert cuts[e] == abs(h1m.class_of_cycle({e: 1})[0]), (name, e)
+    return True
+
+
+def test_loop_cuts_read_class_of_cycle(fam):
+    tris = [(f"T_{i}", fam(i).tri) for i in range(41)]
+    tris += [("two-vertex", parse_tri(TWO_VERTEX_TEXT)),
+             ("cover pass", parse_tri(COVER_PASS_TEXT))]
+    for name, tri in tris:
+        assert _check_loop_cuts(tri, name), name
+
+
+@settings(max_examples=300, deadline=None)
+@given(gluing_tables())
+def test_loop_cuts_read_class_of_cycle_on_random_tables(table):
+    try:
+        tri = Triangulation(table)
+    except TriangulationError:
+        return
+    _check_loop_cuts(tri)

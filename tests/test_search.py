@@ -20,7 +20,7 @@ from coretorus.triangulation import Triangulation, TriangulationError, parse_tri
 
 from conftest import vertex_link
 from test_bundle import closed_form_disc
-from test_homology import ANNULUS_FLOOR_TEXT, TWO_VERTEX_TEXT
+from test_homology import ANNULUS_FLOOR_TEXT, COVER_PASS_TEXT, TWO_VERTEX_TEXT
 from test_triangulation import gluing_tables
 
 
@@ -529,12 +529,6 @@ def test_floor_disc_off_the_family():
     assert res.certified and not res.inconclusive
     assert res.disc.piece_count == 13 and res.disc.complexity == (20, 20)
     assert find_meridian_discs(tri, SearchBudget(13)).discs[0].vector == res.disc.vector
-
-
-# a 3-tet solid torus whose manifold has two vertices: 5 of its 7 edges are
-# loops, so it has no v* and only the search and its cover pass certify
-COVER_PASS_TEXT = ("tets 3\n0: - 2:0312 1:1320 1:0123\n1: - - 0:3021 0:0123\n"
-                   "2: 2:1023 2:1023 - 0:0231\n")
 
 
 def test_cover_pass_certifies_where_there_is_no_v_star(monkeypatch):

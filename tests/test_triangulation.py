@@ -7,8 +7,8 @@ from coretorus.homology import first_homology, solid_torus_candidate
 from coretorus.layered import BASE_T0_TEXT
 from coretorus.triangulation import (EDGE_PAIRS, FACE_VERTICES, ParseError,
                                      Triangulation, TriangulationError,
-                                     _UnionFind, parse_tri, perm_sign,
-                                     serialize_tri, two_colour)
+                                     _UnionFind, parse_tri, perm_inverse,
+                                     perm_sign, serialize_tri, two_colour)
 
 BALL_TEXT = "tets 1\n0: - - - -\n"
 
@@ -38,6 +38,11 @@ def test_parse_errors_carry_line_numbers():
         parse_tri("tets 2\n0: - - - -\n")          # missing row
     with pytest.raises(ParseError):
         parse_tri("tets 1\n0: - - 0:12 -\n")       # bad token
+
+
+def test_non_permutation_face_token_rejected():
+    with pytest.raises(TriangulationError, match="is not a permutation"):
+        parse_tri("tets 1\n0: 0:0012 - - -\n")
 
 
 def test_involution_violation():
@@ -121,6 +126,23 @@ def test_two_colour_odd_cycle_is_inconsistent():
 
 
 _PERMS = tuple(permutations(range(4)))
+
+
+def test_perm_table_matches_the_loop_definitions():
+    # the loop definitions of the inverse and the sign; layered passes
+    # lists as well as tuples
+    identity = (0, 1, 2, 3)
+    for p in _PERMS:
+        inv = [0, 0, 0, 0]
+        for i, v in enumerate(p):
+            inv[v] = i
+        inversions = sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4))
+        for arg in (p, list(p)):
+            q = perm_inverse(arg)
+            assert q == tuple(inv)
+            assert tuple(p[q[i]] for i in range(4)) == identity
+            assert tuple(q[p[i]] for i in range(4)) == identity
+            assert perm_sign(arg) == (-1) ** inversions
 
 
 @st.composite
