@@ -3,8 +3,9 @@
 
 Covers the layered family through a chosen index: homology and meridian
 calibration (also at T_20..T_1000), the cut numbers of all edge loops
-summing to the least disc weight (timed at T_300 and T_1000), the family
-at T_300 and T_1000 (each built twice and timed), the exponential lower
+summing to the least disc weight, and the family at T_300 and T_1000 (H1,
+the loop cuts and the family build each timed as the least of three fresh
+builds, in milliseconds, so a 20% change shows), the exponential lower
 bound on meridian discs from the newest edge's degree and cut number (also
 at T_99 and T_1000), the boundary pre-core length bound, the enumerator off
 the family (a two-vertex solid torus, timed), parallelity-bundle claims on
@@ -72,23 +73,22 @@ def main():
         row(f"homology T_{i}", "ok" if ok else "FAIL",
             "H1=Z, kernel slope (0,1), cut number x + y for each label")
 
-    first_call = {}
     for i in (300, 1000):
-        start = time.time()
-        lt = family(i)
-        first_call[i] = time.time() - start
-        start = time.time()
-        manifold_h1(lt.tri)
-        cuts_start = time.time()
-        cuts = loop_cuts(lt.tri)
-        cuts_seconds = time.time() - cuts_start
-        h = first_homology(lt.tri)
-        seconds = time.time() - start
+        h1_ms, cuts_ms = [], []
+        for _ in range(3):
+            lt = family(i)              # fresh, so no homology is cached on it
+            start = time.perf_counter()
+            manifold_h1(lt.tri)
+            cuts_start = time.perf_counter()
+            cuts = loop_cuts(lt.tri)
+            cuts_ms.append((time.perf_counter() - cuts_start) * 1000)
+            h = first_homology(lt.tri)
+            h1_ms.append((time.perf_counter() - start) * 1000)
         row(f"homology T_{i} H1", "ok" if h.h1_rank == 1 and not h.h1_torsion else "FAIL",
-            f"H1=Z, computed in {seconds:.2f}s")
+            f"H1=Z, computed in {min(h1_ms):.1f} ms (least of 3)")
         row(f"floor weight T_{i}", "ok" if sum(cuts.values()) == fib(i + 6) - 2 else "FAIL",
             f"sum of c(e) over {len(cuts)} edge loops = fib({i + 6})-2, "
-            f"loop_cuts in {cuts_seconds:.4f}s")
+            f"loop_cuts in {min(cuts_ms):.2f} ms (least of 3)")
         row(f"homology T_{i} kernel slope",
             "ok" if str(h.boundary_map_kernel_slope) == "(0,1)" else "FAIL", "(0,1)")
         ok = all(h.boundary_edge_cuts.get(e) == s.x + s.y for e, s in lt.boundary_slopes.items())
@@ -115,15 +115,18 @@ def main():
         f"{len(vectors)} admissible vectors within 13 pieces, {time.time() - start:.2f}s")
 
     for i in (300, 1000):
-        start = time.time()
-        lt = family(i)
+        build_ms = []
+        for _ in range(3):
+            start = time.perf_counter()
+            lt = family(i)
+            build_ms.append((time.perf_counter() - start) * 1000)
         ok = (lt.tri.tet_count == i + 1
               and lt.tri.boundary_complex.is_one_vertex_torus
               and set(lt.boundary_slopes.values())
               == {slope_seq(i), slope_seq(i + 1), slope_seq(i + 2)})
         row(f"family T_{i}", "ok" if ok else "FAIL",
             f"{i + 1} tets, one-vertex torus boundary, labels s_{i}..s_{i + 2}, "
-            f"first call {first_call[i]:.2f}s, again {time.time() - start:.2f}s")
+            f"built in {min(build_ms):.1f} ms (least of 3)")
 
     for i in (*range(args.max_disc_index + 1), 99, 1000):
         rep = verify_61_1(i)

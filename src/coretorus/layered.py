@@ -4,12 +4,14 @@
 triangulation up to isomorphism; the gluing below is the lexicographically
 least table passing the solid-torus oracle).  ``layer`` attaches a new
 tetrahedron across the two boundary faces adjacent to a chosen boundary
-edge, which performs a diagonal flip on the one-vertex boundary torus, and
-validates each result it returns.  ``family(i)`` is T_i, on the Farey-tree
-path that always removes the oldest remaining boundary slope
-(Jaco-Rubinstein, arXiv:math/0603601).  Every step of that path glues the
-same way, so ``family`` writes T_i's table down with no layering and no
-state, and runs the bookkeeping checks on the validated result.
+edge, the ends of the edge's walk that its triangulation already holds
+(``Triangulation.edge_walks``), which performs a diagonal flip on the
+one-vertex boundary torus, and validates each result it returns.
+``family(i)`` is T_i, on the Farey-tree path that always removes the oldest
+remaining boundary slope (Jaco-Rubinstein, arXiv:math/0603601).  Every step
+of that path glues the same way, so ``family`` writes T_i's table down with
+no layering and no state, and runs the bookkeeping checks on the validated
+result.
 
 Slope labels are bookkeeping in the convention of the slope recursion
 (s_0 = (1,0), s_1 = (1,1), ...), assigned on the base triangulation by
@@ -24,8 +26,8 @@ from dataclasses import dataclass, field
 
 from .homology import first_homology
 from .slopes import Slope, SlopeTriple, elementary_move, slope_seq
-from .triangulation import (FACE_VERTICES, Triangulation, TriangulationError, boundary_side,
-                            class_walk, link_walk, parse_tri, perm_inverse)
+from .triangulation import (FACE_VERTICES, Triangulation, TriangulationError, parse_tri,
+                            perm_inverse)
 
 BASE_T0_TEXT = """\
 tets 1
@@ -63,95 +65,60 @@ def base_t0() -> LayeredTriangulation:
     return LayeredTriangulation(tri, labels, [])
 
 
-def _layer_step(gluings, sides, removed):
-    """One layering on a plain gluing table, in place.
-
-    ``sides`` maps each slope label to a boundary side (tet, face, edge) of
-    its edge: the face is a boundary face and the edge, a sorted vertex
-    pair, lies in it.  A new tetrahedron is glued across the two boundary
-    faces meeting the edge labeled ``removed``: its edge (0,1) sits over
-    that edge, faces 2 and 3 are glued down and faces 0 and 1 become the new
-    boundary square.  ``sides`` is updated (the removed label goes, a kept
-    label whose face was glued down moves to the new tetrahedron, the
-    inserted label of the elementary move sits on its edge (2,3)).  Returns
-    the inserted label and a slot (tet, edge) of the layered edge.
-    """
-    kept = set(sides) - {removed}
-    inserted = next(s for s in elementary_move(SlopeTriple(sides), removed) if s not in kept)
-    t, f, e = sides.pop(removed)
-    sectors = link_walk(gluings, t, e, f)["sectors"]
-    # the walk Triangulation.edge_walks holds, so T_i's table does not depend
-    # on which side of the edge a label was tracked by
-    walk = class_walk(gluings, sorted({(s[0], tuple(sorted(s[1]))) for s in sectors}))
-    t0, d0, f0, _ = walk["sectors"][0]
-    t1, d1, _, f1 = walk["sectors"][-1]
-    if (t0, f0) == (t1, f1):
-        raise ValueError("the two boundary faces across the edge are not distinct")
-
-    apex0 = next(v for v in FACE_VERTICES[f0] if v not in d0)
-    apex1 = next(v for v in FACE_VERTICES[f1] if v not in d1)
-    n = len(gluings)
-    p2 = [0, 0, 0, 0]
-    p2[0], p2[1], p2[3], p2[2] = d0[0], d0[1], apex0, f0
-    p3 = [0, 0, 0, 0]
-    p3[0], p3[1], p3[2], p3[3] = d1[0], d1[1], apex1, f1
-    gluings.append([None, None, (t0, tuple(p2)), (t1, tuple(p3))])
-    gluings[t0][f0] = (n, perm_inverse(p2))
-    gluings[t1][f1] = (n, perm_inverse(p3))
-
-    glued = {(t0, f0): perm_inverse(p2), (t1, f1): perm_inverse(p3)}
-    for lab, (t, f, e) in sides.items():
-        if (t, f) in glued:
-            # the edge is (0,2), (0,3), (1,2) or (1,3) of the new tetrahedron,
-            # in new face 1 if it has vertex 0 and in face 0 if it has vertex 1
-            inv = glued[(t, f)]
-            e = tuple(sorted((inv[e[0]], inv[e[1]])))
-            sides[lab] = (n, 1 if 0 in e else 0, e)
-    sides[inserted] = (n, 0, (2, 3))
-    return inserted, (t0, tuple(sorted(d0)))
-
-
-def _labeled(tri, sides, layered, history) -> LayeredTriangulation:
+def _labeled(tri, slots, layered, history) -> LayeredTriangulation:
     """The layered triangulation, after the bookkeeping checks on it:
     every layered edge is interior and the labels sit on distinct boundary
-    edge classes."""
+    edge classes.  ``slots`` maps each label to a slot (tet, edge) of its
+    edge, ``layered`` lists a slot of each layered edge."""
     classes = tri.edge_classes
     if any(classes[tri.class_direction[slot][0]].boundary for slot in layered):
         raise TriangulationError("a layered edge is still on the boundary")
-    labels = {tri.class_direction[(t, e)][0]: lab for lab, (t, f, e) in sides.items()}
-    if len(labels) != len(sides) or not all(classes[c].boundary for c in labels):
+    labels = {tri.class_direction[slot][0]: lab for lab, slot in slots.items()}
+    if len(labels) != len(slots) or not all(classes[c].boundary for c in labels):
         raise TriangulationError("the slope labels are not distinct boundary edges")
     return LayeredTriangulation(tri, labels, history)
-
-
-def _sides(lt: LayeredTriangulation) -> dict:
-    """Label -> boundary side of its edge, in label order."""
-    sides = {}
-    for e, lab in lt.boundary_slopes.items():
-        side = boundary_side(lt.tri.gluings, lt.tri.edge_classes[e].slots)
-        if side is None:
-            raise ValueError(f"edge class {e} is not on the boundary")
-        sides[lab] = side
-    return sides
 
 
 def layer(lt: LayeredTriangulation, edge) -> LayeredTriangulation:
     """Attach a tetrahedron across the two boundary faces meeting an edge.
 
-    ``edge`` is a boundary edge class index or its Slope label.  The edge
-    becomes interior and the new boundary edge is labeled with the flip of
-    the removed slope.  The result is a fully validated triangulation.
+    ``edge`` is a boundary edge class index or its Slope label.  The new
+    tetrahedron's edge (0,1) sits over the edge, its faces 2 and 3 are glued
+    to the boundary faces at the two ends of the edge's walk in
+    ``Triangulation.edge_walks``, and its faces 0 and 1 become the new
+    boundary square.  The edge becomes interior; its flip, the new edge
+    (2,3), is labeled with the inserted slope of the elementary move.  Old
+    slots keep their edges, so a kept label stays on the class of its old
+    representative slot.  The result is a fully validated triangulation.
     """
     if isinstance(edge, Slope):
         edge = lt.class_with_label(edge)
-    if edge not in lt.boundary_slopes:
+    if edge not in lt.boundary_slopes or not lt.tri.edge_classes[edge].boundary:
         raise ValueError(f"edge class {edge} is not a labeled boundary edge")
     removed = lt.boundary_slopes[edge]
-    sides = _sides(lt)
+    slots = {lab: lt.tri.edge_classes[e].rep for e, lab in lt.boundary_slopes.items() if e != edge}
+    inserted = next(s for s in elementary_move(lt.triple, removed) if s not in slots)
+    sectors = lt.tri.edge_walks[edge]["sectors"]
+    t0, d0, f0, _ = sectors[0]
+    t1, d1, _, f1 = sectors[-1]
+    if (t0, f0) == (t1, f1):
+        raise ValueError("the two boundary faces across the edge are not distinct")
+
+    apex0 = next(v for v in FACE_VERTICES[f0] if v not in d0)
+    apex1 = next(v for v in FACE_VERTICES[f1] if v not in d1)
+    n = lt.tri.tet_count
+    p2 = [0, 0, 0, 0]
+    p2[0], p2[1], p2[3], p2[2] = d0[0], d0[1], apex0, f0
+    p3 = [0, 0, 0, 0]
+    p3[0], p3[1], p3[2], p3[3] = d1[0], d1[1], apex1, f1
     gluings = [list(row) for row in lt.tri.gluings]
-    inserted, slot = _layer_step(gluings, sides, removed)
+    gluings.append([None, None, (t0, tuple(p2)), (t1, tuple(p3))])
+    gluings[t0][f0] = (n, perm_inverse(p2))
+    gluings[t1][f1] = (n, perm_inverse(p3))
+
+    slots[inserted] = (n, (2, 3))
     history = list(lt.history) + [(len(lt.history), removed, inserted)]
-    return _labeled(Triangulation(gluings), sides, [slot], history)
+    return _labeled(Triangulation(gluings), slots, [lt.tri.edge_classes[edge].rep], history)
 
 
 # T_i's gluing table: tet k is glued up to tet k+1 by faces 0 and 1, down
@@ -180,9 +147,9 @@ def family(i: int) -> LayeredTriangulation:
     s = [slope_seq(0)]                  # s_{k+1} = (x + y, x) from s_k = (x, y)
     for _ in range(i + 2):
         s.append(Slope(s[-1].x + s[-1].y, s[-1].x))
-    sides = {s[i]: (i, 1, (0, 3)), s[i + 1]: (i, 1, (0, 2)), s[i + 2]: (i, 0, (2, 3))}
+    slots = {s[i]: (i, (0, 3)), s[i + 1]: (i, (0, 2)), s[i + 2]: (i, (2, 3))}
     history = [(k, s[k], s[k + 3]) for k in range(i)]
-    lt = _labeled(Triangulation(gluings), sides, [(k, (0, 3)) for k in range(i)], history)
+    lt = _labeled(Triangulation(gluings), slots, [(k, (0, 3)) for k in range(i)], history)
     if set(lt.boundary_slopes.values()) != {slope_seq(i), slope_seq(i + 1), slope_seq(i + 2)}:
         raise TriangulationError("slope bookkeeping does not follow the slope recursion")
     return lt

@@ -18,8 +18,8 @@ slot's edge directed as the class representative.  A slot that comes back
 reversed is an edge identified with its own reverse.  Every chain sign
 downstream (H1, the boundary complex, the PL curves' class parameters) is
 read from it.  Each class's link, walked from a fixed start, is kept in
-``Triangulation.edge_walks``; the boundary complex, the bundle's Q cells and
-the curves' push-off all read those walks.
+``Triangulation.edge_walks``; the boundary complex, the bundle's Q cells,
+the curves' push-off and ``layered.layer`` all read those walks.
 """
 from __future__ import annotations
 
@@ -188,18 +188,21 @@ class Triangulation:
     def _edge_classes(self):
         """The edge classes; ``class_direction``: (tet, directed edge) ->
         (edge class, the slot's edge directed as the class representative),
-        for both directions of every slot; and the ``class_walk`` of each
-        class, its one ordered link.  A directed edge runs along its class
-        exactly when it is its own class direction, and a crossing point is
-        named by its class and its ``crossing_position`` along it, the same
-        in every slot of the class.
+        for both directions of every slot; and each class's walk, its one
+        ordered link.  A directed edge runs along its class exactly when it
+        is its own class direction, and a crossing point is named by its
+        class and its ``crossing_position`` along it, the same in every slot
+        of the class.
 
         A class is found by walking its link from its least slot (u, v),
         u < v, the representative, through the slot's first face, and the
         other way too if the walk ends on the boundary.  Each sector's
         directed edge is its slot's class direction; a slot met again
         reversed is an edge identified with itself reversing orientation.
-        An interior class's walk is its ``class_walk``."""
+        An interior class's walk is that first walk.  A boundary class's
+        walk starts from the least (tet, sorted edge, face) of the two ends
+        of its link, the boundary faces where the two half-walks stop, with
+        the edge directed (u, v), u < v."""
         classes, direction, walks = [], {}, []
         for t in range(self.tet_count):
             for u, v in EDGE_PAIRS:
@@ -209,7 +212,10 @@ class Triangulation:
                 walk = link_walk(self.gluings, t, (u, v), f)
                 sectors = walk["sectors"]
                 if walk["boundary"]:
-                    sectors = sectors + link_walk(self.gluings, t, (u, v), 6 - u - v - f)["sectors"]
+                    back = link_walk(self.gluings, t, (u, v), 6 - u - v - f)["sectors"]
+                    ends = [(t2, tuple(sorted(d)), f_out)
+                            for t2, d, _, f_out in (sectors[-1], back[-1])]
+                    sectors = sectors + back
                 slots = []
                 for t2, d, _, _ in sectors:
                     if (t2, d) not in direction:
@@ -219,7 +225,7 @@ class Triangulation:
                         raise TriangulationError(
                             f"edge {(t, (u, v))} is identified with itself reversing orientation")
                 slots.sort()
-                walks.append(class_walk(self.gluings, slots) if walk["boundary"] else walk)
+                walks.append(link_walk(self.gluings, *min(ends)) if walk["boundary"] else walk)
                 classes.append(EdgeClass(idx, slots, slots[0], walk["boundary"]))
         return classes, direction, walks
 
@@ -329,29 +335,6 @@ def link_walk(gluings, t, d, f_in):
         t, d, f_in = t2, (perm[d[0]], perm[d[1]]), perm[f_out]
         if (t, d, f_in) == start:
             return {"boundary": False, "sectors": sectors}
-
-
-def boundary_side(gluings, slots):
-    """The first (tet, face, edge) over ``slots`` (sorted (tet, (u, v)) with
-    u < v) and faces in order whose face is a boundary face containing the
-    edge; None for an interior edge."""
-    for t, e in slots:
-        for f in range(4):
-            if f not in e and gluings[t][f] is None:
-                return t, f, e
-    return None
-
-
-def class_walk(gluings, slots):
-    """``link_walk`` of the edge class with these slots, from a fixed start:
-    its first boundary side, or else the first face of its first slot, with
-    the edge directed (u, v)."""
-    side = boundary_side(gluings, slots)
-    if side is None:
-        t, e = slots[0]
-        side = (t, next(f for f in range(4) if f not in e), e)
-    t, f, e = side
-    return link_walk(gluings, t, e, f)
 
 
 # -- exchange format -------------------------------------------------------

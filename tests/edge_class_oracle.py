@@ -7,9 +7,24 @@ edges (t, (p, q)), keyed 16t + 4p + q, joined across every glued face.  An
 undirected class is the directed class of its representative together with
 the directed class of the reverse, and an edge identified with its own
 reverse is caught where the two coincide.  Tests assert that the two agree.
+Each class's walk starts where the scan in ``class_walk`` finds it, not by
+the rule ``Triangulation._edge_classes`` uses.
 """
 from coretorus.triangulation import (EDGE_PAIRS, FACE_VERTICES, EdgeClass,
-                                     TriangulationError, _UnionFind, class_walk)
+                                     TriangulationError, _UnionFind, link_walk)
+
+
+def class_walk(gluings, slots):
+    """``link_walk`` of the edge class with these slots (sorted (tet, (u, v))
+    with u < v), with the edge directed (u, v): from the first boundary face
+    containing the edge, over slots and then faces in order, or else from
+    the first face of the first slot."""
+    side = next(((t, e, f) for t, e in slots for f in range(4)
+                 if f not in e and gluings[t][f] is None), None)
+    if side is None:
+        t, e = slots[0]
+        side = (t, e, next(f for f in range(4) if f not in e))
+    return link_walk(gluings, *side)
 
 
 def edge_classes(gluings):

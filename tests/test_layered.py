@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import random
 import weakref
 
@@ -7,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from coretorus import layered
 from coretorus.homology import first_homology, solid_torus_candidate
-from coretorus.layered import base_t0, family, layer
+from coretorus.layered import LayeredTriangulation, base_t0, family, layer
 from coretorus.slopes import Slope, SlopeTriple, slope_seq
-from coretorus.triangulation import Triangulation, serialize_tri
+from coretorus.triangulation import Triangulation, parse_tri, serialize_tri
 
 
 def test_base_t0(homology_of, fam):
@@ -33,6 +34,35 @@ def test_layer_step_slopes(fam):
 def test_layer_requires_boundary_label(fam):
     with pytest.raises(KeyError):
         layer(fam(0), Slope(5, 3))
+
+
+def test_layer_rejects_edges_it_cannot_flip():
+    # a folded ball with hand-set labels on its boundary classes 1, 2, 3;
+    # class 1's two slots (0,(0,2)) and (0,(0,3)) both end on face 1
+    tri = parse_tri("tets 1\n0: - - 0:0132 0:0132\n")
+    lt = LayeredTriangulation(tri, {1: Slope(1, 0), 2: Slope(1, 1), 3: Slope(2, 1)})
+    with pytest.raises(ValueError, match="not distinct"):
+        layer(lt, 1)
+    with pytest.raises(ValueError, match="not a labeled boundary edge"):
+        layer(lt, 0)
+    # a label on the interior class 0 names no boundary edge either
+    interior = LayeredTriangulation(tri, {0: Slope(1, 0), 2: Slope(1, 1), 3: Slope(2, 1)})
+    with pytest.raises(ValueError, match="not a labeled boundary edge"):
+        layer(interior, 0)
+
+
+def test_random_layerings_keep_their_digest():
+    # seeded layerings off the family's Farey path: the tables, labels and
+    # history are pinned, not only the labels' cut numbers
+    records = []
+    for seed in range(200):
+        rng = random.Random(seed)
+        lt = family(0)
+        for _ in range(rng.randint(1, 8)):
+            lt = layer(lt, sorted(lt.boundary_slopes.values())[rng.randrange(3)])
+        records.append((serialize_tri(lt.tri), list(lt.boundary_slopes.items()), lt.history))
+    assert sum(len(history) for _, _, history in records) == 894
+    assert hashlib.sha256(repr(records).encode()).hexdigest()[:16] == "cdfbc649adf82801"
 
 
 def _same(direct, lt):
@@ -91,7 +121,7 @@ def test_family_builds_only_the_base_and_the_result(monkeypatch):
         raise AssertionError("family(i) took the long way")
 
     monkeypatch.setattr(Triangulation, "__init__", counting)
-    for name in ("parse_tri", "first_homology", "_layer_step"):
+    for name in ("parse_tri", "first_homology", "layer"):
         monkeypatch.setattr(layered, name, forbidden)
     for i in (0, 5, 60) * 2:
         built.clear()

@@ -3,6 +3,7 @@ from itertools import permutations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import edge_class_oracle
 from coretorus.homology import first_homology, solid_torus_candidate
 from coretorus.layered import BASE_T0_TEXT
 from coretorus.triangulation import (EDGE_PAIRS, FACE_VERTICES, ParseError,
@@ -232,6 +233,8 @@ def test_edge_classes_match_two_union_find_oracle(table):
            for ec in tri.edge_classes]
     assert got == want
     assert len(tri.class_direction) == 12 * tri.tet_count
+    # a boundary walk starts at the end the oracle's scan finds first
+    assert tri.edge_walks == edge_class_oracle.edge_classes(table)[2]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
