@@ -29,8 +29,7 @@ from .normal import (NormalVector, QUAD_CUT, QUAD_MISSED, ReconstructedSurface, 
 from .layered import family
 from .search import MeridianDisc, SearchBudget, VerifyReport, minimal_complexity_disc
 from .slopes import fib
-from .triangulation import (FACE_VERTICES, TriangulationError, _UnionFind, perm_inverse,
-                            two_colour)
+from .triangulation import FACE_VERTICES, TriangulationError, perm_inverse, two_colour
 
 
 # ---------------------------------------------------------------------------
@@ -152,10 +151,8 @@ def cut_along(tri, disc) -> CutComplex:
             else:
                 a_patches += 1
 
-    uf = _UnionFind(range(len(regions)))
-    for a, b in adjacency:
-        uf.union(a, b)
-    components = uf.classes()
+    _, comps = two_colour(range(len(regions)), [(a, b, 1) for a, b in adjacency])
+    components = [members for members, _ in comps]
 
     # Euler characteristic of the cut manifold from its cell structure
     weight = surface.weight

@@ -28,7 +28,7 @@ from functools import wraps
 from math import gcd
 
 from .slopes import Slope, normalize_slope
-from .triangulation import FACE_VERTICES, _UnionFind
+from .triangulation import FACE_VERTICES
 
 
 # -- small exact linear algebra over Z --------------------------------------
@@ -149,7 +149,8 @@ class H1Group:
     ``ends`` lists each edge's (tail, head) vertex and ``d2_cols`` each
     2-cell's boundary as an {edge: coefficient} chain.  A 1-cycle is
     determined by its entries on the edges off a spanning forest of the
-    1-skeleton (the cotree edges), so H1 is the cokernel of d2 restricted to
+    1-skeleton (the cotree edges; the forest is the edges one breadth-first
+    search finds its vertices by), so H1 is the cokernel of d2 restricted to
     the cotree rows: one Smith normal form U A V = D of the sparse cotree
     rows.  Only the diagonal is kept, with the coordinate rows of U and
     columns of U^-1 (those of the factors other than 1), each replayed from
@@ -164,16 +165,11 @@ class H1Group:
     def __init__(self, ends, d2_cols):
         self.ends = ends
         self.n_vertices = 1 + max((v for e in ends for v in e), default=-1)
-        uf = _UnionFind(range(self.n_vertices))
-        cotree, adjacent = [], {v: [] for v in range(self.n_vertices)}
+        adjacent = {v: [] for v in range(self.n_vertices)}
         for e, (tail, head) in enumerate(ends):
-            if uf.find(tail) == uf.find(head):
-                cotree.append(e)
-            else:                                   # a spanning-forest edge
-                uf.union(tail, head)
-                adjacent[tail].append((head, e))
-                adjacent[head].append((tail, e))
-        # each non-root vertex with the tree edge towards its root, leaves first
+            adjacent[tail].append((head, e))
+            adjacent[head].append((tail, e))
+        # one breadth-first search: each vertex reached, with the edge it came by
         order, seen = [], set()
         for root in range(self.n_vertices):
             if root not in seen:
@@ -186,6 +182,7 @@ class H1Group:
                             layer.append(w)
                             order.append((w, e))
         self._leaf_first = order[::-1]
+        cotree = sorted(set(range(len(ends))).difference(e for _, e in order))
         for col in d2_cols:
             if self._d1(col):
                 raise ValueError("d1*d2 != 0: not a chain complex")

@@ -5,9 +5,9 @@ matching equations tetrahedron by tetrahedron instead of scanning for their
 solutions.  Every equation is an equality with an offset, tri[b] = tri[a] +
 off, where off is a multiple of the quad count; an equation across a face
 glued to an earlier tetrahedron has a known side.  Each equation is
-propagated as soon as one side is known, so a contradiction or a negative
-coordinate prunes the branch at once; two equations that reach the same
-coordinate pin the quad count, which is scanned only when nothing pins it.
+propagated as soon as one side is known, so a contradiction prunes the
+branch at once; two equations that reach the same coordinate pin the quad
+count, which is scanned only when nothing pins it.
 On layered triangulations each new tetrahedron is glued down along two
 faces, so its coordinates are forced and the search is close to linear.
 Output order is deterministic and budget monotone: vectors sorted by
@@ -266,10 +266,19 @@ def _enumerate_raw(tri, budget):
             classes, quad_weight = plan.classes, plan.quad_weight
             for qc in qrange:           # qc is 0 without a quad type
                 check_deadline()
+                # Never negative.  Free classes start at their least value
+                # >= 0 and an unpinned scan stops at 0.  Under pins every
+                # equation of the plan holds.  Across a glued-down face a
+                # coordinate v is a target, less qc only in face p, p its
+                # quad partner; if that is v's one glued-down face, those
+                # faces are {p} or {p, v} and give no pin.  So without a
+                # self-glued face each value is a target.  A self-glued pair
+                # has an odd permutation (orientability): the swap pins qc to
+                # 0 or adds an equation free of qc between two such values,
+                # and a 4-cycle makes the values x, x + e*qc, x + e*qc, x
+                # (e = -1, 0, 1 by quad type), the least of them a target.
                 a, b, c, d = (targets[k0] + c0 * qc, targets[k1] + c1 * qc,
                               targets[k2] + c2 * qc, targets[k3] + c3 * qc)
-                if a < 0 or b < 0 or c < 0 or d < 0:
-                    continue
                 pieces = a + b + c + d + qc
                 weight = w0 * a + w1 * b + w2 * c + w3 * d + quad_weight * qc
                 if pieces > piece_left or (weight_left is not None and weight > weight_left):

@@ -8,18 +8,18 @@ relation is a fixed-point-free involution, that no edge is identified with
 itself reversing orientation, that every edge link is connected, and that a
 consistent orientation exists.
 
-Vertex classes are the components (``two_colour``) of the corners joined
-across each glued face pair.  Each edge class is found by walking its link
-(``link_walk``) from its least slot, and the other way too when the walk
-ends on the boundary.  A walk step carries the directed edge across a glued
-face, so the walks give ``Triangulation.class_direction``, the one
-signed-edge table: each directed edge slot maps to its class and to the
+Vertex classes are the components of the corners joined across each glued face
+pair, by ``two_colour``, the one components routine.  Each edge class is found
+by walking its link (``link_walk``) from its least slot, and the other way too
+when the walk ends on the boundary.  A walk step carries the directed edge
+across a glued face, so the walks give ``Triangulation.class_direction``, the
+one signed-edge table: each directed edge slot maps to its class and to the
 slot's edge directed as the class representative.  A slot that comes back
 reversed is an edge identified with its own reverse.  Every chain sign
-downstream (H1, the boundary complex, the PL curves' class parameters) is
-read from it.  Each class's link, walked from a fixed start, is kept in
-``Triangulation.edge_walks``; the boundary complex, the bundle's Q cells,
-the curves' push-off and ``layered.layer`` all read those walks.
+downstream (H1, the boundary complex, the PL curves' class parameters) is read
+from it.  Each class's link, walked from a fixed start, is kept in
+``Triangulation.edge_walks``; the boundary complex, the bundle's Q cells, the
+curves' push-off and ``layered.layer`` all read those walks.
 """
 from __future__ import annotations
 
@@ -54,30 +54,6 @@ def perm_inverse(p):
 
 def perm_sign(p):
     return _PERMS[tuple(p)][1]
-
-
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-    def classes(self):
-        groups = {}
-        for x in self.parent:
-            groups.setdefault(self.find(x), []).append(x)
-        return [sorted(groups[r]) for r in sorted(groups)]
 
 
 def two_colour(nodes, relations):
@@ -121,8 +97,6 @@ class SkeletonSummary:
     edge_classes: int
     face_classes: int
     tet_count: int
-    edge_degrees: tuple          # slots per edge class
-    edge_on_boundary: tuple      # per edge class
     euler_characteristic: int
 
 
@@ -298,8 +272,6 @@ class Triangulation:
             edge_classes=e,
             face_classes=f,
             tet_count=self.tet_count,
-            edge_degrees=tuple(ec.degree for ec in self.edge_classes),
-            edge_on_boundary=tuple(ec.boundary for ec in self.edge_classes),
             euler_characteristic=v - e + f - self.tet_count,
         )
 

@@ -6,12 +6,14 @@ before it walked each class's link instead: one union-find over the directed
 edges (t, (p, q)), keyed 16t + 4p + q, joined across every glued face.  An
 undirected class is the directed class of its representative together with
 the directed class of the reverse, and an edge identified with its own
-reverse is caught where the two coincide.  Tests assert that the two agree.
-Each class's walk starts where the scan in ``class_walk`` finds it, not by
-the rule ``Triangulation._edge_classes`` uses.
+reverse is caught where the two coincide.  A class is on the boundary when a
+face holding one of its slots is a boundary face.  Tests assert that the two
+agree.  Each class's walk starts where the scan in ``class_walk`` finds it,
+not by the rule ``Triangulation._edge_classes`` uses.
 """
 from coretorus.triangulation import (EDGE_PAIRS, FACE_VERTICES, EdgeClass,
-                                     TriangulationError, _UnionFind, link_walk)
+                                     TriangulationError, link_walk)
+from union_find import _UnionFind
 
 
 def class_walk(gluings, slots):
@@ -63,5 +65,6 @@ def edge_classes(gluings):
             d = (u, v) if uf.find(16 * t + 4 * u + v) == root else (v, u)
             direction[(t, (u, v))] = direction[(t, (v, u))] = (idx, d)
         walks.append(class_walk(gluings, slots))
-        classes.append(EdgeClass(idx, slots, slots[0], walks[-1]["boundary"]))
+        boundary = any(gluings[t][f] is None for t, e in slots for f in range(4) if f not in e)
+        classes.append(EdgeClass(idx, slots, slots[0], boundary))
     return classes, direction, walks

@@ -13,6 +13,7 @@ from coretorus.slopes import fib
 from coretorus.triangulation import parse_tri, serialize_tri
 
 from conftest import vertex_link
+from union_find import _UnionFind
 
 
 def region_sweep_oracle(v: NormalVector, t):
@@ -72,6 +73,25 @@ def test_cut_along_doubled_disc(fam, minimal_disc):
     # the product between them and a ball
     assert cut.component_count == 2
     assert cut.euler_cut == 2
+
+
+def test_cut_components_match_the_union_find_oracle(fam):
+    # the components of the cut regions are the union-find's classes, in its
+    # order, on every two-sided admissible vector of T_0..T_3 and its double
+    checked = 0
+    for i in range(4):
+        tri = fam(i).tri
+        for v in enumerate_admissible(tri, SearchBudget(fib(i + 6) - 4)):
+            if not all(reconstruct(tri, v).orientable_by_component):
+                continue
+            for w in (v, 2 * v):
+                cut = cut_along(tri, w)
+                uf = _UnionFind(range(len(cut.regions)))
+                for a, b in cut.adjacency:
+                    uf.union(a, b)
+                assert cut.components == uf.classes(), (i, w.coords)
+                checked += 1
+    assert checked == 2 * 78
 
 
 def test_cut_boundary_patches(fam, minimal_disc):

@@ -17,7 +17,7 @@ from coretorus.slopes import fib
 from coretorus.triangulation import Triangulation, TriangulationError, serialize_tri
 
 from test_curves import crowded_curve
-from test_homology import TWO_VERTEX_TEXT
+from test_homology import COVER_PASS_TEXT, TWO_VERTEX_TEXT
 from test_triangulation import gluing_tables
 
 
@@ -366,6 +366,7 @@ def _report_commands():
                                        f"t{i}.tri", "--disc", f"d{i}.json"], None),
                  (f"claims {i}", ["verify", "claims", "--i", str(i)], None)]
     cmds.append(("homology two-vertex", ["homology", "--in", "two_vertex.tri"], None))
+    cmds.append(("homology cover-pass", ["homology", "--in", "cover_pass.tri"], None))
     return cmds
 
 
@@ -390,12 +391,14 @@ REPORT_DIGESTS = {
     "claims 1": "56437150c6d45d6f", "meridian 2": "4aff6073e5aaabfb",
     "bundle 2": "05c94ac3659edca2", "curve check 2": "857689b106238821",
     "claims 2": "e3796c1c53c3fbd7", "homology two-vertex": "3fa55e843c13da87",
+    "homology cover-pass": "f6dc3faf37f3d792",
 }
 
 
 def test_reports_keep_their_digests(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "two_vertex.tri").write_text(TWO_VERTEX_TEXT)
+    (tmp_path / "cover_pass.tri").write_text(COVER_PASS_TEXT)
     got = {}
     for name, argv, written in _report_commands():
         code, out = _capture(capsys, ["--json", "--deterministic"] + argv)

@@ -6,10 +6,9 @@ from hypothesis import example, given, settings, strategies as st
 import edge_class_oracle
 from coretorus.homology import first_homology, solid_torus_candidate
 from coretorus.layered import BASE_T0_TEXT
-from coretorus.triangulation import (EDGE_PAIRS, FACE_VERTICES, ParseError,
-                                     Triangulation, TriangulationError,
-                                     _UnionFind, parse_tri, perm_inverse,
-                                     perm_sign, serialize_tri, two_colour)
+from coretorus.triangulation import (ParseError, Triangulation, TriangulationError,
+                                     parse_tri, perm_inverse, perm_sign,
+                                     serialize_tri, two_colour)
 
 BALL_TEXT = "tets 1\n0: - - - -\n"
 
@@ -93,8 +92,8 @@ def test_solid_torus_skeleton():
     sk = tri.skeleton()
     assert (sk.vertex_classes, sk.edge_classes, sk.face_classes) == (1, 3, 3)
     assert sk.euler_characteristic == 0
-    assert sorted(sk.edge_degrees) == [1, 2, 3]
-    assert all(sk.edge_on_boundary)
+    assert sorted(ec.degree for ec in tri.edge_classes) == [1, 2, 3]
+    assert all(ec.boundary for ec in tri.edge_classes)
     bc = tri.boundary_complex
     assert bc.is_one_vertex_torus
     assert len(bc.bedges) == 3
@@ -180,61 +179,26 @@ def test_valid_gluing_tables_go_through_homology(table):
                 assert sign[t2] == -sign[t] * perm_sign(perm)
 
 
-def _edge_classes_oracle(table):
-    """Edge classes from two tuple-keyed union-finds, one over directed and
-    one over undirected edges: (index, slots, rep, boundary, sign) per
-    class, or None if some edge is identified with its own reverse."""
-    n = len(table)
-    directed = _UnionFind([(t, (p, q)) for t in range(n)
-                           for p in range(4) for q in range(4) if p != q])
-    undirected = _UnionFind([(t, e) for t in range(n) for e in EDGE_PAIRS])
-    for t in range(n):
-        for f in range(4):
-            if table[t][f] is None:
-                continue
-            t2, perm = table[t][f]
-            for p in FACE_VERTICES[f]:
-                for q in FACE_VERTICES[f]:
-                    if p != q:
-                        directed.union((t, (p, q)), (t2, (perm[p], perm[q])))
-                        undirected.union((t, tuple(sorted((p, q)))),
-                                         (t2, tuple(sorted((perm[p], perm[q])))))
-    classes = []
-    for idx, slots in enumerate(undirected.classes()):
-        rep = slots[0]
-        t, (u, v) = rep
-        if directed.find(rep) == directed.find((t, (v, u))):
-            return None
-        sign = {}
-        for t, (u, v) in slots:
-            for d in ((u, v), (v, u)):
-                sign[(t, d)] = 1 if directed.find((t, d)) == directed.find(rep) else -1
-        boundary = any(table[t][f] is None for t, e in slots
-                       for f in range(4) if f not in e)
-        classes.append((idx, slots, rep, boundary, sign))
-    return classes
-
-
 @settings(max_examples=300, deadline=None)
 @given(gluing_tables())
-def test_edge_classes_match_two_union_find_oracle(table):
-    want = _edge_classes_oracle(table)
+def test_edge_classes_match_the_oracle_on_random_tables(table):
+    # the link walks give the directed union-find's classes, directions and
+    # walks, and the same error where an edge comes back reversed; edges are
+    # checked before orientability
+    try:
+        want = edge_class_oracle.edge_classes(table)
+    except TriangulationError as e:
+        with pytest.raises(TriangulationError, match="reversing orientation") as got:
+            Triangulation(table)
+        assert str(got.value) == str(e)
+        return
     try:
         tri = Triangulation(table)
     except TriangulationError as e:
-        # edges are checked before orientability and edge links
-        assert (want is None) == ("reversing orientation" in str(e))
+        assert "reversing orientation" not in str(e)
         return
-    assert want is not None
-    # a direction signs +1 exactly when class_direction names it, in its class
-    got = [(ec.index, ec.slots, ec.rep, ec.boundary,
-            {(t, d): 1 if tri.class_direction[(t, d)] == (ec.index, d) else -1
-             for t, (u, v) in ec.slots for d in ((u, v), (v, u))})
-           for ec in tri.edge_classes]
-    assert got == want
+    assert (tri.edge_classes, tri.class_direction, tri.edge_walks) == want
     assert len(tri.class_direction) == 12 * tri.tet_count
-    # a boundary walk starts at the end the oracle's scan finds first
-    assert tri.edge_walks == edge_class_oracle.edge_classes(table)[2]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -9,7 +9,8 @@ the corners (t, v), joined across every glued face from both of its sides.
 boundary edge.  ``_UnionFind.classes`` lists each class sorted, the classes
 in order of least member.  Tests assert that the two agree.
 """
-from coretorus.triangulation import FACE_VERTICES, _UnionFind
+from coretorus.triangulation import FACE_VERTICES
+from union_find import _UnionFind
 
 
 def vertex_classes(gluings):
