@@ -9,7 +9,8 @@ builds, in milliseconds, so a 20% change shows), the exponential lower
 bound on meridian discs from the newest edge's degree and cut number (also
 at T_99 and T_1000), the boundary pre-core length bound, the enumerator off
 the family (a two-vertex solid torus, timed), parallelity-bundle claims on
-the certified minimal discs (through T_14, timed), and the one-crossing
+the certified minimal discs (through T_14, timed), the cut along each of
+those discs (one ball), and the one-crossing
 core-curve certificates with their arc bounds, each with the certified
 minimal disc as witness, whose boundary curve is traced again from its
 boundary corner counts.  Everything recomputes from scratch; expect a few
@@ -27,10 +28,11 @@ from coretorus import (SearchBudget, boundary_h1, enumerate_admissible, fib,
                        first_homology, make_61_curve, manifold_h1,
                        minimal_complexity_disc, parse_tri, slope_seq, verify_61_1,
                        verify_61_2, verify_claims, verify_curve_bounds)
+from coretorus.bundle import cut_along
 from coretorus.curves import min_boundary_precore_length
 from coretorus.homology import loop_cuts
 from coretorus.layered import family
-from coretorus.normal import arc_count, boundary_curves_from_counts
+from coretorus.normal import boundary_curves_from_counts
 from coretorus.triangulation import FACE_VERTICES
 
 # one tetrahedron with two faces folded together: a ball
@@ -120,8 +122,9 @@ def main():
             start = time.perf_counter()
             lt = family(i)
             build_ms.append((time.perf_counter() - start) * 1000)
+        bc = lt.tri.boundary_complex
         ok = (lt.tri.tet_count == i + 1
-              and lt.tri.boundary_complex.is_one_vertex_torus
+              and bc.is_single_torus and len(bc.vertex_classes) == 1
               and set(lt.boundary_slopes.values())
               == {slope_seq(i), slope_seq(i + 1), slope_seq(i + 2)})
         row(f"family T_{i}", "ok" if ok else "FAIL",
@@ -146,7 +149,8 @@ def main():
 
     # the homology floor certifies each minimal disc without a search, so
     # T_14 times the bundle at scale
-    for i in sorted({*range(args.max_claims_index + 1), 14}):
+    claims_indices = sorted({*range(args.max_claims_index + 1), 14})
+    for i in claims_indices:
         start = time.time()
         rep = verify_claims(i)
         d = rep.details
@@ -154,6 +158,16 @@ def main():
             f"minimal disc certified={d['minimal_certified']}, "
             f"{d['details']['components']} bundle component(s), {time.time() - start:.2f}s"
             if d else f"no disc within fib({i + 6})-4 pieces")
+
+    # a meridian disc cuts the solid torus into one ball
+    for i in claims_indices:
+        tri = family(i).tri
+        m = minimal_complexity_disc(tri, SearchBudget(fib(i + 6) - 4))
+        cut = cut_along(tri, m.disc) if m.certified else None
+        ok = cut is not None and (cut.component_count, cut.euler_cut) == (1, 1)
+        row(f"cut T_{i}", "ok" if ok else "FAIL",
+            f"certified minimal disc cuts M into {cut.component_count} component(s), "
+            f"chi {cut.euler_cut}" if cut else "no certified minimal disc")
 
     for i in range(args.max_disc_index + 1):
         lt = family(i)
@@ -172,7 +186,7 @@ def main():
         if disc is not None:
             # the witness's boundary, traced again from its boundary corner counts
             bc = lt.tri.boundary_complex
-            counts = [[arc_count(disc.vector, t, f, vtx) for vtx in FACE_VERTICES[f]]
+            counts = [[disc.vector.counts(t).arcs[f][vtx] for vtx in FACE_VERTICES[f]]
                       for t, f in bc.triangles]
             traced = boundary_curves_from_counts(bc, counts)
             (curve,) = disc.surface.boundary_curves_by_component[0]

@@ -146,10 +146,6 @@ class BoundaryComplex:
         self.orientation
         return self.component_summary()[0]["euler"] == 0
 
-    @property
-    def is_one_vertex_torus(self):
-        return self.is_single_torus and len(self.vertex_classes) == 1
-
     def euler_characteristic(self):
         return sum(c["euler"] for c in self.component_summary())
 

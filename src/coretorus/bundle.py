@@ -2,8 +2,10 @@
 
 Cutting the solid torus along a meridian disc leaves, in each tetrahedron,
 vertex caps, one or two central chunks, and parallelity slabs between
-adjacent parallel pieces.  The parallelity bundle is bigger than the union
-of those tetrahedron slabs: between two adjacent parallel arcs in a face
+adjacent parallel pieces.  Each face's bits are read off its corner stacks
+(``face_stack``), and the cut manifold X needs no cell count of its own:
+chi(X) = chi(M) + chi(S).  The parallelity bundle is bigger than the union
+of the tetrahedron slabs: between two adjacent parallel arcs in a face
 lies a parallelity rectangle of the face's thickening, and between two
 consecutive crossing points on an edge lies a slab of the edge's thickening
 (always a product piece, whatever the flanking pieces are).  The bundle's
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .normal import (NormalVector, QUAD_CUT, QUAD_MISSED, ReconstructedSurface, arc_count,
+from .normal import (NormalVector, QUAD_CUT, QUAD_MISSED, ReconstructedSurface,
                      coorientation, crossing_position, edge_weight, face_stack, piece_at,
                      piece_cycle, reconstruct)
 from .layered import family
@@ -56,49 +58,36 @@ def tet_regions(v: NormalVector, t):
     return regions
 
 
-def _central_side(q, vtx):
-    return "low" if vtx in QUAD_MISSED[q][0] else "high"
-
-
-def region_behind_face_bit(v: NormalVector, t, f, bit):
-    """The tetrahedron region whose closure contains the given face bit.
-
-    Face bits: ("corner", vtx, k) is the piece of the face containing the
-    corner (k = 0) or lying between arcs k-1 and k of the vtx stack;
-    ("central",) is the hexagonal middle.
-    """
+def _regions_behind_face(v: NormalVector, t, f, corners):
+    """The tetrahedron regions behind face f of tet t: the one behind the
+    face's middle, then the one behind each bit of each corner's stack
+    (``face_stack``), from the corner outward, for the corners in the order
+    given."""
     q = v.quad_type(t)
-    qc = v.quad(t, q) if q is not None else 0
-    if bit[0] == "central":
-        if qc == 0:
-            return ("central", None)
-        return ("central", "high" if _central_side(q, QUAD_CUT[q][f]) == "low" else "low")
-    _, vtx, k = bit
-    if k == 0:
-        if v.tri(t, vtx) >= 1:
-            return ("cap", vtx)
-        return ("central", _central_side(q, vtx))
-    edge = (vtx, next(x for x in FACE_VERTICES[f] if x != vtx))
-    lo, hi = piece_at(v, t, edge, k - 1), piece_at(v, t, edge, k)
-    if lo[0] == "tri" and hi[0] == "tri":
-        return ("tslab", vtx, lo[3])
-    if lo[0] == "quad" and hi[0] == "quad":
-        return ("qslab", min(lo[3], hi[3]))
-    return ("central", _central_side(q, vtx))
 
+    def central(vtx):
+        return ("central", None if q is None else "low" if vtx in QUAD_MISSED[q][0] else "high")
 
-def face_bits(v: NormalVector, t, f):
-    bits = [("central",)]
-    for vtx in FACE_VERTICES[f]:
-        for k in range(arc_count(v, t, f, vtx)):
-            bits.append(("corner", vtx, k))
-    return bits
+    # the middle lies on the side of the face's vertices that no quad arc cuts off
+    cut = None if q is None else QUAD_CUT[q][f]
+    out = [central(next(u for u in FACE_VERTICES[f] if u != cut))]
+    for vtx in corners:
+        stack = face_stack(v, t, f, vtx)
+        for lo, hi in zip([None] + stack, stack):
+            kinds = (lo and lo[0], hi[0])
+            if kinds == (None, "tri"):
+                out.append(("cap", vtx))
+            elif kinds == ("tri", "tri"):
+                out.append(("tslab", vtx, lo[3]))
+            elif kinds == ("quad", "quad"):
+                out.append(("qslab", min(lo[3], hi[3])))
+            else:
+                out.append(central(vtx))
+    return out
 
 
 @dataclass
 class CutComplex:
-    tri: object
-    vector: NormalVector
     surface: object
     regions: dict                  # (t, region) -> node index
     adjacency: list                # sorted node-index pairs
@@ -112,14 +101,18 @@ class CutComplex:
 
 
 def _vector_and_surface(tri, disc):
-    """``disc``'s vector and its surface on ``tri``.  A surface reconstructed
-    on ``tri``, or a MeridianDisc found on ``tri``, is its own surface; any
-    other input is reconstructed."""
+    """``disc``'s vector and its surface on ``tri``, which must be two-sided.
+    A surface reconstructed on ``tri``, or a MeridianDisc found on ``tri``,
+    is its own surface; any other input is reconstructed."""
     surface = disc.surface if isinstance(disc, MeridianDisc) else disc
     if isinstance(surface, ReconstructedSurface) and surface.tri is tri:
-        return surface.vector, surface
-    v = disc if isinstance(disc, NormalVector) else disc.vector
-    return v, reconstruct(tri, v)
+        v = surface.vector
+    else:
+        v = disc if isinstance(disc, NormalVector) else disc.vector
+        surface = reconstruct(tri, v)
+    if not all(surface.orientable_by_component):
+        raise ValueError("cutting and the parallelity bundle need a two-sided surface")
+    return v, surface
 
 
 def cut_along(tri, disc) -> CutComplex:
@@ -128,51 +121,33 @@ def cut_along(tri, disc) -> CutComplex:
     ``disc`` may be a NormalVector or anything with a ``vector`` attribute.
     """
     v, surface = _vector_and_surface(tri, disc)
-    if not all(surface.orientable_by_component):
-        raise ValueError("cutting code requires a two-sided surface")
-
     regions = {}
     for t in range(tri.tet_count):
         for r in tet_regions(v, t):
             regions[(t, r)] = len(regions)
 
     adjacency = set()
-    a_patches = 0
     for slots in tri.face_classes:
-        t1, f1 = slots[0]
-        for bit in face_bits(v, t1, f1):
-            r1 = regions[(t1, region_behind_face_bit(v, t1, f1, bit))]
-            if len(slots) == 2:
-                t2, f2 = slots[1]
-                perm = tri.gluings[t1][f1][1]
-                bit2 = bit if bit[0] == "central" else ("corner", perm[bit[1]], bit[2])
-                r2 = regions[(t2, region_behind_face_bit(v, t2, f2, bit2))]
-                adjacency.add(tuple(sorted((r1, r2))))
-            else:
-                a_patches += 1
-
+        if len(slots) == 2:
+            (t1, f1), (t2, f2) = slots
+            perm = tri.gluings[t1][f1][1]
+            side1 = _regions_behind_face(v, t1, f1, FACE_VERTICES[f1])
+            side2 = _regions_behind_face(v, t2, f2, [perm[u] for u in FACE_VERTICES[f1]])
+            adjacency.update(tuple(sorted((regions[(t1, r1)], regions[(t2, r2)])))
+                             for r1, r2 in zip(side1, side2))
     _, comps = two_colour(range(len(regions)), [(a, b, 1) for a, b in adjacency])
-    components = [members for members, _ in comps]
 
-    # Euler characteristic of the cut manifold from its cell structure
-    weight = surface.weight
-    n_arcs = 0
-    face_bit_total = 0
-    for slots in tri.face_classes:
-        t1, f1 = slots[0]
-        a = sum(arc_count(v, t1, f1, vtx) for vtx in FACE_VERTICES[f1])
-        n_arcs += a
-        face_bit_total += a + 1
-    segments = sum(edge_weight(tri, v, ec.index) + 1 for ec in tri.edge_classes)
-    v_x = len(tri.vertex_classes) + 2 * weight
-    e_x = segments + 2 * n_arcs
-    f_x = face_bit_total + 2 * v.piece_count()
-    euler_cut = v_x - e_x + f_x - len(regions)
-    chi_m = tri.skeleton().euler_characteristic
-    if euler_cut != chi_m + surface.euler_total:
-        raise TriangulationError("cut Euler characteristic fails chi(X) = chi(M) + chi(S)")
-
-    return CutComplex(tri, v, surface, regions, sorted(adjacency), components,
+    # X = M cut along S has, with V, E, F, n the vertex, edge and face
+    # classes and the tetrahedra of M and w, a, p the surface's weight, arcs
+    # and pieces: V + 2w points, (w + E) + 2a edge segments and arc copies,
+    # (F + a) + 2p face bits and piece copies, and p + n regions
+    # (``tet_regions`` lists p_t + 1 per tetrahedron).  So chi(X) =
+    # (V - E + F - n) + (w - a + p) = chi(M) + chi(S), where w - a + p is
+    # ``count_euler``, which ``reconstruct`` checks against the surface.
+    euler_cut = tri.skeleton().euler_characteristic + surface.euler_total
+    # one A-patch per bit of each boundary face: its middle and its arcs
+    a_patches = sum(1 + sum(v.counts(t).arcs[f]) for t, f in tri.boundary_faces)
+    return CutComplex(surface, regions, sorted(adjacency), [members for members, _ in comps],
                       euler_cut, a_patches)
 
 

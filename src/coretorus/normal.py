@@ -191,11 +191,6 @@ def check_admissible(v: NormalVector) -> bool:
     return True
 
 
-def arc_count(v: NormalVector, t, f, vtx):
-    """Arcs of the given type (cut-off vertex) in face f of tetrahedron t."""
-    return v.counts(t).arcs[f][vtx]
-
-
 class _Tables(dict):
     """Each tetrahedron's counts, looked up when a face or edge first needs
     them: once per tetrahedron and call, in the order of the reads."""
@@ -524,6 +519,9 @@ def boundary_curves_from_counts(bc, counts):
     """Reconstruct the normal multicurve on the boundary surface with the
     given corner arc counts: one record per component, with its length and
     its boundary-edge 1-cycle (for the homology class)."""
+    if (len(counts) != len(bc.triangles) or any(len(row) != 3 for row in counts)
+            or any(type(c) is not int or c < 0 for row in counts for c in row)):
+        raise ValueError("corner counts must be 3 nonnegative integers per boundary triangle")
     if not boundary_counts_match(bc, counts):
         raise ValueError("corner counts violate the matching equations")
 

@@ -3,14 +3,13 @@ import hashlib
 import pytest
 
 from coretorus import bundle
-from coretorus.bundle import (BundleComplex, bundle_prime, check_claims, cut_along,
-                              parallelity_bundle, region_behind_face_bit,
-                              tet_regions)
+from coretorus.bundle import (BundleComplex, _regions_behind_face, bundle_prime, check_claims,
+                              cut_along, parallelity_bundle, tet_regions)
 from coretorus.geometry import GeometrizedSurface
 from coretorus.normal import NormalVector, reconstruct
 from coretorus.search import SearchBudget, enumerate_admissible
 from coretorus.slopes import fib
-from coretorus.triangulation import parse_tri, serialize_tri
+from coretorus.triangulation import FACE_VERTICES, parse_tri, serialize_tri
 
 from conftest import vertex_link
 from union_find import _UnionFind
@@ -47,13 +46,27 @@ def test_region_count_is_pieces_plus_one(fam):
 
 
 def test_face_bits_map_to_regions(fam):
-    tri = fam(0).tri
+    # by hand, face 0 of (2,1,0,0,0,0,3): the three quads miss edges 03 and
+    # 12, and their arcs in face 0 cut off vertex 3, so the middle lies on
+    # the high side (vertices 1 and 2); corner 1 holds one triangle's arc,
+    # corner 2 none, and corner 3 the three quad arcs, whose first bit is
+    # the low central region and the next two the slabs between the quads
     v = NormalVector([(2, 1, 0, 0, 0, 0, 3)])
-    from coretorus.bundle import face_bits
-    regions = set(tet_regions(v, 0))
-    for f in range(4):
-        for bit in face_bits(v, 0, f):
-            assert region_behind_face_bit(v, 0, f, bit) in regions
+    assert _regions_behind_face(v, 0, 0, (1, 2, 3)) == [
+        ("central", "high"), ("cap", 1), ("central", "low"), ("qslab", 0), ("qslab", 1)]
+    # every listed region is one of tet_regions, one per face bit, and the
+    # four faces together touch every region
+    for i in range(4):
+        tri = fam(i).tri
+        for v in enumerate_admissible(tri, SearchBudget(fib(i + 6) - 4)):
+            for t in range(tri.tet_count):
+                regions, seen = tet_regions(v, t), set()
+                for f in range(4):
+                    behind = _regions_behind_face(v, t, f, FACE_VERTICES[f])
+                    assert len(behind) == 1 + sum(v.counts(t).arcs[f])
+                    assert set(behind) <= set(regions)
+                    seen.update(behind)
+                assert seen == set(regions)
 
 
 def test_cut_along_minimal_disc(fam, minimal_disc):
@@ -94,14 +107,15 @@ def test_cut_components_match_the_union_find_oracle(fam):
     assert checked == 2 * 78
 
 
-def test_cut_boundary_patches(fam, minimal_disc):
+def test_cut_boundary_patches(fam):
+    # D_0 = (0,0,1,1,0,0,1) on T_0, whose boundary faces are 0 and 1: each
+    # carries the arcs of the triangles at vertices 2 and 3 and one quad
+    # arc, 3 arcs cutting it into 4 bits, so 8 A-patches; 2·D_0 cuts each
+    # face into 7 bits, so 14
     tri = fam(0).tri
-    d = minimal_disc(0)
-    cut = cut_along(tri, d.vector)
-    # A patches: one per boundary face bit
-    from coretorus.bundle import face_bits
-    expect = sum(len(face_bits(d.vector, t, f)) for t, f in tri.boundary_faces)
-    assert cut.a_patch_count == expect
+    assert sorted(tri.boundary_faces) == [(0, 0), (0, 1)]
+    assert cut_along(tri, closed_form_disc(0)).a_patch_count == 8
+    assert cut_along(tri, 2 * closed_form_disc(0)).a_patch_count == 14
 
 
 def test_vertex_link_bundle_is_edge_slabs_only(fam):
@@ -217,16 +231,29 @@ def test_cut_rejects_one_sided_surface(fam):
 
 def test_one_sided_surface_is_rejected(fam):
     # a single quad in T_0 closes up into a Moebius band
-    from coretorus.geometry import GeometrizedSurface
     tri = fam(0).tri
-    v = NormalVector([(0, 0, 0, 0, 0, 1, 0)])
-    surface = reconstruct(tri, v)
+    surface = reconstruct(tri, NormalVector([(0, 0, 0, 0, 0, 1, 0)]))
     assert surface.orientable_by_component == [False]
     assert surface.euler_total == 0
-    with pytest.raises(ValueError):
-        cut_along(tri, v)
-    with pytest.raises(ValueError):
-        GeometrizedSurface(tri, surface)
+    # it and the other one-sided admissible vectors of T_0..T_3 get neither
+    # a verdict nor an internal error from the cut, the bundle, the claims
+    # or the geometry, whether handed over as a vector or as its surface
+    one_sided = 0
+    for i in range(4):
+        tri = fam(i).tri
+        for v in enumerate_admissible(tri, SearchBudget(fib(i + 6) - 4)):
+            surface = reconstruct(tri, v)
+            if all(surface.orientable_by_component):
+                continue
+            one_sided += 1
+            for check in (cut_along, parallelity_bundle, check_claims):
+                for disc in (v, surface):
+                    with pytest.raises(ValueError, match="^cutting and the parallelity "
+                                       "bundle need a two-sided surface$"):
+                        check(tri, disc)
+            with pytest.raises(ValueError):
+                GeometrizedSurface(tri, surface)
+    assert one_sided == 33
 
 
 # sha256 prefixes of each closed-form disc's claims details, cut complex

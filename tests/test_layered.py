@@ -6,7 +6,8 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coretorus import layered
+from coretorus import layered, search
+from coretorus.bundle import cut_along
 from coretorus.homology import first_homology, solid_torus_candidate
 from coretorus.layered import LayeredTriangulation, base_t0, family, layer
 from coretorus.slopes import Slope, SlopeTriple, slope_seq
@@ -17,7 +18,8 @@ def test_base_t0(homology_of, fam):
     lt = fam(0)
     assert lt.tri.tet_count == 1
     assert set(lt.boundary_slopes.values()) == {Slope(1, 0), Slope(1, 1), Slope(2, 1)}
-    assert lt.tri.boundary_complex.is_one_vertex_torus
+    bc = lt.tri.boundary_complex
+    assert bc.is_single_torus and len(bc.vertex_classes) == 1
     h = homology_of(0)
     assert h.boundary_map_kernel_slope == Slope(0, 1)
     assert solid_torus_candidate(lt.tri).candidate
@@ -51,18 +53,39 @@ def test_layer_rejects_edges_it_cannot_flip():
         layer(interior, 0)
 
 
-def test_random_layerings_keep_their_digest():
-    # seeded layerings off the family's Farey path: the tables, labels and
-    # history are pinned, not only the labels' cut numbers
-    records = []
+def seeded_layerings():
+    """200 layered solid tori off the family's Farey path, each 1 to 8
+    seeded layering steps from T_0."""
     for seed in range(200):
         rng = random.Random(seed)
         lt = family(0)
         for _ in range(rng.randint(1, 8)):
             lt = layer(lt, sorted(lt.boundary_slopes.values())[rng.randrange(3)])
+        yield lt
+
+
+def test_random_layerings_keep_their_digest():
+    # seeded layerings off the family's Farey path: the tables, labels and
+    # history are pinned, not only the labels' cut numbers
+    records = []
+    for lt in seeded_layerings():
         records.append((serialize_tri(lt.tri), list(lt.boundary_slopes.items()), lt.history))
     assert sum(len(history) for _, _, history in records) == 894
     assert hashlib.sha256(repr(records).encode()).hexdigest()[:16] == "cdfbc649adf82801"
+
+
+def test_random_layerings_have_a_floor_disc_that_cuts_a_ball():
+    # v*, the vector meeting each edge loop e exactly c(e) times, exists on
+    # each seeded layering, is a meridian disc, and cuts the solid torus
+    # into one ball
+    for lt in seeded_layerings():
+        tri = lt.tri
+        floor = search.floor_vector(tri)
+        assert floor is not None
+        disc = search._meridian_disc(tri, first_homology(tri).calibration, floor)
+        assert disc is not None
+        cut = cut_along(tri, disc)
+        assert (cut.component_count, cut.euler_cut) == (1, 1)
 
 
 def _same(direct, lt):
@@ -174,7 +197,8 @@ def test_family_invariants(fam, homology_of):
         assert lt.tri.tet_count == i + 1
         want = {slope_seq(i), slope_seq(i + 1), slope_seq(i + 2)}
         assert set(lt.boundary_slopes.values()) == want
-        assert lt.tri.boundary_complex.is_one_vertex_torus
+        bc = lt.tri.boundary_complex
+        assert bc.is_single_torus and len(bc.vertex_classes) == 1
         assert solid_torus_candidate(lt.tri).candidate
 
 

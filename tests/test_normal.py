@@ -3,7 +3,7 @@ from itertools import permutations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coretorus.normal import (QUAD_CROSSES, QUAD_CUT, QUAD_MISSED, NormalVector, arc_count,
+from coretorus.normal import (QUAD_CROSSES, QUAD_CUT, QUAD_MISSED, NormalVector,
                               boundary_counts_match, boundary_curves_from_counts,
                               check_admissible, check_matching, coorientation, count_euler,
                               crossing_position, edge_slot_crossings,
@@ -163,7 +163,7 @@ def test_surface_and_count_tracing_agree(fam, minimal_disc):
     # piece budget, and on the doubled minimal discs (two curves each)
     def agree(tri, v):
         bc = tri.boundary_complex
-        counts = [[arc_count(v, t, f, vtx) for vtx in FACE_VERTICES[f]]
+        counts = [[v.counts(t).arcs[f][vtx] for vtx in FACE_VERTICES[f]]
                   for t, f in bc.triangles]
         surface = reconstruct(tri, v)
         got = [(c.length, c.chain) for curves in surface.boundary_curves_by_component
@@ -181,6 +181,24 @@ def test_surface_and_count_tracing_agree(fam, minimal_disc):
     assert vectors == 111
     for i in range(3):
         assert agree(fam(i).tri, 2 * minimal_disc(i).vector) == 2
+
+
+def test_count_tracing_rejects_malformed_counts(fam, minimal_disc):
+    # the negative counts on T_1's boundary satisfy the matching equations,
+    # and the tracer would return the empty multicurve for them; a missing
+    # row or entry would raise IndexError, and an extra entry be ignored
+    bc = fam(1).tri.boundary_complex
+    negative = [[-1, -1, 0], [-1, 0, -1]]
+    assert boundary_counts_match(bc, negative)
+    v = minimal_disc(1).vector
+    counts = [[v.counts(t).arcs[f][vtx] for vtx in FACE_VERTICES[f]] for t, f in bc.triangles]
+    assert len(boundary_curves_from_counts(bc, counts)) == 1
+    fractional = [[c + 0.0 for c in row] for row in counts]
+    for bad in (negative, fractional, counts[:1], [row[:2] for row in counts],
+                [row + [0] for row in counts]):
+        with pytest.raises(ValueError, match="^corner counts must be 3 nonnegative "
+                           "integers per boundary triangle$"):
+            boundary_curves_from_counts(bc, bad)
 
 
 def _oracle_edge_stack(v, t, directed_edge):
@@ -224,7 +242,7 @@ def test_crossing_position_is_the_stack_index(fam):
                 for f in range(4):
                     for vtx in FACE_VERTICES[f]:
                         stack = face_stack(v, t, f, vtx)
-                        assert len(stack) == arc_count(v, t, f, vtx)
+                        assert len(stack) == v.counts(t).arcs[f][vtx]
                         for level, piece in enumerate(stack):
                             for x in FACE_VERTICES[f]:
                                 if x != vtx:
@@ -347,7 +365,7 @@ def _assert_counts_match_oracle(v, t):
     assert counts.quad == v.quad_type(t) == _oracle_quad_type(v, t)
     for f in range(4):
         for vtx in FACE_VERTICES[f]:
-            assert counts.arcs[f][vtx] == arc_count(v, t, f, vtx) \
+            assert counts.arcs[f][vtx] == v.counts(t).arcs[f][vtx] \
                 == _oracle_arc_count(v, t, f, vtx)
     for u, w in EDGE_PAIRS:
         want = _oracle_edge_slot_crossings(v, t, (u, w))
@@ -393,7 +411,7 @@ def test_row_counts_match_the_oracle_on_any_rows(table, data):
         assert _outcome(v.quad_type, t) == _outcome(_oracle_quad_type, v, t)
         if sum(1 for n in rows[t][4:] if n) > 1:
             with pytest.raises(ValueError, match=f"^tetrahedron {t} has two quad types$"):
-                arc_count(v, t, 0, 1)
+                v.counts(t)
             with pytest.raises(ValueError):
                 row_counts(rows[t])
         else:

@@ -1,0 +1,103 @@
+"""Relabelling a triangulation changes none of its verdicts.
+
+A relabelling renames the tetrahedra by a permutation and the vertices of
+each tetrahedron by a permutation of its own.  It gives an isomorphic
+triangulation, so every quantity that does not depend on the labels --
+validity, H1, the cut numbers, the edge degrees, the calibrated slopes and,
+on the layered family, the certified minimal disc, the cut along it and the
+bundle claims -- must come out the same.
+"""
+from hypothesis import given, settings, strategies as st
+
+from coretorus.bundle import check_claims, cut_along
+from coretorus.homology import first_homology, loop_cuts
+from coretorus.layered import family
+from coretorus.search import SearchBudget, minimal_complexity_disc
+from coretorus.slopes import fib
+from coretorus.triangulation import Triangulation, TriangulationError, parse_tri, perm_inverse
+
+from test_homology import COVER_PASS_TEXT, TWO_VERTEX_TEXT
+from test_triangulation import _PERMS, gluing_tables
+
+
+def relabel(table, order, perms):
+    """The gluing table with tet t renamed order[t] and its vertex x renamed
+    perms[t][x]."""
+    out = [[None] * 4 for _ in table]
+    for t, row in enumerate(table):
+        inv = perm_inverse(perms[t])
+        for f, glued in enumerate(row):
+            if glued is not None:
+                t2, p = glued
+                out[order[t]][perms[t][f]] = (
+                    order[t2], tuple(perms[t2][p[inv[y]]] for y in range(4)))
+    return out
+
+
+@st.composite
+def relabelled(draw, tables):
+    """A table from ``tables`` and a random relabelling of it."""
+    table = draw(tables)
+    n = len(table)
+    order = draw(st.permutations(range(n)))
+    perms = draw(st.lists(st.sampled_from(_PERMS), min_size=n, max_size=n))
+    return table, relabel(table, order, perms)
+
+
+def _table(tri):
+    return [list(row) for row in tri.gluings]
+
+
+def _invariants(table):
+    """None for a table Triangulation rejects, else what no label changes."""
+    try:
+        tri = Triangulation(table)
+    except TriangulationError:
+        return None
+    h = first_homology(tri)
+    return (h.h1_rank, h.h1_torsion, sorted(loop_cuts(tri).values()),
+            sorted(ec.degree for ec in tri.edge_classes),
+            set(h.boundary_edge_slopes.values()))
+
+
+def _disc_invariants(table):
+    """On T_i: the certified minimal disc's complexity, the cut along it and
+    the claims on it."""
+    tri = Triangulation(table)
+    m = minimal_complexity_disc(tri, SearchBudget(fib(tri.tet_count + 5) - 4))
+    assert m.certified
+    cut = cut_along(tri, m.disc)
+    claims = check_claims(tri, m.disc, minimal_disc=m.disc)
+    return (m.disc.complexity, cut.component_count, cut.euler_cut, cut.a_patch_count,
+            claims.claim1, claims.claim2, sorted(claims.details["bases"]))
+
+
+def test_relabel_is_a_group_action():
+    # the identity changes nothing, and a relabelling is undone by its inverse
+    table = _table(family(2).tri)
+    identity = (0, 1, 2, 3)
+    assert relabel(table, [0, 1, 2], [identity] * 3) == table
+    order, perms = [2, 0, 1], [(1, 0, 3, 2), (0, 2, 3, 1), (3, 1, 0, 2)]
+    there = relabel(table, order, perms)
+    assert there != table
+    back_order = [order.index(t) for t in range(3)]
+    back_perms = [perm_inverse(perms[back_order[t]]) for t in range(3)]
+    assert relabel(there, back_order, back_perms) == table
+
+
+@settings(max_examples=36, deadline=None, derandomize=True)
+@given(relabelled(st.integers(0, 5).map(lambda i: _table(family(i).tri))))
+def test_relabelling_keeps_the_family_verdicts(pair):
+    table, other = pair
+    assert _invariants(other) == _invariants(table) is not None
+    assert _disc_invariants(other) == _disc_invariants(table)
+
+
+_NAMED = [_table(parse_tri(text)) for text in (TWO_VERTEX_TEXT, COVER_PASS_TEXT)]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(relabelled(st.one_of(st.sampled_from(_NAMED), gluing_tables())))
+def test_relabelling_keeps_validity_and_homology(pair):
+    table, other = pair
+    assert _invariants(other) == _invariants(table)

@@ -95,7 +95,7 @@ def test_solid_torus_skeleton():
     assert sorted(ec.degree for ec in tri.edge_classes) == [1, 2, 3]
     assert all(ec.boundary for ec in tri.edge_classes)
     bc = tri.boundary_complex
-    assert bc.is_one_vertex_torus
+    assert bc.is_single_torus and len(bc.vertex_classes) == 1
     assert len(bc.bedges) == 3
 
 
