@@ -1,0 +1,157 @@
+#!/usr/bin/env python3
+"""Mutation checks for the verdict paths: every mutant must be killed.
+
+Each entry of ``MUTANTS`` is (file under src/coretorus, exact old text, new
+text, test ids that must fail).  For each entry the harness copies src/ to a
+temporary directory, replaces the old text, which must occur exactly once,
+and runs only the named tests against the copy.  The run fails when a
+mutant survives (its tests pass), when an old text no longer matches (a
+refactor must update the list), or when pytest ends in anything but test
+failures (a missing test id, a collection error).  Two mutants run at a
+time; the list takes well under a minute on 2 cores.
+
+    python scripts/mutants.py
+
+This is not part of the Tier-1 suite.
+"""
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+MUTANTS = (
+    # the Smith form: no divisibility sweep; the last least pivot of a row
+    # scan instead of the first; no negation of a negative pivot
+    ("homology.py",
+     "        bad = next((i for i in range(t + 1, m) if any(x % d for x in D[i].values())), None)\n",
+     "        bad = None\n",
+     ("tests/test_homology.py::test_snf_matches_the_dense_oracle",)),
+    ("homology.py",
+     "                if least is None or a < least:\n",
+     "                if least is None or a <= least:\n",
+     ("tests/test_homology.py::test_snf_matches_the_dense_oracle",)),
+    ("homology.py",
+     "        if row[piv] < 0:\n",
+     "        if row[piv] < -1:\n",
+     ("tests/test_homology.py::test_snf_matches_the_dense_oracle",)),
+    # H1's spanning forest walked root first
+    ("homology.py",
+     "        self._leaf_first = order[::-1]\n",
+     "        self._leaf_first = order\n",
+     ("tests/test_homology.py::test_class_of_cycle_roundtrip_on_random_tables",)),
+    # loop cuts off by one
+    ("homology.py",
+     "    return {e: abs(row.get(e, 0)) for e, (tail, head) in enumerate(h1m.ends) if tail == head}\n",
+     "    return {e: abs(row.get(e, 0)) + 1 for e, (tail, head) in enumerate(h1m.ends)"
+     " if tail == head}\n",
+     ("tests/test_homology.py::test_loop_cuts_read_class_of_cycle",)),
+    # a boundary class's walk from the greater end of its link
+    ("triangulation.py",
+     "                walks.append(link_walk(self.gluings, *min(ends)) if walk[\"boundary\"] else walk)\n",
+     "                walks.append(link_walk(self.gluings, *max(ends)) if walk[\"boundary\"] else walk)\n",
+     ("tests/test_homology.py::test_edge_classes_match_the_union_find_oracle",)),
+    # every row's table looked up before the first face is compared
+    ("normal.py",
+     "        raise ValueError(\"coordinate vector does not match the triangulation size\")\n"
+     "    tables = _Tables(v)\n",
+     "        raise ValueError(\"coordinate vector does not match the triangulation size\")\n"
+     "    tables = [v.counts(t) for t in range(len(v.coords))]\n",
+     ("tests/test_normal.py::test_row_counts_match_the_oracle_on_any_rows",)),
+    # a quad's coorientation flipped
+    ("normal.py",
+     "    return 1 if directed_edge[1] in QUAD_MISSED[a][1] else -1\n",
+     "    return -1 if directed_edge[1] in QUAD_MISSED[a][1] else 1\n",
+     ("tests/test_normal.py::test_coorientation_points_one_way_through_each_piece",)),
+    # v*'s row of tet t read off tet t + 1's edges
+    ("search.py",
+     "        row = row_of_crossings([[cuts[direction[(t, (u, w))][0]] if u != w else 0\n",
+     "        row = row_of_crossings([[cuts[direction[((t + 1) % tri.tet_count, (u, w))][0]]"
+     " if u != w else 0\n",
+     ("tests/test_search.py::test_floor_vector_is_the_closed_form_disc",)),
+    # a pinned quad count dropped from the enumeration plan
+    ("search.py",
+     "                    pins.append((ky, kw, cw - cy))\n",
+     "                    pass\n",
+     ("tests/test_search.py::test_enumeration_is_exhaustive_and_valid",)),
+    # 6.1(1) demanding a cut above fib(i+3), or a golden power one too high
+    ("search.py",
+     "    ok = degree == 1 and cut >= x and at_least_golden_power(cut, i + 1)\n",
+     "    ok = degree == 1 and cut > x and at_least_golden_power(cut, i + 1)\n",
+     ("tests/test_search.py::test_least_certifying_cut_passes",)),
+    ("search.py",
+     "    ok = degree == 1 and cut >= x and at_least_golden_power(cut, i + 1)\n",
+     "    ok = degree == 1 and cut >= x and at_least_golden_power(cut, i + 2)\n",
+     ("tests/test_search.py::test_least_certifying_cut_passes",)),
+    # the cut filter demanding one crossing more than a loop's cut
+    ("search.py",
+     "        if any(edge_weight(tri, v, e) < cut for e, cut in cuts):\n",
+     "        if any(edge_weight(tri, v, e) < cut + 1 for e, cut in cuts):\n",
+     ("tests/test_search.py::test_cut_filter_drops_no_disc",)),
+    # the cut manifold's components listed last first
+    ("bundle.py",
+     "    return CutComplex(surface, regions, sorted(adjacency), [members for members, _ in comps],\n",
+     "    return CutComplex(surface, regions, sorted(adjacency), [m for m, _ in comps][::-1],\n",
+     ("tests/test_bundle.py::test_cut_components_match_the_union_find_oracle",)),
+    # reconstruct's per-class pass missing each class's last crossing
+    ("normal.py",
+     "        for k in range(w):\n            v_count[",
+     "        for k in range(w - 1):\n            v_count[",
+     ("tests/test_normal.py::test_reconstruct_matches_the_surface_oracle_on_admissible_vectors",)),
+    # the tracer's arc builder numbering a corner at the bedge's head from 0
+    ("normal.py",
+     "                    ends.append((be, last, -1))\n",
+     "                    ends.append((be, 0, 1))\n",
+     ("tests/test_normal.py::test_surface_and_count_tracing_agree",)),
+    # an edge slab's two sheets both read at the lower crossing
+    ("bundle.py",
+     "        return self._sheets(piece_at(self.v, t, e, gap), piece_at(self.v, t, e, gap + 1), e)\n",
+     "        return self._sheets(piece_at(self.v, t, e, gap), piece_at(self.v, t, e, gap), e)\n",
+     ("tests/test_bundle.py::test_doubled_vertex_link_bundle",)),
+)
+
+
+def run_mutant(entry):
+    """'killed', 'survived', 'stale' or 'error: ...' for one entry."""
+    file, old, new, tests = entry
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        path = src / "coretorus" / file
+        text = path.read_text()
+        if text.count(old) != 1:
+            return "stale"
+        path.write_text(text.replace(old, new))
+        # run from the copy, so the hypothesis example database starts empty
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+             "--rootdir", str(ROOT), "-c", str(ROOT / "pyproject.toml"),
+             *(str(ROOT / t) for t in tests)],
+            cwd=tmp, env=dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1"),
+            capture_output=True, text=True)
+    if proc.returncode == 1:
+        return "killed"
+    if proc.returncode == 0:
+        return "survived"
+    return f"error: pytest exit {proc.returncode}: {proc.stdout.strip().splitlines()[-1:]}"
+
+
+def main():
+    t0 = time.time()
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        outcomes = list(pool.map(run_mutant, MUTANTS))
+    for (file, _, new, _), outcome in zip(MUTANTS, outcomes):
+        print(f"{outcome:8} {file:17} {new.strip().splitlines()[0][:60]}")
+    killed = outcomes.count("killed")
+    print(f"\n{len(MUTANTS)} mutants, {killed} killed, {len(MUTANTS) - killed} not killed, "
+          f"{time.time() - t0:.1f}s")
+    return 0 if killed == len(MUTANTS) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -12,9 +12,9 @@ the family (a two-vertex solid torus, timed), parallelity-bundle claims on
 the certified minimal discs (through T_14, timed), the cut along each of
 those discs (one ball), and the one-crossing
 core-curve certificates with their arc bounds, each with the certified
-minimal disc as witness, whose boundary curve is traced again from its
-boundary corner counts.  Everything recomputes from scratch; expect a few
-seconds with the default settings.
+minimal disc as witness, whose one boundary curve is a meridian of the
+least length the loop cuts allow.  Everything recomputes from scratch;
+expect a few seconds with the default settings.
 """
 import argparse
 import sys
@@ -32,8 +32,7 @@ from coretorus.bundle import cut_along
 from coretorus.curves import min_boundary_precore_length
 from coretorus.homology import loop_cuts
 from coretorus.layered import family
-from coretorus.normal import boundary_curves_from_counts
-from coretorus.triangulation import FACE_VERTICES
+from coretorus.search import minimal_meridian_length
 
 # one tetrahedron with two faces folded together: a ball
 FOLDED_BALL_TEXT = "tets 1\n0: - - 0:0132 0:0132\n"
@@ -184,15 +183,15 @@ def main():
             detail += f", tets<= {bounds.details['tet_bound']['max_arcs']}"
         row(f"core-curve certificate T_{i}", "ok" if ok else "FAIL", detail)
         if disc is not None:
-            # the witness's boundary, traced again from its boundary corner counts
-            bc = lt.tri.boundary_complex
-            counts = [[disc.vector.counts(t).arcs[f][vtx] for vtx in FACE_VERTICES[f]]
-                      for t, f in bc.triangles]
-            traced = boundary_curves_from_counts(bc, counts)
+            # the witness's one boundary curve is a meridian of the least
+            # length the loop cuts allow, 2 fib(i+4)
             (curve,) = disc.surface.boundary_curves_by_component[0]
-            ok = [(c["length"], c["chain"]) for c in traced] == [(curve.length, curve.chain)]
+            cal = first_homology(lt.tri).calibration
+            meridian = cal.is_meridian_class(cal.coords_of_cycle(curve.chain))
+            least = minimal_meridian_length(lt.tri)
+            ok = meridian and curve.length == least == 2 * fib(i + 4)
             row(f"boundary curve T_{i}", "ok" if ok else "FAIL",
-                f"{len(traced)} curve(s) from corner counts, length {curve.length}")
+                f"meridian class {meridian}, length {curve.length}, least {least}")
 
     for i in (0, 5, 10):
         rep = min_boundary_precore_length(i)

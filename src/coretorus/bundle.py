@@ -350,14 +350,13 @@ class BundleComplex:
         return ("QR", (t1, f1), rep_pair, canonical_gap)
 
     def _q_sheets(self, walk, gap):
-        signs = set()
-        for t, d, _, _ in walk["sectors"]:
-            e = self.tri.class_direction[(t, d)][1]
-            lo, hi = piece_at(self.v, t, e, gap), piece_at(self.v, t, e, gap + 1)
-            signs.add(tuple(self._sheets(lo, hi, e)))
-        if len(signs) != 1:
-            raise TriangulationError("edge slab sheet signs disagree between sectors")
-        return list(signs.pop())
+        """The slab's sheets, read in the walk's first sector.  Every sector
+        gives the same: the pieces at one crossing in neighbouring sectors
+        share the face arc through it, and sigma * coorientation is constant
+        across every arc of a two-sided surface."""
+        t, d, _, _ = walk["sectors"][0]
+        e = self.tri.class_direction[(t, d)][1]
+        return self._sheets(piece_at(self.v, t, e, gap), piece_at(self.v, t, e, gap + 1), e)
 
     # -- assembly ------------------------------------------------------------
 

@@ -18,7 +18,7 @@ from .bundle import bundle_prime, cut_along, parallelity_bundle, verify_claims
 from .curves import (PLCurve, algebraic_intersection, curve_h1_class, face_bound_check,
                      is_embedded, make_61_curve, verify_curve_bounds)
 from .geometry import GeometrizedSurface
-from .homology import first_homology, solid_torus_candidate
+from .homology import first_homology, manifold_h1, solid_torus_candidate
 from .layered import family
 from .normal import NormalVector
 from .search import (SearchBudget, find_meridian_discs, minimal_complexity_disc,
@@ -200,7 +200,11 @@ def cmd_curve(args, report):
     emb = is_embedded(curve)
     report.set("embedded", emb)
     report.set("one_skeleton_hits", curve.one_skeleton_hits)
-    report.set("winding", curve_h1_class(curve)[0] if curve.one_skeleton_hits else 0)
+    # a winding number needs H1(M) = Z; a finite or trivial H1 has none
+    winding = None
+    if manifold_h1(tri).is_infinite_cyclic:
+        winding = curve_h1_class(curve)[0] if curve.one_skeleton_hits else 0
+    report.set("winding", winding)
     ok = emb
     if args.disc:
         vec = _load_disc(args.disc, report)

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .geometry import (GeometrizedSurface, corner_point, face_chart_point, on_segment,
-                       orient2, segments_cross_properly, segments_intersect)
+from .geometry import (GeometrizedSurface, corner_point, face_chart_point, orient2,
+                       segments_cross_properly, segments_intersect)
 from .homology import manifold_h1
 from .layered import family
 from .search import VerifyReport
@@ -170,20 +170,18 @@ def is_embedded(curve: PLCurve) -> bool:
             shared = {a1, b1} & {a2, b2}
             if len(shared) != 1:
                 return False
+            # two segments that share exactly the endpoint p meet elsewhere
+            # only by overlapping along a line through p.  They cannot cross
+            # properly, since p lies on both; and an endpoint of one inside
+            # the other is collinear with p and points the same way from it,
+            # which is that overlap.
             p = shared.pop()
             q1 = b1 if a1 == p else a1
             q2 = b2 if a2 == p else a2
-            if segments_cross_properly(a1, b1, a2, b2):
-                return False
-            # overlap along a common line through the junction
             if orient2(p, q1, q2) == 0:
                 d1 = (q1[0] - p[0], q1[1] - p[1])
                 d2 = (q2[0] - p[0], q2[1] - p[1])
                 if d1[0] * d2[0] + d1[1] * d2[1] > 0:
-                    return False
-            # an endpoint in the other segment's interior
-            for a, b, q in ((a1, b1, q2), (a2, b2, q1)):
-                if q not in (a, b) and orient2(a, b, q) == 0 and on_segment(a, b, q):
                     return False
     return True
 

@@ -32,19 +32,23 @@ slot edge directed as the class representative
 (``Triangulation.class_direction``), a name every slot of the class
 agrees on.
 
-Reconstruction builds the surface cell by cell: edge crossing points,
-face arcs with their stacking order, pieces, connected components, Euler
-characteristic both from the assembled complex and independently from the
-coordinate counts, two-sidedness, and the boundary curves with their slopes
-(computed homologically, by collapsing each curve to a loop of boundary
-edges, never by assuming minimal position).  The surface keys its
-components and its transverse signs ``sigma`` by piece.
+Reconstruction builds the surface cell by cell: face arcs with their
+stacking order, pieces, connected components and two-sidedness, then each
+component's crossing points, read at each edge class's representative slot
+(``EdgeClass.rep``), its Euler characteristic and its boundary curves with
+their slopes (computed homologically, by collapsing each curve to a loop of
+boundary edges, never by assuming minimal position).  The count-level Euler
+characteristic ``count_euler`` is kept beside them, not compared with them:
+for a matching vector the two sum the same crossings, arcs and pieces.  The
+surface keys its components and its transverse signs ``sigma`` by piece.
 
-Boundary curves have one tracer, ``trace_boundary_arcs``: it pairs the
-ends of boundary arcs at their crossings and walks each cycle once.  A
-reconstructed surface feeds it the arcs of its boundary faces, and
-``boundary_curves_from_counts`` the arcs of a curve given only by its
-corner counts on the boundary surface.
+Boundary curves have one tracer, ``trace_boundary_arcs``.  Its input is
+corner counts, three per boundary triangle; it builds the boundary arcs,
+pairs their ends at their crossings and walks each cycle once.  A
+reconstructed surface passes the arc counts of its boundary faces and maps
+the arcs back to the pieces of their corner stacks, and
+``boundary_curves_from_counts`` passes the counts of a curve given only on
+the boundary surface.
 """
 from __future__ import annotations
 
@@ -365,69 +369,54 @@ def reconstruct(tri, v: NormalVector) -> ReconstructedSurface:
         if q is not None:
             pieces += [("quad", t, q, m) for m in range(v.quad(t, q))]
 
-    direction = tri.class_direction
-    bc = tri.boundary_complex
     arc_pieces = []         # per face arc: the piece on its first side
     relations = []          # two-sidedness: sigma * coorientation agrees across interior arcs
-    boundary_arcs = []      # the tracer's input, see trace_boundary_arcs
-    boundary_pieces = []    # the piece behind each boundary arc
+    boundary_pieces = []    # per boundary arc, in the tracer's order: the piece behind it
     for slots in tri.face_classes:
         t1, f1 = slots[0]
         for vtx in FACE_VERTICES[f1]:
-            x, y = (u for u in FACE_VERTICES[f1] if u != vtx)
             stack1 = face_stack(v, t1, f1, vtx)
             arc_pieces += stack1
-            if len(slots) == 2:
-                t2, f2 = slots[1]
-                perm = tri.gluings[t1][f1][1]
-                stack2 = face_stack(v, t2, f2, perm[vtx])
-                if len(stack1) != len(stack2):
-                    raise TriangulationError("matching holds but stacks disagree")
-                for p1, p2 in zip(stack1, stack2):
-                    relations.append((p1, p2, coorientation(p1, (x, vtx))
-                                      * coorientation(p2, (perm[x], perm[vtx]))))
+            if len(slots) == 1:
+                boundary_pieces += stack1
                 continue
-            i = bc.tri_index[(t1, f1)]
-            (cx, ex), (cy, ey) = direction[(t1, (vtx, x))], direction[(t1, (vtx, y))]
-            bx, by = bc.bedge_of_manifold_edge[cx], bc.bedge_of_manifold_edge[cy]
-            for p in stack1:
-                boundary_arcs.append((i, vtx, ((bx, crossing_position(v, t1, p, ex)),
-                                               (by, crossing_position(v, t1, p, ey)))))
-            boundary_pieces += stack1
+            t2, f2 = slots[1]
+            perm = tri.gluings[t1][f1][1]
+            x = next(u for u in FACE_VERTICES[f1] if u != vtx)
+            # the two stacks are as long as the arc counts check_matching compared
+            for p1, p2 in zip(stack1, face_stack(v, t2, f2, perm[vtx])):
+                relations.append((p1, p2, coorientation(p1, (x, vtx))
+                                  * coorientation(p2, (perm[x], perm[vtx]))))
 
     sigma, comps = two_colour(pieces, relations)
     components = [members for members, _ in comps]
     orientable = [ok for _, ok in comps]
     comp_of = {piece: c for c, members in enumerate(components) for piece in members}
 
-    # crossing points, each named by its place along its edge class; every
-    # slot must see each crossing in the same component
-    weight = total_weight(tri, v)
-    crossing_comp = {}
-    for piece in pieces:
-        comp, t = comp_of[piece], piece[1]
-        for d in piece_cycle(piece):
-            c, e = direction[(t, d)]
-            if crossing_comp.setdefault((c, crossing_position(v, t, piece, e)), comp) != comp:
-                raise TriangulationError("edge crossing spans two components")
-
+    # crossing points, counted once per edge class at its representative
+    # slot.  Every slot sees a crossing in one component: around the edge,
+    # the pieces at one crossing in neighbouring sectors share the face arc
+    # through it, and ``relations`` joins them.
     n_comp = len(components)
     v_count = [0] * n_comp
     e_count = [0] * n_comp
-    for c in crossing_comp.values():
-        v_count[c] += 1
+    weight = 0
+    for ec in tri.edge_classes:
+        t, (a, b) = ec.rep
+        w = v.counts(t).crossings[a][b]
+        weight += w
+        for k in range(w):
+            v_count[comp_of[piece_at(v, t, (a, b), k)]] += 1
     for piece in arc_pieces:
         e_count[comp_of[piece]] += 1
     euler_by_component = [v_count[i] - e_count[i] + len(components[i]) for i in range(n_comp)]
 
-    # independent Euler characteristic from the coordinates alone
-    euler_from_counts = count_euler(tri, v)
-    euler_total = sum(euler_by_component)
-    if euler_total != euler_from_counts:
-        raise TriangulationError("Euler characteristic computations disagree")
-
+    # boundary singletons come in (t, f) order, as bc.triangles does, and
+    # each stack level 0 first, as the tracer numbers its arcs
+    bc = tri.boundary_complex
+    counts = [[v.counts(t).arcs[f][vtx] for vtx in FACE_VERTICES[f]] for t, f in bc.triangles]
     curves_by_component = [[] for _ in range(n_comp)]
-    for arc_ids, chain in trace_boundary_arcs(bc, boundary_arcs):
+    for arc_ids, chain in trace_boundary_arcs(bc, counts):
         comp = comp_of[boundary_pieces[arc_ids[0]]]
         curves_by_component[comp].append(NormalCurve(length=len(arc_ids), chain=chain))
 
@@ -437,20 +426,40 @@ def reconstruct(tri, v: NormalVector) -> ReconstructedSurface:
         orientable_by_component=orientable,
         boundary_curves_by_component=curves_by_component,
         weight=weight, piece_count=v.piece_count(),
-        euler_total=euler_total, euler_from_counts=euler_from_counts,
+        euler_total=sum(euler_by_component), euler_from_counts=count_euler(tri, v),
         sigma=sigma,
     )
 
 
-def trace_boundary_arcs(bc, arcs):
-    """The one normal-curve tracer on the boundary surface.
+def trace_boundary_arcs(bc, counts):
+    """The one normal-curve tracer on the boundary surface, fed by corner
+    counts: counts[i][pos] arcs of boundary triangle i cut off the pos-th
+    vertex of its face.
 
-    Each arc is (boundary triangle, cut-off corner, (key0, key1)): key k is
-    the crossing ``(boundary edge, index)`` at the arc's end through the
-    corner's k-th other vertex of the face.  Ends with the same key are
-    paired, and each cycle is walked once from its first arc, entering at
-    end 0.  Per curve: its arc indices in walk order and its boundary-edge
-    1-cycle (bedge -> nonzero coefficient)."""
+    The arcs are numbered triangle by triangle, corner by corner in face
+    order, each corner's arcs from the corner outward.  An arc's end
+    through the corner's k-th other vertex is the crossing ``(boundary
+    edge, index)`` there.  Ends at the same crossing are paired, and each
+    cycle is walked once from its first arc, entering at end 0.  Per curve:
+    its arc numbers in walk order and its boundary-edge 1-cycle (bedge ->
+    nonzero coefficient)."""
+    arcs = []
+    for i, (_, f) in enumerate(bc.triangles):
+        verts = FACE_VERTICES[f]
+        for pos, vtx in enumerate(verts):
+            ends = []           # per end: (bedge, crossing index of level 0, step)
+            for other in (u for u in verts if u != vtx):
+                k = bc.side_of(i, (vtx, other))
+                be = bc.bedge_of_side[(i, k)]
+                last = counts[i][verts.index(vtx)] + counts[i][verts.index(other)] - 1
+                # levels run from the corner; the bedge counts along its direction
+                if vtx == bc.side_dir[(i, k)][0]:
+                    ends.append((be, 0, 1))
+                else:
+                    ends.append((be, last, -1))
+            (b0, a0, s0), (b1, a1, s1) = ends
+            for level in range(counts[i][pos]):
+                arcs.append((i, vtx, ((b0, a0 + s0 * level), (b1, a1 + s1 * level))))
     ends = {}
     for a, (_, _, keys) in enumerate(arcs):
         for end, key in enumerate(keys):
@@ -524,23 +533,5 @@ def boundary_curves_from_counts(bc, counts):
         raise ValueError("corner counts must be 3 nonnegative integers per boundary triangle")
     if not boundary_counts_match(bc, counts):
         raise ValueError("corner counts violate the matching equations")
-
-    arcs = []
-    for i, (t, f) in enumerate(bc.triangles):
-        verts = FACE_VERTICES[f]
-        for pos, vtx in enumerate(verts):
-            ends = []           # per end: (bedge, crossing index of level 0, step)
-            for other in (u for u in verts if u != vtx):
-                k = bc.side_of(i, (vtx, other))
-                be = bc.bedge_of_side[(i, k)]
-                last = counts[i][verts.index(vtx)] + counts[i][verts.index(other)] - 1
-                # levels run from the corner; the bedge counts along its direction
-                if vtx == bc.side_dir[(i, k)][0]:
-                    ends.append((be, 0, 1))
-                else:
-                    ends.append((be, last, -1))
-            (b0, a0, s0), (b1, a1, s1) = ends
-            for level in range(counts[i][pos]):
-                arcs.append((i, vtx, ((b0, a0 + s0 * level), (b1, a1 + s1 * level))))
     return [{"length": len(arc_ids), "chain": chain}
-            for arc_ids, chain in trace_boundary_arcs(bc, arcs)]
+            for arc_ids, chain in trace_boundary_arcs(bc, counts)]

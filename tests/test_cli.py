@@ -201,6 +201,12 @@ def test_meridian_stopped_search_is_inconclusive(tmp_path, capsys, monkeypatch):
     assert not disc_path.exists()
 
 
+# the triangle through the midpoints of face 0's edges, a curve on any table
+_FACE_0_TRIANGLE = [{"face": 0, "p0": ["1/2", "1/2", "0"], "p1": ["0", "1/2", "1/2"]},
+                    {"face": 0, "p0": ["0", "1/2", "1/2"], "p1": ["1/2", "0", "1/2"]},
+                    {"face": 0, "p0": ["1/2", "0", "1/2"], "p1": ["1/2", "1/2", "0"]}]
+
+
 @settings(max_examples=50, deadline=None,
           suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
 @given(gluing_tables())
@@ -213,9 +219,29 @@ def test_every_command_exits_0_to_3_on_valid_input(table):
         path = os.path.join(tmp, "in.tri")
         with open(path, "w") as fh:
             fh.write(text)
+        curve = os.path.join(tmp, "curve.json")
+        with open(curve, "w") as fh:
+            json.dump(_FACE_0_TRIANGLE, fh)
         for argv in (["validate", "--in", path], ["homology", "--in", path],
-                     ["meridian", "--in", path, "--max-pieces", "6", "--time-limit", "1"]):
+                     ["meridian", "--in", path, "--max-pieces", "6", "--time-limit", "1"],
+                     ["curve", "check", "--in", curve, "--tri", path]):
             assert run(["--json", "--deterministic"] + argv) in (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize("text, code", [
+    ("tets 1\n0: - - - -\n", 0),
+    # two of face 0's edges are one edge class, so two midpoints are one point
+    ("tets 1\n0: 0:1230 0:3012 0:1230 0:3012\n", 1),
+], ids=["ball", "L(4,1)"])
+def test_curve_check_reports_no_winding_unless_h1_is_z(tmp_path, capsys, text, code):
+    # H1 = 0 has no winding to read and Z/4 only a residue: both report null
+    (tmp_path / "in.tri").write_text(text)
+    (tmp_path / "curve.json").write_text(json.dumps(_FACE_0_TRIANGLE))
+    got, out = _capture(capsys, ["--json", "curve", "check", "--in", str(tmp_path / "curve.json"),
+                                 "--tri", str(tmp_path / "in.tri")])
+    results = json.loads(out)["results"]
+    assert (got, results["embedded"]) == (code, code == 0)
+    assert results["one_skeleton_hits"] == 3 and results["winding"] is None
 
 
 def test_meridian_rejects_a_negative_time_limit(tmp_path, capsys):

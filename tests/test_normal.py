@@ -15,6 +15,7 @@ from coretorus.slopes import Slope, SlopeTriple, fib, intersection, slope_seq
 from coretorus.triangulation import (EDGE_PAIRS, FACE_VERTICES, Triangulation,
                                      TriangulationError, parse_tri)
 from conftest import side_sum_counts, vertex_link
+from surface_oracle import surface_counts
 from test_triangulation import gluing_tables
 
 BALL_TEXT = "tets 1\n0: - - - -\n"
@@ -157,17 +158,17 @@ def test_boundary_curve_oracle_attains_formula(fam, homology_of):
 
 
 def test_surface_and_count_tracing_agree(fam, minimal_disc):
-    # a reconstructed surface's boundary curves are those traced from its
-    # boundary corner counts, in the same order, with the same lengths and
-    # chains: on every admissible vector of T_0..T_3 within the recorded
-    # piece budget, and on the doubled minimal discs (two curves each)
+    # the boundary curves the oracle traces from the pieces' crossing names
+    # are those traced from the boundary corner counts, in the same order,
+    # with the same lengths and chains: on every admissible vector of
+    # T_0..T_3 within the recorded piece budget, and on the doubled minimal
+    # discs (two curves each)
     def agree(tri, v):
         bc = tri.boundary_complex
         counts = [[v.counts(t).arcs[f][vtx] for vtx in FACE_VERTICES[f]]
                   for t, f in bc.triangles]
-        surface = reconstruct(tri, v)
-        got = [(c.length, c.chain) for curves in surface.boundary_curves_by_component
-               for c in curves]
+        _, _, curves = surface_counts(tri, v, reconstruct(tri, v).components)
+        got = [c for comp in curves for c in comp]
         assert got == [(c["length"], c["chain"])
                        for c in boundary_curves_from_counts(bc, counts)]
         return len(got)
@@ -181,6 +182,42 @@ def test_surface_and_count_tracing_agree(fam, minimal_disc):
     assert vectors == 111
     for i in range(3):
         assert agree(fam(i).tri, 2 * minimal_disc(i).vector) == 2
+
+
+def _assert_surface_matches_oracle(tri, v):
+    surface = reconstruct(tri, v)
+    euler, weight, curves = surface_counts(tri, v, surface.components)
+    assert surface.euler_by_component == euler
+    assert surface.weight == weight
+    assert [[(c.length, c.chain) for c in comp]
+            for comp in surface.boundary_curves_by_component] == curves
+
+
+def test_reconstruct_matches_the_surface_oracle_on_admissible_vectors(fam):
+    # points per component read once per edge class, the weight, and the
+    # boundary curves traced from corner counts, against the per-piece oracle
+    vectors = 0
+    for i in range(4):
+        tri = fam(i).tri
+        for v in enumerate_admissible(tri, SearchBudget(fib(i + 6) - 4)):
+            _assert_surface_matches_oracle(tri, v)
+            vectors += 1
+    assert vectors == 111
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(gluing_tables(), st.data())
+def test_reconstruct_matches_the_surface_oracle_on_random_tables(table, data):
+    # a few admissible vectors of at most 5 pieces per table: a 3-tet table
+    # can have thousands
+    try:
+        tri = Triangulation(table)
+    except TriangulationError:
+        return
+    vectors = enumerate_admissible(tri, SearchBudget(5))
+    if vectors:
+        for v in data.draw(st.lists(st.sampled_from(vectors), min_size=1, max_size=8)):
+            _assert_surface_matches_oracle(tri, v)
 
 
 def test_count_tracing_rejects_malformed_counts(fam, minimal_disc):

@@ -609,6 +609,17 @@ def test_weak_certificate_is_inconclusive(fam, homology_of, monkeypatch):
     assert rep.status == "inconclusive"
 
 
+def test_least_certifying_cut_passes(fam, homology_of, monkeypatch):
+    # degree 1 and a cut of exactly fib(i+3), which is at least phi^(i+1):
+    # the edge of the certificate still passes
+    lt, h = fam(3), homology_of(3)
+    cuts = {**h.boundary_edge_cuts, lt.class_with_label(slope_seq(5)): fib(6)}
+    monkeypatch.setattr(search, "first_homology",
+                        lambda tri: replace(h, boundary_edge_cuts=cuts))
+    rep = verify_61_1(3)
+    assert (rep.details["newest_edge_cut"], rep.status) == (fib(6), "pass")
+
+
 def test_verify_61_2():
     for i in (0, 1, 2, 5, 12, 20, 100, 1000):
         rep = verify_61_2(i)
