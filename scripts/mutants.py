@@ -56,12 +56,10 @@ MUTANTS = (
      "                walks.append(link_walk(self.gluings, *min(ends)) if walk[\"boundary\"] else walk)\n",
      "                walks.append(link_walk(self.gluings, *max(ends)) if walk[\"boundary\"] else walk)\n",
      ("tests/test_homology.py::test_edge_classes_match_the_union_find_oracle",)),
-    # every row's table looked up before the first face is compared
+    # the arcs cutting off vertex 2 in face 1 read from the wrong quad type
     ("normal.py",
-     "        raise ValueError(\"coordinate vector does not match the triangulation size\")\n"
-     "    tables = _Tables(v)\n",
-     "        raise ValueError(\"coordinate vector does not match the triangulation size\")\n"
-     "    tables = [v.counts(t) for t in range(len(v.coords))]\n",
+     "              ((0, 4), (), (2, 6), (3, 5)),\n",
+     "              ((0, 4), (), (2, 5), (3, 5)),\n",
      ("tests/test_normal.py::test_row_counts_match_the_oracle_on_any_rows",)),
     # a quad's coorientation flipped
     ("normal.py",
@@ -79,6 +77,21 @@ MUTANTS = (
      "                    pins.append((ky, kw, cw - cy))\n",
      "                    pass\n",
      ("tests/test_search.py::test_enumeration_is_exhaustive_and_valid",)),
+    # the piece floor counting every piece of a row on each of its faces,
+    # for the row being placed and for the rows placed before it
+    ("search.py",
+     "            if pieces - row[f] > most:\n                most = pieces - row[f]\n",
+     "            if pieces > most:\n                most = pieces\n",
+     ("tests/test_search.py::test_piece_floor_is_sound_on_the_family",)),
+    ("search.py",
+     "    return [(max([pieces[tp] - rows[tp][f] for tp, f in placed]) if placed else 0, here)\n",
+     "    return [(max([pieces[tp] for tp, f in placed]) if placed else 0, here)\n",
+     ("tests/test_search.py::test_enumeration_output_is_unchanged",)),
+    # an unpinned quad scan stopping one short of its piece slope's bound
+    ("search.py",
+     "                    hi = spare // slope\n",
+     "                    hi = spare // slope - 1\n",
+     ("tests/test_search.py::test_enumeration_matches_brute_force_on_random_tables",)),
     # 6.1(1) demanding a cut above fib(i+3), or a golden power one too high
     ("search.py",
      "    ok = degree == 1 and cut >= x and at_least_golden_power(cut, i + 1)\n",

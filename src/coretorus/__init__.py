@@ -19,7 +19,7 @@ from .homology import (HomologySummary, MeridianCalibration, SolidTorusReport,
                        smith_normal_form, solid_torus_candidate)
 from .layered import BASE_T0_TEXT, LayeredTriangulation, base_t0, family, layer
 from .normal import (NormalVector, check_admissible, check_matching, edge_weight,
-                     min_curve_length, reconstruct, total_weight)
+                     min_curve_length, reconstruct)
 from .search import (BudgetExhausted, DiscSearchResult, MeridianDisc,
                      MinimalDiscResult, SearchBudget, enumerate_admissible,
                      find_meridian_discs, minimal_complexity_disc, verify_61_1,

@@ -6,12 +6,15 @@ edges missed).  Admissibility allows at most one nonzero quad coordinate per
 tetrahedron; the matching equations require induced arc counts to agree
 across every interior face.
 
-Every count read from a tetrahedron's row -- its quad type, its arcs per
-(face, cut-off vertex) and its crossing points per tetrahedron edge --
-comes from one function, ``row_counts``.  It is memoised by row value:
-the rows of the vectors a search meets repeat (T_6's 6,052 admissible
-vectors have 917 distinct rows), so each table is computed once and
-shared, and nothing is stored on a vector.
+Which coordinates a count adds has one definition, the index table
+``ARC_COORDS``: the arcs cutting off vtx in face f are the triangle at vtx
+plus the quad type that misses edge f-vtx, and an edge's crossings are the
+arcs at its two ends in a face through it (``EDGE_COORDS``).  The matching
+equations, edge weights and count-level Euler characteristic add them
+directly.  ``row_counts`` builds a row's table of quad type, arcs and
+crossings from them for the per-piece readers, memoised by row value: the
+rows of the vectors a search meets repeat (T_6's 6,052 admissible vectors
+have 917 distinct rows), and nothing is stored on a vector.
 
 Where a piece meets a tetrahedron edge also has one rule,
 ``crossing_position``: the piece's index along the directed edge, counted
@@ -56,6 +59,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import NamedTuple
 
+from .homology import _per_triangulation
 from .triangulation import EDGE_PAIRS, FACE_VERTICES, TriangulationError, two_colour
 
 # quad type q misses the two opposite edges QUAD_MISSED[q]; the side of the
@@ -69,6 +73,18 @@ QUAD_CUT = tuple(tuple(b if a == f else a for f in range(4)
 # QUAD_CROSSES[q]: the four (sorted) tetrahedron edges a type-q quad crosses
 QUAD_CROSSES = tuple(frozenset(e for e in EDGE_PAIRS if e not in QUAD_MISSED[q])
                      for q in range(3))
+# ARC_COORDS[f][vtx]: the two coordinates whose sum is the number of arcs
+# cutting off vtx in face f, the triangle at vtx and the quad type that
+# misses edge f-vtx (its arc in f cuts off vtx); () off a face
+ARC_COORDS = (((), (1, 4), (2, 5), (3, 6)),
+              ((0, 4), (), (2, 6), (3, 5)),
+              ((0, 5), (1, 6), (), (3, 4)),
+              ((0, 6), (1, 5), (2, 4), ()))
+# EDGE_COORDS[u][w]: the four coordinates whose sum is the number of
+# crossing points on edge uw, the arcs at u and at w in a face through it
+EDGE_COORDS = tuple(tuple(() if u == w else next(ARC_COORDS[f][u] + ARC_COORDS[f][w]
+                                                 for f in range(4) if f not in (u, w))
+                          for w in range(4)) for u in range(4))
 
 
 class RowCounts(NamedTuple):
@@ -81,30 +97,18 @@ class RowCounts(NamedTuple):
 
 @cache
 def row_counts(row) -> RowCounts:
-    """Quad type, arc counts and edge crossings of a row of 7 coordinates.
+    """Quad type, arc counts and edge crossings of a row of 7 coordinates,
+    summed over ``ARC_COORDS`` and ``EDGE_COORDS``.
 
-    The only place these counts are computed; memoised by row value, so the
-    tables are shared and immutable.  A row with two quad types raises
-    ValueError (the caller names the tetrahedron)."""
+    Memoised by row value, so the tables are shared and immutable.  A row
+    with two quad types raises ValueError (the caller names the
+    tetrahedron)."""
     types = [q for q in range(3) if row[4 + q]]
     if len(types) > 1:
         raise ValueError(f"row {row} has two quad types")
-    arcs = [[0] * 4 for _ in range(4)]
-    crossings = [[0] * 4 for _ in range(4)]
-    for f in range(4):
-        for vtx in FACE_VERTICES[f]:
-            arcs[f][vtx] = row[vtx]
-    for u, w in EDGE_PAIRS:
-        crossings[u][w] = crossings[w][u] = row[u] + row[w]
-    q = types[0] if types else None
-    if types:
-        n = row[4 + q]
-        for f in range(4):
-            arcs[f][QUAD_CUT[q][f]] += n
-        for u, w in QUAD_CROSSES[q]:
-            crossings[u][w] += n
-            crossings[w][u] += n
-    return RowCounts(q, tuple(map(tuple, arcs)), tuple(map(tuple, crossings)))
+    arcs, crossings = (tuple(tuple(sum(row[i] for i in coords) for coords in r) for r in table)
+                       for table in (ARC_COORDS, EDGE_COORDS))
+    return RowCounts(types[0] if types else None, arcs, crossings)
 
 
 def row_of_crossings(crossings):
@@ -141,9 +145,15 @@ class NormalVector:
 
     def __init__(self, coords):
         coords = tuple(map(tuple, coords))
+        # plain loops, no generator: every leaf of a search builds a vector
         for row in coords:
-            if len(row) != 7 or any(type(c) is not int or c < 0 for c in row):
-                raise ValueError("each tetrahedron needs 7 nonnegative integer coordinates")
+            if len(row) == 7:
+                for c in row:
+                    if type(c) is not int or c < 0:
+                        break
+                else:
+                    continue
+            raise ValueError("each tetrahedron needs 7 nonnegative integer coordinates")
         object.__setattr__(self, "coords", coords)
 
     def tri(self, t, v):
@@ -164,7 +174,7 @@ class NormalVector:
         return self.counts(t).quad
 
     def piece_count(self):
-        return sum(sum(row) for row in self.coords)
+        return sum(map(sum, self.coords))
 
     def __add__(self, other):
         return NormalVector(tuple(tuple(a + b for a, b in zip(r1, r2))
@@ -189,45 +199,52 @@ class NormalVector:
 
 
 def check_admissible(v: NormalVector) -> bool:
-    for t in range(len(v.coords)):
-        if sum(1 for q in range(3) if v.quad(t, q) > 0) > 1:
-            return False
-    return True
+    return all(row[4:].count(0) >= 2 for row in v.coords)
 
 
-class _Tables(dict):
-    """Each tetrahedron's counts, looked up when a face or edge first needs
-    them: once per tetrahedron and call, in the order of the reads."""
+def _admissible_row(v: NormalVector, t):
+    """Row t of v, which must have at most one quad type."""
+    row = v.coords[t]
+    if row[4:].count(0) < 2:
+        raise ValueError(f"tetrahedron {t} has two quad types")
+    return row
 
-    def __init__(self, v: NormalVector):
-        self.v = v
 
-    def __missing__(self, t):
-        self[t] = counts = self.v.counts(t)
-        return counts
+@_per_triangulation
+def _face_equations(tri):
+    """The tetrahedra of the interior faces in the order the equations
+    first read them, and per equation its (face class, side, vertex) and
+    the two pairs of coordinates, indexed in the concatenated rows, whose
+    sums must agree."""
+    interior = [(idx, slots) for idx, slots in enumerate(tri.face_classes) if len(slots) == 2]
+    order = list(dict.fromkeys(t for _, slots in interior for t, _ in slots))
+    equations = []
+    for idx, ((t1, f1), (t2, f2)) in interior:
+        perm = tri.gluings[t1][f1][1]
+        for vtx in FACE_VERTICES[f1]:
+            (a, b), (c, d) = ARC_COORDS[f1][vtx], ARC_COORDS[f2][perm[vtx]]
+            equations.append(((idx, (t1, f1), vtx), 7 * t1 + a, 7 * t1 + b, 7 * t2 + c, 7 * t2 + d))
+    return order, equations
 
 
 def check_matching(tri, v: NormalVector):
     """(ok, violations): one linear equation per interior face and arc type."""
     if len(v.coords) != tri.tet_count:
         raise ValueError("coordinate vector does not match the triangulation size")
-    tables = _Tables(v)
-    violations = []
-    for idx, slots in enumerate(tri.face_classes):
-        if len(slots) != 2:
-            continue
-        (t1, f1), (t2, f2) = slots
-        arcs1, arcs2 = tables[t1].arcs[f1], tables[t2].arcs[f2]
-        perm = tri.gluings[t1][f1][1]
-        for vtx in FACE_VERTICES[f1]:
-            if arcs1[vtx] != arcs2[perm[vtx]]:
-                violations.append((idx, (t1, f1), vtx))
+    order, equations = _face_equations(tri)
+    rows = v.coords
+    for t in order:         # _admissible_row inlined: this runs at every leaf of a search
+        if rows[t][4:].count(0) < 2:
+            raise ValueError(f"tetrahedron {t} has two quad types")
+    x = [c for row in rows for c in row]
+    violations = [where for where, a, b, c, d in equations if x[a] + x[b] != x[c] + x[d]]
     return (not violations), violations
 
 
 def edge_slot_crossings(v: NormalVector, t, edge):
-    u, w = edge
-    return v.counts(t).crossings[u][w]
+    row = _admissible_row(v, t)
+    a, b, c, d = EDGE_COORDS[edge[0]][edge[1]]
+    return row[a] + row[b] + row[c] + row[d]
 
 
 def edge_weight(tri, v: NormalVector, edge_class_index):
@@ -239,24 +256,18 @@ def edge_weight(tri, v: NormalVector, edge_class_index):
     return counts.pop()
 
 
-def total_weight(tri, v: NormalVector):
-    return sum(edge_weight(tri, v, ec.index) for ec in tri.edge_classes)
-
-
 def count_euler(tri, v: NormalVector):
     """Euler characteristic from the coordinates alone: crossing points
     (the weight) minus arcs plus pieces.  A connected disc has 1.  Each
     edge class and face class is counted at one slot, which is exact for a
-    matching vector."""
-    tables = _Tables(v)
-    points = 0
-    for ec in tri.edge_classes:
-        t, (u, w) = ec.slots[0]
-        points += tables[t].crossings[u][w]
+    matching vector.  Face f of a row carries one arc of every piece but
+    the triangles at vertex f."""
+    points = sum(edge_slot_crossings(v, *ec.slots[0]) for ec in tri.edge_classes)
     arcs = 0
     for slots in tri.face_classes:
         t, f = slots[0]
-        arcs += sum(tables[t].arcs[f])
+        row = _admissible_row(v, t)
+        arcs += sum(row) - row[f]
     return points - arcs + v.piece_count()
 
 

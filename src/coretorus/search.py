@@ -14,6 +14,14 @@ Output order is deterministic and budget monotone: vectors sorted by
 (piece count, coordinates), so a run with a larger budget streams the
 smaller run as a prefix.
 
+A branch is cut once its pieces plus a floor on the later tetrahedra's
+pass the budget (``_piece_floor``).  A triangle meets three faces of its
+tetrahedron and a quad four, each in one arc, so a tetrahedron has at least
+as many pieces as any of its faces has arcs; face f of a placed row carries
+pieces - row[f] arcs, as does the face glued to it.  Raising a free class
+adds its size to the pieces and at most 1 to any coordinate, so the floor
+never falls as the class rises.
+
 A minimal meridian disc is looked for first without enumerating: where
 every edge is a loop, the vector that meets each edge as often as its class
 in H1(M) = Z says it must is the unique minimum if it is a disc
@@ -30,7 +38,7 @@ from fractions import Fraction
 
 from .homology import first_homology, loop_cuts
 from .layered import family
-from .normal import (QUAD_CROSSES, QUAD_CUT, NormalVector, check_matching,
+from .normal import (ARC_COORDS, QUAD_CROSSES, QUAD_CUT, NormalVector, check_matching,
                      count_euler, edge_weight, reconstruct, row_of_crossings)
 from .slopes import at_least_golden_power, fib, min_pre_core_intersection, slope_seq
 from .triangulation import FACE_VERTICES
@@ -78,7 +86,7 @@ def enumerate_admissible(tri, budget: SearchBudget):
     return found
 
 
-@dataclass
+@dataclass(slots=True)
 class _TetPlan:
     """The matching equations of one tetrahedron under one quad type, solved
     for its triangle coordinates.
@@ -104,14 +112,14 @@ class _TetPlan:
 def _plans(tri):
     """Per tetrahedron: where its targets are read in the earlier rows, the
     weight coefficient of each triangle coordinate, and one plan per quad
-    type."""
+    type, one list shared by the tetrahedra glued alike (tets 1..i of T_i)."""
     # every slot of an edge class sees all of its crossings, so the class
     # weight is counted once, at its first slot: prune on weight early
     first_slots = [[] for _ in range(tri.tet_count)]
     for ec in tri.edge_classes:
         t, e = min(ec.slots)
         first_slots[t].append(e)
-    out = []
+    out, shared = [], {}
     for t in range(tri.tet_count):
         sources = []          # per target: (t_prev, triangle index, quad index)
         cross = []            # (f_here, vtx, k)
@@ -123,16 +131,16 @@ def _plans(tri):
             t2, perm = g
             if t2 < t:
                 for vtx in FACE_VERTICES[f]:
-                    f2, v2 = perm[f], perm[vtx]
-                    q2 = next(q for q in range(3) if QUAD_CUT[q][f2] == v2)
                     cross.append((f, vtx, len(sources)))
-                    sources.append((t2, v2, 4 + q2))
+                    sources.append((t2, *ARC_COORDS[perm[f]][perm[vtx]]))
             elif t2 == t and perm[f] > f:
                 selfs += [(f, vtx, perm[f], perm[vtx]) for vtx in FACE_VERTICES[f]]
         wcoef = [sum(v in e for e in first_slots[t]) for v in range(4)]
-        plans = [_plan(qt, cross, selfs, first_slots[t], wcoef, len(sources))
-                 for qt in (None, 0, 1, 2)]
-        out.append((sources, wcoef, plans))
+        key = (tuple(cross), tuple(selfs), tuple(sorted(first_slots[t])))
+        if key not in shared:
+            shared[key] = [_plan(qt, cross, selfs, first_slots[t], wcoef, len(sources))
+                           for qt in (None, 0, 1, 2)]
+        out.append((sources, wcoef, shared[key]))
     return out
 
 
@@ -192,6 +200,36 @@ def _plan(qt, cross, selfs, first_slots, wcoef, zero):
     return _TetPlan(qt, tuple(terms), checks, pins, classes, quad_weight)
 
 
+def _frontiers(tri):
+    """Per depth t, per later tetrahedron s glued to one of tets 0..t: the
+    faces (tp, f), tp < t, and the faces f of tet t glued to s."""
+    g = tri.gluings
+    below = [[(tp, f) for tp in range(s) for f in range(4) if g[tp][f] and g[tp][f][0] == s]
+             for s in range(tri.tet_count)]
+    return [[(tuple((tp, f) for tp, f in faces if tp < t), tuple(f for tp, f in faces if tp == t))
+             for faces in below[t + 1:] if faces and faces[0][0] <= t]
+            for t in range(tri.tet_count)]
+
+
+def _floor_terms(frontier, rows, pieces):
+    """Per entry of tet t's frontier (t = len(rows)): the most arcs on its
+    faces (tp, f), rows[tp] having pieces[tp] pieces, and its faces f."""
+    return [(max([pieces[tp] - rows[tp][f] for tp, f in placed]) if placed else 0, here)
+            for placed, here in frontier]
+
+
+def _piece_floor(terms, row, pieces):
+    """The fewest pieces the later tetrahedra of ``terms`` can have once tet
+    t has this row (its triangle coordinates suffice) of that many pieces."""
+    floor = 0
+    for most, here in terms:          # most: the arcs on its faces glued to earlier rows
+        for f in here:
+            if pieces - row[f] > most:
+                most = pieces - row[f]
+        floor += most
+    return floor
+
+
 def _enumerate_raw(tri, budget):
     deadline = None
     if budget.time_limit is not None:
@@ -200,39 +238,43 @@ def _enumerate_raw(tri, budget):
     if n == 0:
         return
     plans = _plans(tri)
+    frontiers = _frontiers(tri)
     max_weight = budget.max_weight
+    stack_rows, stack_pieces = [], []      # the placed rows and their piece counts
 
     def check_deadline():
         if deadline is not None and time.monotonic() > deadline:
             raise BudgetExhausted("time limit reached")
 
-    def fill(out, classes, i, vals, quad, pieces, weight, piece_left, weight_left):
+    def fill(out, classes, i, vals, quad, pieces, weight, piece_left, weight_left, terms):
         """Extend vals by the free classes from i on, each from its least
-        value up while the budgets hold; pieces and weight count vals with
-        those classes at their least values, which are within the budgets."""
+        value up while the budgets and the floor hold; pieces and weight
+        count vals with those classes at their least values, within both."""
         if i == len(classes):
             out.append((tuple(vals) + quad, pieces, weight))
             return
         members, size, class_weight = classes[i]
         steps = 0
         while True:
-            fill(out, classes, i + 1, vals, quad, pieces, weight, piece_left, weight_left)
+            fill(out, classes, i + 1, vals, quad, pieces, weight, piece_left, weight_left, terms)
             pieces += size
             weight += class_weight
-            if pieces > piece_left or (weight_left is not None and weight > weight_left):
-                break
-            check_deadline()
             for v in members:
                 vals[v] += 1
             steps += 1
+            if (pieces + _piece_floor(terms, vals, pieces) > piece_left
+                    or (weight_left is not None and weight > weight_left)):
+                break
+            check_deadline()
         for v in members:
             vals[v] -= steps
 
-    def tet_candidates(t, rows, piece_left, weight_left):
-        """(row, pieces, weight) for tetrahedron t within the budgets."""
+    def tet_candidates(t, piece_left, weight_left):
+        """(row, pieces, weight) for tetrahedron t within the budgets and floor."""
         sources, (w0, w1, w2, w3), tplans = plans[t]
-        targets = [rows[tp][v] + rows[tp][q] for tp, v, q in sources]
+        targets = [stack_rows[tp][a] + stack_rows[tp][b] for tp, a, b in sources]
         targets.append(0)
+        terms = _floor_terms(frontiers[t], stack_rows, stack_pieces)
         out = []
         for plan in tplans:
             agree = True
@@ -243,6 +285,7 @@ def _enumerate_raw(tri, budget):
             if not agree:
                 continue
             qt = plan.qtype
+            (k0, c0), (k1, c1), (k2, c2), (k3, c3) = plan.terms
             if qt is None:
                 qrange = (0,)
             elif plan.pins:
@@ -256,13 +299,17 @@ def _enumerate_raw(tri, budget):
                     continue
                 qrange = (qc,)
             else:
-                # only a forced coordinate falls as the quad count grows
+                # the row has sum(targets) + slope * qcount pieces, and only
+                # a forced coordinate falls as the quad count grows
                 hi = piece_left
+                slope = c0 + c1 + c2 + c3 + 1
+                if slope > 0:
+                    spare = piece_left - targets[k0] - targets[k1] - targets[k2] - targets[k3]
+                    hi = spare // slope
                 for k, c in plan.terms:
                     if c < 0:
                         hi = min(hi, targets[k] // -c)
                 qrange = range(1, hi + 1)
-            (k0, c0), (k1, c1), (k2, c2), (k3, c3) = plan.terms
             classes, quad_weight = plan.classes, plan.quad_weight
             for qc in qrange:           # qc is 0 without a quad type
                 check_deadline()
@@ -281,30 +328,31 @@ def _enumerate_raw(tri, budget):
                               targets[k2] + c2 * qc, targets[k3] + c3 * qc)
                 pieces = a + b + c + d + qc
                 weight = w0 * a + w1 * b + w2 * c + w3 * d + quad_weight * qc
-                if pieces > piece_left or (weight_left is not None and weight > weight_left):
+                if (pieces + _piece_floor(terms, (a, b, c, d), pieces) > piece_left
+                        or (weight_left is not None and weight > weight_left)):
                     continue
                 quad = (qc, 0, 0) if qt == 0 else (0, qc, 0) if qt == 1 else (0, 0, qc)
                 fill(out, classes, 0, [a, b, c, d], quad, pieces, weight,
-                     piece_left, weight_left)
+                     piece_left, weight_left, terms)
         return out
-
-    stack_rows = []
 
     def dfs(t, used, weight_used):
         check_deadline()
-        if t == n:
-            vec = NormalVector(tuple(stack_rows))
-            ok, _ = check_matching(tri, vec)
-            if not ok:
-                raise AssertionError("enumerator produced a non-matching vector")
-            yield vec
-            return
         weight_left = None if max_weight is None else max_weight - weight_used
-        for row, pieces, weight in tet_candidates(
-                t, stack_rows, budget.max_piece_count - used, weight_left):
+        candidates = tet_candidates(t, budget.max_piece_count - used, weight_left)
+        if t == n - 1:
+            for row, _, _ in candidates:
+                vec = NormalVector((*stack_rows, row))
+                if not check_matching(tri, vec)[0]:
+                    raise AssertionError("enumerator produced a non-matching vector")
+                yield vec
+            return
+        for row, pieces, weight in candidates:
             stack_rows.append(row)
+            stack_pieces.append(pieces)
             yield from dfs(t + 1, used + pieces, weight_used + weight)
             stack_rows.pop()
+            stack_pieces.pop()
 
     yield from dfs(0, 0, 0)
 

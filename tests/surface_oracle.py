@@ -8,11 +8,17 @@ piece's ``piece_cycle``; boundary arcs are named by the same crossings,
 mapped to boundary edges, and traced by the arc-list tracer the counts
 tracer grew from.  ``surface_counts`` gives what ``reconstruct`` reports
 of these: the Euler characteristic per component, the weight and the
-boundary curves per component as (length, chain).
+boundary curves per component as (length, chain).  ``total_weight`` sums
+``edge_weight`` over every edge class, each read at all of its slots.
 """
-from coretorus.normal import (_corner_end, crossing_position, face_stack, piece_cycle,
-                              total_weight)
+from coretorus.normal import _corner_end, crossing_position, edge_weight, face_stack, piece_cycle
 from coretorus.triangulation import FACE_VERTICES, TriangulationError
+
+
+def total_weight(tri, v):
+    """Crossings of v with every edge class, each class read at all of its
+    slots (``edge_weight``)."""
+    return sum(edge_weight(tri, v, ec.index) for ec in tri.edge_classes)
 
 
 def surface_counts(tri, v, components):

@@ -8,14 +8,13 @@ from coretorus.normal import (QUAD_CROSSES, QUAD_CUT, QUAD_MISSED, NormalVector,
                               check_admissible, check_matching, coorientation, count_euler,
                               crossing_position, edge_slot_crossings,
                               edge_weight, face_stack, min_curve_length, piece_at,
-                              piece_cycle, reconstruct, row_counts, row_of_crossings,
-                              total_weight)
+                              piece_cycle, reconstruct, row_counts, row_of_crossings)
 from coretorus.search import SearchBudget, enumerate_admissible
 from coretorus.slopes import Slope, SlopeTriple, fib, intersection, slope_seq
 from coretorus.triangulation import (EDGE_PAIRS, FACE_VERTICES, Triangulation,
                                      TriangulationError, parse_tri)
 from conftest import side_sum_counts, vertex_link
-from surface_oracle import surface_counts
+from surface_oracle import surface_counts, total_weight
 from test_triangulation import gluing_tables
 
 BALL_TEXT = "tets 1\n0: - - - -\n"

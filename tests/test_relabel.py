@@ -5,14 +5,17 @@ each tetrahedron by a permutation of its own.  It gives an isomorphic
 triangulation, so every quantity that does not depend on the labels --
 validity, H1, the cut numbers, the edge degrees, the calibrated slopes and,
 on the layered family, the certified minimal disc, the cut along it and the
-bundle claims -- must come out the same.
+bundle claims -- must come out the same.  So must the piece counts of the
+admissible vectors: the enumerator meets the tetrahedra in another order,
+and with it prunes by other piece floors.
 """
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from coretorus.bundle import check_claims, cut_along
 from coretorus.homology import first_homology, loop_cuts
 from coretorus.layered import family
-from coretorus.search import SearchBudget, minimal_complexity_disc
+from coretorus.search import SearchBudget, enumerate_admissible, minimal_complexity_disc
 from coretorus.slopes import fib
 from coretorus.triangulation import Triangulation, TriangulationError, parse_tri, perm_inverse
 
@@ -101,3 +104,32 @@ _NAMED = [_table(parse_tri(text)) for text in (TWO_VERTEX_TEXT, COVER_PASS_TEXT)
 def test_relabelling_keeps_validity_and_homology(pair):
     table, other = pair
     assert _invariants(other) == _invariants(table)
+
+
+# each table with a piece budget: T_0..T_3 at fib(i+6) - 4, the two-vertex
+# torus at 10 and the cover-pass torus at 8
+_ENUMERATED = ([(_table(family(i).tri), fib(i + 6) - 4) for i in range(4)]
+               + list(zip(_NAMED, (10, 8))))
+
+
+def _piece_counts(table, pieces):
+    return sorted(v.piece_count()
+                  for v in enumerate_admissible(Triangulation(table), SearchBudget(pieces)))
+
+
+def _glued_down(table):
+    """Is every tetrahedron but the first glued to an earlier one?"""
+    return all(any(g is not None and g[0] < t for g in row) for t, row in enumerate(table) if t)
+
+
+@pytest.mark.parametrize("table, pieces", _ENUMERATED,
+                         ids=["T_0", "T_1", "T_2", "T_3", "two-vertex", "cover-pass"])
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_relabelling_keeps_the_enumeration(table, pieces, data):
+    # the enumerator places the tetrahedra in label order, and two free
+    # ones in a row multiply its work: at T_3's budget such an order takes
+    # seconds to minutes, so only orders that glue each one down are drawn
+    _, other = data.draw(relabelled(st.just(table)))
+    assume(_glued_down(other))
+    assert _piece_counts(other, pieces) == _piece_counts(table, pieces)

@@ -2,6 +2,7 @@ import hashlib
 import time
 from dataclasses import replace
 from itertools import product
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from coretorus import first_homology, search
 from coretorus.homology import loop_cuts
 from coretorus.layered import LayeredTriangulation
 from coretorus.normal import (NormalVector, check_admissible, check_matching,
-                              count_euler, edge_weight, reconstruct, total_weight)
+                              count_euler, edge_weight, reconstruct)
 from coretorus.search import (BudgetExhausted, DiscSearchResult, MeridianDisc, SearchBudget,
                               _enumerate_raw, enumerate_admissible,
                               find_meridian_discs, minimal_complexity_disc,
@@ -19,6 +20,7 @@ from coretorus.slopes import fib, slope_seq
 from coretorus.triangulation import Triangulation, TriangulationError, parse_tri
 
 from conftest import vertex_link
+from surface_oracle import total_weight
 from test_bundle import closed_form_disc
 from test_homology import ANNULUS_FLOOR_TEXT, COVER_PASS_TEXT, TWO_VERTEX_TEXT
 from test_triangulation import gluing_tables
@@ -119,17 +121,60 @@ ENUMERATION_DIGESTS = {
     ("T_2", 38, 19): "970a4d2e26e73166da058088ff284d18cf89360a61b442ae58b9494fe0a5cfac",
     ("T_3", 64, 32): "578333eb3b71e7b612b68552faf12bd415724b2902f9881b89935a5d7c729c51",
     ("two-vertex", 13, None): "ee949bd6b12bd9a52dee2330a213d7a5d8086332cb25c1fb695c7afe0118249e",
+    # recorded before the piece floor
+    ("cover-pass", 11, None): "de4f33141811dec758c516ebad7fd77aa247c7e68caafe9a39f0db9f4b97df3c",
+    ("two-vertex", 16, 8): "279bd57067102136ef4ce9628a28b567f9ccb5c54fe1f9acc4d96a59edffb5a7",
 }
+NAMED_TEXTS = {"two-vertex": TWO_VERTEX_TEXT, "cover-pass": COVER_PASS_TEXT}
 
 
 def test_enumeration_output_is_unchanged(fam):
     # T_0..T_4 at fib(i+6) - 4, T_0..T_3 at the weight fib(i+6) - 2 of the
-    # least disc (twice that in pieces), and the two-vertex torus at 13
+    # least disc (twice that in pieces), the two-vertex torus at 13 and at
+    # 16 with weight 8, and the cover-pass torus at 11
     for (name, pieces, weight), want in ENUMERATION_DIGESTS.items():
-        tri = parse_tri(TWO_VERTEX_TEXT) if name == "two-vertex" else fam(int(name[2:])).tri
+        tri = parse_tri(NAMED_TEXTS[name]) if name in NAMED_TEXTS else fam(int(name[2:])).tri
         vectors = enumerate_admissible(tri, SearchBudget(pieces, max_weight=weight))
         got = hashlib.sha256(repr([v.coords for v in vectors]).encode()).hexdigest()
         assert got == want, (name, pieces, weight)
+
+
+def _assert_piece_floor_is_sound(tri, budget):
+    """Every vector enumerated with the piece floor switched off has, after
+    each prefix of its rows, at least the pieces placed plus the floor, so
+    pruning by the floor drops none of them.  The number of prefixes whose
+    floor is positive."""
+    with patch.object(search, "_piece_floor", lambda terms, row, pieces: 0):
+        unpruned = enumerate_admissible(tri, budget)
+    assert enumerate_admissible(tri, budget) == unpruned
+    frontiers = search._frontiers(tri)
+    positive = 0
+    for v in unpruned:
+        pieces = [sum(row) for row in v.coords]
+        for t in range(tri.tet_count):
+            terms = search._floor_terms(frontiers[t], v.coords[:t], pieces[:t])
+            floor = search._piece_floor(terms, v.coords[t], pieces[t])
+            assert sum(pieces[:t + 1]) + floor <= v.piece_count()
+            positive += floor > 0
+    return positive
+
+
+def test_piece_floor_is_sound_on_the_family(fam):
+    positive = sum(_assert_piece_floor_is_sound(fam(i).tri, SearchBudget(fib(i + 6) - 4))
+                   for i in range(5))
+    assert positive > 0
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(gluing_tables(max_tets=3))
+def test_piece_floor_is_sound_on_random_tables(table):
+    try:
+        tri = Triangulation(table)
+    except TriangulationError:
+        return
+    # where no tetrahedron is glued to another the floor is 0 throughout
+    if any(search._frontiers(tri)):
+        _assert_piece_floor_is_sound(tri, SearchBudget(6))
 
 
 def test_admissible_counts_at_recorded_budgets(fam):
