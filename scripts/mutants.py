@@ -121,6 +121,38 @@ MUTANTS = (
      "                    ends.append((be, last, -1))\n",
      "                    ends.append((be, 0, 1))\n",
      ("tests/test_normal.py::test_surface_and_count_tracing_agree",)),
+    # the integer orientation test with one determinant term's sign flipped,
+    # and a betweenness test that excludes the interval's ends
+    ("geometry.py",
+     "    v = (c * A - a * C) * (g * B - b * G) * D * E - (d * B - b * D) * (e * A - a * E) * C * G\n",
+     "    v = (c * A - a * C) * (g * B - b * G) * D * E + (d * B - b * D) * (e * A - a * E) * C * G\n",
+     ("tests/test_geometry.py::test_integer_predicates_match_the_rational_oracle",)),
+    ("geometry.py",
+     "        if (k * M - m * K) * (k * N - n * K) > 0:\n",
+     "        if (k * M - m * K) * (k * N - n * K) >= 0:\n",
+     ("tests/test_geometry.py::test_integer_predicates_match_the_rational_oracle",)),
+    # the pairing counting a curve endpoint on a surface arc as a crossing;
+    # a crossing counted with the wrong sign
+    ("curves.py",
+     "            if d0 * d1 < 0 and orient2(c0, c1, arc.p0) * orient2(c0, c1, arc.p1) < 0:\n",
+     "            if d0 * d1 <= 0 and orient2(c0, c1, arc.p0) * orient2(c0, c1, arc.p1) < 0:\n",
+     ("tests/test_curves.py::test_pairing_rejects_a_curve_through_a_surface_arc",)),
+    ("curves.py",
+     "                into_plus = into_cut_side == arc.plus_side_is_cut\n",
+     "                into_plus = into_cut_side != arc.plus_side_is_cut\n",
+     ("tests/test_curves.py::test_curve_certificates_keep_their_digests",)),
+    # a class point's head and tail weights swapped; a curve point whose
+    # weights need not sum to 1
+    ("curves.py",
+     "    bary[verts.index(tail)] = Fraction((d - n) * (m - k), d * m)\n"
+     "    bary[verts.index(head)] = Fraction(n * (m - k), d * m)\n",
+     "    bary[verts.index(head)] = Fraction((d - n) * (m - k), d * m)\n"
+     "    bary[verts.index(tail)] = Fraction(n * (m - k), d * m)\n",
+     ("tests/test_curves.py::test_curve_certificates_keep_their_digests",)),
+    ("curves.py",
+     "                if a * B * C + b * A * C + c * A * B != A * B * C or min(a, b, c) < 0:\n",
+     "                if min(a, b, c) < 0:\n",
+     ("tests/test_curves.py::test_curve_validation",)),
     # an edge slab's two sheets both read at the lower crossing
     ("bundle.py",
      "        return self._sheets(piece_at(self.v, t, e, gap), piece_at(self.v, t, e, gap + 1), e)\n",

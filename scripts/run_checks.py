@@ -175,9 +175,11 @@ def main():
         # the arc bounds are verify curve-bounds' verdict, on the curve found
         # without a witness; at these indices the witness keeps the first curve
         bounds = verify_curve_bounds(i)
-        ok = cert.one_skeleton_hits == 1 and bounds.status == "pass"
+        ok = (cert.one_skeleton_hits == 1 and abs(cert.winding) == 1
+              and (disc is None or abs(cert.algebraic_pairing) == 1)
+              and bounds.status == "pass")
         detail = (f"kind={cert.kind}, hits={cert.one_skeleton_hits}, "
-                  f"pairing={cert.algebraic_pairing}, "
+                  f"winding={cert.winding}, pairing={cert.algebraic_pairing}, "
                   f"faces<= {bounds.details['face_bound']['max_arcs']}")
         if "tet_bound" in bounds.details:
             detail += f", tets<= {bounds.details['tet_bound']['max_arcs']}"

@@ -9,16 +9,19 @@ Certificates never trust floating point: embeddedness is exact segment
 arithmetic, the pairing with a meridian disc is a signed count of exact
 proper crossings against the disc's straightened arcs, and the homology
 class of a curve is computed by collapsing each edge crossing to the edge.
+Sides and crossings are ``geometry``'s integer determinants; validation and
+placed points work on numerators and denominators, with no rational arithmetic.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
-from .geometry import (GeometrizedSurface, corner_point, face_chart_point, orient2,
-                       segments_cross_properly, segments_intersect)
-from .homology import manifold_h1
+from .geometry import (GeometrizedSurface, face_chart_point, on_segment, orient2,
+                       segments_intersect)
+from .homology import loop_cuts, manifold_h1
 from .layered import family
 from .search import VerifyReport
 from .slopes import at_least_golden_power, fib, min_pre_core_intersection, slope_seq
@@ -50,9 +53,12 @@ class PLCurve:
             raise CurveError("a curve needs at least one segment")
         for seg in self.segments:
             for p in (seg.p0, seg.p1):
-                if len(p) != 3 or sum(p) != 1 or any(c < 0 for c in p):
+                if len(p) != 3:
                     raise CurveError(f"bad barycentric point {p}")
-                if any(c == 1 for c in p):
+                (a, A), (b, B), (c, C) = (x.as_integer_ratio() for x in p)
+                if a * B * C + b * A * C + c * A * B != A * B * C or min(a, b, c) < 0:
+                    raise CurveError(f"bad barycentric point {p}")
+                if a == A or b == B or c == C:
                     raise CurveError("curve touches a vertex")
             if seg.p0 == seg.p1:
                 raise CurveError("degenerate segment")
@@ -156,10 +162,7 @@ def is_embedded(curve: PLCurve) -> bool:
         return False
     by_face = {}
     for idx, seg in enumerate(curve.segments):
-        t, f = curve.rep_slot(seg)
-        a = face_chart_point(f, {v: seg.p0[i] for i, v in enumerate(FACE_VERTICES[f])})
-        b = face_chart_point(f, {v: seg.p1[i] for i, v in enumerate(FACE_VERTICES[f])})
-        by_face.setdefault(seg.face_class, []).append((idx, a, b))
+        by_face.setdefault(seg.face_class, []).append((idx, seg.p0[1:], seg.p1[1:]))
     for fc, segs in by_face.items():
         for (i, a1, b1), (j, a2, b2) in combinations(segs, 2):
             if not segments_intersect(a1, b1, a2, b2):
@@ -173,16 +176,13 @@ def is_embedded(curve: PLCurve) -> bool:
             # two segments that share exactly the endpoint p meet elsewhere
             # only by overlapping along a line through p.  They cannot cross
             # properly, since p lies on both; and an endpoint of one inside
-            # the other is collinear with p and points the same way from it,
-            # which is that overlap.
+            # the other is collinear with p and on the same side of it: the
+            # nearer of q1, q2 lies on the segment from p to the other.
             p = shared.pop()
             q1 = b1 if a1 == p else a1
             q2 = b2 if a2 == p else a2
-            if orient2(p, q1, q2) == 0:
-                d1 = (q1[0] - p[0], q1[1] - p[1])
-                d2 = (q2[0] - p[0], q2[1] - p[1])
-                if d1[0] * d2[0] + d1[1] * d2[1] > 0:
-                    return False
+            if orient2(p, q1, q2) == 0 and (on_segment(p, q1, q2) or on_segment(p, q2, q1)):
+                return False
     return True
 
 
@@ -237,26 +237,22 @@ def algebraic_intersection(curve: PLCurve, geom: GeometrizedSurface) -> int:
     total = 0
     for seg in curve.segments:
         t, f = curve.rep_slot(seg)
-        verts = FACE_VERTICES[f]
-        c0 = face_chart_point(f, {v: seg.p0[i] for i, v in enumerate(verts)})
-        c1 = face_chart_point(f, {v: seg.p1[i] for i, v in enumerate(verts)})
+        c0, c1 = seg.p0[1:], seg.p1[1:]    # chart points: drop the first weight
         for arc in geom.face_arcs(t, f):
             d0 = orient2(arc.p0, arc.p1, c0)
             d1 = orient2(arc.p0, arc.p1, c1)
-            if d0 == 0 or d1 == 0:
-                if segments_intersect(arc.p0, arc.p1, c0, c1):
-                    raise NonTransverseError("curve endpoint on a surface arc")
-                continue
-            if not segments_cross_properly(arc.p0, arc.p1, c0, c1):
-                if segments_intersect(arc.p0, arc.p1, c0, c1):
-                    raise NonTransverseError("curve meets a surface arc endpoint")
-                continue
-            o_cut = orient2(arc.p0, arc.p1, corner_point(f, arc.cut_vertex))
-            if o_cut == 0:
-                raise NonTransverseError("degenerate surface arc")
-            into_cut_side = d1 == o_cut
-            into_plus = into_cut_side == arc.plus_side_is_cut
-            total += 1 if into_plus else -1
+            if d0 == d1 != 0:
+                continue        # strictly on one side of the arc's line: disjoint
+            if d0 * d1 < 0 and orient2(c0, c1, arc.p0) * orient2(c0, c1, arc.p1) < 0:
+                o_cut = orient2(arc.p0, arc.p1, face_chart_point(f, {arc.cut_vertex: 1}))
+                if o_cut == 0:
+                    raise NonTransverseError("degenerate surface arc")
+                into_cut_side = d1 == o_cut
+                into_plus = into_cut_side == arc.plus_side_is_cut
+                total += 1 if into_plus else -1
+            elif segments_intersect(arc.p0, arc.p1, c0, c1):
+                raise NonTransverseError("curve endpoint on a surface arc" if d0 == 0 or d1 == 0
+                                         else "curve meets a surface arc endpoint")
     return total
 
 
@@ -283,36 +279,29 @@ def make_61_curve(lt, witness_disc=None) -> CurveCertificate:
     ``lt`` is a layered triangulation of the family; the curve is found by
     exhaustive search over one-segment loops in faces that carry the same
     edge class on two of their sides, certified by embeddedness, a single
-    1-skeleton crossing on the (1,0)-labeled edge, and winding number one.
+    1-skeleton crossing on the least edge loop of cut 1 (``loop_cuts``; on
+    T_i the one labelled (1,0)), and winding number one.  The search reads
+    only ``lt.tri``, so no label or tetrahedron number picks the edge.
     The certificate kind is "core" exactly when the curve misses the
     boundary, which happens from the first layering on.
     """
     tri = lt.tri
-    if slope_seq(0) in set(lt.boundary_slopes.values()):
-        target_edge = lt.class_with_label(slope_seq(0))
-    else:
-        # the (1,0) edge is interior once layered; its base-tetrahedron slot
-        # still identifies the class
-        target_edge = tri.class_direction[(0, (0, 1))][0]
+    target_edge = next((e for e, cut in loop_cuts(tri).items() if cut == 1), None)
     geom = None
     if witness_disc is not None:
         geom = GeometrizedSurface(tri, witness_disc.surface)
 
-    candidates = []
-    for fc_idx, slots in enumerate(tri.face_classes):
-        t, f = slots[0]
-        on_target = [pair for pair in combinations(FACE_VERTICES[f], 2)
-                     if tri.class_direction[(t, pair)][0] == target_edge]
-        for pair1, pair2 in combinations(on_target, 2):
-            candidates.append((fc_idx, t, f, pair1, pair2))
-    params = [Fraction(1, 4), Fraction(3, 4), Fraction(1, 3), Fraction(2, 3),
-              Fraction(1, 5), Fraction(2, 5), Fraction(3, 5), Fraction(4, 5)]
+    # face-class candidates, scanned lazily: the first certified one is returned
+    candidates = ((fc_idx, t, f, pair1, pair2)
+                  for fc_idx, ((t, f), *_) in enumerate(tri.face_classes)
+                  for pair1, pair2 in combinations(
+                      [pair for pair in combinations(FACE_VERTICES[f], 2)
+                       if tri.class_direction[(t, pair)][0] == target_edge], 2))
     for fc_idx, t, f, pair1, pair2 in candidates:
-        for u in params:
+        # class parameters k/n in lowest terms, n = 4, 3, 5, each made when tried
+        for u in (Fraction(k, n) for n in (4, 3, 5) for k in range(1, n) if gcd(k, n) == 1):
             p0 = _class_point(tri, t, f, pair1, u, 0)
             p1 = _class_point(tri, t, f, pair2, u, 0)
-            if p0 == p1:
-                continue
             try:
                 curve = PLCurve(tri, [Segment(fc_idx, p0, p1)])
             except CurveError:
@@ -349,9 +338,10 @@ def _class_point(tri, t, f, pair, u, depth):
     class), pushed ``depth`` off that side toward the opposite corner."""
     tail, head = tri.class_direction[(t, pair)][1]
     verts = FACE_VERTICES[f]
-    bary = [Fraction(depth)] * 3
-    bary[verts.index(tail)] = (1 - u) * (1 - depth)
-    bary[verts.index(head)] = u * (1 - depth)
+    (n, d), (k, m) = u.as_integer_ratio(), depth.as_integer_ratio()
+    bary = [Fraction(k, m)] * 3
+    bary[verts.index(tail)] = Fraction((d - n) * (m - k), d * m)
+    bary[verts.index(head)] = Fraction(n * (m - k), d * m)
     return tuple(bary)
 
 

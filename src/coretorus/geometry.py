@@ -1,4 +1,4 @@
-"""Straight face arcs of normal surfaces in exact rational arithmetic.
+"""Straight face arcs of normal surfaces, with exact integer predicates.
 
 The k-th crossing point along an edge of weight w, counted from the given
 edge's tail, sits at parameter (k+1)/(w+1) from that tail.  The spacing is
@@ -9,7 +9,9 @@ segments between their edge points in the affine structure of each face.
 A face slot's arcs are built on first read and cached, so a caller that
 reads one face (the core-curve certificate) builds only that face.
 
-All predicates (segment intersection, sidedness) are exact over Q.
+Points are pairs of rationals (Fractions or ints).  The predicates decide on
+numerators and denominators by integer determinants (Shewchuk, 1997) and
+cross-multiplied comparisons, exactly and with no rational arithmetic.
 """
 from __future__ import annotations
 
@@ -19,48 +21,45 @@ from fractions import Fraction
 from .normal import coorientation, edge_slot_crossings, face_stack
 from .triangulation import FACE_VERTICES
 
+_ZERO = Fraction(0)
+
 
 # -- exact 2D predicates -----------------------------------------------------
 
 def orient2(p, q, r):
-    """Sign of the cross product (q-p) x (r-p)."""
-    v = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+    """Sign of the cross product (q-p) x (r-p).
+
+    With p = (a/A, b/B), q = (c/C, d/D) and r = (e/E, g/G), denominators
+    positive, the cross product times ABCDEG is the integer
+    (cA - aC)(gB - bG)DE - (dB - bD)(eA - aE)CG."""
+    (a, A), (b, B) = p[0].as_integer_ratio(), p[1].as_integer_ratio()
+    (c, C), (d, D) = q[0].as_integer_ratio(), q[1].as_integer_ratio()
+    (e, E), (g, G) = r[0].as_integer_ratio(), r[1].as_integer_ratio()
+    v = (c * A - a * C) * (g * B - b * G) * D * E - (d * B - b * D) * (e * A - a * E) * C * G
     return (v > 0) - (v < 0)
 
 
 def on_segment(p, q, r):
-    """Is r on the closed segment pq (assuming collinear)?"""
-    return (min(p[0], q[0]) <= r[0] <= max(p[0], q[0])
-            and min(p[1], q[1]) <= r[1] <= max(p[1], q[1]))
+    """Is r on the closed segment pq (assuming collinear)?  Per axis,
+    (r - p)(r - q) <= 0, each factor cross-multiplied by positive denominators."""
+    for x, y, z in zip(p, q, r):
+        (m, M), (n, N), (k, K) = x.as_integer_ratio(), y.as_integer_ratio(), z.as_integer_ratio()
+        if (k * M - m * K) * (k * N - n * K) > 0:
+            return False
+    return True
 
 
 def segments_intersect(p1, q1, p2, q2):
-    """Do the closed segments share any point?"""
-    d1 = orient2(p2, q2, p1)
-    d2 = orient2(p2, q2, q1)
-    d3 = orient2(p1, q1, p2)
-    d4 = orient2(p1, q1, q2)
-    if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and \
-       ((d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)):
-        return True
-    if d1 == 0 and on_segment(p2, q2, p1):
-        return True
-    if d2 == 0 and on_segment(p2, q2, q1):
-        return True
-    if d3 == 0 and on_segment(p1, q1, p2):
-        return True
-    if d4 == 0 and on_segment(p1, q1, q2):
-        return True
-    return False
+    """Do the closed segments share a point: a proper crossing, or an endpoint on the other?"""
+    return (segments_cross_properly(p1, q1, p2, q2)
+            or any(orient2(p, q, r) == 0 and on_segment(p, q, r)
+                   for p, q, r in ((p2, q2, p1), (p2, q2, q1), (p1, q1, p2), (p1, q1, q2))))
 
 
 def segments_cross_properly(p1, q1, p2, q2):
     """Transverse interior crossing: endpoints strictly on opposite sides."""
-    d1 = orient2(p2, q2, p1)
-    d2 = orient2(p2, q2, q1)
-    d3 = orient2(p1, q1, p2)
-    d4 = orient2(p1, q1, q2)
-    return d1 * d2 < 0 and d3 * d4 < 0
+    return (orient2(p2, q2, p1) * orient2(p2, q2, q1) < 0
+            and orient2(p1, q1, p2) * orient2(p1, q1, q2) < 0)
 
 
 def face_chart_point(f, vertex_weights):
@@ -72,11 +71,7 @@ def face_chart_point(f, vertex_weights):
     weights are the coordinates.
     """
     _, a, b = FACE_VERTICES[f]
-    return (Fraction(vertex_weights.get(a, 0)), Fraction(vertex_weights.get(b, 0)))
-
-
-def corner_point(f, v):
-    return face_chart_point(f, {v: Fraction(1)})
+    return (vertex_weights.get(a, _ZERO), vertex_weights.get(b, _ZERO))
 
 
 @dataclass
@@ -101,27 +96,19 @@ class GeometrizedSurface:
             raise ValueError("geometrized coorientation needs a two-sided surface")
         self._face_arcs = {}
 
-    def edge_point_param(self, t, directed_edge, position):
-        """Parameter, from the tail of the directed tet edge, of the crossing
-        at ``position`` k counted from that tail: (k+1)/(w+1) of w crossings.
-        The spacing is even, so the same crossing counted from the head, as
-        position w-1-k, lands on the same point."""
-        w = edge_slot_crossings(self.vector, t, tuple(sorted(directed_edge)))
-        return Fraction(position + 1, w + 1)
-
     def _build_face(self, t, f):
         arcs = []
         v = self.vector
         for vtx in FACE_VERTICES[f]:
             x, y = (u for u in FACE_VERTICES[f] if u != vtx)
-            stack = face_stack(v, t, f, vtx)
-            for j, piece in enumerate(stack):
-                s0 = self.edge_point_param(t, (vtx, x), j)
-                s1 = self.edge_point_param(t, (vtx, y), j)
-                p0 = face_chart_point(f, {vtx: 1 - s0, x: s0})
-                p1 = face_chart_point(f, {vtx: 1 - s1, y: s1})
+            # the arc at level k - 1 ends k/(w+1) along each edge from vtx
+            nx = edge_slot_crossings(v, t, tuple(sorted((vtx, x)))) + 1
+            ny = edge_slot_crossings(v, t, tuple(sorted((vtx, y)))) + 1
+            for k, piece in enumerate(face_stack(v, t, f, vtx), 1):
+                p0 = face_chart_point(f, {vtx: Fraction(nx - k, nx), x: Fraction(k, nx)})
+                p1 = face_chart_point(f, {vtx: Fraction(ny - k, ny), y: Fraction(k, ny)})
                 plus_is_cut = self.surface.sigma[piece] * coorientation(piece, (x, vtx)) == 1
-                arcs.append(FaceArc(piece, vtx, j, p0, p1, plus_is_cut))
+                arcs.append(FaceArc(piece, vtx, k - 1, p0, p1, plus_is_cut))
         return arcs
 
     def face_arcs(self, t, f):

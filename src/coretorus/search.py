@@ -7,9 +7,10 @@ off, where off is a multiple of the quad count; an equation across a face
 glued to an earlier tetrahedron has a known side.  Each equation is
 propagated as soon as one side is known, so a contradiction prunes the
 branch at once; two equations that reach the same coordinate pin the quad
-count, which is scanned only when nothing pins it.
-On layered triangulations each new tetrahedron is glued down along two
-faces, so its coordinates are forced and the search is close to linear.
+count, which is scanned only when nothing pins it.  Each tetrahedron is
+placed glued to an earlier one where it can be (``_placement``); on layered
+triangulations it is glued down along two faces, so its coordinates are
+forced and the search is close to linear.
 Output order is deterministic and budget monotone: vectors sorted by
 (piece count, coordinates), so a run with a larger budget streams the
 smaller run as a prefix.
@@ -41,7 +42,7 @@ from .layered import family
 from .normal import (ARC_COORDS, QUAD_CROSSES, QUAD_CUT, NormalVector, check_matching,
                      count_euler, edge_weight, reconstruct, row_of_crossings)
 from .slopes import at_least_golden_power, fib, min_pre_core_intersection, slope_seq
-from .triangulation import FACE_VERTICES
+from .triangulation import FACE_VERTICES, Triangulation
 
 
 @dataclass(frozen=True)
@@ -230,11 +231,33 @@ def _piece_floor(terms, row, pieces):
     return floor
 
 
+def _placement(tri):
+    """The order the tetrahedra are placed in: from tet 0, each next one the
+    least-labelled unplaced tetrahedron glued to a placed one, and a new
+    component from its least label.  The identity where each tetrahedron is
+    glued to an earlier one (T_i and every named table)."""
+    order, reached = [], set()
+    while len(order) < tri.tet_count:
+        t = min(reached or set(range(tri.tet_count)).difference(order))
+        order.append(t)
+        reached = (reached | {g[0] for g in tri.gluings[t] if g is not None}).difference(order)
+    return order
+
+
 def _enumerate_raw(tri, budget):
+    n = tri.tet_count
+    order = _placement(tri)
+    if order != list(range(n)):
+        # enumerate with tet order[k] renamed k, then name the rows back
+        at = {t: k for k, t in enumerate(order)}
+        renamed = Triangulation([[None if g is None else (at[g[0]], g[1]) for g in tri.gluings[t]]
+                                 for t in order])
+        for v in _enumerate_raw(renamed, budget):
+            yield NormalVector([v.coords[at[t]] for t in range(n)])
+        return
     deadline = None
     if budget.time_limit is not None:
         deadline = time.monotonic() + budget.time_limit
-    n = tri.tet_count
     if n == 0:
         return
     plans = _plans(tri)

@@ -4,12 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from coretorus.curves import (Chord, CurveError, PLCurve, Segment, TransverseCurve,
-                              algebraic_intersection, arcs_per_face,
+from coretorus.curves import (Chord, CurveError, NonTransverseError, PLCurve, Segment,
+                              TransverseCurve, algebraic_intersection, arcs_per_face,
                               curve_h1_class, face_bound_check, is_embedded,
                               make_61_curve, min_boundary_precore_length,
                               push_off, tet_bound_check)
-from coretorus.geometry import GeometrizedSurface
+from coretorus.geometry import GeometrizedSurface, segments_cross_properly
 from coretorus.normal import reconstruct
 from coretorus.slopes import fib, slope_seq
 
@@ -32,6 +32,14 @@ def test_curve_validation(fam):
         PLCurve(tri, [Segment(fc, (F(1), F(0), F(0)), (F(0), F(1), F(0)))])
     with pytest.raises(CurveError):   # endpoints on different manifold points
         PLCurve(tri, [Segment(fc, (F(1, 2), F(1, 2), F(0)), (F(1, 3), F(0), F(2, 3)))])
+    # one weight of the curve's first point halved: the junction reads the
+    # other weight of the pair, but the weights no longer sum to 1
+    seg = make_61_curve(fam(0)).curve.segments[0]
+    for k in range(3):
+        if seg.p0[k]:
+            bad = tuple(c / 2 if j == k else c for j, c in enumerate(seg.p0))
+            with pytest.raises(CurveError):
+                PLCurve(tri, [Segment(seg.face_class, bad, seg.p1)])
 
 
 def test_61_curve_certificates(fam, minimal_disc):
@@ -98,6 +106,31 @@ def test_pairing_invariant_under_refinement(fam, minimal_disc):
         assert algebraic_intersection(curve, geom) == base
         assert curve_h1_class(curve) == curve_h1_class(cert.curve)
     assert len(curve.segments) > len(cert.curve.segments)
+
+
+def test_pairing_rejects_a_curve_through_a_surface_arc(fam, minimal_disc):
+    # the witnessed curve split where it crosses the disc: its two halves
+    # meet on a surface arc, which is no transverse crossing
+    lt, d = fam(1), minimal_disc(1)
+    geom = GeometrizedSurface(lt.tri, d.surface)
+    (seg,) = make_61_curve(lt, witness_disc=d).curve.segments
+    t, f = lt.tri.face_classes[seg.face_class][0]
+    c0, c1 = seg.p0[1:], seg.p1[1:]
+    arc = next(a for a in geom.face_arcs(t, f) if segments_cross_properly(a.p0, a.p1, c0, c1))
+
+    def cross(u, v):
+        return u[0] * v[1] - u[1] * v[0]
+
+    # c0 + s (c1 - c0) is on the arc's line
+    v = (arc.p1[0] - arc.p0[0], arc.p1[1] - arc.p0[1])
+    s = (cross((arc.p0[0] - c0[0], arc.p0[1] - c0[1]), v)
+         / cross((c1[0] - c0[0], c1[1] - c0[1]), v))
+    assert 0 < s < 1
+    mid = tuple(a + s * (b - a) for a, b in zip(seg.p0, seg.p1))
+    curve = PLCurve(lt.tri, [Segment(seg.face_class, seg.p0, mid),
+                             Segment(seg.face_class, mid, seg.p1)])
+    with pytest.raises(NonTransverseError, match="^curve endpoint on a surface arc$"):
+        algebraic_intersection(curve, geom)
 
 
 def test_vertex_link_pairs_to_zero(fam, minimal_disc):

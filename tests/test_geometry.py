@@ -1,15 +1,16 @@
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 from hypothesis import given, strategies as st
 
-from coretorus.geometry import (FaceArc, GeometrizedSurface, face_chart_point, orient2,
-                                segments_cross_properly, segments_intersect)
-from coretorus.normal import coorientation, face_stack, reconstruct
+from coretorus.geometry import (FaceArc, GeometrizedSurface, face_chart_point, on_segment,
+                                orient2, segments_cross_properly, segments_intersect)
+from coretorus.normal import coorientation, edge_slot_crossings, face_stack, reconstruct
 from coretorus.search import SearchBudget, enumerate_admissible
 from coretorus.slopes import fib
 from coretorus.triangulation import FACE_VERTICES
 
+import geometry_oracle as oracle
 from conftest import vertex_link
 
 F = Fraction
@@ -52,6 +53,41 @@ def test_intersection_symmetry(ax, ay, bx, by, cx, cy, dx, dy):
     assert segments_cross_properly(a, b, c, d) == segments_cross_properly(c, d, a, b)
 
 
+@st.composite
+def segment_pairs(draw):
+    """Two segments p1q1 and p2q2 of rational or integer points, the second
+    free, on the first one's line, starting on the first one, or sharing an
+    endpoint with it."""
+    point = st.tuples(coords | st.integers(-3, 3), coords | st.integers(-3, 3))
+    p1, q1 = draw(point), draw(point)
+
+    def on_line(lo, hi):
+        s = draw(st.fractions(min_value=lo, max_value=hi, max_denominator=6))
+        return (p1[0] + s * (q1[0] - p1[0]), p1[1] + s * (q1[1] - p1[1]))
+
+    kind = draw(st.sampled_from(("free", "collinear", "touching", "shared")))
+    if kind == "collinear":
+        p2, q2 = on_line(-1, 2), on_line(-1, 2)
+    elif kind == "touching":
+        p2, q2 = on_line(0, 1), draw(point)
+    elif kind == "shared":
+        p2, q2 = draw(st.sampled_from((p1, q1))), draw(point)
+    else:
+        p2, q2 = draw(point), draw(point)
+    return p1, q1, p2, q2
+
+
+@given(segment_pairs())
+def test_integer_predicates_match_the_rational_oracle(pts):
+    for p, q, r in permutations(pts, 3):
+        assert orient2(p, q, r) == oracle.orient2(p, q, r)
+        assert on_segment(p, q, r) == oracle.on_segment(p, q, r)
+    p1, q1, p2, q2 = pts
+    for a, b, c, d in ((p1, q1, p2, q2), (q2, p2, q1, p1)):
+        assert segments_intersect(a, b, c, d) == oracle.segments_intersect(a, b, c, d)
+        assert segments_cross_properly(a, b, c, d) == oracle.segments_cross_properly(a, b, c, d)
+
+
 def test_geometrize_vertex_link(fam):
     tri = fam(0).tri
     s = reconstruct(tri, vertex_link(tri))
@@ -77,20 +113,28 @@ def test_geometrize_doubled_disc_stays_disjoint(fam, minimal_disc):
     assert arcs_disjoint_in_every_face(g)
 
 
+def edge_point_param(g, t, directed_edge, position):
+    """Parameter, from the tail of the directed tet edge, of the crossing at
+    ``position`` k counted from that tail: (k+1)/(w+1) of w crossings.  The
+    spacing is even, so the same crossing counted from the head, as position
+    w-1-k, lands on the same point."""
+    w = edge_slot_crossings(g.vector, t, tuple(sorted(directed_edge)))
+    return F(position + 1, w + 1)
+
+
 def test_edge_points_ordered_consistently(fam, minimal_disc):
     # both slots of an edge class place the k-th crossing at the same
     # class-level parameter
     tri = fam(1).tri
     d = minimal_disc(1)
     g = GeometrizedSurface(tri, d.surface)
-    from coretorus.normal import edge_slot_crossings
     for ec in tri.edge_classes:
         params = set()
         for t, e in ec.slots:
             w = edge_slot_crossings(d.vector, t, e)
             pts = []
             for pos in range(w):
-                p = g.edge_point_param(t, e, pos)
+                p = edge_point_param(g, t, e, pos)
                 if tri.class_direction[(t, e)][1] != e:
                     p = 1 - p
                 pts.append(p)
@@ -122,8 +166,8 @@ def _eager_face_arcs(g, tri):
             for vtx in FACE_VERTICES[f]:
                 x, y = (u for u in FACE_VERTICES[f] if u != vtx)
                 for j, piece in enumerate(face_stack(g.vector, t, f, vtx)):
-                    s0 = g.edge_point_param(t, (vtx, x), j)
-                    s1 = g.edge_point_param(t, (vtx, y), j)
+                    s0 = edge_point_param(g, t, (vtx, x), j)
+                    s1 = edge_point_param(g, t, (vtx, y), j)
                     p0 = _weighted_chart_point(f, {vtx: 1 - s0, x: s0})
                     p1 = _weighted_chart_point(f, {vtx: 1 - s1, y: s1})
                     plus = g.surface.sigma[piece] * coorientation(piece, (x, vtx))

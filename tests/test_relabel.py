@@ -4,22 +4,29 @@ A relabelling renames the tetrahedra by a permutation and the vertices of
 each tetrahedron by a permutation of its own.  It gives an isomorphic
 triangulation, so every quantity that does not depend on the labels --
 validity, H1, the cut numbers, the edge degrees, the calibrated slopes and,
-on the layered family, the certified minimal disc, the cut along it and the
-bundle claims -- must come out the same.  So must the piece counts of the
-admissible vectors: the enumerator meets the tetrahedra in another order,
-and with it prunes by other piece floors.
+on the layered family, the certified minimal disc, the cut along it, the
+bundle claims and the core curve the disc witnesses -- must come out the
+same.  So must the piece counts of the admissible vectors: the enumerator
+meets the tetrahedra in another order, and with it prunes by other piece
+floors.
 """
+from itertools import permutations
+
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from coretorus.bundle import check_claims, cut_along
 from coretorus.homology import first_homology, loop_cuts
-from coretorus.layered import family
-from coretorus.search import SearchBudget, enumerate_admissible, minimal_complexity_disc
+from coretorus.curves import make_61_curve
+from coretorus.layered import LayeredTriangulation, family
+from coretorus.search import (SearchBudget, _placement, enumerate_admissible,
+                              minimal_complexity_disc)
 from coretorus.slopes import fib
 from coretorus.triangulation import Triangulation, TriangulationError, parse_tri, perm_inverse
 
-from test_homology import COVER_PASS_TEXT, TWO_VERTEX_TEXT
+from test_homology import (ANNULUS_FLOOR_TEXT, BALL_TEXT, COVER_PASS_TEXT, FOLDED_BALL_TEXT,
+                           TWO_VERTEX_TEXT)
+from test_search import CHECKED_TEXT
 from test_triangulation import _PERMS, gluing_tables
 
 
@@ -64,15 +71,19 @@ def _invariants(table):
 
 
 def _disc_invariants(table):
-    """On T_i: the certified minimal disc's complexity, the cut along it and
-    the claims on it."""
+    """On T_i: the certified minimal disc's complexity, the cut along it, the
+    claims on it, and the one-crossing curve it witnesses: its kind, |winding|
+    and |pairing| (the signs rest on H1's generator)."""
     tri = Triangulation(table)
     m = minimal_complexity_disc(tri, SearchBudget(fib(tri.tet_count + 5) - 4))
     assert m.certified
     cut = cut_along(tri, m.disc)
     claims = check_claims(tri, m.disc, minimal_disc=m.disc)
+    # make_61_curve reads no slope labels, so none are mapped over
+    cert = make_61_curve(LayeredTriangulation(tri, {}), witness_disc=m.disc)
     return (m.disc.complexity, cut.component_count, cut.euler_cut, cut.a_patch_count,
-            claims.claim1, claims.claim2, sorted(claims.details["bases"]))
+            claims.claim1, claims.claim2, sorted(claims.details["bases"]),
+            cert.kind, abs(cert.winding), abs(cert.algebraic_pairing), cert.max_arcs_per_face)
 
 
 def test_relabel_is_a_group_action():
@@ -127,9 +138,31 @@ def _glued_down(table):
 @settings(max_examples=5, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_relabelling_keeps_the_enumeration(table, pieces, data):
-    # the enumerator places the tetrahedra in label order, and two free
-    # ones in a row multiply its work: at T_3's budget such an order takes
-    # seconds to minutes, so only orders that glue each one down are drawn
     _, other = data.draw(relabelled(st.just(table)))
-    assume(_glued_down(other))
     assert _piece_counts(other, pieces) == _piece_counts(table, pieces)
+
+
+def test_placement_is_the_identity_on_glued_down_tables():
+    # so the enumerator renames nothing on the family and the named tables
+    texts = (TWO_VERTEX_TEXT, COVER_PASS_TEXT, CHECKED_TEXT, BALL_TEXT, FOLDED_BALL_TEXT,
+             ANNULUS_FLOOR_TEXT)
+    for tri in [family(i).tri for i in range(21)] + [parse_tri(text) for text in texts]:
+        assert _glued_down(_table(tri))
+        assert _placement(tri) == list(range(tri.tet_count))
+
+
+def test_enumeration_places_tetrahedra_glued_down_in_any_order():
+    # T_3 with its tetrahedra renamed, vertex labels kept: placed in label
+    # order, 8 of the 16 orders that do not glue each tetrahedron to an
+    # earlier one ran past 2 s; placed glued down, each takes a fraction
+    table = _table(family(3).tri)
+    want = enumerate_admissible(Triangulation(table), SearchBudget(fib(9) - 4))
+    orders = [order for order in permutations(range(4))
+              if not _glued_down(relabel(table, order, [(0, 1, 2, 3)] * 4))]
+    assert len(orders) == 16
+    for order in orders:
+        other = Triangulation(relabel(table, order, [(0, 1, 2, 3)] * 4))
+        got = enumerate_admissible(other, SearchBudget(fib(9) - 4, time_limit=2))
+        # tet t is renamed order[t], so row order[t] of a vector is row t of T_3's
+        assert sorted(v.coords for v in got) == sorted(
+            tuple(v.coords[order.index(s)] for s in range(4)) for v in want)
