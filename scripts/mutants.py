@@ -56,6 +56,36 @@ MUTANTS = (
      "                walks.append(link_walk(self.gluings, *min(ends)) if walk[\"boundary\"] else walk)\n",
      "                walks.append(link_walk(self.gluings, *max(ends)) if walk[\"boundary\"] else walk)\n",
      ("tests/test_homology.py::test_edge_classes_match_the_union_find_oracle",)),
+    # the one pass over the face slots: a face pair's orientation relation
+    # without its minus sign; a corner relation that skips the gluing's
+    # permutation; an involution check that asks only that the partner be
+    # glued back to the slot, by any permutation (a gluing that does not
+    # point back could send a link walk round a cycle that misses its start)
+    # (T_0's fold then reads as non-orientable, and test_triangulation.py
+    # builds T_0 as it is collected, so the kill is T_0 built in a test)
+    ("triangulation.py",
+     "                    tet_relations.append((t, t2, -sign))\n",
+     "                    tet_relations.append((t, t2, sign))\n",
+     ("tests/test_layered.py::test_base_t0",)),
+    ("triangulation.py",
+     "(4 * t + a, 4 * t2 + perm[a], 1)",
+     "(4 * t + a, 4 * t2 + a, 1)",
+     ("tests/test_triangulation.py::test_one_pass_skeleton_matches_the_separate_loops",)),
+    ("triangulation.py",
+     "                if gluings[t2][f2] != (t, inverse):\n",
+     "                if gluings[t2][f2] is None or (gluings[t2][f2][0], gluings[t2][f2][1][f2])"
+     " != (t, f):\n",
+     ("tests/test_triangulation.py::test_broken_tables_get_the_first_slot_error",)),
+    # T_i's table with the two downward gluings swapped; the slope
+    # recursion stepping s_{k+1} = (x + y, y)
+    ("layered.py",
+     "_DOWN = ((0, 3, 1, 2), (2, 1, 3, 0))\n",
+     "_DOWN = ((2, 1, 3, 0), (0, 3, 1, 2))\n",
+     ("tests/test_layered.py::test_family_invariants",)),
+    ("layered.py",
+     "        s.append(Slope(s[-1].x + s[-1].y, s[-1].x))\n",
+     "        s.append(Slope(s[-1].x + s[-1].y, s[-1].y))\n",
+     ("tests/test_layered.py::test_family_carries_the_slope_pair",)),
     # the arcs cutting off vertex 2 in face 1 read from the wrong quad type
     ("normal.py",
      "              ((0, 4), (), (2, 6), (3, 5)),\n",

@@ -15,16 +15,16 @@ Each H1 group is one Smith normal form of its cotree presentation: d2
 restricted to the edges off a spanning forest of the 1-skeleton, with no
 kernel lattice and no solves.  The Smith normal form is computed on sparse
 rows and returns the diagonal and the log of its row operations; U, U^-1
-and V are never formed.  H1 replays from the log the few rows of U and
-columns of U^-1 it reads, one backward pass over the log each.  The pivot
-rule and operation order are those of the dense reduction kept in the
-tests as its oracle.  H1(M) and the calibration are computed once per
-triangulation object and kept with it.
+and V are never formed.  H1 replays from the log the few rows of U it
+reads, and the columns of U^-1 only on first use, one backward pass over
+the log each.  The pivot rule and operation order are those of the dense
+reduction kept in the tests as its oracle.  H1(M) and the calibration are
+computed once per triangulation object and kept with it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import wraps
+from functools import cached_property, wraps
 from math import gcd
 
 from .slopes import Slope, normalize_slope
@@ -152,11 +152,11 @@ class H1Group:
     1-skeleton (the cotree edges; the forest is the edges one breadth-first
     search finds its vertices by), so H1 is the cokernel of d2 restricted to
     the cotree rows: one Smith normal form U A V = D of the sparse cotree
-    rows.  Only the diagonal is kept, with the coordinate rows of U and
-    columns of U^-1 (those of the factors other than 1), each replayed from
-    the reduction's log as an {edge: entry} dict, so an H1 group kept with
-    its triangulation stays small and reading a class costs the size of the
-    cycle.
+    rows.  Only the diagonal is kept, with the coordinate rows of U (those
+    of the factors other than 1), each replayed from the reduction's log as
+    an {edge: entry} dict, so reading a class costs the size of the cycle.
+    The coordinate columns of U^-1, which only ``representative_cycle``
+    reads, are replayed on its first call; the log is dropped then.
 
     Classes are canonical coordinate tuples: one residue per torsion factor,
     then one integer per free factor.
@@ -183,23 +183,31 @@ class H1Group:
                             order.append((w, e))
         self._leaf_first = order[::-1]
         cotree = sorted(set(range(len(ends))).difference(e for _, e in order))
-        for col in d2_cols:
-            if self._d1(col):
-                raise ValueError("d1*d2 != 0: not a chain complex")
         rows = {e: {} for e in cotree}                   # d2 on the cotree edges
+        excess = [0] * self.n_vertices                   # d1 d2 of each column
         for f, col in enumerate(d2_cols):
             for e, x in col.items():
+                tail, head = ends[e]
+                excess[tail] -= x
+                excess[head] += x
                 if e in rows:
                     rows[e][f] = x
+            if any(excess[v] for e in col for v in ends[e]):
+                raise ValueError("d1*d2 != 0: not a chain complex")
         # factor: 0 free, 1 dead, d > 1 torsion
-        self.factor, log = smith_normal_form(list(rows.values()), len(d2_cols))
+        self.factor, self._log = smith_normal_form(list(rows.values()), len(d2_cols))
+        self._cotree = cotree                          # with the log, for _Uinv_cols
         self.rank = sum(1 for d in self.factor if d == 0)
         self.torsion = sorted(d for d in self.factor if d > 1)
         self.coord_index = [i for i, d in enumerate(self.factor) if d != 1]
-        # the coordinate rows of U and columns of U^-1, over edges
-        self._U_rows, self._Uinv_cols = (
-            [{cotree[k]: x for k, x in replay(log, i, column).items()}
-             for i in self.coord_index] for column in (False, True))
+        self._U_rows = [{cotree[k]: x for k, x in replay(self._log, i).items()}
+                        for i in self.coord_index]
+
+    @cached_property
+    def _Uinv_cols(self):
+        """The coordinate columns of U^-1, over edges; the log is dropped."""
+        log, cotree = vars(self).pop("_log"), self._cotree
+        return [{cotree[k]: x for k, x in replay(log, i, True).items()} for i in self.coord_index]
 
     def _d1(self, z):
         """d1 of the chain z, as a {vertex: coefficient} dict of its nonzeros."""

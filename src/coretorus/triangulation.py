@@ -8,18 +8,21 @@ relation is a fixed-point-free involution, that no edge is identified with
 itself reversing orientation, that every edge link is connected, and that a
 consistent orientation exists.
 
-Vertex classes are the components of the corners joined across each glued face
-pair, by ``two_colour``, the one components routine.  Each edge class is found
-by walking its link (``link_walk``) from its least slot, and the other way too
-when the walk ends on the boundary.  A walk step carries the directed edge
-across a glued face, so the walks give ``Triangulation.class_direction``, the
-one signed-edge table: each directed edge slot maps to its class and to the
-slot's edge directed as the class representative.  A slot that comes back
-reversed is an edge identified with its own reverse.  Every chain sign
-downstream (H1, the boundary complex, the PL curves' class parameters) is read
-from it.  Each class's link, walked from a fixed start, is kept in
-``Triangulation.edge_walks``; the boundary complex, the bundle's Q cells, the
-curves' push-off and ``layered.layer`` all read those walks.
+Validation is one pass over the face slots: the involution check at each
+glued slot, and from the smaller slot of each glued pair its face class, the
+tetrahedron relation whose ``two_colour`` gives the orientation, and the three
+corner relations whose ``two_colour`` components are the vertex classes.
+Each edge class is found by walking its link (``link_walk``) from its least
+slot, and the other way too when the walk ends on the boundary.  A walk step
+carries the directed edge across a glued face, so the walks give
+``Triangulation.class_direction``, the one signed-edge table: each directed
+edge slot maps to its class and to the slot's edge directed as the class
+representative.  A slot that comes back reversed is an edge identified with
+its own reverse.  Every chain sign downstream (H1, the boundary complex, the
+PL curves' class parameters) is read from it.  Each class's link, walked from
+a fixed start, is kept in ``Triangulation.edge_walks``; the boundary complex,
+the bundle's Q cells, the curves' push-off and ``layered.layer`` all read
+those walks.
 """
 from __future__ import annotations
 
@@ -140,22 +143,38 @@ class Triangulation:
     # -- validation ------------------------------------------------------
 
     def _validate(self):
-        for t in range(self.tet_count):
-            for f in range(4):
-                g = self.gluings[t][f]
+        """The one pass over the face slots, in (tet, face) order; then the
+        edge classes, then the orientation, each raising where it fails."""
+        gluings, tet_relations = self.gluings, []
+        self.face_classes, self.boundary_faces, self._corner_relations = (
+            faces, boundary, corner_relations) = [], [], []
+        for t, row in enumerate(gluings):
+            for f, g in enumerate(row):
                 if g is None:
+                    faces.append(((t, f),))
+                    boundary.append((t, f))
                     continue
                 t2, perm = g
                 f2 = perm[f]
-                if (t2, f2) == (t, f):
+                if t2 == t and f2 == f:
                     raise TriangulationError(f"face ({t},{f}) is glued to itself")
-                back = self.gluings[t2][f2]
-                if back is None or back != (t, perm_inverse(perm)):
+                inverse, sign = _PERMS[perm]
+                if gluings[t2][f2] != (t, inverse):
                     raise TriangulationError(
                         f"gluing of face ({t},{f}) to ({t2},{f2}) is not an involution")
+                if (t, f) < (t2, f2):
+                    faces.append(((t, f), (t2, f2)))
+                    tet_relations.append((t, t2, -sign))
+                    a, b, c = FACE_VERTICES[f]
+                    corner_relations += ((4 * t + a, 4 * t2 + perm[a], 1),
+                                         (4 * t + b, 4 * t2 + perm[b], 1),
+                                         (4 * t + c, 4 * t2 + perm[c], 1))
         # raises if an edge is identified with its reverse
         self.edge_classes, self.class_direction, self.edge_walks = self._edge_classes()
-        self.orientation       # raises if no consistent orientation exists
+        sign, components = two_colour(range(self.tet_count), tet_relations)
+        if not all(ok for _, ok in components):
+            raise TriangulationError("triangulation is not orientable")
+        self.orientation = sign          # the orientation sign of each tetrahedron
 
     # -- quotient skeleton -----------------------------------------------
 
@@ -179,23 +198,27 @@ class Triangulation:
         the edge directed (u, v), u < v."""
         classes, direction, walks = [], {}, []
         for t in range(self.tet_count):
-            for u, v in EDGE_PAIRS:
+            # the faces holding edge (u, v) are the two other vertices' opposites
+            for (u, v), (f, f_back) in zip(EDGE_PAIRS, EDGE_PAIRS[::-1]):
                 if (t, (u, v)) in direction:
                     continue
-                idx, f = len(classes), next(f for f in range(4) if f not in (u, v))
+                idx = len(classes)
                 walk = link_walk(self.gluings, t, (u, v), f)
                 sectors = walk["sectors"]
                 if walk["boundary"]:
-                    back = link_walk(self.gluings, t, (u, v), 6 - u - v - f)["sectors"]
+                    back = link_walk(self.gluings, t, (u, v), f_back)["sectors"]
                     ends = [(t2, tuple(sorted(d)), f_out)
                             for t2, d, _, f_out in (sectors[-1], back[-1])]
                     sectors = sectors + back
                 slots = []
                 for t2, d, _, _ in sectors:
-                    if (t2, d) not in direction:
-                        direction[(t2, d)] = direction[(t2, d[::-1])] = (idx, d)
-                        slots.append((t2, d if d[0] < d[1] else d[::-1]))
-                    elif direction[(t2, d)][1] != d:
+                    key = (t2, d)
+                    got = direction.get(key)
+                    if got is None:
+                        rev = (t2, d[::-1])
+                        direction[key] = direction[rev] = (idx, d)
+                        slots.append(key if d[0] < d[1] else rev)
+                    elif got[1] != d:
                         raise TriangulationError(
                             f"edge {(t, (u, v))} is identified with itself reversing orientation")
                 slots.sort()
@@ -207,13 +230,9 @@ class Triangulation:
     def vertex_classes(self):
         """The corners (t, v) of each vertex class, in order of least corner:
         the components of corners 4t + v, joined across each glued face pair
-        from its side with the smaller (t, f)."""
-        relations = []
-        for t, row in enumerate(self.gluings):
-            for f, g in enumerate(row):
-                if g is not None and (t, f) < (g[0], g[1][f]):
-                    t2, perm = g
-                    relations += [(4 * t + v, 4 * t2 + perm[v], 1) for v in FACE_VERTICES[f]]
+        by the corner relations ``_validate`` takes from its smaller slot,
+        which are dropped once read."""
+        relations = vars(self).pop("_corner_relations")
         _, components = two_colour(range(4 * self.tet_count), relations)
         return [[divmod(x, 4) for x in members] for members, _ in components]
 
@@ -226,42 +245,12 @@ class Triangulation:
         return out
 
     @cached_property
-    def face_classes(self):
-        """Each interior class is a glued slot pair; boundary faces are singletons."""
-        classes, seen = [], set()
-        for t in range(self.tet_count):
-            for f, g in enumerate(self.gluings[t]):
-                if (t, f) not in seen:
-                    slots = ((t, f),) if g is None else ((t, f), (g[0], g[1][f]))
-                    classes.append(slots)
-                    seen.update(slots)
-        return classes
-
-    @cached_property
     def face_class_of(self):
         out = {}
         for idx, slots in enumerate(self.face_classes):
             for s in slots:
                 out[s] = idx
         return out
-
-    @cached_property
-    def boundary_faces(self):
-        return [(t, f) for t in range(self.tet_count) for f in range(4)
-                if self.gluings[t][f] is None]
-
-    @cached_property
-    def orientation(self):
-        """Orientation sign per tetrahedron; raises if none exists."""
-        relations = []
-        for slots in self.face_classes:
-            if len(slots) == 2:
-                (t, f), (t2, _) = slots
-                relations.append((t, t2, -perm_sign(self.gluings[t][f][1])))
-        sign, components = two_colour(range(self.tet_count), relations)
-        if not all(ok for _, ok in components):
-            raise TriangulationError("triangulation is not orientable")
-        return sign
 
     def skeleton(self) -> SkeletonSummary:
         v = len(self.vertex_classes)
@@ -293,19 +282,21 @@ def link_walk(gluings, t, d, f_in):
     the other.  If face ``f_in`` is a boundary face the walk runs to the
     other boundary face: it starts at the face_in of sectors[0] and ends at
     the face_out of sectors[-1].  Otherwise the list is cyclic, and the last
-    sector's face_out is glued to the first sector's face_in.
+    sector's face_out is glued to the first sector's face_in.  The gluing
+    carries face_in's vertex too, to the vertex opposite the next face_out.
     """
-    start = (t, d, f_in)
+    u, v = d
+    f_out = 6 - u - v - f_in             # the other face of t containing d
+    t0, u0, v0, f0 = t, u, v, f_in
     sectors = []
     while True:
-        f_out = 6 - d[0] - d[1] - f_in        # the other face of t containing d
-        sectors.append((t, d, f_in, f_out))
+        sectors.append((t, (u, v), f_in, f_out))
         g = gluings[t][f_out]
         if g is None:
             return {"boundary": True, "sectors": sectors}
-        t2, perm = g
-        t, d, f_in = t2, (perm[d[0]], perm[d[1]]), perm[f_out]
-        if (t, d, f_in) == start:
+        t, perm = g
+        u, v, f_in, f_out = perm[u], perm[v], perm[f_out], perm[f_in]
+        if t == t0 and u == u0 and v == v0 and f_in == f0:
             return {"boundary": False, "sectors": sectors}
 
 

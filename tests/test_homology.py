@@ -270,6 +270,26 @@ def test_homology_is_computed_once_per_triangulation(monkeypatch):
     assert len(calls) == 4
 
 
+def test_columns_of_u_inverse_are_replayed_only_when_read(monkeypatch):
+    # H1(M) replays its one coordinate row of U, and H1(bdry) its two rows
+    # and, for the calibration's representative cycles, its two columns of
+    # U^-1; H1(M)'s column is replayed when a cycle of it is first asked for
+    calls, replay = [], homology.replay
+
+    def counted(log, r, column=False):
+        calls.append(column)
+        return replay(log, r, column)
+
+    tri = family(10).tri
+    monkeypatch.setattr(homology, "replay", counted)
+    first_homology(tri)
+    assert calls == [False, False, False, True, True]
+    h1m = manifold_h1(tri)
+    for c in (1, -1, 3, 0):
+        assert h1m.class_of_cycle(h1m.representative_cycle((c,))) == (c,)
+    assert calls == [False, False, False, True, True, True]
+
+
 def _seeded_table(rng):
     """A gluing table on 1 to 3 tetrahedra drawn as ``gluing_tables`` draws
     one, from a seeded generator."""

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import edge_class_oracle
+import skeleton_oracle
+import vertex_class_oracle
 from coretorus.homology import first_homology, solid_torus_candidate
 from coretorus.layered import BASE_T0_TEXT
 from coretorus.triangulation import (ParseError, Triangulation, TriangulationError,
@@ -228,3 +230,61 @@ def test_edge_walks_cover_slots(table):
         if walk["boundary"]:
             (t0, _, f0, _), (t1, _, _, f1) = sectors[0], sectors[-1]
             assert tri.gluings[t0][f0] is None and tri.gluings[t1][f1] is None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(gluing_tables())
+@example([[None, None, (0, (1, 2, 3, 0)), (0, (3, 0, 1, 2))]])       # T_0
+def test_one_pass_skeleton_matches_the_separate_loops(table):
+    # the face classes, boundary faces, orientation and vertex classes of
+    # the one pass over the face slots are those of the separate loops, and
+    # a table the loops reject gets the same error
+    try:
+        skeleton_oracle.validate(table)
+    except TriangulationError as e:
+        with pytest.raises(TriangulationError) as got:
+            Triangulation(table)
+        assert str(got.value) == str(e)
+        return
+    tri = Triangulation(table)
+    assert tri.face_classes == skeleton_oracle.face_classes(table)
+    assert tri.boundary_faces == skeleton_oracle.boundary_faces(table)
+    assert tri.orientation == skeleton_oracle.orientation(table)
+    assert tri.vertex_classes == vertex_class_oracle.vertex_classes(table)
+
+
+@st.composite
+def broken_tables(draw):
+    """A ``gluing_tables`` table with one side of one glued pair broken: glued
+    by another permutation, to another tetrahedron, to the face itself, or
+    left as a boundary face.  No such table is an involution."""
+    table = draw(gluing_tables().filter(lambda rows: any(g for row in rows for g in row)))
+    n = len(table)
+    t, f = draw(st.sampled_from([(t, f) for t in range(n) for f in range(4) if table[t][f]]))
+    t2, perm = table[t][f]
+    how = draw(st.sampled_from(("permutation", "self", "boundary")
+                               + (("tetrahedron",) if n > 1 else ())))
+    if how == "permutation":
+        table[t][f] = (t2, draw(st.sampled_from([p for p in _PERMS if p != perm])))
+    elif how == "tetrahedron":
+        table[t][f] = (draw(st.sampled_from([u for u in range(n) if u != t2])), perm)
+    elif how == "self":
+        table[t][f] = (t, draw(st.sampled_from([p for p in _PERMS if p[f] == f])))
+    else:
+        table[t][f] = None
+    return table
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(broken_tables())
+@example([[(0, (1, 0, 2, 3)), None, None, None]])
+@example([[(0, (0, 1, 2, 3)), None, None, None]])
+def test_broken_tables_get_the_first_slot_error(table):
+    # the error is that of the first bad slot in (tet, face) order, as the
+    # separate involution loop raises it
+    with pytest.raises(TriangulationError) as want:
+        skeleton_oracle.validate(table)
+    with pytest.raises(TriangulationError) as got:
+        Triangulation(table)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).endswith(("is not an involution", "is glued to itself"))
