@@ -6,9 +6,11 @@ text, test ids that must fail).  For each entry the harness copies src/ to a
 temporary directory, replaces the old text, which must occur exactly once,
 and runs only the named tests against the copy.  The run fails when a
 mutant survives (its tests pass), when an old text no longer matches (a
-refactor must update the list), or when pytest ends in anything but test
-failures (a missing test id, a collection error).  Two mutants run at a
-time; the list takes well under a minute on 2 cores.
+refactor must update the list), when pytest ends in anything but test
+failures (a missing test id, a collection error), or when a run takes more
+than ``TIMEOUT_S`` seconds (a mutant can make a walk loop for ever); such a
+run is reported as ``timeout`` and counts as not killed.  Two mutants run
+at a time; the list takes about a minute on 2 cores.
 
     python scripts/mutants.py
 
@@ -24,6 +26,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 300
 
 MUTANTS = (
     # the Smith form: no divisibility sweep; the last least pivot of a row
@@ -40,6 +43,21 @@ MUTANTS = (
      "        if row[piv] < 0:\n",
      "        if row[piv] < -1:\n",
      ("tests/test_homology.py::test_snf_matches_the_dense_oracle",)),
+    # the closing two-row Euclid: the lower row winning a tie; a negative
+    # pivot kept
+    ("homology.py",
+     "                if abs(b) < abs(a):            # the upper row wins a tie\n",
+     "                if abs(b) <= abs(a):\n",
+     ("tests/test_homology.py::test_snf_closing_euclid_matches_the_dense_oracle_on_fibonacci_pairs",)),
+    ("homology.py",
+     "                if a < 0:\n                    log.append((t,))\n                    a = -a\n",
+     "",
+     ("tests/test_homology.py::test_snf_closing_euclid_matches_the_dense_oracle_on_fibonacci_pairs",)),
+    # the d1 d2 = 0 check on d2's rows skipping every edge
+    ("homology.py",
+     "            if tail != head:                           # a loop's boundary is 0\n",
+     "            if False:\n",
+     ("tests/test_homology.py::test_h1_group_rejects_a_non_chain_complex",)),
     # H1's spanning forest walked root first
     ("homology.py",
      "        self._leaf_first = order[::-1]\n",
@@ -61,12 +79,10 @@ MUTANTS = (
     # permutation; an involution check that asks only that the partner be
     # glued back to the slot, by any permutation (a gluing that does not
     # point back could send a link walk round a cycle that misses its start)
-    # (T_0's fold then reads as non-orientable, and test_triangulation.py
-    # builds T_0 as it is collected, so the kill is T_0 built in a test)
     ("triangulation.py",
      "                    tet_relations.append((t, t2, -sign))\n",
      "                    tet_relations.append((t, t2, sign))\n",
-     ("tests/test_layered.py::test_base_t0",)),
+     ("tests/test_triangulation.py::test_one_pass_skeleton_matches_the_separate_loops",)),
     ("triangulation.py",
      "(4 * t + a, 4 * t2 + perm[a], 1)",
      "(4 * t + a, 4 * t2 + a, 1)",
@@ -192,7 +208,7 @@ MUTANTS = (
 
 
 def run_mutant(entry):
-    """'killed', 'survived', 'stale' or 'error: ...' for one entry."""
+    """'killed', 'survived', 'stale', 'timeout' or 'error: ...' for one entry."""
     file, old, new, tests = entry
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "src"
@@ -203,12 +219,15 @@ def run_mutant(entry):
             return "stale"
         path.write_text(text.replace(old, new))
         # run from the copy, so the hypothesis example database starts empty
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-             "--rootdir", str(ROOT), "-c", str(ROOT / "pyproject.toml"),
-             *(str(ROOT / t) for t in tests)],
-            cwd=tmp, env=dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1"),
-            capture_output=True, text=True)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+                 "--rootdir", str(ROOT), "-c", str(ROOT / "pyproject.toml"),
+                 *(str(ROOT / t) for t in tests)],
+                cwd=tmp, env=dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1"),
+                capture_output=True, text=True, timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return "timeout"
     if proc.returncode == 1:
         return "killed"
     if proc.returncode == 0:
@@ -220,8 +239,9 @@ def main():
     t0 = time.time()
     with ThreadPoolExecutor(max_workers=2) as pool:
         outcomes = list(pool.map(run_mutant, MUTANTS))
-    for (file, _, new, _), outcome in zip(MUTANTS, outcomes):
-        print(f"{outcome:8} {file:17} {new.strip().splitlines()[0][:60]}")
+    for (file, old, new, _), outcome in zip(MUTANTS, outcomes):
+        label = new.strip() or f"(deleted) {old.strip()}"
+        print(f"{outcome:8} {file:17} {label.splitlines()[0][:60]}")
     killed = outcomes.count("killed")
     print(f"\n{len(MUTANTS)} mutants, {killed} killed, {len(MUTANTS) - killed} not killed, "
           f"{time.time() - t0:.1f}s")

@@ -7,9 +7,10 @@ boundary torus calibrated from the kernel of that map (the meridian is
 computed, never assumed).
 
 A 1-chain is a sparse {edge: coefficient} dict everywhere: the boundary of
-a 2-cell, a cycle given to ``H1Group.class_of_cycle``, the cycle
+a boundary triangle, a cycle given to ``H1Group.class_of_cycle``, the cycle
 ``representative_cycle`` returns, and the boundary curves of reconstructed
-surfaces.
+surfaces.  d2 is given to ``H1Group`` as its rows: one sparse {2-cell:
+coefficient} dict per edge, built in one pass over the 2-cells.
 
 Each H1 group is one Smith normal form of its cotree presentation: d2
 restricted to the edges off a spanning forest of the 1-skeleton, with no
@@ -18,8 +19,10 @@ rows and returns the diagonal and the log of its row operations; U, U^-1
 and V are never formed.  H1 replays from the log the few rows of U it
 reads, and the columns of U^-1 only on first use, one backward pass over
 the log each.  The pivot rule and operation order are those of the dense
-reduction kept in the tests as its oracle.  H1(M) and the calibration are
-computed once per triangulation object and kept with it.
+reduction kept in the tests as its oracle; the closing Euclid of two rows
+that share their one column runs on two integers and logs the same
+operations.  H1(M) and the calibration are computed once per triangulation
+object and kept with it.
 """
 from __future__ import annotations
 
@@ -64,6 +67,25 @@ def smith_normal_form(rows, n):
 
     t = 0
     while True:
+        if t + 2 == m and D[t] and D[t].keys() == D[t + 1].keys() == {col[t]}:
+            # the closing Euclid of the last two rows on their one shared
+            # column (row t is nonempty, so t < n), run on two ints and
+            # logged as the steps below would log it (i steps on T_i)
+            u, c = t + 1, col[t]
+            a, b = D[t][c], D[u][c]
+            while b:
+                if abs(b) < abs(a):            # the upper row wins a tie
+                    log.append((t, u))
+                    a, b = b, a
+                if a < 0:
+                    log.append((t,))
+                    a = -a
+                q = -(b // a)
+                log.append((u, t, q))
+                b += q * a
+            D[t][c] = a
+            t = u
+            break
         # the first entry of least absolute value in row-major order; a unit
         # is such an entry, so the scan stops at the first one.  The rows
         # from t on have no entry left of position t.
@@ -146,23 +168,24 @@ def replay(log, r, column=False):
 class H1Group:
     """H1 = ker(d1)/im(d2) of a free chain complex C2 -> C1 -> C0.
 
-    ``ends`` lists each edge's (tail, head) vertex and ``d2_cols`` each
-    2-cell's boundary as an {edge: coefficient} chain.  A 1-cycle is
-    determined by its entries on the edges off a spanning forest of the
-    1-skeleton (the cotree edges; the forest is the edges one breadth-first
-    search finds its vertices by), so H1 is the cokernel of d2 restricted to
-    the cotree rows: one Smith normal form U A V = D of the sparse cotree
-    rows.  Only the diagonal is kept, with the coordinate rows of U (those
-    of the factors other than 1), each replayed from the reduction's log as
-    an {edge: entry} dict, so reading a class costs the size of the cycle.
-    The coordinate columns of U^-1, which only ``representative_cycle``
-    reads, are replayed on its first call; the log is dropped then.
+    ``ends`` lists each edge's (tail, head) vertex and ``d2_rows`` gives d2
+    as one {2-cell: coefficient} row per edge, over ``n_cells`` 2-cells.  A
+    1-cycle is determined by its entries on the edges off a spanning forest
+    of the 1-skeleton (the cotree edges; the forest is the edges one
+    breadth-first search finds its vertices by), so H1 is the cokernel of d2
+    restricted to the cotree rows: one Smith normal form U A V = D of the
+    sparse cotree rows.  Only the diagonal is kept, with the coordinate rows
+    of U (those of the factors other than 1), each replayed from the
+    reduction's log as an {edge: entry} dict, so reading a class costs the
+    size of the cycle.  The coordinate columns of U^-1, which only
+    ``representative_cycle`` reads, are replayed on its first call; the log
+    is dropped then.
 
     Classes are canonical coordinate tuples: one residue per torsion factor,
     then one integer per free factor.
     """
 
-    def __init__(self, ends, d2_cols):
+    def __init__(self, ends, d2_rows, n_cells):
         self.ends = ends
         self.n_vertices = 1 + max((v for e in ends for v in e), default=-1)
         adjacent = {v: [] for v in range(self.n_vertices)}
@@ -183,19 +206,16 @@ class H1Group:
                             order.append((w, e))
         self._leaf_first = order[::-1]
         cotree = sorted(set(range(len(ends))).difference(e for _, e in order))
-        rows = {e: {} for e in cotree}                   # d2 on the cotree edges
-        excess = [0] * self.n_vertices                   # d1 d2 of each column
-        for f, col in enumerate(d2_cols):
-            for e, x in col.items():
-                tail, head = ends[e]
-                excess[tail] -= x
-                excess[head] += x
-                if e in rows:
-                    rows[e][f] = x
-            if any(excess[v] for e in col for v in ends[e]):
-                raise ValueError("d1*d2 != 0: not a chain complex")
+        excess = {}                                    # d1 d2, per (2-cell, vertex)
+        for (tail, head), row in zip(ends, d2_rows):
+            if tail != head:                           # a loop's boundary is 0
+                for f, x in row.items():
+                    excess[f, tail] = excess.get((f, tail), 0) - x
+                    excess[f, head] = excess.get((f, head), 0) + x
+        if any(excess.values()):
+            raise ValueError("d1*d2 != 0: not a chain complex")
         # factor: 0 free, 1 dead, d > 1 torsion
-        self.factor, self._log = smith_normal_form(list(rows.values()), len(d2_cols))
+        self.factor, self._log = smith_normal_form([d2_rows[e] for e in cotree], n_cells)
         self._cotree = cotree                          # with the log, for _Uinv_cols
         self.rank = sum(1 for d in self.factor if d == 0)
         self.torsion = sorted(d for d in self.factor if d > 1)
@@ -274,17 +294,15 @@ def _per_triangulation(build):
 
 @_per_triangulation
 def manifold_h1(tri) -> H1Group:
-    vc = tri.vertex_class_of
+    vc, direction = tri.vertex_class_of, tri.class_direction
     ends = [(vc[(t, p)], vc[(t, q)]) for t, (p, q) in (ec.rep for ec in tri.edge_classes)]
-    d2_cols = []
-    for t, f in (slots[0] for slots in tri.face_classes):
+    rows = [{} for _ in ends]
+    for k, (t, f) in enumerate(slots[0] for slots in tri.face_classes):
         a, b, c = FACE_VERTICES[f]
-        col = {}
-        for p, q in ((a, b), (b, c), (c, a)):
-            ec, d = tri.class_direction[(t, (p, q))]
-            col[ec] = col.get(ec, 0) + (1 if d == (p, q) else -1)
-        d2_cols.append(col)
-    return H1Group(ends, d2_cols)
+        for d in ((a, b), (b, c), (c, a)):
+            e, rep = direction[(t, d)]
+            rows[e][k] = rows[e].get(k, 0) + (1 if rep == d else -1)
+    return H1Group(ends, rows, len(tri.face_classes))
 
 
 @_per_triangulation
@@ -309,7 +327,11 @@ def loop_cuts(tri) -> dict:
 def boundary_h1(bc) -> H1Group:
     vc = bc.vertex_class_of
     ends = [(vc[(i, p)], vc[(i, q)]) for i, (p, q) in (be.ends[0] for be in bc.bedges)]
-    return H1Group(ends, [bc.triangle_boundary_chain(i) for i in range(len(bc.triangles))])
+    rows = [{} for _ in ends]
+    for i in range(len(bc.triangles)):
+        for be, x in bc.triangle_boundary_chain(i).items():
+            rows[be][i] = x
+    return H1Group(ends, rows, len(bc.triangles))
 
 
 # -- meridian calibration ----------------------------------------------------

@@ -55,10 +55,6 @@ def perm_inverse(p):
     return _PERMS[tuple(p)][0]
 
 
-def perm_sign(p):
-    return _PERMS[tuple(p)][1]
-
-
 def two_colour(nodes, relations):
     """Signs +1/-1 with ``sign[b] == sign[a] * rel`` for each ``(a, b, rel)``.
 

@@ -8,9 +8,14 @@ relations of the face classes.  ``validate`` runs the checks in their
 order: every slot's involution check first, then the edge classes (which
 raise where an edge comes back reversed), then the orientation.  Tests
 assert that the one pass gives the same lists and the same error text.
+``perm_sign`` reads a permutation's sign off the table validation uses.
 """
 import edge_class_oracle
-from coretorus.triangulation import TriangulationError, perm_inverse, perm_sign, two_colour
+from coretorus.triangulation import _PERMS, TriangulationError, perm_inverse, two_colour
+
+
+def perm_sign(p):
+    return _PERMS[tuple(p)][1]
 
 
 def check_involution(gluings):

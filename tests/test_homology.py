@@ -1,6 +1,6 @@
 import hashlib
 import random
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -89,6 +89,15 @@ def test_snf_matches_the_dense_oracle(rows):
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_snf_matches_the_dense_oracle_without_unit_entries(rows):
     assert _sparse_snf(rows) == sparse_result(rows)
+
+
+def test_snf_closing_euclid_matches_the_dense_oracle_on_fibonacci_pairs():
+    # T_i's Smith form closes with a Euclid on consecutive Fibonacci numbers;
+    # both row orders and every sign, through the tie F(1) = F(2)
+    for k in range(101):
+        for x, y in product((fib(k), -fib(k)), (fib(k + 1), -fib(k + 1))):
+            for rows in ([[x], [y]], [[y], [x]]):
+                assert _sparse_snf(rows) == sparse_result(rows), rows
 
 
 def test_snf_matches_the_dense_oracle_on_cotree_matrices(fam, monkeypatch):
@@ -180,11 +189,22 @@ def test_class_of_cycle_roundtrip_through_a_spanning_tree():
 def test_h1_group_rejects_a_non_chain_complex():
     # one edge from vertex 0 to vertex 1 bounding a 2-cell: d1 d2 != 0
     with pytest.raises(ValueError, match="d1\\*d2"):
-        H1Group([(0, 1)], [{0: 1}])
+        H1Group([(0, 1)], [{0: 1}], 1)
+
+
+def test_h1_group_checks_d1_d2_on_the_edges_that_are_not_loops():
+    # loops 0 and 2 at vertices 0 and 1, edges 1 and 3 from 0 to 1; cell 0
+    # is bounded by loop 0 and cell 1 by edge 1 - edge 3, a chain complex
+    ends = [(0, 0), (0, 1), (1, 1), (0, 1)]
+    h1 = H1Group(ends, [{0: 1}, {1: 1}, {}, {1: -1}], 2)
+    assert h1.rank == 1 and not h1.torsion
+    # cell 1 bounded by loop 0 + edge 1 + loop 2 instead: d1 d2 = v1 - v0
+    with pytest.raises(ValueError, match="d1\\*d2"):
+        H1Group(ends, [{0: 1, 1: 1}, {1: 1}, {1: 1}, {}], 2)
 
 
 def test_class_of_cycle_rejects_a_non_cycle():
-    h1 = H1Group([(0, 1), (1, 0)], [])            # a circle of two edges
+    h1 = H1Group([(0, 1), (1, 0)], [{}, {}], 0)   # a circle of two edges
     assert h1.rank == 1 and h1.class_of_cycle({0: 1, 1: 1}) in ((1,), (-1,))
     with pytest.raises(ValueError, match="not a 1-cycle"):
         h1.class_of_cycle({0: 1})
