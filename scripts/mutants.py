@@ -58,11 +58,31 @@ MUTANTS = (
      "            if tail != head:                           # a loop's boundary is 0\n",
      "            if False:\n",
      ("tests/test_homology.py::test_h1_group_rejects_a_non_chain_complex",)),
-    # H1's spanning forest walked root first
+    # the calibration's cocycle: its potential walked leaf first; pulled
+    # back without the boundary edges' signs; a tree edge's potential step
+    # from its head with psi's sign flipped; no check on every edge
     ("homology.py",
-     "        self._leaf_first = order[::-1]\n",
-     "        self._leaf_first = order\n",
-     ("tests/test_homology.py::test_class_of_cycle_roundtrip_on_random_tables",)),
+     "    for w, e in h1.forest:                 # root first: e's other end is set\n",
+     "    for w, e in reversed(h1.forest):\n",
+     ("tests/test_homology.py::test_class_of_cycle_roundtrip_through_a_spanning_tree",)),
+    ("homology.py",
+     "        h1b, [be.manifold_sign * phi.get(be.manifold_edge, 0) for be in bc.bedges])\n",
+     "        h1b, [phi.get(be.manifold_edge, 0) for be in bc.bedges])\n",
+     ("tests/test_homology.py::test_solid_torus_homology",)),
+    ("homology.py",
+     "        h[w] = h[tail] + psi[e] if w == head else h[head] - psi[e]\n",
+     "        h[w] = h[tail] + psi[e] if w == head else h[head] + psi[e]\n",
+     ("tests/test_homology.py::test_class_of_cycle_roundtrip_through_a_spanning_tree",)),
+    ("homology.py",
+     "    if any(t[0] * r[0] + t[1] * r[1] != y for r, y in eqs):\n"
+     "        raise ValueError(\"not a 1-cocycle\")\n",
+     "",
+     ("tests/test_homology.py::test_a_psi_that_is_not_a_cocycle_is_rejected",)),
+    # the solid-torus verdict read off chi alone
+    ("homology.py",
+     "    candidate = cal is not None and tri.skeleton().euler_characteristic == 0\n",
+     "    candidate = tri.skeleton().euler_characteristic == 0\n",
+     ("tests/test_homology.py::test_chi_zero_without_a_calibration_is_no_candidate",)),
     # loop cuts off by one
     ("homology.py",
      "    return {e: abs(row.get(e, 0)) for e, (tail, head) in enumerate(h1m.ends) if tail == head}\n",

@@ -14,9 +14,8 @@ from .curves import (CurveCertificate, PLCurve, Segment, TransverseCurve,
                      min_boundary_precore_length, push_off, tet_bound_check,
                      verify_curve_bounds)
 from .geometry import GeometrizedSurface
-from .homology import (HomologySummary, MeridianCalibration, SolidTorusReport,
-                       boundary_h1, calibrate, first_homology, manifold_h1,
-                       smith_normal_form, solid_torus_candidate)
+from .homology import (HomologySummary, MeridianCalibration, boundary_h1, calibrate,
+                       first_homology, manifold_h1, smith_normal_form)
 from .layered import BASE_T0_TEXT, LayeredTriangulation, base_t0, family, layer
 from .normal import (NormalVector, check_admissible, check_matching, edge_weight,
                      min_curve_length, reconstruct)

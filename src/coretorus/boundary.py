@@ -144,10 +144,10 @@ class BoundaryComplex:
         if not self.triangles or len(self.components) != 1:
             return False
         self.orientation
-        return self.component_summary()[0]["euler"] == 0
+        return self.euler_characteristic() == 0
 
     def euler_characteristic(self):
-        return sum(c["euler"] for c in self.component_summary())
+        return len(self.vertex_classes) - len(self.bedges) + len(self.triangles)
 
     # -- hooks for curve homology ------------------------------------------
 

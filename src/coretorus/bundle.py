@@ -143,7 +143,7 @@ def cut_along(tri, disc) -> CutComplex:
     # (F + a) + 2p face bits and piece copies, and p + n regions
     # (``tet_regions`` lists p_t + 1 per tetrahedron).  So chi(X) =
     # (V - E + F - n) + (w - a + p) = chi(M) + chi(S), where w - a + p is
-    # ``count_euler``, which ``reconstruct`` checks against the surface.
+    # ``count_euler``, equal to the surface's ``euler_total``.
     euler_cut = tri.skeleton().euler_characteristic + surface.euler_total
     # one A-patch per bit of each boundary face: its middle and its arcs
     a_patches = sum(1 + sum(v.counts(t).arcs[f]) for t, f in tri.boundary_faces)

@@ -18,7 +18,7 @@ from .bundle import bundle_prime, cut_along, parallelity_bundle, verify_claims
 from .curves import (PLCurve, algebraic_intersection, curve_h1_class, face_bound_check,
                      is_embedded, make_61_curve, verify_curve_bounds)
 from .geometry import GeometrizedSurface
-from .homology import first_homology, manifold_h1, solid_torus_candidate
+from .homology import first_homology, manifold_h1
 from .layered import family
 from .normal import NormalVector
 from .search import (SearchBudget, find_meridian_discs, minimal_complexity_disc,
@@ -115,14 +115,13 @@ def cmd_validate(args, report):
 def cmd_homology(args, report):
     tri = _load_tri(args.infile, report)
     h = first_homology(tri)
-    rep = solid_torus_candidate(tri)
     report.set("h1_rank", h.h1_rank)
     report.set("h1_torsion", list(h.h1_torsion))
     report.set("kernel_slope", str(h.boundary_map_kernel_slope)
                if h.boundary_map_kernel_slope else None)
     report.set("boundary_edge_cuts", {str(k): v for k, v in sorted(h.boundary_edge_cuts.items())})
     report.set("boundary_edge_slopes", {str(k): str(v) for k, v in sorted(h.boundary_edge_slopes.items())})
-    report.set("solid_torus_candidate", rep.candidate)
+    report.set("solid_torus_candidate", h.candidate)
     return EXIT_PASS
 
 

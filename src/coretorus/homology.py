@@ -7,27 +7,28 @@ boundary torus calibrated from the kernel of that map (the meridian is
 computed, never assumed).
 
 A 1-chain is a sparse {edge: coefficient} dict everywhere: the boundary of
-a boundary triangle, a cycle given to ``H1Group.class_of_cycle``, the cycle
-``representative_cycle`` returns, and the boundary curves of reconstructed
-surfaces.  d2 is given to ``H1Group`` as its rows: one sparse {2-cell:
-coefficient} dict per edge, built in one pass over the 2-cells.
+a boundary triangle, a cycle given to ``H1Group.class_of_cycle`` and the
+boundary curves of reconstructed surfaces.  d2 is given to ``H1Group`` as
+its rows: one sparse {2-cell: coefficient} dict per edge, built in one pass
+over the 2-cells.
 
 Each H1 group is one Smith normal form of its cotree presentation: d2
 restricted to the edges off a spanning forest of the 1-skeleton, with no
 kernel lattice and no solves.  The Smith normal form is computed on sparse
 rows and returns the diagonal and the log of its row operations; U, U^-1
-and V are never formed.  H1 replays from the log the few rows of U it
-reads, and the columns of U^-1 only on first use, one backward pass over
-the log each.  The pivot rule and operation order are those of the dense
-reduction kept in the tests as its oracle; the closing Euclid of two rows
-that share their one column runs on two integers and logs the same
-operations.  H1(M) and the calibration are computed once per triangulation
-object and kept with it.
+and V are never formed.  H1 replays from the log its coordinate rows of U,
+1-cocycles that read a class, one backward pass each, and drops the log.
+The pivot rule and operation order are those of the dense reduction kept
+in the tests as its oracle; the closing Euclid of two rows that share their
+one column runs on two integers and logs the same operations.  The map
+H1(bdry) -> H1(M) = Z is the free row phi of H1(M)'s U, which ``loop_cuts``
+reads too, pulled back to the boundary edges.  H1(M) and the calibration
+are computed once per triangulation object and kept with it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, wraps
+from functools import wraps
 from math import gcd
 
 from .slopes import Slope, normalize_slope
@@ -44,10 +45,10 @@ def smith_normal_form(rows, n):
     columns; zero entries are ignored.  Returns (factors, log): the m
     diagonal entries of D, 0 past the rank, and the row operations in order,
     each (i, j, c) for row_i += c * row_j, (i, j) for a swap or (i,) for a
-    negation, so U = E_k ... E_1; ``replay`` reads a row of U or a column of
-    U^-1 off the log.  U, U^-1 and V are never formed.  Each row of D is a
-    {column: entry} dict, and a column swap exchanges two entries of the
-    position <-> column permutation.  A row or column operation touches only
+    negation, so U = E_k ... E_1; ``replay`` reads a row of U off the log.
+    U, U^-1 and V are never formed.  Each row of D is a {column: entry}
+    dict, and a column swap exchanges two entries of the position <-> column
+    permutation.  A row or column operation touches only
     nonzeros, and a column operation only the rows that hold the pivot
     column.
     """
@@ -143,16 +144,14 @@ def smith_normal_form(rows, n):
     return [D[i][col[i]] for i in range(t)] + [0] * (m - t), log
 
 
-def replay(log, r, column=False):
-    """Row r of U = E_k ... E_1, or with ``column`` column r of U^-1 =
-    E_1^-1 ... E_k^-1, as a {index: entry} dict of its nonzeros, in
-    O(len(log)): both start from the unit vector e_r and read the log
-    backwards.  On a row, row_i += c * row_j does x[j] += c * x[i]; on a
-    column it does x[i] -= c * x[j]."""
+def replay(log, r):
+    """Row r of U = E_k ... E_1, as a {index: entry} dict of its nonzeros,
+    in O(len(log)): it starts from the unit vector e_r and reads the log
+    backwards, so row_i += c * row_j does x[j] += c * x[i]."""
     x = {r: 1}
     for op in reversed(log):
         if len(op) == 3:
-            i, j, c = (op[1], op[0], -op[2]) if column else op
+            i, j, c = op
             if i in x:
                 x[j] = x.get(j, 0) + c * x[i]
         elif len(op) == 2:                 # a swap
@@ -174,12 +173,12 @@ class H1Group:
     of the 1-skeleton (the cotree edges; the forest is the edges one
     breadth-first search finds its vertices by), so H1 is the cokernel of d2
     restricted to the cotree rows: one Smith normal form U A V = D of the
-    sparse cotree rows.  Only the diagonal is kept, with the coordinate rows
-    of U (those of the factors other than 1), each replayed from the
-    reduction's log as an {edge: entry} dict, so reading a class costs the
-    size of the cycle.  The coordinate columns of U^-1, which only
-    ``representative_cycle`` reads, are replayed on its first call; the log
-    is dropped then.
+    sparse cotree rows.  Only the diagonal is kept, with the forest (root
+    first, as ``forest``) and the coordinate rows of U (those of the factors
+    other than 1), each replayed once from the reduction's log as an {edge:
+    entry} dict; the log is dropped.  Each such row is 0 on the forest, and
+    on every 2-cell's boundary 0 modulo its factor (exactly 0 on a free
+    row, a 1-cocycle); reading a class costs the size of the cycle.
 
     Classes are canonical coordinate tuples: one residue per torsion factor,
     then one integer per free factor.
@@ -204,7 +203,7 @@ class H1Group:
                             seen.add(w)
                             layer.append(w)
                             order.append((w, e))
-        self._leaf_first = order[::-1]
+        self.forest = order                            # root first
         cotree = sorted(set(range(len(ends))).difference(e for _, e in order))
         excess = {}                                    # d1 d2, per (2-cell, vertex)
         for (tail, head), row in zip(ends, d2_rows):
@@ -215,34 +214,23 @@ class H1Group:
         if any(excess.values()):
             raise ValueError("d1*d2 != 0: not a chain complex")
         # factor: 0 free, 1 dead, d > 1 torsion
-        self.factor, self._log = smith_normal_form([d2_rows[e] for e in cotree], n_cells)
-        self._cotree = cotree                          # with the log, for _Uinv_cols
+        self.factor, log = smith_normal_form([d2_rows[e] for e in cotree], n_cells)
         self.rank = sum(1 for d in self.factor if d == 0)
         self.torsion = sorted(d for d in self.factor if d > 1)
         self.coord_index = [i for i, d in enumerate(self.factor) if d != 1]
-        self._U_rows = [{cotree[k]: x for k, x in replay(self._log, i).items()}
+        self._U_rows = [{cotree[k]: x for k, x in replay(log, i).items()}
                         for i in self.coord_index]
-
-    @cached_property
-    def _Uinv_cols(self):
-        """The coordinate columns of U^-1, over edges; the log is dropped."""
-        log, cotree = vars(self).pop("_log"), self._cotree
-        return [{cotree[k]: x for k, x in replay(log, i, True).items()} for i in self.coord_index]
-
-    def _d1(self, z):
-        """d1 of the chain z, as a {vertex: coefficient} dict of its nonzeros."""
-        out = {}
-        for e, c in z.items():
-            tail, head = self.ends[e]
-            if tail != head:                # a loop's boundary is 0
-                out[head] = out.get(head, 0) + c
-                out[tail] = out.get(tail, 0) - c
-        return {v: x for v, x in out.items() if x}
 
     def class_of_cycle(self, z):
         """Canonical coordinates of the 1-cycle z, an {edge: coefficient}
         chain."""
-        if self._d1(z):
+        d1 = {}
+        for e, c in z.items():
+            tail, head = self.ends[e]
+            if tail != head:                # a loop's boundary is 0
+                d1[head] = d1.get(head, 0) + c
+                d1[tail] = d1.get(tail, 0) - c
+        if any(d1.values()):
             raise ValueError("not a 1-cycle")
         out = []
         for i, row in zip(self.coord_index, self._U_rows):
@@ -250,23 +238,6 @@ class H1Group:
             d = self.factor[i]
             out.append(w % d if d > 1 else w)
         return tuple(out)
-
-    def representative_cycle(self, coords):
-        """A 1-cycle, as an {edge: coefficient} chain, whose class has the
-        given canonical coordinates."""
-        z = {}
-        for c, col in zip(coords, self._Uinv_cols):
-            for e, x in col.items():
-                z[e] = z.get(e, 0) + c * x
-        # fill the tree edges leaf-first so that d1 z = 0
-        excess = self._d1(z)
-        for v, e in self._leaf_first:
-            x = excess.get(v, 0)
-            tail, head = self.ends[e]
-            z[e] = x if v == tail else -x
-            w = head if v == tail else tail
-            excess[w] = excess.get(w, 0) + x
-        return {e: x for e, x in z.items() if x}
 
     @property
     def is_infinite_cyclic(self):
@@ -340,13 +311,30 @@ def _det2(a, b):
     return a[0] * b[1] - a[1] * b[0]
 
 
-def _manifold_image(bc, h1b, h1m, w):
-    """Image in H1(M) = Z of the class with boundary coordinates w."""
-    chain = {}
-    for i, x in h1b.representative_cycle(w).items():
-        be = bc.bedges[i]
-        chain[be.manifold_edge] = chain.get(be.manifold_edge, 0) + be.manifold_sign * x
-    return h1m.class_of_cycle(chain)[0]
+def _values_on_generators(h1, psi):
+    """The values (t1, t2) of the 1-cocycle psi, a list over edges, on the
+    generators of H1 = Z^2, whose coordinate rows of U are r1 and r2.
+
+    psi less the coboundary of its potential h along the forest is 0 on the
+    forest, as r1 and r2 are, and on a cotree edge it is psi of that edge's
+    fundamental cycle.  So t * (r1(e), r2(e)) = psi(e) - h(head) + h(tail)
+    on every edge: t is solved on two edges with independent rows by
+    Cramer's rule, and checked on every edge, which fails unless psi is a
+    cocycle."""
+    h = [0] * h1.n_vertices
+    for w, e in h1.forest:                 # root first: e's other end is set
+        tail, head = h1.ends[e]
+        h[w] = h[tail] + psi[e] if w == head else h[head] - psi[e]
+    r1, r2 = h1._U_rows
+    eqs = [((r1.get(e, 0), r2.get(e, 0)), psi[e] - h[head] + h[tail])
+           for e, (tail, head) in enumerate(h1.ends)]
+    a, y1 = next(eq for eq in eqs if eq[0] != (0, 0))
+    b, y2 = next(eq for eq in eqs if _det2(a, eq[0]))
+    d = _det2(a, b)
+    t = ((y1 * b[1] - a[1] * y2) // d, (a[0] * y2 - y1 * b[0]) // d)
+    if any(t[0] * r[0] + t[1] * r[1] != y for r, y in eqs):
+        raise ValueError("not a 1-cocycle")
+    return t
 
 
 @dataclass
@@ -401,7 +389,11 @@ def calibrate(tri) -> MeridianCalibration | None:
     if h1b.rank != 2 or h1b.torsion:
         return None
 
-    t1, t2 = (_manifold_image(bc, h1b, h1m, w) for w in ((1, 0), (0, 1)))
+    # phi, the free row of H1(M)'s U, is a 1-cocycle; pulled back to the
+    # boundary edges it evaluates H1(bdry) -> H1(M) = Z
+    phi = h1m._U_rows[0]
+    t1, t2 = _values_on_generators(
+        h1b, [be.manifold_sign * phi.get(be.manifold_edge, 0) for be in bc.bedges])
     if t1 == 0 and t2 == 0:
         return None
     g = gcd(t1, t2)
@@ -459,40 +451,21 @@ class HomologySummary:
     boundary_edge_cuts: dict          # manifold edge class -> meridian cuts
     boundary_edge_slopes: dict        # manifold edge class -> calibrated Slope
     calibration: MeridianCalibration | None
+    candidate: bool                   # a solid-torus candidate, on necessary conditions
 
 
 def first_homology(tri) -> HomologySummary:
+    """H1(M) and, where the boundary calibrates, what is read off the
+    calibration.  ``candidate`` is the solid-torus verdict on necessary
+    conditions: a calibrated torus boundary (so H1 = Z) and chi = 0."""
     h1 = manifold_h1(tri)
     cal = calibrate(tri)
+    candidate = cal is not None and tri.skeleton().euler_characteristic == 0
     if cal is None:
-        return HomologySummary(h1.rank, tuple(h1.torsion), None, {}, {}, None)
+        return HomologySummary(h1.rank, tuple(h1.torsion), None, {}, {}, None, candidate)
     cuts = loop_cuts(tri)
     slopes = {e: cal.boundary_edge_slope(e) for e in cal.edge_coords}
     mult, kernel_slope = cal.slope_of_coords(cal.kernel)
     assert mult == 1 and kernel_slope == Slope(0, 1)
     return HomologySummary(h1.rank, tuple(h1.torsion), kernel_slope,
-                           {e: cuts[e] for e in cal.edge_coords}, slopes, cal)
-
-
-@dataclass
-class SolidTorusReport:
-    boundary_is_single_torus: bool
-    euler_characteristic_zero: bool
-    h1_infinite_cyclic: bool
-    kernel_slope_defined: bool
-    candidate: bool
-
-
-def solid_torus_candidate(tri) -> SolidTorusReport:
-    """Necessary conditions only; a True verdict means 'candidate'."""
-    torus = tri.boundary_complex.is_single_torus
-    chi0 = tri.skeleton().euler_characteristic == 0
-    h1 = manifold_h1(tri)
-    cal = calibrate(tri) if torus and h1.is_infinite_cyclic else None
-    return SolidTorusReport(
-        boundary_is_single_torus=torus,
-        euler_characteristic_zero=chi0,
-        h1_infinite_cyclic=h1.is_infinite_cyclic,
-        kernel_slope_defined=cal is not None,
-        candidate=torus and chi0 and h1.is_infinite_cyclic and cal is not None,
-    )
+                           {e: cuts[e] for e in cal.edge_coords}, slopes, cal, candidate)

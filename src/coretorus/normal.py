@@ -41,9 +41,10 @@ component's crossing points, read at each edge class's representative slot
 (``EdgeClass.rep``), its Euler characteristic and its boundary curves with
 their slopes (computed homologically, by collapsing each curve to a loop of
 boundary edges, never by assuming minimal position).  The count-level Euler
-characteristic ``count_euler`` is kept beside them, not compared with them:
-for a matching vector the two sum the same crossings, arcs and pieces.  The
-surface keys its components and its transverse signs ``sigma`` by piece.
+characteristic ``count_euler`` is computed apart from the surface: for a
+matching vector it sums the same crossings, arcs and pieces as the
+surface's ``euler_total``.  The surface keys its components and its
+transverse signs ``sigma`` by piece.
 
 Boundary curves have one tracer, ``trace_boundary_arcs``.  Its input is
 corner counts, three per boundary triangle; it builds the boundary arcs,
@@ -357,7 +358,6 @@ class ReconstructedSurface:
     weight: int
     piece_count: int
     euler_total: int
-    euler_from_counts: int
     sigma: dict               # piece -> +1/-1 transverse orientation, if two-sided
 
     @property
@@ -437,8 +437,7 @@ def reconstruct(tri, v: NormalVector) -> ReconstructedSurface:
         orientable_by_component=orientable,
         boundary_curves_by_component=curves_by_component,
         weight=weight, piece_count=v.piece_count(),
-        euler_total=sum(euler_by_component), euler_from_counts=count_euler(tri, v),
-        sigma=sigma,
+        euler_total=sum(euler_by_component), sigma=sigma,
     )
 
 

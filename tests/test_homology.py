@@ -8,10 +8,11 @@ from hypothesis import assume, example, given, settings, strategies as st
 from coretorus import homology
 from coretorus.curves import make_61_curve
 from coretorus.homology import (H1Group, boundary_h1, calibrate, first_homology, loop_cuts,
-                                manifold_h1, smith_normal_form, solid_torus_candidate)
+                                manifold_h1, smith_normal_form)
 from coretorus.layered import BASE_T0_TEXT, family
 from coretorus.slopes import Slope, fib
-from coretorus.triangulation import Triangulation, TriangulationError, parse_tri, serialize_tri
+from coretorus.triangulation import (FACE_VERTICES, Triangulation, TriangulationError, parse_tri,
+                                     serialize_tri)
 
 import edge_class_oracle
 import vertex_class_oracle
@@ -32,6 +33,12 @@ COVER_PASS_TEXT = ("tets 3\n0: - 2:0312 1:1320 1:0123\n1: - - 0:3021 0:0123\n"
 # a solid torus whose v* is an annulus (found among seeded random 3-tet tables)
 ANNULUS_FLOOR_TEXT = ("tets 3\n0: 1:1302 - 2:3012 -\n1: 2:2031 0:2031 - 2:2103\n"
                       "2: - 0:1230 1:1302 1:2103\n")
+# chi = 0 and no calibration (both found among seeded random tables): a
+# closed manifold with H1 = Z/4, and one with a torus boundary and
+# H1 = Z + Z/2
+CLOSED_Z4_TEXT = "tets 1\n0: 0:2031 0:1302 0:1302 0:2031\n"
+TORSION_TORUS_TEXT = ("tets 3\n0: - 1:3210 2:3021 -\n1: 2:0132 - 0:3210 2:3201\n"
+                      "2: 1:0132 1:2310 0:1320 -\n")
 
 
 @given(st.lists(st.lists(st.integers(-9, 9), min_size=1, max_size=5),
@@ -64,13 +71,31 @@ def _matrices(entries):
         st.lists(entries, min_size=n, max_size=n), min_size=1, max_size=7))
 
 
+def _replay_column(log, r):
+    """Column r of U^-1 = E_1^-1 ... E_k^-1, as a {index: entry} dict of its
+    nonzeros: from the unit vector e_r, the log read backwards, where
+    row_i += c * row_j does x[i] -= c * x[j]."""
+    x = {r: 1}
+    for op in reversed(log):
+        if len(op) == 3:
+            i, j, c = op
+            if j in x:
+                x[i] = x.get(i, 0) - c * x[j]
+        elif len(op) == 2:                 # a swap
+            i, j = op
+            x[i], x[j] = x.get(j, 0), x.get(i, 0)
+        elif op[0] in x:                   # a negation
+            x[op[0]] = -x[op[0]]
+    return {k: v for k, v in x.items() if v}
+
+
 def _sparse_snf(rows):
     """The sparse reduction of a dense matrix, zero entries included: its
     diagonal, and every row of U and column of U^-1 replayed from its log."""
     factors, log = smith_normal_form([dict(enumerate(row)) for row in rows],
                                      len(rows[0]) if rows else 0)
     return (factors, [homology.replay(log, r) for r in range(len(rows))],
-            [homology.replay(log, r, column=True) for r in range(len(rows))])
+            [_replay_column(log, r) for r in range(len(rows))])
 
 
 @given(_matrices(st.integers(-9, 9)))
@@ -130,7 +155,16 @@ def test_ball_homology():
     h = first_homology(tri)
     assert h.h1_rank == 0 and not h.h1_torsion
     assert h.boundary_map_kernel_slope is None
-    assert not solid_torus_candidate(tri).candidate
+    assert not h.candidate
+
+
+def test_chi_zero_without_a_calibration_is_no_candidate():
+    for text, torsion in ((CLOSED_Z4_TEXT, (4,)), (TORSION_TORUS_TEXT, (2,))):
+        tri = parse_tri(text)
+        assert tri.skeleton().euler_characteristic == 0
+        h = first_homology(tri)
+        assert h.h1_torsion == torsion
+        assert h.calibration is None and not h.candidate
 
 
 def test_solid_torus_homology():
@@ -142,13 +176,19 @@ def test_solid_torus_homology():
     assert sorted(h.boundary_edge_cuts.values()) == [1, 2, 3]
     assert sorted(str(s) for s in h.boundary_edge_slopes.values()) == \
         ["(1,0)", "(2,1)", "(3,1)"]
-    assert solid_torus_candidate(tri).candidate
+    assert h.candidate
 
 
 def test_boundary_h1_of_torus_is_z2():
     tri = parse_tri(BASE_T0_TEXT)
     h1b = boundary_h1(tri.boundary_complex)
     assert h1b.rank == 2 and not h1b.torsion
+
+
+def _pulled_back(tri):
+    """psi: the free row of H1(M)'s U, a 1-cocycle, on the boundary edges."""
+    phi = manifold_h1(tri)._U_rows[0]
+    return [be.manifold_sign * phi.get(be.manifold_edge, 0) for be in tri.boundary_complex.bedges]
 
 
 def test_calibration_meridian_class():
@@ -159,31 +199,113 @@ def test_calibration_meridian_class():
     assert mult == 1 and s == Slope(0, 1)
     assert cal.is_meridian_class(cal.kernel)
     assert not cal.is_meridian_class(cal.lam)
-    # the kernel really does die in H1(M)
-    groups = (tri.boundary_complex, cal.h1_bdry, manifold_h1(tri))
-    assert homology._manifold_image(*groups, cal.kernel) == 0
-    assert homology._manifold_image(*groups, cal.lam) in (1, -1)
+    # the kernel really does die in H1(M), and lam maps to a generator
+    t = homology._values_on_generators(cal.h1_bdry, _pulled_back(tri))
+    assert t[0] * cal.kernel[0] + t[1] * cal.kernel[1] == 0
+    assert t[0] * cal.lam[0] + t[1] * cal.lam[1] in (1, -1)
 
 
-def _assert_roundtrip(h1, rng, rounds=20):
+def test_a_psi_that_is_not_a_cocycle_is_rejected():
+    # one boundary edge's value moved by 1: a triangle's boundary is no
+    # longer 0, and some edge's equation fails
+    for text in (BASE_T0_TEXT, TWO_VERTEX_TEXT):
+        tri = parse_tri(text)
+        h1b = boundary_h1(tri.boundary_complex)
+        for e in range(len(h1b.ends)):
+            psi = _pulled_back(tri)
+            psi[e] += 1
+            with pytest.raises(ValueError, match="not a 1-cocycle"):
+                homology._values_on_generators(h1b, psi)
+
+
+def _face_boundaries(tri):
+    """Each face class's boundary, an {edge class: coefficient} chain."""
+    out = []
+    for t, f in (slots[0] for slots in tri.face_classes):
+        a, b, c = FACE_VERTICES[f]
+        z = {}
+        for d in ((a, b), (b, c), (c, a)):
+            e, rep = tri.class_direction[(t, d)]
+            z[e] = z.get(e, 0) + (1 if rep == d else -1)
+        out.append(z)
+    return out
+
+
+def _triangle_boundaries(bc):
+    return [bc.triangle_boundary_chain(i) for i in range(len(bc.triangles))]
+
+
+def _fundamental_cycles(h1):
+    """Each edge off the forest, closed by the forest path from its head
+    back to its tail."""
+    up = {}                        # vertex -> a chain from it to its root
+    for w, e in h1.forest:
+        tail, head = h1.ends[e]
+        v, x = (tail, -1) if w == head else (head, 1)
+        up[w] = dict(up.get(v, {}))
+        up[w][e] = x
+    tree = {e for _, e in h1.forest}
+    cycles = []
+    for e, (tail, head) in enumerate(h1.ends):
+        if e not in tree:
+            z = {e: 1}
+            for chain, sign in ((up.get(head, {}), 1), (up.get(tail, {}), -1)):
+                for k, x in chain.items():
+                    z[k] = z.get(k, 0) + sign * x
+            cycles.append({k: x for k, x in z.items() if x})
+    return cycles
+
+
+def _assert_roundtrip(h1, boundaries, rng, rounds=20, psis=()):
+    """Every 2-cell boundary has class 0.  Where H1 = Z^2, t is recovered
+    from the cocycle psi = t * (r1, r2) + dh for random t and potentials h,
+    and each cocycle psi, those and ``psis``, has psi(z) = t * [z] on random
+    integer sums z of fundamental cycles."""
+    zero = (0,) * len(h1.coord_index)
+    for z in boundaries:
+        assert h1.class_of_cycle(z) == zero
+    if h1.rank != 2 or h1.torsion:
+        return
+    r1, r2 = h1._U_rows
+    cycles, psis = _fundamental_cycles(h1), list(psis)
     for _ in range(rounds):
-        coords = tuple(rng.randrange(h1.factor[i]) if h1.factor[i] else rng.randint(-3, 3)
-                       for i in h1.coord_index)
-        z = h1.representative_cycle(list(coords))
-        assert h1.class_of_cycle(z) == coords
+        t = (rng.randint(-3, 3), rng.randint(-3, 3))
+        h = [rng.randint(-3, 3) for _ in range(h1.n_vertices)]
+        psi = [t[0] * r1.get(e, 0) + t[1] * r2.get(e, 0) + h[head] - h[tail]
+               for e, (tail, head) in enumerate(h1.ends)]
+        assert homology._values_on_generators(h1, psi) == t
+        psis.append(psi)
+    for psi in psis:
+        t = homology._values_on_generators(h1, psi)
+        for _ in range(rounds):
+            z = {}
+            for cycle in cycles:
+                k = rng.randint(-2, 2)
+                for e, x in cycle.items():
+                    z[e] = z.get(e, 0) + k * x
+            w = h1.class_of_cycle(z)
+            assert sum(psi[e] * x for e, x in z.items()) == t[0] * w[0] + t[1] * w[1]
 
 
 def test_class_of_cycle_roundtrip():
     tri = parse_tri(BASE_T0_TEXT)
-    _assert_roundtrip(manifold_h1(tri), random.Random(7))
+    _assert_roundtrip(manifold_h1(tri), _face_boundaries(tri), random.Random(7))
 
 
 def test_class_of_cycle_roundtrip_through_a_spanning_tree():
-    # two boundary vertices: one boundary edge is a tree edge, filled in by
-    # representative_cycle and checked by class_of_cycle
-    h1b = boundary_h1(parse_tri(TWO_VERTEX_TEXT).boundary_complex)
+    # two boundary vertices: one boundary edge is a tree edge, which the
+    # potential zeroes and which closes a fundamental cycle
+    tri = parse_tri(TWO_VERTEX_TEXT)
+    bc = tri.boundary_complex
+    h1b = boundary_h1(bc)
     assert h1b.n_vertices == 2 and h1b.rank == 2 and not h1b.torsion
-    _assert_roundtrip(h1b, random.Random(3))
+    assert len(h1b.forest) == 1
+    _assert_roundtrip(h1b, _triangle_boundaries(bc), random.Random(3), psis=[_pulled_back(tri)])
+    # a hexagon with a chord: H1 = Z^2, and the forest reaches 2 and 4
+    # through 1 and 5, so the potential must be walked root first
+    hexagon = H1Group([(k, (k + 1) % 6) for k in range(6)] + [(0, 3)], [{}] * 7, 0)
+    assert [w for w, _ in hexagon.forest] == [1, 5, 3, 2, 4]
+    _assert_roundtrip(hexagon, [], random.Random(5))
 
 
 def test_h1_group_rejects_a_non_chain_complex():
@@ -249,9 +371,12 @@ def test_class_of_cycle_roundtrip_on_random_tables(table):
     tri = _valid(table)
     assume(tri is not None)
     rng = random.Random(len(tri.edge_classes))
-    _assert_roundtrip(manifold_h1(tri), rng, rounds=5)
-    if tri.boundary_complex.triangles:
-        _assert_roundtrip(boundary_h1(tri.boundary_complex), rng, rounds=5)
+    h1m = manifold_h1(tri)
+    _assert_roundtrip(h1m, _face_boundaries(tri), rng, rounds=5)
+    bc = tri.boundary_complex
+    if bc.triangles:
+        psis = [_pulled_back(tri)] if h1m.is_infinite_cyclic else []
+        _assert_roundtrip(boundary_h1(bc), _triangle_boundaries(bc), rng, rounds=5, psis=psis)
 
 
 def test_two_vertex_boundary_calibrates():
@@ -263,7 +388,7 @@ def test_two_vertex_boundary_calibrates():
     assert h.calibration is not None
     assert h.boundary_map_kernel_slope == Slope(0, 1)
     assert h.boundary_edge_cuts and len(h.boundary_edge_cuts) < len(tri.boundary_complex.bedges)
-    assert solid_torus_candidate(tri).candidate
+    assert h.candidate
 
 
 def test_homology_is_computed_once_per_triangulation(monkeypatch):
@@ -276,7 +401,7 @@ def test_homology_is_computed_once_per_triangulation(monkeypatch):
 
     monkeypatch.setattr(homology, "smith_normal_form", counted)
     first_homology(lt.tri)
-    solid_torus_candidate(lt.tri)
+    first_homology(lt.tri)
     make_61_curve(lt)
     # one reduction for H1(M) and one for H1(bdry), however many of these
     # ask for them
@@ -290,24 +415,28 @@ def test_homology_is_computed_once_per_triangulation(monkeypatch):
     assert len(calls) == 4
 
 
-def test_columns_of_u_inverse_are_replayed_only_when_read(monkeypatch):
-    # H1(M) replays its one coordinate row of U, and H1(bdry) its two rows
-    # and, for the calibration's representative cycles, its two columns of
-    # U^-1; H1(M)'s column is replayed when a cycle of it is first asked for
-    calls, replay = [], homology.replay
+def test_h1_groups_replay_only_their_coordinate_rows_and_keep_no_log(monkeypatch):
+    # H1(M) replays its one coordinate row of U and H1(bdry) its two, once
+    # each, and neither keeps its reduction's log
+    rows, logs = [], []
+    replay, snf = homology.replay, homology.smith_normal_form
 
-    def counted(log, r, column=False):
-        calls.append(column)
-        return replay(log, r, column)
+    def counted(log, r):
+        rows.append(r)
+        return replay(log, r)
+
+    def logged(matrix, n):
+        factors, log = snf(matrix, n)
+        logs.append(log)
+        return factors, log
 
     tri = family(10).tri
     monkeypatch.setattr(homology, "replay", counted)
-    first_homology(tri)
-    assert calls == [False, False, False, True, True]
-    h1m = manifold_h1(tri)
-    for c in (1, -1, 3, 0):
-        assert h1m.class_of_cycle(h1m.representative_cycle((c,))) == (c,)
-    assert calls == [False, False, False, True, True, True]
+    monkeypatch.setattr(homology, "smith_normal_form", logged)
+    h = first_homology(tri)
+    assert len(rows) == 3 and len(logs) == 2 and h.candidate
+    for group in (manifold_h1(tri), h.calibration.h1_bdry):
+        assert not any(x is log for x in vars(group).values() for log in logs)
 
 
 def _seeded_table(rng):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from coretorus import layered, search
 from coretorus.bundle import cut_along
-from coretorus.homology import first_homology, solid_torus_candidate
+from coretorus.homology import first_homology
 from coretorus.layered import LayeredTriangulation, base_t0, family, layer
 from coretorus.slopes import Slope, SlopeTriple, slope_seq
 from coretorus.triangulation import Triangulation, parse_tri, serialize_tri
@@ -22,7 +22,7 @@ def test_base_t0(homology_of, fam):
     assert bc.is_single_torus and len(bc.vertex_classes) == 1
     h = homology_of(0)
     assert h.boundary_map_kernel_slope == Slope(0, 1)
-    assert solid_torus_candidate(lt.tri).candidate
+    assert first_homology(lt.tri).candidate
 
 
 def test_layer_step_slopes(fam):
@@ -199,7 +199,7 @@ def test_family_invariants(fam, homology_of):
         assert set(lt.boundary_slopes.values()) == want
         bc = lt.tri.boundary_complex
         assert bc.is_single_torus and len(bc.vertex_classes) == 1
-        assert solid_torus_candidate(lt.tri).candidate
+        assert first_homology(lt.tri).candidate
 
 
 def test_cut_numbers_follow_labels(fam, homology_of):
@@ -219,7 +219,7 @@ def test_backtracking_layering_returns_triple(fam):
     assert set(lt2.boundary_slopes.values()) == \
         {slope_seq(0), slope_seq(1), slope_seq(2)}
     assert lt2.tri.tet_count == 3
-    assert solid_torus_candidate(lt2.tri).candidate
+    assert first_homology(lt2.tri).candidate
 
 
 def test_history_records_moves(fam):

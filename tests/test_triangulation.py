@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 import edge_class_oracle
 import skeleton_oracle
 import vertex_class_oracle
-from coretorus.homology import first_homology, solid_torus_candidate
+from coretorus.homology import first_homology
 from coretorus.layered import BASE_T0_TEXT
 from coretorus.triangulation import (ParseError, Triangulation, TriangulationError,
                                      parse_tri, perm_inverse, serialize_tri, two_colour)
@@ -172,7 +172,6 @@ def test_valid_gluing_tables_go_through_homology(table):
     except TriangulationError:
         return
     first_homology(tri)
-    solid_torus_candidate(tri)
     sign = tri.orientation
     for t in range(tri.tet_count):
         for g in tri.gluings[t]:
