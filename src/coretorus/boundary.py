@@ -122,23 +122,6 @@ class BoundaryComplex:
             raise TriangulationError("boundary surface is not orientable")
         return sign
 
-    def component_summary(self):
-        """Per component: triangle count, vertex/edge counts, Euler char."""
-        out = []
-        for comp in self.components:
-            tris = set(comp)
-            verts = {self.vertex_class_of[(i, v)] for i in tris
-                     for v in FACE_VERTICES[self.triangles[i][1]]}
-            edges = {self.bedge_of_side[(i, k)] for i in tris for k in range(3)}
-            chi = len(verts) - len(edges) + len(tris)
-            out.append({
-                "triangles": len(tris),
-                "vertices": len(verts),
-                "edges": len(edges),
-                "euler": chi,
-            })
-        return out
-
     @property
     def is_single_torus(self):
         if not self.triangles or len(self.components) != 1:

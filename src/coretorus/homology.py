@@ -50,20 +50,34 @@ def smith_normal_form(rows, n):
     dict, and a column swap exchanges two entries of the position <-> column
     permutation.  A row or column operation touches only
     nonzeros, and a column operation only the rows that hold the pivot
-    column.
+    column.  ``last[c]`` bounds from above the rows that hold column c: a
+    row add or a row swap that puts c into a row further down raises it,
+    and a column operation puts c only into rows whose row add has just
+    raised it, so clearing the pivot column scans the rows up to
+    ``last[piv]``, not all of them.  The pivot is the first entry of least
+    absolute value in row-major order, found by a plain loop over the
+    nonzeros; that rule and the order of the operations are those of the
+    dense reduction in the tests, which pins the factors and the log.
     """
     m = len(rows)
     D = [{c: x for c, x in row.items() if x} for row in rows]
     col, pos = list(range(n)), list(range(n))
     log = []
+    last = [-1] * n
+    for i, row in enumerate(D):
+        for c in row:
+            last[c] = i
 
     def row_add(i, j, c):          # row_i += c * row_j, dropping what cancels
+        Di = D[i]
         for k, x in D[j].items():
-            s = D[i].get(k, 0) + c * x
+            s = Di.get(k, 0) + c * x
             if s:
-                D[i][k] = s
+                Di[k] = s
+                if last[k] < i:
+                    last[k] = i
             else:
-                del D[i][k]
+                del Di[k]
         log.append((i, j, c))
 
     t = 0
@@ -87,23 +101,27 @@ def smith_normal_form(rows, n):
             D[t][c] = a
             t = u
             break
-        # the first entry of least absolute value in row-major order; a unit
-        # is such an entry, so the scan stops at the first one.  The rows
-        # from t on have no entry left of position t.
-        pivot, least = None, None
-        for i in range(t, m):
-            if D[i]:
-                a, j = min((abs(x), pos[c]) for c, x in D[i].items())
-                if least is None or a < least:
-                    pivot, least = (i, j), a
-                    if a == 1:
-                        break
-        if pivot is None:
+        # the first entry of least absolute value in row-major order: a
+        # later row wins only with a smaller entry, a later entry of the same
+        # row with an equal one at a smaller position.  A unit is least, so
+        # the scan stops after the row holding the first one.  The rows from
+        # t on have no entry left of position t.
+        i = j = least = None
+        for r in range(t, m):
+            for c, x in D[r].items():
+                a = x if x > 0 else -x
+                if least is None or a < least or (a == least and r == i and pos[c] < j):
+                    i, j, least = r, pos[c], a
+            if least == 1:
+                break
+        if i is None:
             break
-        i, j = pivot
         if i != t:
             D[t], D[i] = D[i], D[t]
             log.append((t, i))
+            for c in D[i]:
+                if last[c] < i:
+                    last[c] = i
         if j != t:
             col[t], col[j] = col[j], col[t]
             pos[col[t]], pos[col[j]] = t, j
@@ -114,7 +132,7 @@ def smith_normal_form(rows, n):
             log.append((t,))
         d = row[piv]
         clean, holders = True, [t]
-        for i in range(t + 1, m):
+        for i in range(t + 1, last[piv] + 1):
             if piv in D[i]:
                 row_add(i, t, -(D[i][piv] // d))
                 if piv in D[i]:
@@ -263,16 +281,21 @@ def _per_triangulation(build):
     return memoised
 
 
+# each face's three sides, directed around its (a, b, c) cycle
+_FACE_CYCLES = tuple(((a, b), (b, c), (c, a)) for a, b, c in FACE_VERTICES)
+
+
 @_per_triangulation
 def manifold_h1(tri) -> H1Group:
     vc, direction = tri.vertex_class_of, tri.class_direction
     ends = [(vc[(t, p)], vc[(t, q)]) for t, (p, q) in (ec.rep for ec in tri.edge_classes)]
     rows = [{} for _ in ends]
-    for k, (t, f) in enumerate(slots[0] for slots in tri.face_classes):
-        a, b, c = FACE_VERTICES[f]
-        for d in ((a, b), (b, c), (c, a)):
+    for k, slots in enumerate(tri.face_classes):
+        t, f = slots[0]
+        for d in _FACE_CYCLES[f]:
             e, rep = direction[(t, d)]
-            rows[e][k] = rows[e].get(k, 0) + (1 if rep == d else -1)
+            row = rows[e]
+            row[k] = row.get(k, 0) + (1 if rep == d else -1)
     return H1Group(ends, rows, len(tri.face_classes))
 
 

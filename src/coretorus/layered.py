@@ -142,11 +142,14 @@ def family(i: int) -> LayeredTriangulation:
     """
     if i < 0:
         raise ValueError("family index must be nonnegative")
-    gluings = [([(k + 1, p) for p in _UP] if k < i else [None, None])
-               + [(max(k - 1, 0), p) for p in (_DOWN if k else _FOLD)] for k in range(i + 1)]
-    s = [slope_seq(0)]                  # s_{k+1} = (x + y, x) from s_k = (x, y)
-    for _ in range(i + 2):
-        s.append(Slope(s[-1].x + s[-1].y, s[-1].x))
+    (u0, u1), (d0, d1) = _UP, _DOWN
+    gluings = [[(k + 1, u0), (k + 1, u1), (k - 1, d0), (k - 1, d1)] for k in range(i + 1)]
+    gluings[0][2:] = [(0, p) for p in _FOLD]
+    gluings[i][:2] = [None, None]
+    s, x, y = [], 1, 0                  # s_0 = (1, 0); s_{k+1} = (x + y, x) from s_k = (x, y)
+    for _ in range(i + 3):
+        s.append(Slope(x, y))
+        x, y = x + y, x
     slots = {s[i]: (i, (0, 3)), s[i + 1]: (i, (0, 2)), s[i + 2]: (i, (2, 3))}
     history = [(k, s[k], s[k + 3]) for k in range(i)]
     lt = _labeled(Triangulation(gluings), slots, [(k, (0, 3)) for k in range(i)], history)

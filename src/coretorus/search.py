@@ -377,7 +377,13 @@ def _enumerate_raw(tri, budget):
             stack_rows.pop()
             stack_pieces.pop()
 
-    yield from dfs(0, 0, 0)
+    try:
+        yield from dfs(0, 0, 0)
+    finally:
+        # dfs and fill call themselves through their closure cells; emptying
+        # the cells breaks those cycles, so the triangulation and all that
+        # is kept with it are freed by reference counting
+        dfs = fill = None
 
 
 # -- meridian discs ----------------------------------------------------------

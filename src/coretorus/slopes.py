@@ -135,33 +135,41 @@ def elementary_move(t: SlopeTriple, removed: Slope) -> SlopeTriple:
     return SlopeTriple({a, b, inserted})
 
 
+def _fib_pair(n):
+    """(fib(n), fib(n + 1)) for n >= 0, by doubling over the bits of n:
+    fib(2k) = fib(k) (2 fib(k+1) - fib(k)), fib(2k+1) = fib(k)^2 + fib(k+1)^2."""
+    a, b = 0, 1
+    for bit in bin(n)[2:]:
+        a, b = a * (2 * b - a), a * a + b * b
+        if bit == "1":
+            a, b = b, a + b
+    return a, b
+
+
 def fib(n: int) -> int:
     """Fibonacci numbers with fib(0) = 0, fib(1) = 1, any integer index."""
     if n < 0:
         f = fib(-n)
         return -f if n % 2 == 0 else f
-    a, b = 0, 1
-    for _ in range(n):
-        a, b = b, a + b
-    return a
+    return _fib_pair(n)[0]
 
 
 def lucas(n: int) -> int:
-    """Lucas numbers, lucas(0) = 2, lucas(1) = 1, any integer index."""
+    """Lucas numbers, lucas(0) = 2, lucas(1) = 1, any integer index:
+    lucas(n) = fib(n - 1) + fib(n + 1) = 2 fib(n + 1) - fib(n)."""
     if n < 0:
         v = lucas(-n)
         return v if n % 2 == 0 else -v
-    a, b = 2, 1
-    for _ in range(n):
-        a, b = b, a + b
-    return a
+    a, b = _fib_pair(n)
+    return 2 * b - a
 
 
 def slope_seq(i: int) -> Slope:
     """The i-th slope of the layered family: s_i = (fib(i+1), fib(i))."""
     if i < 0:
         raise ValueError("slope sequence starts at index 0")
-    return Slope(fib(i + 1), fib(i))
+    a, b = _fib_pair(i)
+    return Slope(b, a)
 
 
 def golden_power_cmp(value, k: int) -> int:

@@ -14,7 +14,10 @@ tetrahedron relation whose ``two_colour`` gives the orientation, and the three
 corner relations whose ``two_colour`` components are the vertex classes.
 Each edge class is found by walking its link (``link_walk``) from its least
 slot, and the other way too when the walk ends on the boundary.  A walk step
-carries the directed edge across a glued face, so the walks give
+carries the directed edge across a glued face; every directed edge a walk
+records, and the reverse ``_edge_classes`` files beside it, is one of the
+twelve shared tuples of ``_DIRECTED``, so a sector or a slot key makes no
+new edge tuple.  The walks give
 ``Triangulation.class_direction``, the one signed-edge table: each directed
 edge slot maps to its class and to the slot's edge directed as the class
 representative.  A slot that comes back reversed is an edge identified with
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations
+from itertools import permutations, product
 
 FACE_VERTICES = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
 EDGE_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -55,6 +58,10 @@ def perm_inverse(p):
     return _PERMS[tuple(p)][0]
 
 
+# the twelve directed edges, one tuple each: _DIRECTED[u][v] is (u, v)
+_DIRECTED = tuple(tuple((u, v) if u != v else None for v in range(4)) for u in range(4))
+
+
 def two_colour(nodes, relations):
     """Signs +1/-1 with ``sign[b] == sign[a] * rel`` for each ``(a, b, rel)``.
 
@@ -62,28 +69,40 @@ def two_colour(nodes, relations):
     and the rest follow a depth-first spanning tree.  Returns ``(sign,
     components)``, where ``components`` lists ``(members, consistent)`` in
     order of first node, members in ``nodes`` order, and ``consistent`` says
-    whether every relation inside the component holds.
+    whether every relation inside the component holds.  ``sign`` holds the
+    nodes in the order the search reaches them, so each component is a run
+    of its keys.  A lone component's members are all the nodes, in order;
+    only with more than one does each node get its component, to list the
+    members.
     """
     adj = {x: [] for x in nodes}
     for a, b, rel in relations:
         adj[a].append((b, rel))
         adj[b].append((a, rel))
-    sign, comp_of, consistent = {}, {}, []
+    sign, starts, consistent = {}, [], []
+    get = sign.get
     for start in adj:
         if start in sign:
             continue
-        c = len(consistent)
-        consistent.append(True)
-        sign[start], comp_of[start] = 1, c
-        stack = [start]
+        starts.append(len(sign))
+        sign[start], ok, stack = 1, True, [start]
         while stack:
             a = stack.pop()
+            s = sign[a]
             for b, rel in adj[a]:
-                if b not in sign:
-                    sign[b], comp_of[b] = sign[a] * rel, c
+                sb = get(b)
+                if sb is None:
+                    sign[b] = s * rel
                     stack.append(b)
-                elif sign[b] != sign[a] * rel:
-                    consistent[c] = False
+                elif sb != s * rel:
+                    ok = False
+        consistent.append(ok)
+    if len(consistent) == 1:
+        return sign, [(list(adj), consistent[0])]
+    reached, comp_of = list(sign), {}
+    for c, (lo, hi) in enumerate(zip(starts, starts[1:] + [len(reached)])):
+        for x in reached[lo:hi]:
+            comp_of[x] = c
     members = [[] for _ in consistent]
     for x in adj:
         members[comp_of[x]].append(x)
@@ -115,7 +134,7 @@ class Triangulation:
     """Immutable after construction; all derived data is cached and read-only."""
 
     def __init__(self, gluings):
-        table = []
+        table, n = [], len(gluings)
         for t, faces in enumerate(gluings):
             if len(faces) != 4:
                 raise TriangulationError(f"tetrahedron {t} needs exactly 4 face entries")
@@ -125,12 +144,14 @@ class Triangulation:
                     row.append(None)
                     continue
                 t2, perm = g
-                perm = tuple(perm)
+                if type(g) is not tuple or type(perm) is not tuple:    # else kept as given
+                    perm = tuple(perm)
+                    g = (t2, perm)
                 if perm not in _PERMS:
                     raise TriangulationError(f"face ({t},{f}): {perm} is not a permutation")
-                if not 0 <= t2 < len(gluings):
+                if not 0 <= t2 < n:
                     raise TriangulationError(f"face ({t},{f}) glued to missing tetrahedron {t2}")
-                row.append((t2, perm))
+                row.append(g)
             table.append(tuple(row))
         self.gluings = tuple(table)
         self.tet_count = len(table)
@@ -158,13 +179,13 @@ class Triangulation:
                 if gluings[t2][f2] != (t, inverse):
                     raise TriangulationError(
                         f"gluing of face ({t},{f}) to ({t2},{f2}) is not an involution")
-                if (t, f) < (t2, f2):
+                if t < t2 or t == t2 and f < f2:
                     faces.append(((t, f), (t2, f2)))
                     tet_relations.append((t, t2, -sign))
                     a, b, c = FACE_VERTICES[f]
-                    corner_relations += ((4 * t + a, 4 * t2 + perm[a], 1),
-                                         (4 * t + b, 4 * t2 + perm[b], 1),
-                                         (4 * t + c, 4 * t2 + perm[c], 1))
+                    x, y = 4 * t, 4 * t2
+                    corner_relations += ((x + a, y + perm[a], 1), (x + b, y + perm[b], 1),
+                                         (x + c, y + perm[c], 1))
         # raises if an edge is identified with its reverse
         self.edge_classes, self.class_direction, self.edge_walks = self._edge_classes()
         sign, components = two_colour(range(self.tet_count), tet_relations)
@@ -192,34 +213,35 @@ class Triangulation:
         walk starts from the least (tet, sorted edge, face) of the two ends
         of its link, the boundary faces where the two half-walks stop, with
         the edge directed (u, v), u < v."""
-        classes, direction, walks = [], {}, []
+        gluings, directed, classes, direction, walks = self.gluings, _DIRECTED, [], {}, []
+        setdefault = direction.setdefault
         for t in range(self.tet_count):
-            # the faces holding edge (u, v) are the two other vertices' opposites
-            for (u, v), (f, f_back) in zip(EDGE_PAIRS, EDGE_PAIRS[::-1]):
-                if (t, (u, v)) in direction:
+            # the faces holding edge d are the two other vertices' opposites
+            for d, (f, f_back) in zip(EDGE_PAIRS, EDGE_PAIRS[::-1]):
+                if (t, d) in direction:
                     continue
                 idx = len(classes)
-                walk = link_walk(self.gluings, t, (u, v), f)
-                sectors = walk["sectors"]
-                if walk["boundary"]:
-                    back = link_walk(self.gluings, t, (u, v), f_back)["sectors"]
-                    ends = [(t2, tuple(sorted(d)), f_out)
-                            for t2, d, _, f_out in (sectors[-1], back[-1])]
+                walk = link_walk(gluings, t, d, f)
+                sectors, boundary = walk["sectors"], walk["boundary"]
+                if boundary:
+                    back = link_walk(gluings, t, d, f_back)["sectors"]
+                    ends = [(t2, e if e[0] < e[1] else directed[e[1]][e[0]], f_out)
+                            for t2, e, _, f_out in (sectors[-1], back[-1])]
                     sectors = sectors + back
                 slots = []
-                for t2, d, _, _ in sectors:
-                    key = (t2, d)
-                    got = direction.get(key)
-                    if got is None:
-                        rev = (t2, d[::-1])
-                        direction[key] = direction[rev] = (idx, d)
-                        slots.append(key if d[0] < d[1] else rev)
-                    elif got[1] != d:
+                for t2, e, _, _ in sectors:
+                    key, got = (t2, e), (idx, e)
+                    if setdefault(key, got) is got:         # a new slot
+                        p, q = e
+                        rev = (t2, directed[q][p])
+                        direction[rev] = got
+                        slots.append(key if p < q else rev)
+                    elif direction[key][1] != e:
                         raise TriangulationError(
-                            f"edge {(t, (u, v))} is identified with itself reversing orientation")
+                            f"edge {(t, d)} is identified with itself reversing orientation")
                 slots.sort()
-                walks.append(link_walk(self.gluings, *min(ends)) if walk["boundary"] else walk)
-                classes.append(EdgeClass(idx, slots, slots[0], walk["boundary"]))
+                walks.append(link_walk(gluings, *min(ends)) if boundary else walk)
+                classes.append(EdgeClass(idx, slots, slots[0], boundary))
         return classes, direction, walks
 
     @cached_property
@@ -230,7 +252,10 @@ class Triangulation:
         which are dropped once read."""
         relations = vars(self).pop("_corner_relations")
         _, components = two_colour(range(4 * self.tet_count), relations)
-        return [[divmod(x, 4) for x in members] for members, _ in components]
+        corners = list(product(range(self.tet_count), range(4)))      # corner 4t + v
+        if len(components) == 1:                                      # all of them, in order
+            return [corners]
+        return [[corners[x] for x in members] for members, _ in components]
 
     @cached_property
     def vertex_class_of(self):
@@ -284,9 +309,10 @@ def link_walk(gluings, t, d, f_in):
     u, v = d
     f_out = 6 - u - v - f_in             # the other face of t containing d
     t0, u0, v0, f0 = t, u, v, f_in
-    sectors = []
+    directed, sectors = _DIRECTED, []
+    append = sectors.append
     while True:
-        sectors.append((t, (u, v), f_in, f_out))
+        append((t, directed[u][v], f_in, f_out))
         g = gluings[t][f_out]
         if g is None:
             return {"boundary": True, "sectors": sectors}

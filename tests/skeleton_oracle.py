@@ -9,9 +9,16 @@ order: every slot's involution check first, then the edge classes (which
 raise where an edge comes back reversed), then the orientation.  Tests
 assert that the one pass gives the same lists and the same error text.
 ``perm_sign`` reads a permutation's sign off the table validation uses.
+
+``two_colour_oracle`` is ``two_colour`` as it was before it read each sign
+once and returned a lone component without a per-node component map; a
+property test asserts that both give the same signs and components.
+``component_summary`` counts each boundary component's cells, which only the
+tests read.
 """
 import edge_class_oracle
-from coretorus.triangulation import _PERMS, TriangulationError, perm_inverse, two_colour
+from coretorus.triangulation import (_PERMS, FACE_VERTICES, TriangulationError, perm_inverse,
+                                     two_colour)
 
 
 def perm_sign(p):
@@ -75,3 +82,50 @@ def validate(gluings):
     check_involution(gluings)
     edge_class_oracle.edge_classes(gluings)
     orientation(gluings)
+
+
+def two_colour_oracle(nodes, relations):
+    """``two_colour`` with a component index for every node."""
+    adj = {x: [] for x in nodes}
+    for a, b, rel in relations:
+        adj[a].append((b, rel))
+        adj[b].append((a, rel))
+    sign, comp_of, consistent = {}, {}, []
+    for start in adj:
+        if start in sign:
+            continue
+        c = len(consistent)
+        consistent.append(True)
+        sign[start], comp_of[start] = 1, c
+        stack = [start]
+        while stack:
+            a = stack.pop()
+            for b, rel in adj[a]:
+                if b not in sign:
+                    sign[b], comp_of[b] = sign[a] * rel, c
+                    stack.append(b)
+                elif sign[b] != sign[a] * rel:
+                    consistent[c] = False
+    members = [[] for _ in consistent]
+    for x in adj:
+        members[comp_of[x]].append(x)
+    return sign, list(zip(members, consistent))
+
+
+def component_summary(bc):
+    """Per component of the boundary complex ``bc``: triangle count,
+    vertex/edge counts, Euler char."""
+    out = []
+    for comp in bc.components:
+        tris = set(comp)
+        verts = {bc.vertex_class_of[(i, v)] for i in tris
+                 for v in FACE_VERTICES[bc.triangles[i][1]]}
+        edges = {bc.bedge_of_side[(i, k)] for i in tris for k in range(3)}
+        chi = len(verts) - len(edges) + len(tris)
+        out.append({
+            "triangles": len(tris),
+            "vertices": len(verts),
+            "edges": len(edges),
+            "euler": chi,
+        })
+    return out

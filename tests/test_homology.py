@@ -16,6 +16,7 @@ from coretorus.triangulation import (FACE_VERTICES, Triangulation, Triangulation
 
 import edge_class_oracle
 import vertex_class_oracle
+from skeleton_oracle import component_summary
 from snf_oracle import mat_mul, smith_normal_form as dense_smith_normal_form, sparse_result
 from test_triangulation import gluing_tables
 
@@ -338,7 +339,7 @@ def test_class_of_cycle_rejects_a_non_cycle():
 
 def test_folded_ball_boundary_is_a_sphere():
     bc = parse_tri(FOLDED_BALL_TEXT).boundary_complex
-    assert [c["euler"] for c in bc.component_summary()] == [2]
+    assert [c["euler"] for c in component_summary(bc)] == [2]
     assert len(bc.vertex_classes) == 3
     h1b = boundary_h1(bc)
     assert h1b.rank == 0 and not h1b.torsion
@@ -359,7 +360,7 @@ def test_boundary_h1_rank_is_sum_of_two_minus_euler(table):
     bc = tri.boundary_complex
     h1b = boundary_h1(bc)
     assert not h1b.torsion
-    assert h1b.rank == sum(2 - c["euler"] for c in bc.component_summary())
+    assert h1b.rank == sum(2 - c["euler"] for c in component_summary(bc))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -472,7 +473,7 @@ def _boundary_record(tri):
         bc.vertex_classes, bc.components,
         _outcome(lambda: sorted(bc.orientation.items())),
         [sorted(bc.triangle_boundary_chain(i).items()) for i in range(len(bc.triangles))],
-        bc.component_summary(),
+        component_summary(bc),
         [ec.boundary for ec in tri.edge_classes],
         _outcome(lambda: boundary_h1(bc).factor),
     ]

@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import time
+import weakref
 from dataclasses import replace
 from itertools import product
 from unittest.mock import patch
@@ -17,7 +19,7 @@ from coretorus.search import (BudgetExhausted, DiscSearchResult, MeridianDisc, S
                               find_meridian_discs, minimal_complexity_disc,
                               verify_61_1, verify_61_2)
 from coretorus.slopes import fib, slope_seq
-from coretorus.triangulation import Triangulation, TriangulationError, parse_tri
+from coretorus.triangulation import Triangulation, TriangulationError, parse_tri, serialize_tri
 
 from conftest import vertex_link
 from surface_oracle import total_weight
@@ -405,6 +407,50 @@ def test_time_limit_inside_one_tetrahedron(fam):
     with pytest.raises(BudgetExhausted):
         list(_enumerate_raw(fam(0).tri, SearchBudget(10 ** 6, time_limit=0.2)))
     assert time.monotonic() - start < 3.0
+
+
+def _renamed(text, order):
+    """The parsed table with tet t renamed order[t], vertex labels kept."""
+    table = parse_tri(text).gluings
+    out = [[None] * 4 for _ in table]
+    for t, row in enumerate(table):
+        for f, glued in enumerate(row):
+            if glued is not None:
+                out[order[t]][f] = (order[glued[0]], glued[1])
+    return Triangulation(out)
+
+
+@pytest.mark.parametrize("case", ["parsed", "renamed", "stopped"])
+def test_a_disc_search_frees_its_triangulation_by_reference_counting(fam, case):
+    # with the collector off only reference counting frees anything: once
+    # the search returns and its result is dropped, the triangulation, and
+    # every Triangulation the search made, is gone, and the collector finds
+    # no cycle left behind.  T_2 renamed 0-2-1 along its chain is enumerated
+    # through a renamed copy; a zero time limit stops the walk by
+    # BudgetExhausted
+    text = serialize_tri(fam(2).tri)
+    make = (lambda: _renamed(text, [0, 2, 1])) if case == "renamed" else lambda: parse_tri(text)
+    budget = SearchBudget(fib(8) - 4, time_limit=0.0 if case == "stopped" else None)
+
+    def live():
+        return sum(isinstance(obj, Triangulation) for obj in gc.get_objects())
+
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        before = live()
+        tri = make()
+        ref = weakref.ref(tri)
+        res = find_meridian_discs(tri, budget)
+        assert len(res.discs) == (0 if case == "stopped" else 1)
+        assert res.complete == (case != "stopped")
+        del tri, res
+        assert ref() is None and live() == before
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_count_filter_keeps_every_disc(fam, homology_of):

@@ -78,6 +78,20 @@ def test_binet():
     assert all(fib(i) == binet(i) for i in range(41))
 
 
+def test_fib_and_lucas_follow_their_recurrences():
+    # the doubling formulas against the additive recurrences, past where
+    # the float oracle is exact, and on negative indices
+    f, l = [0, 1], [2, 1]
+    for _ in range(1200):
+        f.append(f[-1] + f[-2])
+        l.append(l[-1] + l[-2])
+    assert [fib(n) for n in range(1200)] == f[:1200]
+    assert [lucas(n) for n in range(1200)] == l[:1200]
+    assert [slope_seq(n) for n in range(300)] == [Slope(f[n + 1], f[n]) for n in range(300)]
+    assert [fib(-n) for n in range(8)] == [0, 1, -1, 2, -3, 5, -8, 13]
+    assert [lucas(-n) for n in range(6)] == [2, -1, 3, -4, 7, -11]
+
+
 def test_lucas_and_golden_cmp():
     assert [lucas(i) for i in range(6)] == [2, 1, 3, 4, 7, 11]
     phi = (1 + math.sqrt(5)) / 2

@@ -10,7 +10,7 @@ from coretorus.homology import first_homology
 from coretorus.layered import BASE_T0_TEXT
 from coretorus.triangulation import (ParseError, Triangulation, TriangulationError,
                                      parse_tri, perm_inverse, serialize_tri, two_colour)
-from skeleton_oracle import perm_sign
+from skeleton_oracle import component_summary, perm_sign, two_colour_oracle
 
 BALL_TEXT = "tets 1\n0: - - - -\n"
 
@@ -85,7 +85,7 @@ def test_ball_skeleton():
     assert sk.euler_characteristic == 1
     bc = tri.boundary_complex
     assert len(bc.components) == 1
-    assert bc.component_summary()[0]["euler"] == 2      # sphere
+    assert component_summary(bc)[0]["euler"] == 2      # sphere
     assert not bc.is_single_torus
 
 
@@ -125,6 +125,43 @@ def test_two_colour_odd_cycle_is_inconsistent():
     _, comps = two_colour(range(4), [(0, 1, -1), (1, 2, -1), (2, 3, -1), (3, 0, -1),
                                      (2, 2, 1)])
     assert comps == [([0, 1, 2, 3], True)]
+
+
+@st.composite
+def relation_lists(draw):
+    """``(nodes, relations)`` for ``two_colour``: int or tuple nodes listed
+    in a random order, random relations (self-loops and repeats too), and
+    half the time a random spanning tree on top, so one component."""
+    n = draw(st.integers(0, 12))
+    names = list(range(n)) if draw(st.booleans()) else [(k % 3, k // 3) for k in range(n)]
+    nodes = draw(st.permutations(names))
+    if not n:
+        return nodes, []
+    sign = st.sampled_from((1, -1))
+    relations = draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names), sign),
+                              max_size=2 * n))
+    if draw(st.booleans()):
+        relations += [(nodes[draw(st.integers(0, k - 1))], nodes[k], draw(sign))
+                      for k in range(1, n)]
+    return nodes, draw(st.permutations(relations))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(relation_lists())
+# isolated nodes beside an odd cycle; one inconsistent component of tuple
+# nodes; several components, one of them a loop
+@example(([3, 0, 1, 2], [(0, 1, -1), (1, 2, -1), (2, 0, -1)]))
+@example(([(0, 0), (1, 0), (0, 1)], [((0, 0), (0, 1), -1), ((0, 1), (1, 0), -1),
+                                     ((1, 0), (0, 0), -1)]))
+@example((list("edcba"), [("a", "b", -1), ("d", "e", 1), ("c", "c", 1)]))
+def test_two_colour_matches_its_oracle(case):
+    # the same signs, reached in the same order, and the same components,
+    # members in nodes order; an inconsistent component's signs follow the
+    # depth-first tree, which both walk alike
+    nodes, relations = case
+    got, want = two_colour(nodes, relations), two_colour_oracle(nodes, relations)
+    assert got == want
+    assert list(got[0].items()) == list(want[0].items())
 
 
 _PERMS = tuple(permutations(range(4)))
