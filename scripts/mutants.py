@@ -273,9 +273,36 @@ MUTANTS = (
      ("tests/test_curves.py::test_curve_validation",)),
     # an edge slab's two sheets both read at the lower crossing
     ("bundle.py",
-     "        return self._sheets(piece_at(self.v, t, e, gap), piece_at(self.v, t, e, gap + 1), e)\n",
-     "        return self._sheets(piece_at(self.v, t, e, gap), piece_at(self.v, t, e, gap), e)\n",
+     "                                    [facing[gap], -facing[gap + 1]])\n",
+     "                                    [facing[gap], -facing[gap]])\n",
      ("tests/test_bundle.py::test_doubled_vertex_link_bundle",)),
+    # the bundle's per-kind tables: f_prev and f_next swapped in the P
+    # cells' cycle steps; the R cells' gap on a reversed class off by one;
+    # a Q cell's page side read at the face its sector enters by
+    ("bundle.py",
+     "        steps.append((d, tuple(sorted(d)), 6 - sum(set(d) | set(prev_d)),\n"
+     "                      6 - sum(set(d) | set(next_d)), vq, (vq, sum(d) - vq)))\n",
+     "        steps.append((d, tuple(sorted(d)), 6 - sum(set(d) | set(next_d)),\n"
+     "                      6 - sum(set(d) | set(prev_d)), vq, (vq, sum(d) - vq)))\n",
+     ("tests/test_bundle.py::test_bundle_matches_its_oracle_on_seeded_layerings",)),
+    ("bundle.py",
+     "else (counts.crossings[vtx][u] - 2, -1) for u in (x, y))\n",
+     "else (counts.crossings[vtx][u] - 1, -1) for u in (x, y))\n",
+     ("tests/test_bundle.py::test_bundle_matches_its_oracle_on_seeded_layerings",)),
+    ("bundle.py",
+     "*self._q_page(t, f_out, d))\n",
+     "*self._q_page(t, f_in, d))\n",
+     ("tests/test_bundle.py::test_bundle_matches_its_oracle_on_seeded_layerings",)),
+    # a boundary edge's d2 row with its first end's sign flipped; the
+    # calibration's sign key reading the slopes' -y as y
+    ("homology.py",
+     "        row = {i: _along(triangles[i][1], d)}\n",
+     "        row = {i: -_along(triangles[i][1], d)}\n",
+     ("tests/test_homology.py::test_boundary_h1_rows_are_read_off_the_boundary_edge_ends",)),
+    ("homology.py",
+     "                key.append((x // g, -y // g))\n",
+     "                key.append((x // g, y // g))\n",
+     ("tests/test_homology.py::test_solid_torus_homology",)),
 )
 
 

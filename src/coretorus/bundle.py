@@ -19,7 +19,15 @@ glued along canonically named 1-cells, with 0-cells named by (tetrahedron,
 edge pair, crossing gap counted along the edge class, adjacent face).  Components, base Euler
 characteristics, base orientability (product versus twisted) and the
 contacts with the two disc copies and the annulus A all come out of this
-complex by counting and 2-coloring.
+complex by counting and 2-coloring, on the cells numbered in name order.
+
+Each builder works its per-kind data out once.  P cells walk their
+piece's cycle through ``_P_STEPS``, one table of cycle steps per piece kind,
+and one kind's slabs cross each edge at gaps g0 + s * k, s = +-1.  An R
+cell's slab above stack level j crosses its corner's edges at gap j
+(``crossing_position``'s stack-level rule), so its class gap is j, or
+n - 2 - j where the edge class runs the other way.  Q cells read their
+sectors' pairs and page sides once per edge class.
 """
 from __future__ import annotations
 
@@ -178,10 +186,21 @@ class BundleComponent:
         return self.base_orientable
 
 
-def _slab_gap(v, t, lo, hi, directed_edge):
-    """Gap along a directed edge of tet t between two adjacent parallel pieces."""
-    return min(crossing_position(v, t, lo, directed_edge),
-               crossing_position(v, t, hi, directed_edge))
+def _cycle_steps(cycle):
+    """Per step of a piece's cycle: its directed edge d, d's sorted pair, the
+    faces f_prev and f_next it shares with the steps before and after, the
+    vertex vq it shares with the next, and d directed from vq."""
+    steps = []
+    for d, prev_d, next_d in zip(cycle, cycle[-1:] + cycle[:-1], cycle[1:] + cycle[:1]):
+        vq = (set(d) & set(next_d)).pop()
+        steps.append((d, tuple(sorted(d)), 6 - sum(set(d) | set(prev_d)),
+                      6 - sum(set(d) | set(next_d)), vq, (vq, sum(d) - vq)))
+    return tuple(steps)
+
+
+# the cycle steps of the seven piece kinds, indexed as a row's coordinates
+_KINDS = tuple(("tri", a) for a in range(4)) + tuple(("quad", q) for q in range(3))
+_P_STEPS = tuple(_cycle_steps(piece_cycle((kind, 0, a, 0))) for kind, a in _KINDS)
 
 
 class BundleComplex:
@@ -194,214 +213,182 @@ class BundleComplex:
         self._build_r_cells()
         self._build_q_cells()
 
-    @staticmethod
-    def _corner(t, pair, gap, f, bd=False):
-        return (t, pair, gap, f, bd)
-
-    @staticmethod
-    def _rp_side(t, f, vtx, level):
-        return ("RP", t, f, vtx, level)
-
-    @staticmethod
-    def _pq_side(t, pair, gap):
-        return ("PQ", t, pair, gap)
-
-    def _add_cell(self, name, sides, corners, sheets, a_contact=None):
-        if a_contact is None:
-            a_contact = [False] * len(sides)
-        if len(sides) != len(corners) or len(sides) != len(a_contact):
-            raise AssertionError(f"malformed cell {name}")
-        self.cells[name] = _Cell(name, sides, corners, a_contact, sheets)
-
-    def _sheets(self, lo, hi, toward_hi):
-        """Global signs of the two horizontal sheets of the slab between
-        adjacent parallel pieces lo and hi, given a directed edge both cross
-        that points from lo to hi: lo's sheet faces the slab along it, hi's
-        against it."""
+    def _facing(self, pieces, toward):
+        """Global sign of each piece along a directed edge they all cross.
+        The slab between adjacent parallel pieces lo and hi, the edge
+        pointing from lo to hi, has horizontal sheets [facing(lo),
+        -facing(hi)]: lo's sheet faces the slab along it, hi's against it."""
         sigma = self.surface.sigma
-        return [sigma[lo] * coorientation(lo, toward_hi),
-                -sigma[hi] * coorientation(hi, toward_hi)]
-
-    def _class_gap(self, t, lo, hi, directed_edge):
-        """The gap between two adjacent parallel pieces on an edge of tet t,
-        counted along the edge class."""
-        return _slab_gap(self.v, t, lo, hi, self.tri.class_direction[(t, directed_edge)][1])
+        return [sigma[p] * coorientation(p, toward) for p in pieces]
 
     # -- P cells -----------------------------------------------------------
 
     def _build_p_cells(self):
-        v = self.v
+        v, direction, cells = self.v, self.tri.class_direction, self.cells
         for t in range(self.tri.tet_count):
-            slabs = [(("tri", t, vtx, k), ("tri", t, vtx, k + 1))
-                     for vtx in range(4) for k in range(v.tri(t, vtx) - 1)]
-            q = v.quad_type(t)
-            if q is not None:
-                slabs += [(("quad", t, q, m), ("quad", t, q, m + 1))
-                          for m in range(v.quad(t, q) - 1)]
-            for lo, hi in slabs:
-                cyc = piece_cycle(lo)
-                sides, corners = [], []
-                for idx, d in enumerate(cyc):
-                    prev_d, next_d = cyc[idx - 1], cyc[(idx + 1) % len(cyc)]
-                    f_prev = 6 - sum(set(d) | set(prev_d))
-                    f_next = 6 - sum(set(d) | set(next_d))
-                    # the slab's arcs in face f_next cut off the vertex d shares with next_d
-                    vq = (set(d) & set(next_d)).pop()
-                    pair = tuple(sorted(d))
-                    gap = self._class_gap(t, lo, hi, d)
-                    level = _slab_gap(v, t, lo, hi, (vq, sum(d) - vq))
-                    sides += [self._pq_side(t, pair, gap), self._rp_side(t, f_next, vq, level)]
-                    corners += [self._corner(t, pair, gap, f_prev),
-                                self._corner(t, pair, gap, f_next)]
-                self._add_cell(("P", t, lo[0], lo[2], lo[3]), sides, corners,
-                               self._sheets(lo, hi, cyc[0]))
+            for index, count in enumerate(v.coords[t]):
+                if count < 2:
+                    continue
+                # one kind's pieces cross an edge at positions p0 + s * k
+                # (s = +-1), so the slab above level k has gap g0 + s * k;
+                # the cycle's first edge points from level k to level k + 1
+                kind, a = _KINDS[index]
+                pieces = [(kind, t, a, k) for k in range(count)]
+                facing = self._facing(pieces, _P_STEPS[index][0][0])
+                steps = []
+                for d, pair, f_prev, f_next, vq, level_edge in _P_STEPS[index]:
+                    lines = []
+                    for e in (direction[(t, d)][1], level_edge):
+                        p0 = crossing_position(v, t, pieces[0], e)
+                        s = crossing_position(v, t, pieces[1], e) - p0
+                        lines += [p0 + min(s, 0), s]
+                    steps.append((pair, f_prev, f_next, vq, *lines))
+                for k in range(count - 1):
+                    sides, corners = [], []
+                    for pair, f_prev, f_next, vq, g0, gs, l0, ls in steps:
+                        gap = g0 + gs * k
+                        sides += [("PQ", t, pair, gap), ("RP", t, f_next, vq, l0 + ls * k)]
+                        corners += [(t, pair, gap, f_prev, False), (t, pair, gap, f_next, False)]
+                    name = ("P", t, kind, a, k)
+                    cells[name] = _Cell(name, sides, corners, [False] * len(sides),
+                                        [facing[k], -facing[k + 1]])
 
     # -- R cells -----------------------------------------------------------
 
     def _build_r_cells(self):
-        v = self.v
-        tri = self.tri
+        v, tri, cells = self.v, self.tri, self.cells
+        direction = tri.class_direction
         for fc_idx, slots in enumerate(tri.face_classes):
             t1, f1 = slots[0]
+            counts = v.counts(t1)
             for vtx in FACE_VERTICES[f1]:
-                stack1 = face_stack(v, t1, f1, vtx)
+                if counts.arcs[f1][vtx] < 2:
+                    continue
                 x, y = (u for u in FACE_VERTICES[f1] if u != vtx)
+                facing = self._facing(face_stack(v, t1, f1, vtx), (vtx, x))
                 px, py = tuple(sorted((vtx, x))), tuple(sorted((vtx, y)))
-                for j in range(len(stack1) - 1):
-                    lo, hi = stack1[j], stack1[j + 1]
+                # the slab between stack levels j and j + 1 crosses (vtx, u)
+                # at gap j (``crossing_position``'s stack-level rule), so its
+                # class gap is j, or n - 2 - j where the class runs from u
+                (ox, sx), (oy, sy) = ((0, 1) if direction[(t1, (vtx, u))][1] == (vtx, u)
+                                      else (counts.crossings[vtx][u] - 2, -1) for u in (x, y))
+                bd = len(slots) == 1
+                if bd:        # the far side lies on the annulus A
+                    t2, f2, qx, qy, far = t1, f1, px, py, ("RA", (t1, f1), vtx)
+                else:
+                    (t2, f2), perm = slots[1], tri.gluings[t1][f1][1]
+                    qx, qy = (tuple(sorted((perm[vtx], perm[u]))) for u in (x, y))
+                    far = ("RP", t2, f2, perm[vtx])
+                for j in range(len(facing) - 1):
                     # a glued slot sees the same crossings, so the same class gaps
-                    gx = self._class_gap(t1, lo, hi, (vtx, x))
-                    gy = self._class_gap(t1, lo, hi, (vtx, y))
-                    side_t1 = self._rp_side(t1, f1, vtx, j)
-                    end_x = ("QR", (t1, f1), px, gx)
-                    end_y = ("QR", (t1, f1), py, gy)
-                    sheets = self._sheets(lo, hi, (vtx, x))
-                    if len(slots) == 2:
-                        t2, f2 = slots[1]
-                        perm = tri.gluings[t1][f1][1]
-                        dx2 = (perm[vtx], perm[x])
-                        dy2 = (perm[vtx], perm[y])
-                        sides = [side_t1, end_y,
-                                 self._rp_side(t2, f2, perm[vtx], j), end_x]
-                        corners = [
-                            self._corner(t1, px, gx, f1),
-                            self._corner(t1, py, gy, f1),
-                            self._corner(t2, tuple(sorted(dy2)), gy, f2),
-                            self._corner(t2, tuple(sorted(dx2)), gx, f2),
-                        ]
-                        a_contact = [False] * 4
-                    else:
-                        sides = [side_t1, end_y, ("RA", (t1, f1), vtx, j), end_x]
-                        corners = [
-                            self._corner(t1, px, gx, f1),
-                            self._corner(t1, py, gy, f1),
-                            self._corner(t1, py, gy, f1, bd=True),
-                            self._corner(t1, px, gx, f1, bd=True),
-                        ]
-                        a_contact = [False, False, True, False]
-                    self._add_cell(("R", fc_idx, vtx, j), sides, corners,
-                                   sheets, a_contact)
+                    gx, gy = ox + sx * j, oy + sy * j
+                    name = ("R", fc_idx, vtx, j)
+                    cells[name] = _Cell(
+                        name,
+                        [("RP", t1, f1, vtx, j), ("QR", (t1, f1), py, gy), (*far, j),
+                         ("QR", (t1, f1), px, gx)],
+                        [(t1, px, gx, f1, False), (t1, py, gy, f1, False), (t2, qy, gy, f2, bd),
+                         (t2, qx, gx, f2, bd)],
+                        [False, False, bd, False], [facing[j], -facing[j + 1]])
 
     # -- Q cells -----------------------------------------------------------
 
     def _build_q_cells(self):
-        v = self.v
-        tri = self.tri
+        v, tri, cells = self.v, self.tri, self.cells
         for ec in tri.edge_classes:
             w = edge_weight(tri, v, ec.index)
             if w < 2:
                 continue
             walk = tri.edge_walks[ec.index]
             sectors = walk["sectors"]
+            # per sector: its tet, sorted pair, faces and page side's slot and
+            # pair, the same for every gap
+            steps = [(t, tuple(sorted(d)), f_in, f_out, *self._q_page(t, f_out, d))
+                     for t, d, f_in, f_out in sectors]
+            a_contact = [True, False] * walk["boundary"] + [False, False] * len(steps)
+            if walk["boundary"]:
+                # the annulus side, then the boundary face the walk enters by
+                (t0, d0, f0, _), (t1, _, _, f1) = sectors[0], sectors[-1]
+                pair0, pair1, page0 = steps[0][1], steps[-1][1], self._q_page(t0, f0, d0)
+            # the slab's sheets are read in the walk's first sector.  Every
+            # sector gives the same: the pieces at one crossing in
+            # neighbouring sectors share the face arc through it, and
+            # sigma * coorientation is constant across every arc of a
+            # two-sided surface
+            t, d, _, _ = sectors[0]
+            e = tri.class_direction[(t, d)][1]
+            facing = self._facing([piece_at(v, t, e, k) for k in range(w)], e)
             for gap in range(w - 1):
-                sides, corners, a_contact = [], [], []
+                sides, corners = [], []
                 if walk["boundary"]:
-                    # the annulus side, then the boundary face the walk enters by
-                    t0, d0, f0, _ = sectors[0]
-                    t1, d1, _, f1 = sectors[-1]
-                    sides += [("QA", ec.index, gap), self._q_page_side(t0, f0, d0, gap)]
-                    corners += [self._q_corner(t1, d1, gap, f1, bd=True),
-                                self._q_corner(t0, d0, gap, f0, bd=True)]
-                    a_contact += [True, False]
-                for t, d, f_in, f_out in sectors:
-                    sides += [self._pq_side(t, tuple(sorted(d)), gap),
-                              self._q_page_side(t, f_out, d, gap)]
-                    corners += [self._q_corner(t, d, gap, f_in),
-                                self._q_corner(t, d, gap, f_out)]
-                    a_contact += [False, False]
-                self._add_cell(("Q", ec.index, gap), sides, corners,
-                               self._q_sheets(walk, gap), a_contact)
+                    sides += [("QA", ec.index, gap), ("QR", *page0, gap)]
+                    corners += [(t1, pair1, gap, f1, True), (t0, pair0, gap, f0, True)]
+                for ts, pair, f_in, f_out, slot, rep_pair in steps:
+                    sides += [("PQ", ts, pair, gap), ("QR", slot, rep_pair, gap)]
+                    corners += [(ts, pair, gap, f_in, False), (ts, pair, gap, f_out, False)]
+                name = ("Q", ec.index, gap)
+                cells[name] = _Cell(name, sides, corners, list(a_contact),
+                                    [facing[gap], -facing[gap + 1]])
 
-    def _q_corner(self, t, d, canonical_gap, f, bd=False):
-        return self._corner(t, tuple(sorted(d)), canonical_gap, f, bd)
-
-    def _q_page_side(self, t, f, d, canonical_gap):
-        """Name of the 2-handle 1-cell that face slot (t, f) carries along
-        directed edge d, in the coordinates of the face class's
-        representative slot."""
-        fc_idx = self.tri.face_class_of[(t, f)]
-        slots = self.tri.face_classes[fc_idx]
-        t1, f1 = slots[0]
-        if (t, f) == (t1, f1):
-            rep_pair = tuple(sorted(d))
-        else:
+    def _q_page(self, t, f, d):
+        """The face class representative slot and the vertex pair in its
+        coordinates of the 2-handle 1-cell that face slot (t, f) carries
+        along directed edge d."""
+        t1, f1 = self.tri.face_classes[self.tri.face_class_of[(t, f)]][0]
+        if (t, f) != (t1, f1):
             inv = perm_inverse(self.tri.gluings[t1][f1][1])
-            rep_pair = tuple(sorted((inv[d[0]], inv[d[1]])))
-        return ("QR", (t1, f1), rep_pair, canonical_gap)
-
-    def _q_sheets(self, walk, gap):
-        """The slab's sheets, read in the walk's first sector.  Every sector
-        gives the same: the pieces at one crossing in neighbouring sectors
-        share the face arc through it, and sigma * coorientation is constant
-        across every arc of a two-sided surface."""
-        t, d, _, _ = walk["sectors"][0]
-        e = self.tri.class_direction[(t, d)][1]
-        return self._sheets(piece_at(self.v, t, e, gap), piece_at(self.v, t, e, gap + 1), e)
+            d = (inv[d[0]], inv[d[1]])
+        return (t1, f1), tuple(sorted(d))
 
     # -- assembly ------------------------------------------------------------
 
     def components(self):
-        side_users = {}
-        for cell in self.cells.values():
+        """The components of the base complex, its cells numbered in name
+        order: two cells are related across each side they share, +1 where
+        they run its corners in opposite directions (compatible
+        orientations), -1 where in the same."""
+        names = sorted(self.cells)
+        cells = [self.cells[n] for n in names]
+        first, relations = {}, []       # side -> (cell, position) of its first user
+        shared = [0] * len(cells)       # per cell: its sides met before, in it or earlier
+        for a, cell in enumerate(cells):
             for i, s in enumerate(cell.sides):
-                side_users.setdefault(s, []).append((cell.name, i))
-        relations = []
-        for s, users in side_users.items():
-            if len(users) > 2:
-                raise TriangulationError(f"1-cell {s} has {len(users)} users")
-            if len(users) != 2:
-                continue
-            (n1, i1), (n2, i2) = users
-            c1, c2 = self.cells[n1].corners, self.cells[n2].corners
-            run1 = (c1[i1], c1[(i1 + 1) % len(c1)])
-            run2 = (c2[i2], c2[(i2 + 1) % len(c2)])
-            if run1 == run2[::-1]:
-                relations.append((n1, n2, 1))    # opposite traversal: compatible orientations
-            elif run1 == run2:
-                relations.append((n1, n2, -1))
-            else:
-                raise TriangulationError(f"side {s} glued with mismatched corners")
+                here = (a, i)
+                there = first.setdefault(s, here)
+                if there is here:
+                    continue
+                b, j = there
+                if j is None:
+                    raise TriangulationError(f"1-cell {s} has more than two users")
+                first[s], shared[a] = (b, None), shared[a] + 1
+                c1, c2 = cell.corners, cells[b].corners
+                run1 = (c1[i], c1[(i + 1) % len(c1)])
+                run2 = (c2[j], c2[(j + 1) % len(c2)])
+                if run1 == run2[::-1]:
+                    relations.append((b, a, 1))
+                elif run1 == run2:
+                    relations.append((b, a, -1))
+                else:
+                    raise TriangulationError(f"side {s} glued with mismatched corners")
 
         out = []
-        for cell_names, orientable in two_colour(sorted(self.cells), relations)[1]:
-            sheets = [s for n in cell_names for s in self.cells[n].sheets]
+        for members, orientable in two_colour(range(len(cells)), relations)[1]:
+            corners, sheets, sides, meets_a = set(), set(), 0, False
+            for a in members:
+                cell = cells[a]
+                corners.update(cell.corners)
+                sheets.update(cell.sheets)
+                sides += len(cell.sides) - shared[a]
+                meets_a = meets_a or any(cell.a_contact)
             out.append(BundleComponent(
-                cells=cell_names,
-                base_euler=self._component_euler(cell_names),
+                cells=[names[a] for a in members],
+                base_euler=len(corners) - sides + len(members),
                 base_orientable=orientable,
-                meets_dminus=any(s == -1 for s in sheets),
-                meets_dplus=any(s == 1 for s in sheets),
-                meets_a=any(any(self.cells[n].a_contact) for n in cell_names),
+                meets_dminus=-1 in sheets,
+                meets_dplus=1 in sheets,
+                meets_a=meets_a,
             ))
         return out
-
-    def _component_euler(self, cell_names):
-        sides, corners = set(), set()
-        for n in cell_names:
-            cell = self.cells[n]
-            sides.update(cell.sides)
-            corners.update(cell.corners)
-        return len(corners) - len(sides) + len(cell_names)
 
 
 def parallelity_bundle(tri, disc) -> list:

@@ -6,11 +6,12 @@ the boundary surface, the map between them, and the slope basis of the
 boundary torus calibrated from the kernel of that map (the meridian is
 computed, never assumed).
 
-A 1-chain is a sparse {edge: coefficient} dict everywhere: the boundary of
-a boundary triangle, a cycle given to ``H1Group.class_of_cycle`` and the
-boundary curves of reconstructed surfaces.  d2 is given to ``H1Group`` as
-its rows: one sparse {2-cell: coefficient} dict per edge, built in one pass
-over the 2-cells.
+A 1-chain is a sparse {edge: coefficient} dict everywhere: a cycle given
+to ``H1Group.class_of_cycle`` and the boundary curves of reconstructed
+surfaces.  d2 is given to ``H1Group`` as its rows: one sparse {2-cell:
+coefficient} dict per edge.  H1(M)'s rows are built in one pass over the
+face classes; a boundary edge's row is read off its two ends
+(``BoundaryEdge.ends``), each +-1 at its triangle by ``_along``.
 
 Each H1 group is one Smith normal form of its cotree presentation: d2
 restricted to the edges off a spanning forest of the 1-skeleton, with no
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 from functools import wraps
 from math import gcd
 
+from .boundary import _along
 from .slopes import Slope, normalize_slope
 from .triangulation import FACE_VERTICES
 
@@ -319,13 +321,17 @@ def loop_cuts(tri) -> dict:
 
 
 def boundary_h1(bc) -> H1Group:
-    vc = bc.vertex_class_of
-    ends = [(vc[(i, p)], vc[(i, q)]) for i, (p, q) in (be.ends[0] for be in bc.bedges)]
-    rows = [{} for _ in ends]
-    for i in range(len(bc.triangles)):
-        for be, x in bc.triangle_boundary_chain(i).items():
-            rows[be][i] = x
-    return H1Group(ends, rows, len(bc.triangles))
+    """H1 of the boundary surface; a triangle meeting an edge on two sides
+    gets the sum of its two ends' signs."""
+    vc, triangles = bc.vertex_class_of, bc.triangles
+    ends, rows = [], []
+    for be in bc.bedges:
+        (i, d), (i1, d1) = be.ends
+        ends.append((vc[(i, d[0])], vc[(i, d[1])]))
+        row = {i: _along(triangles[i][1], d)}
+        row[i1] = row.get(i1, 0) + _along(triangles[i1][1], d1)
+        rows.append(row)
+    return H1Group(ends, rows, len(triangles))
 
 
 # -- meridian calibration ----------------------------------------------------
@@ -401,7 +407,9 @@ class MeridianCalibration:
 @_per_triangulation
 def calibrate(tri) -> MeridianCalibration | None:
     """Build meridian-calibrated slope coordinates, or None if the manifold
-    is not a solid-torus candidate (torus boundary, H1 = Z, primitive kernel)."""
+    is not a solid-torus candidate (torus boundary, H1 = Z, primitive kernel).
+    The sign of mu (the kernel) is the one whose edge loop slopes, as
+    primitive integer pairs, sort first."""
     bc = tri.boundary_complex
     if not bc.is_single_torus:
         return None
@@ -434,16 +442,12 @@ def calibrate(tri) -> MeridianCalibration | None:
     lam0 = (u // g2, v // g2)
 
     # H1(bdry) coordinates of each boundary edge loop
-    cuts, coords = loop_cuts(tri), {}
-    vc = bc.vertex_class_of
-    for e, be in bc.bedge_of_manifold_edge.items():
-        i, (p, q) = bc.bedges[be].ends[0]
-        if vc[(i, p)] == vc[(i, q)]:
-            coords[e] = h1b.class_of_cycle({be: 1})
+    cuts = loop_cuts(tri)
+    coords = {be.manifold_edge: h1b.class_of_cycle({be.index: 1})
+              for be, (tail, head) in zip(bc.bedges, h1b.ends) if tail == head}
 
-    def calibrated(mu):
-        # shear so the lowest-cut boundary edge has 0 <= y < x
-        lam = lam0
+    def shear(mu):
+        # lam0 sheared so the lowest-cut boundary edge has 0 <= y < x
         for e in sorted(coords, key=lambda e: (cuts[e], e)):
             w = coords[e]
             x = _det2(w, mu) // _det2(lam0, mu)
@@ -452,18 +456,25 @@ def calibrate(tri) -> MeridianCalibration | None:
             if x < 0:
                 w = tuple(-c for c in w)
                 x = -x
-            y = _det2(lam, w) // _det2(lam, mu)
-            n = y // x
-            lam = (lam[0] + n * mu[0], lam[1] + n * mu[1])
-            break
-        return MeridianCalibration(h1b, kernel, lam, mu, _det2(lam, mu), coords)
+            n = (_det2(lam0, w) // _det2(lam0, mu)) // x
+            return (lam0[0] + n * mu[0], lam0[1] + n * mu[1])
+        return lam0
 
-    def sign_key(cal):
-        return sorted((s.x, -s.y) for s in map(cal.boundary_edge_slope, coords) if s is not None)
+    def sign_key(lam, mu):
+        # the edge loops' slopes (x, y), primitive with x > 0 or x = 0 < y,
+        # sorted by (x, -y)
+        d, key = _det2(lam, mu), []
+        for x, y in ((_det2(w, mu) // d, _det2(lam, w) // d) for w in coords.values()):
+            if x or y:
+                g = gcd(x, y) if x > 0 or (x == 0 and y > 0) else -gcd(x, y)
+                key.append((x // g, -y // g))
+        return sorted(key)
 
-    plus = calibrated(kernel)
-    minus = calibrated((-kernel[0], -kernel[1]))
-    return plus if sign_key(plus) <= sign_key(minus) else minus
+    minus = (-kernel[0], -kernel[1])
+    lam_plus, lam_minus = shear(kernel), shear(minus)
+    lam, mu = ((lam_plus, kernel) if sign_key(lam_plus, kernel) <= sign_key(lam_minus, minus)
+               else (lam_minus, minus))
+    return MeridianCalibration(h1b, kernel, lam, mu, _det2(lam, mu), coords)
 
 
 @dataclass

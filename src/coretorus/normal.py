@@ -319,7 +319,8 @@ def crossing_position(v: NormalVector, t, piece, directed_edge):
     """Where the piece crosses the directed edge of tet t, counted from the
     edge's tail; ``piece_at`` is the inverse.  In a face through the edge
     where the piece's arc cuts off the tail, this is also the arc's level in
-    the tail's corner stack (``face_stack``)."""
+    the tail's corner stack (``face_stack``): the bundle's R cells read
+    their slab gaps off that stack-level rule."""
     kind, _, a, level = piece
     u, w = directed_edge
     if kind == "tri":

@@ -7,11 +7,13 @@ from coretorus.bundle import (BundleComplex, _regions_behind_face, bundle_prime,
                               cut_along, parallelity_bundle, tet_regions)
 from coretorus.geometry import GeometrizedSurface
 from coretorus.normal import NormalVector, reconstruct
-from coretorus.search import SearchBudget, enumerate_admissible
+from coretorus.search import SearchBudget, enumerate_admissible, floor_vector
 from coretorus.slopes import fib
 from coretorus.triangulation import FACE_VERTICES, parse_tri, serialize_tri
 
+from bundle_oracle import BundleComplexOracle
 from conftest import vertex_link
+from test_layered import seeded_layerings
 from union_find import _UnionFind
 
 
@@ -336,3 +338,27 @@ def test_surfaces_bundles_and_arcs_keep_their_digests(fam):
         got[f"D_{i}"] = hashlib.sha256(repr(records).encode()).hexdigest()[:16]
     assert admissible == 111
     assert got == SURFACE_DIGESTS
+
+
+def _cell_records(complex_):
+    return [(n, c.name, c.sides, c.corners, c.a_contact, c.sheets)
+            for n, c in complex_.cells.items()]
+
+
+def test_bundle_matches_its_oracle_on_seeded_layerings():
+    # the table-driven builders and the int-numbered components give the
+    # per-step builders' cells, in the same order, and components, on v* of
+    # layering words off the Farey path that no digest covers, 20 of them
+    # with two bundle components
+    two = 0
+    for lt in seeded_layerings():
+        tri = lt.tri
+        v = floor_vector(tri)
+        s = reconstruct(tri, v)
+        assert all(s.orientable_by_component)
+        got, want = BundleComplex(tri, v, s), BundleComplexOracle(tri, v, s)
+        assert _cell_records(got) == _cell_records(want), lt.history
+        comps = got.components()
+        assert comps == want.components(), lt.history
+        two += len(comps) == 2
+    assert two == 20

@@ -507,6 +507,54 @@ def test_boundary_complexes_keep_their_digests():
     assert hashlib.sha256(repr(records).encode()).hexdigest()[:16] == "19f380423f147649"
 
 
+def _coned(tri, count):
+    """``tri``'s gluing table with a new tetrahedron glued by its face 0 onto
+    each of its first ``count`` boundary faces, by the permutation that
+    keeps the table orientable.  Each cone swaps a boundary triangle for
+    three around a new vertex and leaves the manifold as it was."""
+    table = [list(row) for row in tri.gluings]
+    for t, f in tri.boundary_faces[:count]:
+        new = len(table)
+        for p in permutations(range(4)):
+            if p[0] != f:
+                continue
+            trial = [list(row) for row in table] + [[(t, p), None, None, None]]
+            trial[t][f] = (new, tuple(p.index(i) for i in range(4)))
+            if not isinstance(_outcome(lambda: Triangulation(trial)), str):
+                table = trial
+                break
+    return table
+
+
+def test_boundary_h1_rows_are_read_off_the_boundary_edge_ends(monkeypatch):
+    # each boundary edge's d2 row, read off its two ends, is the row the
+    # boundary chains of the triangles give: on the seeded valid tables, on
+    # boundary tori with three and four vertices, and where one triangle
+    # meets one boundary edge on two sides
+    rows = []
+    group = homology.H1Group
+    monkeypatch.setattr(homology, "H1Group",
+                        lambda ends, d2, n: rows.append(d2) or group(ends, d2, n))
+    tris = [(name, Triangulation(table)) for name, table in _boundary_tables()
+            if not isinstance(_outcome(lambda: Triangulation(table)), str)]
+    tris += [(f"T_1 coned {k}", Triangulation(_coned(family(1).tri, k))) for k in (2, 3)]
+    tris.append(("two-vertex coned 2", Triangulation(_coned(parse_tri(TWO_VERTEX_TEXT), 2))))
+    many_vertex_tori = two_sided = 0
+    for name, tri in tris:
+        bc = tri.boundary_complex
+        if not bc.triangles:
+            continue
+        want = [{} for _ in bc.bedges]
+        for i in range(len(bc.triangles)):
+            for be, x in bc.triangle_boundary_chain(i).items():
+                want[be][i] = x
+        boundary_h1(bc)
+        assert rows.pop() == want, name
+        many_vertex_tori += bc.is_single_torus and len(bc.vertex_classes) >= 3
+        two_sided += any(be.ends[0][0] == be.ends[1][0] for be in bc.bedges)
+    assert many_vertex_tori == 3 and two_sided >= 2
+
+
 def test_edge_classes_match_the_union_find_oracle(fam):
     # the link walks give the directed union-find's classes, directions and
     # walks, and the same error where an edge comes back reversed
