@@ -173,6 +173,21 @@ MUTANTS = (
      "              ((0, 4), (), (2, 6), (3, 5)),\n",
      "              ((0, 4), (), (2, 5), (3, 5)),\n",
      ("tests/test_normal.py::test_row_counts_match_the_oracle_on_any_rows",)),
+    # an edge's crossings read in a face that does not hold it
+    ("normal.py",
+     "        a = arcs[f]\n",
+     "        a = arcs[3 - f]\n",
+     ("tests/test_normal.py::test_row_counts_match_the_oracle_on_any_rows",)),
+    # a vector built with two quad types in a row
+    ("normal.py",
+     "                    if row[4:].count(0) < 2:\n",
+     "                    if row[4:].count(0) < 1:\n",
+     ("tests/test_normal.py::test_a_vector_is_built_only_from_admissible_rows",)),
+    # a corner stack's quad run ascending from the high side
+    ("normal.py",
+     "        levels = range(nq) if vtx in QUAD_MISSED[q][0] else range(nq - 1, -1, -1)\n",
+     "        levels = range(nq) if vtx in QUAD_MISSED[q][1] else range(nq - 1, -1, -1)\n",
+     ("tests/test_normal.py::test_crossing_position_is_the_stack_index",)),
     # a quad's coorientation flipped
     ("normal.py",
      "    return 1 if directed_edge[1] in QUAD_MISSED[a][1] else -1\n",

@@ -17,8 +17,7 @@ from .geometry import GeometrizedSurface
 from .homology import (HomologySummary, MeridianCalibration, boundary_h1, calibrate,
                        first_homology, manifold_h1, smith_normal_form)
 from .layered import BASE_T0_TEXT, LayeredTriangulation, base_t0, family, layer
-from .normal import (NormalVector, check_admissible, check_matching, edge_weight,
-                     min_curve_length, reconstruct)
+from .normal import NormalVector, check_matching, edge_weight, min_curve_length, reconstruct
 from .search import (BudgetExhausted, DiscSearchResult, MeridianDisc,
                      MinimalDiscResult, SearchBudget, enumerate_admissible,
                      find_meridian_discs, minimal_complexity_disc, verify_61_1,

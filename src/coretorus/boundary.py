@@ -74,10 +74,6 @@ class BoundaryComplex:
         return {(i, self.side_of(i, d)): be.index for be in self.bedges for i, d in be.ends}
 
     @cached_property
-    def bedge_of_manifold_edge(self):
-        return {be.manifold_edge: be.index for be in self.bedges}
-
-    @cached_property
     def side_dir(self):
         """Side (i, k) -> its direction (p, q) that the boundary edge counts +1."""
         return {(i, self.side_of(i, d)): d for be in self.bedges for i, d in be.ends}
@@ -143,12 +139,3 @@ class BoundaryComplex:
         if vertex == d[1]:
             return 1
         raise ValueError(f"vertex {vertex} not on side {k} of triangle {i}")
-
-    def triangle_boundary_chain(self, i):
-        """The triangle's boundary as a 1-chain over boundary edges."""
-        chain = {}
-        f = self.triangles[i][1]
-        for k in range(3):
-            be = self.bedge_of_side[(i, k)]
-            chain[be] = chain.get(be, 0) + _along(f, self.side_dir[(i, k)])
-        return chain

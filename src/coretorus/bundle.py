@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .normal import (NormalVector, QUAD_CUT, QUAD_MISSED, ReconstructedSurface,
-                     coorientation, crossing_position, edge_weight, face_stack, piece_at,
+                     coorientation, crossing_position, face_stack, piece_at,
                      piece_cycle, reconstruct)
 from .layered import family
 from .search import MeridianDisc, SearchBudget, VerifyReport, minimal_complexity_disc
@@ -49,7 +49,7 @@ from .triangulation import FACE_VERTICES, TriangulationError, perm_inverse, two_
 def tet_regions(v: NormalVector, t):
     """Closures of the components of the tetrahedron minus the surface."""
     regions = []
-    q = v.quad_type(t)
+    q = v.counts(t).quad
     qc = v.quad(t, q) if q is not None else 0
     for vtx in range(4):
         if v.tri(t, vtx) >= 1:
@@ -71,7 +71,7 @@ def _regions_behind_face(v: NormalVector, t, f, corners):
     face's middle, then the one behind each bit of each corner's stack
     (``face_stack``), from the corner outward, for the corners in the order
     given."""
-    q = v.quad_type(t)
+    q = v.counts(t).quad
 
     def central(vtx):
         return ("central", None if q is None else "low" if vtx in QUAD_MISSED[q][0] else "high")
@@ -296,11 +296,19 @@ class BundleComplex:
     def _build_q_cells(self):
         v, tri, cells = self.v, self.tri, self.cells
         for ec in tri.edge_classes:
-            w = edge_weight(tri, v, ec.index)
-            if w < 2:
-                continue
             walk = tri.edge_walks[ec.index]
             sectors = walk["sectors"]
+            # the weight and the slab's sheets are read in the walk's first
+            # sector.  Every sector gives the same: a reconstructed surface's
+            # slots agree on each class's crossings, the pieces at one crossing
+            # in neighbouring sectors share the face arc through it, and sigma
+            # * coorientation is constant across every arc of a two-sided one
+            t, d, _, _ = sectors[0]
+            w = v.counts(t).crossings[d[0]][d[1]]
+            if w < 2:
+                continue
+            e = tri.class_direction[(t, d)][1]
+            facing = self._facing([piece_at(v, t, e, k) for k in range(w)], e)
             # per sector: its tet, sorted pair, faces and page side's slot and
             # pair, the same for every gap
             steps = [(t, tuple(sorted(d)), f_in, f_out, *self._q_page(t, f_out, d))
@@ -310,14 +318,6 @@ class BundleComplex:
                 # the annulus side, then the boundary face the walk enters by
                 (t0, d0, f0, _), (t1, _, _, f1) = sectors[0], sectors[-1]
                 pair0, pair1, page0 = steps[0][1], steps[-1][1], self._q_page(t0, f0, d0)
-            # the slab's sheets are read in the walk's first sector.  Every
-            # sector gives the same: the pieces at one crossing in
-            # neighbouring sectors share the face arc through it, and
-            # sigma * coorientation is constant across every arc of a
-            # two-sided surface
-            t, d, _, _ = sectors[0]
-            e = tri.class_direction[(t, d)][1]
-            facing = self._facing([piece_at(v, t, e, k) for k in range(w)], e)
             for gap in range(w - 1):
                 sides, corners = [], []
                 if walk["boundary"]:

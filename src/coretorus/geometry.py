@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .normal import coorientation, edge_slot_crossings, face_stack
+from .normal import coorientation, face_stack
 from .triangulation import FACE_VERTICES
 
 _ZERO = Fraction(0)
@@ -99,11 +99,11 @@ class GeometrizedSurface:
     def _build_face(self, t, f):
         arcs = []
         v = self.vector
+        crossings = v.counts(t).crossings
         for vtx in FACE_VERTICES[f]:
             x, y = (u for u in FACE_VERTICES[f] if u != vtx)
             # the arc at level k - 1 ends k/(w+1) along each edge from vtx
-            nx = edge_slot_crossings(v, t, tuple(sorted((vtx, x)))) + 1
-            ny = edge_slot_crossings(v, t, tuple(sorted((vtx, y)))) + 1
+            nx, ny = crossings[vtx][x] + 1, crossings[vtx][y] + 1
             for k, piece in enumerate(face_stack(v, t, f, vtx), 1):
                 p0 = face_chart_point(f, {vtx: Fraction(nx - k, nx), x: Fraction(k, nx)})
                 p1 = face_chart_point(f, {vtx: Fraction(ny - k, ny), y: Fraction(k, ny)})

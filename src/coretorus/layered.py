@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .boundary import _along
 from .homology import first_homology
 from .slopes import Slope, SlopeTriple, elementary_move, slope_seq
 from .triangulation import (FACE_VERTICES, Triangulation, TriangulationError, parse_tri,
@@ -168,7 +169,13 @@ def label_chain_class(lt: LayeredTriangulation, chain):
     from itertools import product
 
     bc = lt.tri.boundary_complex
-    rel = bc.triangle_boundary_chain(0)
+    # triangle 0's boundary, read off the boundary edges' ends as
+    # ``boundary_h1`` builds its rows
+    rel, f0 = {}, bc.triangles[0][1]
+    for be in bc.bedges:
+        for i, d in be.ends:
+            if i == 0:
+                rel[be.index] = rel.get(be.index, 0) + _along(f0, d)
     labels = {be.index: lt.boundary_slopes[be.manifold_edge] for be in bc.bedges}
     idxs = sorted(labels)
     if sorted(rel) != idxs or any(abs(c) != 1 for c in rel.values()):

@@ -2,25 +2,27 @@
 
 Coordinates are 7 nonnegative integers per tetrahedron: four triangle counts
 (one per cut-off vertex) and three quad counts (one per pair of opposite
-edges missed).  Admissibility allows at most one nonzero quad coordinate per
-tetrahedron; the matching equations require induced arc counts to agree
-across every interior face.
+edges missed).  Admissibility, at most one nonzero quad coordinate per
+tetrahedron, is a property of the type: ``NormalVector`` raises on a row
+with two quad types, so every vector is admissible and no reader checks
+again.  The matching equations require induced arc counts to agree across
+every interior face.
 
 Which coordinates a count adds has one definition, the index table
 ``ARC_COORDS``: the arcs cutting off vtx in face f are the triangle at vtx
-plus the quad type that misses edge f-vtx, and an edge's crossings are the
-arcs at its two ends in a face through it (``EDGE_COORDS``).  The matching
-equations, edge weights and count-level Euler characteristic add them
-directly.  ``row_counts`` builds a row's table of quad type, arcs and
-crossings from them for the per-piece readers, memoised by row value: the
-rows of the vectors a search meets repeat (T_6's 6,052 admissible vectors
-have 917 distinct rows), and nothing is stored on a vector.
+plus the quad type that misses edge f-vtx.  The matching equations add
+them directly.  Every other count is read from one table, ``row_counts``:
+a row's quad type, its arcs, and its crossings, an edge's being the arcs
+at its two ends in a face through it.  The table is memoised by row value:
+the rows of the vectors a search meets repeat (T_6's 6,052 admissible
+vectors have 917 distinct rows), and nothing is stored on a vector.
 
 Where a piece meets a tetrahedron edge also has one rule,
 ``crossing_position``: the piece's index along the directed edge, counted
 from the tail, which is also its arc level in the tail's corner stack.
-Its inverse ``piece_at`` names the piece at a given position, and the
-whole corner stack of a face (``face_stack``) is read through it.
+Its inverse ``piece_at`` names the piece at a given position.  A face's
+corner stack (``face_stack``) is the run of triangles at the corner, then
+the run of quads, listed straight from the row in that order.
 ``piece_cycle`` lists the directed edges a piece crosses, in cyclic order
 around it.
 
@@ -81,11 +83,6 @@ ARC_COORDS = (((), (1, 4), (2, 5), (3, 6)),
               ((0, 4), (), (2, 6), (3, 5)),
               ((0, 5), (1, 6), (), (3, 4)),
               ((0, 6), (1, 5), (2, 4), ()))
-# EDGE_COORDS[u][w]: the four coordinates whose sum is the number of
-# crossing points on edge uw, the arcs at u and at w in a face through it
-EDGE_COORDS = tuple(tuple(() if u == w else next(ARC_COORDS[f][u] + ARC_COORDS[f][w]
-                                                 for f in range(4) if f not in (u, w))
-                          for w in range(4)) for u in range(4))
 
 
 class RowCounts(NamedTuple):
@@ -98,18 +95,26 @@ class RowCounts(NamedTuple):
 
 @cache
 def row_counts(row) -> RowCounts:
-    """Quad type, arc counts and edge crossings of a row of 7 coordinates,
-    summed over ``ARC_COORDS`` and ``EDGE_COORDS``.
+    """Quad type, arc counts and edge crossings of a row of 7 coordinates:
+    arcs[f][vtx] sums ``ARC_COORDS[f][vtx]``, and an edge's crossings are
+    the arcs at its two ends in a face through it, crossings[u][w] =
+    arcs[f][u] + arcs[f][w].
 
-    Memoised by row value, so the tables are shared and immutable.  A row
-    with two quad types raises ValueError (the caller names the
-    tetrahedron)."""
+    Memoised by row value, so the tables are shared and immutable; a search
+    builds one for every row its count filters meet, so the build is plain
+    loops.  A raw row with two quad types raises ValueError."""
     types = [q for q in range(3) if row[4 + q]]
     if len(types) > 1:
         raise ValueError(f"row {row} has two quad types")
-    arcs, crossings = (tuple(tuple(sum(row[i] for i in coords) for coords in r) for r in table)
-                       for table in (ARC_COORDS, EDGE_COORDS))
-    return RowCounts(types[0] if types else None, arcs, crossings)
+    arcs = tuple(tuple([row[c[0]] + row[c[1]] if c else 0 for c in r]) for r in ARC_COORDS)
+    # each face gives its edges' crossings (an edge's two faces agree)
+    crossings = [[0] * 4 for _ in range(4)]
+    for f, (x, y, z) in enumerate(FACE_VERTICES):
+        a = arcs[f]
+        crossings[x][y] = crossings[y][x] = a[x] + a[y]
+        crossings[x][z] = crossings[z][x] = a[x] + a[z]
+        crossings[y][z] = crossings[z][y] = a[y] + a[z]
+    return RowCounts(types[0] if types else None, arcs, tuple(map(tuple, crossings)))
 
 
 def row_of_crossings(crossings):
@@ -141,18 +146,21 @@ def row_of_crossings(crossings):
 
 @dataclass(frozen=True)
 class NormalVector:
-    """Per tetrahedron: (tri0, tri1, tri2, tri3, q01_23, q02_13, q03_12)."""
+    """Per tetrahedron: (tri0, tri1, tri2, tri3, q01_23, q02_13, q03_12),
+    with at most one quad type: a vector is admissible by construction."""
     coords: tuple
 
     def __init__(self, coords):
         coords = tuple(map(tuple, coords))
         # plain loops, no generator: every leaf of a search builds a vector
-        for row in coords:
+        for t, row in enumerate(coords):
             if len(row) == 7:
                 for c in row:
                     if type(c) is not int or c < 0:
                         break
                 else:
+                    if row[4:].count(0) < 2:
+                        raise ValueError(f"tetrahedron {t} has two quad types")
                     continue
             raise ValueError("each tetrahedron needs 7 nonnegative integer coordinates")
         object.__setattr__(self, "coords", coords)
@@ -165,14 +173,7 @@ class NormalVector:
 
     def counts(self, t) -> RowCounts:
         """``row_counts`` of tetrahedron t."""
-        try:
-            return row_counts(self.coords[t])
-        except ValueError:
-            raise ValueError(f"tetrahedron {t} has two quad types") from None
-
-    def quad_type(self, t):
-        """The single quad type present in tetrahedron t, or None."""
-        return self.counts(t).quad
+        return row_counts(self.coords[t])
 
     def piece_count(self):
         return sum(map(sum, self.coords))
@@ -199,59 +200,34 @@ class NormalVector:
         return NormalVector(tuple((0,) * 7 for _ in range(tet_count)))
 
 
-def check_admissible(v: NormalVector) -> bool:
-    return all(row[4:].count(0) >= 2 for row in v.coords)
-
-
-def _admissible_row(v: NormalVector, t):
-    """Row t of v, which must have at most one quad type."""
-    row = v.coords[t]
-    if row[4:].count(0) < 2:
-        raise ValueError(f"tetrahedron {t} has two quad types")
-    return row
-
-
 @_per_triangulation
 def _face_equations(tri):
-    """The tetrahedra of the interior faces in the order the equations
-    first read them, and per equation its (face class, side, vertex) and
-    the two pairs of coordinates, indexed in the concatenated rows, whose
-    sums must agree."""
+    """Per equation, its (face class, side, vertex) and the two pairs of
+    coordinates, indexed in the concatenated rows, whose sums must agree."""
     interior = [(idx, slots) for idx, slots in enumerate(tri.face_classes) if len(slots) == 2]
-    order = list(dict.fromkeys(t for _, slots in interior for t, _ in slots))
     equations = []
     for idx, ((t1, f1), (t2, f2)) in interior:
         perm = tri.gluings[t1][f1][1]
         for vtx in FACE_VERTICES[f1]:
             (a, b), (c, d) = ARC_COORDS[f1][vtx], ARC_COORDS[f2][perm[vtx]]
             equations.append(((idx, (t1, f1), vtx), 7 * t1 + a, 7 * t1 + b, 7 * t2 + c, 7 * t2 + d))
-    return order, equations
+    return equations
 
 
 def check_matching(tri, v: NormalVector):
     """(ok, violations): one linear equation per interior face and arc type."""
     if len(v.coords) != tri.tet_count:
         raise ValueError("coordinate vector does not match the triangulation size")
-    order, equations = _face_equations(tri)
-    rows = v.coords
-    for t in order:         # _admissible_row inlined: this runs at every leaf of a search
-        if rows[t][4:].count(0) < 2:
-            raise ValueError(f"tetrahedron {t} has two quad types")
-    x = [c for row in rows for c in row]
-    violations = [where for where, a, b, c, d in equations if x[a] + x[b] != x[c] + x[d]]
+    x = [c for row in v.coords for c in row]
+    violations = [where for where, a, b, c, d in _face_equations(tri)
+                  if x[a] + x[b] != x[c] + x[d]]
     return (not violations), violations
-
-
-def edge_slot_crossings(v: NormalVector, t, edge):
-    row = _admissible_row(v, t)
-    a, b, c, d = EDGE_COORDS[edge[0]][edge[1]]
-    return row[a] + row[b] + row[c] + row[d]
 
 
 def edge_weight(tri, v: NormalVector, edge_class_index):
     """Crossings of the surface with one edge class (all slots agree)."""
     ec = tri.edge_classes[edge_class_index]
-    counts = {edge_slot_crossings(v, t, e) for t, e in ec.slots}
+    counts = {v.counts(t).crossings[a][b] for t, (a, b) in ec.slots}
     if len(counts) != 1:
         raise TriangulationError(f"inconsistent crossings on edge class {ec.index}")
     return counts.pop()
@@ -261,14 +237,15 @@ def count_euler(tri, v: NormalVector):
     """Euler characteristic from the coordinates alone: crossing points
     (the weight) minus arcs plus pieces.  A connected disc has 1.  Each
     edge class and face class is counted at one slot, which is exact for a
-    matching vector.  Face f of a row carries one arc of every piece but
-    the triangles at vertex f."""
-    points = sum(edge_slot_crossings(v, *ec.slots[0]) for ec in tri.edge_classes)
-    arcs = 0
+    matching vector: an edge class at ``EdgeClass.rep``, as ``reconstruct``
+    reads it, and a face class at its first slot."""
+    points = arcs = 0
+    for ec in tri.edge_classes:
+        t, (a, b) = ec.rep
+        points += v.counts(t).crossings[a][b]
     for slots in tri.face_classes:
         t, f = slots[0]
-        row = _admissible_row(v, t)
-        arcs += sum(row) - row[f]
+        arcs += sum(v.counts(t).arcs[f])
     return points - arcs + v.piece_count()
 
 
@@ -292,16 +269,17 @@ def piece_at(v: NormalVector, t, directed_edge, k):
 
 def face_stack(v: NormalVector, t, f, vtx):
     """Pieces behind the type-vtx arcs of face f of tet t, nearest vtx first:
-    the first ``arcs[f][vtx]`` positions along either edge of f from vtx,
-    built as two runs whose quad ends ``piece_at`` gives."""
-    n, total = v.tri(t, vtx), v.counts(t).arcs[f][vtx]
+    the first ``arcs[f][vtx]`` positions along either edge of f from vtx.
+    That is the run of triangles at vtx, then the run of quads whose arc in
+    f cuts off vtx, ascending from the low side ``QUAD_MISSED[q][0]`` as
+    ``crossing_position`` counts them."""
+    counts, n = v.counts(t), v.tri(t, vtx)
     stack = [("tri", t, vtx, j) for j in range(n)]
-    if total > n:
-        edge = (vtx, next(x for x in FACE_VERTICES[f] if x != vtx))
-        _, _, q, first = piece_at(v, t, edge, n)
-        last = piece_at(v, t, edge, total - 1)[3]
-        step = 1 if first <= last else -1
-        stack += [("quad", t, q, m) for m in range(first, last + step, step)]
+    nq = counts.arcs[f][vtx] - n
+    if nq:
+        q = counts.quad
+        levels = range(nq) if vtx in QUAD_MISSED[q][0] else range(nq - 1, -1, -1)
+        stack += [("quad", t, q, m) for m in levels]
     return stack
 
 
@@ -367,8 +345,6 @@ class ReconstructedSurface:
 
 
 def reconstruct(tri, v: NormalVector) -> ReconstructedSurface:
-    if not check_admissible(v):
-        raise ValueError("vector is not admissible")
     ok, violations = check_matching(tri, v)
     if not ok:
         raise ValueError(f"matching equations violated: {violations[:3]}")
@@ -377,7 +353,7 @@ def reconstruct(tri, v: NormalVector) -> ReconstructedSurface:
     for t in range(tri.tet_count):
         for vtx in range(4):
             pieces += [("tri", t, vtx, j) for j in range(v.tri(t, vtx))]
-        q = v.quad_type(t)
+        q = v.counts(t).quad
         if q is not None:
             pieces += [("quad", t, q, m) for m in range(v.quad(t, q))]
 

@@ -67,7 +67,7 @@ class BundleComplexOracle:
         for t in range(self.tri.tet_count):
             slabs = [(("tri", t, vtx, k), ("tri", t, vtx, k + 1))
                      for vtx in range(4) for k in range(v.tri(t, vtx) - 1)]
-            q = v.quad_type(t)
+            q = v.counts(t).quad
             if q is not None:
                 slabs += [(("quad", t, q, m), ("quad", t, q, m + 1))
                           for m in range(v.quad(t, q) - 1)]

@@ -13,10 +13,13 @@ assert that the one pass gives the same lists and the same error text.
 ``two_colour_oracle`` is ``two_colour`` as it was before it read each sign
 once and returned a lone component without a per-node component map; a
 property test asserts that both give the same signs and components.
-``component_summary`` counts each boundary component's cells, which only the
-tests read.
+``component_summary`` counts each boundary component's cells,
+``bedge_of_manifold_edge`` maps an edge class to its boundary edge and
+``triangle_boundary_chain`` reads a boundary triangle's boundary side by
+side; only the tests read them.
 """
 import edge_class_oracle
+from coretorus.boundary import _along
 from coretorus.triangulation import (_PERMS, FACE_VERTICES, TriangulationError, perm_inverse,
                                      two_colour)
 
@@ -129,3 +132,19 @@ def component_summary(bc):
             "euler": chi,
         })
     return out
+
+
+def bedge_of_manifold_edge(bc):
+    """Edge class index -> the boundary edge of ``bc`` it carries."""
+    return {be.manifold_edge: be.index for be in bc.bedges}
+
+
+def triangle_boundary_chain(bc, i):
+    """Boundary triangle i's boundary as a 1-chain over boundary edges,
+    read side by side through ``bedge_of_side`` and ``side_dir``."""
+    chain = {}
+    f = bc.triangles[i][1]
+    for k in range(3):
+        be = bc.bedge_of_side[(i, k)]
+        chain[be] = chain.get(be, 0) + _along(f, bc.side_dir[(i, k)])
+    return chain

@@ -13,6 +13,7 @@ boundary curves per component as (length, chain).  ``total_weight`` sums
 """
 from coretorus.normal import _corner_end, crossing_position, edge_weight, face_stack, piece_cycle
 from coretorus.triangulation import FACE_VERTICES, TriangulationError
+from skeleton_oracle import bedge_of_manifold_edge
 
 
 def total_weight(tri, v):
@@ -27,6 +28,7 @@ def surface_counts(tri, v, components):
     comp_of = {piece: c for c, members in enumerate(components) for piece in members}
     direction = tri.class_direction
     bc = tri.boundary_complex
+    bedge_of = bedge_of_manifold_edge(bc)
     arc_pieces = []         # per face arc: the piece on its first side
     boundary_arcs = []      # the tracer's input, see trace_arcs
     boundary_pieces = []    # the piece behind each boundary arc
@@ -40,7 +42,7 @@ def surface_counts(tri, v, components):
                 continue
             i = bc.tri_index[(t1, f1)]
             (cx, ex), (cy, ey) = direction[(t1, (vtx, x))], direction[(t1, (vtx, y))]
-            bx, by = bc.bedge_of_manifold_edge[cx], bc.bedge_of_manifold_edge[cy]
+            bx, by = bedge_of[cx], bedge_of[cy]
             for p in stack1:
                 boundary_arcs.append((i, vtx, ((bx, crossing_position(v, t1, p, ex)),
                                                (by, crossing_position(v, t1, p, ey)))))

@@ -21,7 +21,7 @@ def region_sweep_oracle(v: NormalVector, t):
     """Independent region list: sweep positions along each corner stack and
     across the quad stack, one region per achievable position."""
     out = []
-    q = v.quad_type(t)
+    q = v.counts(t).quad
     qc = v.quad(t, q) if q is not None else 0
     for vtx in range(4):
         for depth in range(v.tri(t, vtx)):

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from coretorus.geometry import (FaceArc, GeometrizedSurface, face_chart_point, on_segment,
                                 orient2, segments_cross_properly, segments_intersect)
-from coretorus.normal import coorientation, edge_slot_crossings, face_stack, reconstruct
+from coretorus.normal import coorientation, face_stack, reconstruct
 from coretorus.search import SearchBudget, enumerate_admissible
 from coretorus.slopes import fib
 from coretorus.triangulation import FACE_VERTICES
@@ -118,7 +118,8 @@ def edge_point_param(g, t, directed_edge, position):
     ``position`` k counted from that tail: (k+1)/(w+1) of w crossings.  The
     spacing is even, so the same crossing counted from the head, as position
     w-1-k, lands on the same point."""
-    w = edge_slot_crossings(g.vector, t, tuple(sorted(directed_edge)))
+    u, x = directed_edge
+    w = g.vector.counts(t).crossings[u][x]
     return F(position + 1, w + 1)
 
 
@@ -131,7 +132,7 @@ def test_edge_points_ordered_consistently(fam, minimal_disc):
     for ec in tri.edge_classes:
         params = set()
         for t, e in ec.slots:
-            w = edge_slot_crossings(d.vector, t, e)
+            w = d.vector.counts(t).crossings[e[0]][e[1]]
             pts = []
             for pos in range(w):
                 p = edge_point_param(g, t, e, pos)

@@ -16,7 +16,7 @@ from coretorus.triangulation import (FACE_VERTICES, Triangulation, Triangulation
 
 import edge_class_oracle
 import vertex_class_oracle
-from skeleton_oracle import component_summary
+from skeleton_oracle import bedge_of_manifold_edge, component_summary, triangle_boundary_chain
 from snf_oracle import mat_mul, smith_normal_form as dense_smith_normal_form, sparse_result
 from test_triangulation import gluing_tables
 
@@ -233,7 +233,7 @@ def _face_boundaries(tri):
 
 
 def _triangle_boundaries(bc):
-    return [bc.triangle_boundary_chain(i) for i in range(len(bc.triangles))]
+    return [triangle_boundary_chain(bc, i) for i in range(len(bc.triangles))]
 
 
 def _fundamental_cycles(h1):
@@ -469,10 +469,10 @@ def _boundary_record(tri):
         bc.triangles,
         [(be.index, be.manifold_edge, be.manifold_sign) for be in bc.bedges],
         sorted(bc.bedge_of_side.items()), sorted(bc.side_dir.items()),
-        sorted(bc.bedge_of_manifold_edge.items()),
+        sorted(bedge_of_manifold_edge(bc).items()),
         bc.vertex_classes, bc.components,
         _outcome(lambda: sorted(bc.orientation.items())),
-        [sorted(bc.triangle_boundary_chain(i).items()) for i in range(len(bc.triangles))],
+        [sorted(triangle_boundary_chain(bc, i).items()) for i in range(len(bc.triangles))],
         component_summary(bc),
         [ec.boundary for ec in tri.edge_classes],
         _outcome(lambda: boundary_h1(bc).factor),
@@ -546,7 +546,7 @@ def test_boundary_h1_rows_are_read_off_the_boundary_edge_ends(monkeypatch):
             continue
         want = [{} for _ in bc.bedges]
         for i in range(len(bc.triangles)):
-            for be, x in bc.triangle_boundary_chain(i).items():
+            for be, x in triangle_boundary_chain(bc, i).items():
                 want[be][i] = x
         boundary_h1(bc)
         assert rows.pop() == want, name

@@ -12,6 +12,7 @@ from coretorus.homology import first_homology
 from coretorus.layered import LayeredTriangulation, base_t0, family, layer
 from coretorus.slopes import Slope, SlopeTriple, slope_seq
 from coretorus.triangulation import Triangulation, parse_tri, serialize_tri
+from skeleton_oracle import bedge_of_manifold_edge
 
 
 def test_base_t0(homology_of, fam):
@@ -177,7 +178,7 @@ def test_dropped_triangulation_is_freed_without_the_cycle_collector():
     try:
         lt = family(6)
         h = first_homology(lt.tri)
-        bedge_of = lt.tri.boundary_complex.bedge_of_manifold_edge
+        bedge_of = bedge_of_manifold_edge(lt.tri.boundary_complex)
         ref = weakref.ref(lt.tri)
         del lt
         assert ref() is None

@@ -5,8 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from coretorus.normal import (QUAD_CROSSES, QUAD_CUT, QUAD_MISSED, NormalVector,
                               boundary_counts_match, boundary_curves_from_counts,
-                              check_admissible, check_matching, coorientation, count_euler,
-                              crossing_position, edge_slot_crossings,
+                              check_matching, coorientation, count_euler, crossing_position,
                               edge_weight, face_stack, min_curve_length, piece_at,
                               piece_cycle, reconstruct, row_counts, row_of_crossings)
 from coretorus.search import SearchBudget, enumerate_admissible
@@ -23,7 +22,7 @@ BALL_TEXT = "tets 1\n0: - - - -\n"
 def test_vector_basics():
     v = NormalVector([(1, 2, 0, 0, 0, 3, 0)])
     assert v.tri(0, 1) == 2 and v.quad(0, 1) == 3
-    assert v.quad_type(0) == 1
+    assert v.counts(0).quad == 1
     assert v.piece_count() == 6
     assert (2 * v).piece_count() == 12
     assert (v + v) == 2 * v
@@ -33,9 +32,11 @@ def test_vector_basics():
 
 
 def test_admissibility():
-    assert check_admissible(NormalVector.zero(2))
-    assert not check_admissible(NormalVector([(0, 0, 0, 0, 1, 1, 0)]))
-    assert check_admissible(NormalVector([(3, 0, 0, 0, 0, 0, 5)]))
+    # a vector is admissible by construction
+    assert NormalVector.zero(2).counts(1).quad is None
+    assert NormalVector([(3, 0, 0, 0, 0, 0, 5)]).counts(0).quad == 2
+    with pytest.raises(ValueError, match="^tetrahedron 0 has two quad types$"):
+        NormalVector([(0, 0, 0, 0, 1, 1, 0)])
 
 
 def test_matching_examples(fam):
@@ -244,7 +245,7 @@ def _oracle_edge_stack(v, t, directed_edge):
     nearest first."""
     u, w = directed_edge
     quads = []
-    q = v.quad_type(t)
+    q = _oracle_quad_type(v, t)
     if q is not None and tuple(sorted(directed_edge)) in QUAD_CROSSES[q]:
         order = list(range(v.quad(t, q)))
         if u not in QUAD_MISSED[q][0]:
@@ -398,7 +399,7 @@ def _oracle_count_euler(tri, v):
 
 def _assert_counts_match_oracle(v, t):
     counts = row_counts(v.coords[t])
-    assert counts.quad == v.quad_type(t) == _oracle_quad_type(v, t)
+    assert counts.quad == v.counts(t).quad == _oracle_quad_type(v, t)
     for f in range(4):
         for vtx in FACE_VERTICES[f]:
             assert counts.arcs[f][vtx] == v.counts(t).arcs[f][vtx] \
@@ -406,14 +407,6 @@ def _assert_counts_match_oracle(v, t):
     for u, w in EDGE_PAIRS:
         want = _oracle_edge_slot_crossings(v, t, (u, w))
         assert counts.crossings[u][w] == counts.crossings[w][u] == want
-        assert edge_slot_crossings(v, t, (w, u)) == want
-
-
-def _outcome(fn, *args):
-    try:
-        return fn(*args)
-    except ValueError as e:
-        return ("ValueError", str(e))
 
 
 def test_row_counts_match_the_oracle_on_admissible_vectors(fam):
@@ -428,6 +421,28 @@ def test_row_counts_match_the_oracle_on_admissible_vectors(fam):
             assert vars(v) == {"coords": v.coords}
 
 
+# admissible rows: at most one quad type, with counts that often tie
+_admissible_rows = st.tuples(st.tuples(*[st.integers(0, 5)] * 4), st.integers(0, 2),
+                             st.integers(0, 5)).map(
+    lambda r: r[0] + tuple(r[2] if q == r[1] else 0 for q in range(3)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(gluing_tables(), st.data())
+def test_row_counts_match_the_oracle_on_any_rows(table, data):
+    # any admissible rows, matching or not
+    try:
+        tri = Triangulation(table)
+    except TriangulationError:
+        return
+    rows = data.draw(st.lists(_admissible_rows, min_size=tri.tet_count,
+                              max_size=tri.tet_count))
+    v = NormalVector(rows)
+    for t in range(tri.tet_count):
+        _assert_counts_match_oracle(v, t)
+    assert check_matching(tri, v) == _oracle_check_matching(tri, v)
+
+
 # a quad coordinate is 0 about half the time, so half the rows have one
 # quad type or none and the rest have two or three
 _quad = st.one_of(st.just(0), st.integers(1, 3))
@@ -435,26 +450,20 @@ _rows = st.tuples(*[st.integers(0, 4)] * 4, _quad, _quad, _quad)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(gluing_tables(), st.data())
-def test_row_counts_match_the_oracle_on_any_rows(table, data):
-    try:
-        tri = Triangulation(table)
-    except TriangulationError:
+@given(st.lists(_rows, min_size=1, max_size=6))
+def test_a_vector_is_built_only_from_admissible_rows(rows):
+    two_quads = [t for t, row in enumerate(rows) if sum(1 for n in row[4:] if n) > 1]
+    for t in two_quads:
+        with pytest.raises(ValueError, match="has two quad types$"):
+            row_counts(rows[t])
+    if two_quads:
+        with pytest.raises(ValueError, match=f"^tetrahedron {two_quads[0]} has two quad types$"):
+            NormalVector(rows)
         return
-    rows = data.draw(st.lists(_rows, min_size=tri.tet_count, max_size=tri.tet_count))
     v = NormalVector(rows)
-    for t in range(tri.tet_count):
-        assert _outcome(v.quad_type, t) == _outcome(_oracle_quad_type, v, t)
-        if sum(1 for n in rows[t][4:] if n) > 1:
-            with pytest.raises(ValueError, match=f"^tetrahedron {t} has two quad types$"):
-                v.counts(t)
-            with pytest.raises(ValueError):
-                row_counts(rows[t])
-        else:
-            _assert_counts_match_oracle(v, t)
-    # the violations found, or which tetrahedron a two-quad error names (a
-    # tetrahedron with no interior face is never read)
-    assert _outcome(check_matching, tri, v) == _outcome(_oracle_check_matching, tri, v)
+    assert v.coords == tuple(rows)
+    for t in range(len(rows)):
+        assert v.counts(t).quad == _oracle_quad_type(v, t)
 
 
 def test_row_counts_tables_are_tuples():
@@ -465,12 +474,6 @@ def test_row_counts_tables_are_tuples():
             assert isinstance(table, tuple) and len(table) == 4
             assert all(type(r) is tuple and len(r) == 4 for r in table)
     assert row_counts((1, 2, 0, 3, 0, 4, 0)) is row_counts((1, 2, 0, 3, 0, 4, 0))
-
-
-# admissible rows: at most one quad type, with counts that often tie
-_admissible_rows = st.tuples(st.tuples(*[st.integers(0, 5)] * 4), st.integers(0, 2),
-                             st.integers(0, 5)).map(
-    lambda r: r[0] + tuple(r[2] if q == r[1] else 0 for q in range(3)))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
