@@ -220,6 +220,17 @@ MUTANTS = (
      "    return [(max([pieces[tp] - rows[tp][f] for tp, f in placed]) if placed else 0, here)\n",
      "    return [(max([pieces[tp] for tp, f in placed]) if placed else 0, here)\n",
      ("tests/test_search.py::test_enumeration_output_is_unchanged",)),
+    # a face read as glued down by label, not by placement: relabelled off
+    # the glued-down order, a target is read in a row not yet placed
+    ("search.py",
+     "            if pos[t2] < pos[t]:\n",
+     "            if t2 < t:\n",
+     ("tests/test_relabel.py::test_enumeration_places_tetrahedra_glued_down_in_any_order",)),
+    # the piece floor reading a face of the tetrahedron being placed
+    ("search.py",
+     "    return [[(tuple((tp, f) for tp, f in faces if pos[tp] < k),\n",
+     "    return [[(tuple((tp, f) for tp, f in faces if pos[tp] <= k),\n",
+     ("tests/test_search.py::test_piece_floor_is_sound_on_the_family",)),
     # an unpinned quad scan stopping one short of its piece slope's bound
     ("search.py",
      "                    hi = spare // slope\n",

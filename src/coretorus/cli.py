@@ -45,8 +45,6 @@ def _encode(value):
         return [_encode(v) for v in value]
     if isinstance(value, dict):
         return {str(k): _encode(v) for k, v in value.items()}
-    if hasattr(value, "to_json"):
-        return _encode(value.to_json())
     return str(value)
 
 

@@ -74,11 +74,10 @@ class PLCurve:
         t, f = self.rep_slot(seg)
         bary = seg.p0 if which == 0 else seg.p1
         verts = FACE_VERTICES[f]
+        # validation leaves at most one zero weight: two would put the point at a vertex
         zeros = [i for i, c in enumerate(bary) if c == 0]
         if not zeros:
             return None
-        if len(zeros) != 1:
-            raise CurveError("curve touches a vertex")
         a, b = (verts[j] for j in range(3) if j != zeros[0])
         ec, (_, head) = self.tri.class_direction[(t, (a, b))]
         return ec, bary[verts.index(head)], (a, b), (t, f)

@@ -225,12 +225,10 @@ def check_matching(tri, v: NormalVector):
 
 
 def edge_weight(tri, v: NormalVector, edge_class_index):
-    """Crossings of the surface with one edge class (all slots agree)."""
-    ec = tri.edge_classes[edge_class_index]
-    counts = {v.counts(t).crossings[a][b] for t, (a, b) in ec.slots}
-    if len(counts) != 1:
-        raise TriangulationError(f"inconsistent crossings on edge class {ec.index}")
-    return counts.pop()
+    """Crossings of the surface with one edge class, read at
+    ``EdgeClass.rep``: every slot of a matching vector's class agrees."""
+    t, (a, b) = tri.edge_classes[edge_class_index].rep
+    return v.counts(t).crossings[a][b]
 
 
 def count_euler(tri, v: NormalVector):

@@ -8,9 +8,11 @@ glued to an earlier tetrahedron has a known side.  Each equation is
 propagated as soon as one side is known, so a contradiction prunes the
 branch at once; two equations that reach the same coordinate pin the quad
 count, which is scanned only when nothing pins it.  Each tetrahedron is
-placed glued to an earlier one where it can be (``_placement``); on layered
-triangulations it is glued down along two faces, so its coordinates are
-forced and the search is close to linear.
+placed glued to an earlier one where it can be (``_placement``), and keeps
+its own label: "earlier" means placed earlier, and each placed row is
+written at its tetrahedron's label.  On layered triangulations a
+tetrahedron is glued down along two faces, so its coordinates are forced
+and the search is close to linear.
 Output order is deterministic and budget monotone: vectors sorted by
 (piece count, coordinates), so a run with a larger budget streams the
 smaller run as a prefix.
@@ -42,7 +44,7 @@ from .layered import family
 from .normal import (ARC_COORDS, QUAD_CROSSES, QUAD_CUT, NormalVector, check_matching,
                      count_euler, edge_weight, reconstruct, row_of_crossings)
 from .slopes import at_least_golden_power, fib, min_pre_core_intersection, slope_seq
-from .triangulation import FACE_VERTICES, Triangulation
+from .triangulation import FACE_VERTICES
 
 
 @dataclass(frozen=True)
@@ -110,15 +112,17 @@ class _TetPlan:
     quad_weight: int          # first-slot edges the quad crosses
 
 
-def _plans(tri):
-    """Per tetrahedron: where its targets are read in the earlier rows, the
-    weight coefficient of each triangle coordinate, and one plan per quad
-    type, one list shared by the tetrahedra glued alike (tets 1..i of T_i)."""
+def _plans(tri, order):
+    """Per tetrahedron: where its targets are read in the rows placed before
+    it (``order``), the weight coefficient of each triangle coordinate, and
+    one plan per quad type, one list shared by the tetrahedra glued alike
+    (tets 1..i of T_i)."""
+    pos = {t: k for k, t in enumerate(order)}
     # every slot of an edge class sees all of its crossings, so the class
-    # weight is counted once, at its first slot: prune on weight early
+    # weight is counted once, at its first placed slot: prune on weight early
     first_slots = [[] for _ in range(tri.tet_count)]
     for ec in tri.edge_classes:
-        t, e = min(ec.slots)
+        t, e = min(ec.slots, key=lambda slot: (pos[slot[0]], slot[1]))
         first_slots[t].append(e)
     out, shared = [], {}
     for t in range(tri.tet_count):
@@ -130,7 +134,7 @@ def _plans(tri):
             if g is None:
                 continue
             t2, perm = g
-            if t2 < t:
+            if pos[t2] < pos[t]:
                 for vtx in FACE_VERTICES[f]:
                     cross.append((f, vtx, len(sources)))
                     sources.append((t2, *ARC_COORDS[perm[f]][perm[vtx]]))
@@ -201,20 +205,23 @@ def _plan(qt, cross, selfs, first_slots, wcoef, zero):
     return _TetPlan(qt, tuple(terms), checks, pins, classes, quad_weight)
 
 
-def _frontiers(tri):
-    """Per depth t, per later tetrahedron s glued to one of tets 0..t: the
-    faces (tp, f), tp < t, and the faces f of tet t glued to s."""
+def _frontiers(tri, order):
+    """Per depth k, per later tetrahedron s glued to one of order[:k + 1]:
+    the faces (tp, f) of the tetrahedra placed before order[k] that are
+    glued to s, and the faces f of order[k] glued to s."""
     g = tri.gluings
-    below = [[(tp, f) for tp in range(s) for f in range(4) if g[tp][f] and g[tp][f][0] == s]
-             for s in range(tri.tet_count)]
-    return [[(tuple((tp, f) for tp, f in faces if tp < t), tuple(f for tp, f in faces if tp == t))
-             for faces in below[t + 1:] if faces and faces[0][0] <= t]
-            for t in range(tri.tet_count)]
+    pos = {t: k for k, t in enumerate(order)}
+    below = {s: [(tp, f) for tp in order[:pos[s]] for f in range(4)
+                 if g[tp][f] and g[tp][f][0] == s] for s in order}
+    return [[(tuple((tp, f) for tp, f in faces if pos[tp] < k),
+              tuple(f for tp, f in faces if tp == t))
+             for faces in map(below.get, order[k + 1:]) if faces and pos[faces[0][0]] <= k]
+            for k, t in enumerate(order)]
 
 
 def _floor_terms(frontier, rows, pieces):
-    """Per entry of tet t's frontier (t = len(rows)): the most arcs on its
-    faces (tp, f), rows[tp] having pieces[tp] pieces, and its faces f."""
+    """Per entry of a frontier: the most arcs on its faces (tp, f) of placed
+    tetrahedra, rows[tp] having pieces[tp] pieces, and its faces f."""
     return [(max([pieces[tp] - rows[tp][f] for tp, f in placed]) if placed else 0, here)
             for placed, here in frontier]
 
@@ -234,7 +241,8 @@ def _piece_floor(terms, row, pieces):
 def _placement(tri):
     """The order the tetrahedra are placed in: from tet 0, each next one the
     least-labelled unplaced tetrahedron glued to a placed one, and a new
-    component from its least label.  The identity where each tetrahedron is
+    component from its least label.  Each keeps its own label; only "earlier"
+    means earlier in this order.  The identity where each tetrahedron is
     glued to an earlier one (T_i and every named table)."""
     order, reached = [], set()
     while len(order) < tri.tet_count:
@@ -245,25 +253,17 @@ def _placement(tri):
 
 
 def _enumerate_raw(tri, budget):
-    n = tri.tet_count
-    order = _placement(tri)
-    if order != list(range(n)):
-        # enumerate with tet order[k] renamed k, then name the rows back
-        at = {t: k for k, t in enumerate(order)}
-        renamed = Triangulation([[None if g is None else (at[g[0]], g[1]) for g in tri.gluings[t]]
-                                 for t in order])
-        for v in _enumerate_raw(renamed, budget):
-            yield NormalVector([v.coords[at[t]] for t in range(n)])
-        return
     deadline = None
     if budget.time_limit is not None:
         deadline = time.monotonic() + budget.time_limit
+    n = tri.tet_count
     if n == 0:
         return
-    plans = _plans(tri)
-    frontiers = _frontiers(tri)
+    order = _placement(tri)
+    plans = _plans(tri, order)
+    frontiers = _frontiers(tri, order)
     max_weight = budget.max_weight
-    stack_rows, stack_pieces = [], []      # the placed rows and their piece counts
+    rows, row_pieces = [None] * n, [0] * n     # the placed rows and their piece counts, by label
 
     def check_deadline():
         if deadline is not None and time.monotonic() > deadline:
@@ -292,12 +292,13 @@ def _enumerate_raw(tri, budget):
         for v in members:
             vals[v] -= steps
 
-    def tet_candidates(t, piece_left, weight_left):
-        """(row, pieces, weight) for tetrahedron t within the budgets and floor."""
-        sources, (w0, w1, w2, w3), tplans = plans[t]
-        targets = [stack_rows[tp][a] + stack_rows[tp][b] for tp, a, b in sources]
+    def tet_candidates(k, piece_left, weight_left):
+        """(row, pieces, weight) for tetrahedron order[k] within the budgets
+        and floor."""
+        sources, (w0, w1, w2, w3), tplans = plans[order[k]]
+        targets = [rows[tp][a] + rows[tp][b] for tp, a, b in sources]
         targets.append(0)
-        terms = _floor_terms(frontiers[t], stack_rows, stack_pieces)
+        terms = _floor_terms(frontiers[k], rows, row_pieces)
         out = []
         for plan in tplans:
             agree = True
@@ -359,23 +360,20 @@ def _enumerate_raw(tri, budget):
                      piece_left, weight_left, terms)
         return out
 
-    def dfs(t, used, weight_used):
+    def dfs(k, used, weight_used):
         check_deadline()
         weight_left = None if max_weight is None else max_weight - weight_used
-        candidates = tet_candidates(t, budget.max_piece_count - used, weight_left)
-        if t == n - 1:
-            for row, _, _ in candidates:
-                vec = NormalVector((*stack_rows, row))
+        candidates = tet_candidates(k, budget.max_piece_count - used, weight_left)
+        t = order[k]
+        if k == n - 1:
+            for rows[t], _, _ in candidates:
+                vec = NormalVector(rows)
                 if not check_matching(tri, vec)[0]:
                     raise AssertionError("enumerator produced a non-matching vector")
                 yield vec
             return
-        for row, pieces, weight in candidates:
-            stack_rows.append(row)
-            stack_pieces.append(pieces)
-            yield from dfs(t + 1, used + pieces, weight_used + weight)
-            stack_rows.pop()
-            stack_pieces.pop()
+        for rows[t], row_pieces[t], weight in candidates:
+            yield from dfs(k + 1, used + row_pieces[t], weight_used + weight)
 
     try:
         yield from dfs(0, 0, 0)
@@ -423,7 +421,8 @@ def find_meridian_discs(tri, budget: SearchBudget) -> DiscSearchResult:
     Euler characteristic is not 1 cannot be a connected disc.  The time
     limit holds for the enumeration and the filter together: when it stops
     either, the discs found so far are returned with ``complete`` False;
-    such a result is inconclusive."""
+    such a result is inconclusive.  A search stopped during enumeration
+    returns no discs, because its filter starts after the deadline."""
     calibration = first_homology(tri).calibration
     if calibration is None:
         raise ValueError("not a solid-torus candidate; no meridian to search for")

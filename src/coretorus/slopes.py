@@ -33,9 +33,6 @@ class Slope:
     def __str__(self):
         return f"({self.x},{self.y})"
 
-    def to_json(self):
-        return [self.x, self.y]
-
 
 def normalize_slope(x, y):
     """Primitive, sign-normalized slope for an integer homology class."""

@@ -6,9 +6,10 @@ the oracle for the cells and components of ``BundleComplex``; nothing in
 ``coretorus`` uses it.
 """
 from coretorus.bundle import BundleComponent, _Cell
-from coretorus.normal import (coorientation, crossing_position, edge_weight, face_stack,
-                              piece_at, piece_cycle)
+from coretorus.normal import (coorientation, crossing_position, face_stack, piece_at,
+                              piece_cycle)
 from coretorus.triangulation import FACE_VERTICES, TriangulationError, perm_inverse, two_colour
+from surface_oracle import slot_weight
 
 
 def _slab_gap(v, t, lo, hi, directed_edge):
@@ -141,7 +142,7 @@ class BundleComplexOracle:
         v = self.v
         tri = self.tri
         for ec in tri.edge_classes:
-            w = edge_weight(tri, v, ec.index)
+            w = slot_weight(tri, v, ec.index)
             if w < 2:
                 continue
             walk = tri.edge_walks[ec.index]

@@ -9,17 +9,27 @@ mapped to boundary edges, and traced by the arc-list tracer the counts
 tracer grew from.  ``surface_counts`` gives what ``reconstruct`` reports
 of these: the Euler characteristic per component, the weight and the
 boundary curves per component as (length, chain).  ``total_weight`` sums
-``edge_weight`` over every edge class, each read at all of its slots.
+``slot_weight`` over every edge class, each read at all of its slots.
 """
-from coretorus.normal import _corner_end, crossing_position, edge_weight, face_stack, piece_cycle
+from coretorus.normal import _corner_end, crossing_position, face_stack, piece_cycle
 from coretorus.triangulation import FACE_VERTICES, TriangulationError
 from skeleton_oracle import bedge_of_manifold_edge
 
 
+def slot_weight(tri, v, edge_class_index):
+    """Crossings of v with one edge class, read at every slot of the class,
+    which must all agree (``normal.edge_weight`` reads one slot)."""
+    ec = tri.edge_classes[edge_class_index]
+    counts = {v.counts(t).crossings[a][b] for t, (a, b) in ec.slots}
+    if len(counts) != 1:
+        raise TriangulationError(f"inconsistent crossings on edge class {ec.index}")
+    return counts.pop()
+
+
 def total_weight(tri, v):
     """Crossings of v with every edge class, each class read at all of its
-    slots (``edge_weight``)."""
-    return sum(edge_weight(tri, v, ec.index) for ec in tri.edge_classes)
+    slots (``slot_weight``)."""
+    return sum(slot_weight(tri, v, ec.index) for ec in tri.edge_classes)
 
 
 def surface_counts(tri, v, components):

@@ -18,7 +18,7 @@ from coretorus.triangulation import Triangulation, TriangulationError, serialize
 
 from test_curves import crowded_curve
 from test_homology import COVER_PASS_TEXT, TWO_VERTEX_TEXT
-from test_triangulation import gluing_tables
+from test_triangulation import REJECTED_TEXTS, gluing_tables
 
 
 def _capture(capsys, argv):
@@ -42,6 +42,14 @@ def test_validate_broken_input(tmp_path, capsys):
     code, _ = _capture(capsys, ["validate", "--in", str(bad)])
     assert code == 2
     bad.write_text("not a triangulation\n")
+    code, _ = _capture(capsys, ["validate", "--in", str(bad)])
+    assert code == 2
+
+
+@pytest.mark.parametrize("name", sorted(REJECTED_TEXTS))
+def test_validate_rejects_malformed_tables(tmp_path, capsys, name):
+    bad = tmp_path / "bad.tri"
+    bad.write_text(REJECTED_TEXTS[name][0])
     code, _ = _capture(capsys, ["validate", "--in", str(bad)])
     assert code == 2
 
@@ -250,6 +258,25 @@ def test_meridian_rejects_a_negative_time_limit(tmp_path, capsys):
     code, _ = _capture(capsys, ["meridian", "--in", path, "--max-pieces", "4",
                                 "--time-limit", "-1"])
     assert code == 2
+    for option in ("--max-pieces", "--max-weight"):
+        code, _ = _capture(capsys, ["meridian", "--in", path, "--max-pieces", "4", option, "-1"])
+        assert code == 2
+
+
+def test_meridian_weight_budget_keeps_the_lighter_discs(tmp_path, capsys):
+    # the cover-pass torus has discs of weight 7, 13 and 15 within 16 pieces
+    path = tmp_path / "cover_pass.tri"
+    path.write_text(COVER_PASS_TEXT)
+    argv = ["--json", "meridian", "--in", str(path), "--max-pieces", "16"]
+    code, out = _capture(capsys, argv)
+    assert code == 0
+    discs = json.loads(out)["results"]["discs"]
+    assert [d["weight"] for d in discs] == [7, 13, 15]
+    for weight in (6, 7, 13, 14, 15):
+        code, out = _capture(capsys, argv + ["--max-weight", str(weight)])
+        light = [d for d in discs if d["weight"] <= weight]
+        assert code == (0 if light else 3)
+        assert json.loads(out)["results"]["discs"] == light
 
 
 @pytest.fixture(scope="module")
@@ -272,10 +299,13 @@ _SEGMENT = {"face": 0, "p0": ["1/2", "1/2", "0"], "p1": ["0", "1/2", "1/2"]}
     [{"face": 0, "p1": _SEGMENT["p1"]}], [dict(_SEGMENT, p0=["1/2", "1/2"])],
     [dict(_SEGMENT, p0=["1/0", "1/2", "1/2"])], [dict(_SEGMENT, p1=["0", "x", "1"])],
     [dict(_SEGMENT, p1=[0, float("nan"), 1])], [dict(_SEGMENT, p1=[0, float("inf"), 1])],
-    [dict(_SEGMENT, p1=[0, [1], 0])],
+    [dict(_SEGMENT, p1=[0, [1], 0])], [dict(_SEGMENT, p1=_SEGMENT["p0"])],
+    [dict(_SEGMENT, p0=["1/2", "1/2", "1/2"])], [dict(_SEGMENT, p0=["3/2", "-1/2", "0"])],
+    [dict(_SEGMENT, p0=["1", "0", "0"])],
 ], ids=["object", "string", "number-segment", "list-segment", "string-face", "bool-face",
         "face-out-of-range", "negative-face", "missing-p0", "two-coordinates",
-        "zero-denominator", "not-a-number", "nan", "infinity", "list-coordinate"])
+        "zero-denominator", "not-a-number", "nan", "infinity", "list-coordinate",
+        "degenerate-segment", "weights-not-summing-to-1", "negative-weight", "at-a-vertex"])
 def test_curve_check_rejects_a_malformed_curve_file(t1_files, tmp_path, capsys, curve):
     d, _ = t1_files
     bad = tmp_path / "bad.json"

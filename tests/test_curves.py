@@ -42,6 +42,20 @@ def test_curve_validation(fam):
                 PLCurve(tri, [Segment(seg.face_class, bad, seg.p1)])
 
 
+
+def test_curve_validation_rejects_bad_points(fam):
+    tri = fam(0).tri
+    fc = _interior_face(tri)
+    inside = (F(1, 2), F(1, 4), F(1, 4))
+    for p, message in [((F(1, 2), F(1, 2)), "bad barycentric point"),
+                       ((F(1, 2), F(1, 2), F(1, 2)), "bad barycentric point"),
+                       ((F(3, 2), F(-1, 2), F(0)), "bad barycentric point"),
+                       ((F(0), F(0), F(1)), "touches a vertex")]:
+        with pytest.raises(ValueError, match=message):
+            PLCurve(tri, [Segment(fc, p, inside)])
+    with pytest.raises(ValueError, match="degenerate segment"):
+        PLCurve(tri, [Segment(fc, inside, inside)])
+
 def test_61_curve_certificates(fam, minimal_disc):
     for i in range(4):
         lt = fam(i)

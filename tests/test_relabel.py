@@ -143,7 +143,7 @@ def test_relabelling_keeps_the_enumeration(table, pieces, data):
 
 
 def test_placement_is_the_identity_on_glued_down_tables():
-    # so the enumerator renames nothing on the family and the named tables
+    # so the family and the named tables are placed in label order
     texts = (TWO_VERTEX_TEXT, COVER_PASS_TEXT, CHECKED_TEXT, BALL_TEXT, FOLDED_BALL_TEXT,
              ANNULUS_FLOOR_TEXT)
     for tri in [family(i).tri for i in range(21)] + [parse_tri(text) for text in texts]:

@@ -91,7 +91,7 @@ CHECKED_TEXT = "tets 2\n0: 1:3201 1:2031 - 1:2031\n1: 0:1302 0:1302 - 0:2310\n"
 def test_brute_force_reaches_every_kind_of_plan():
     assert len(SMALL_ROWS) == 98
     tri = parse_tri(CHECKED_TEXT)
-    plans = [p for _, _, tplans in search._plans(tri) for p in tplans]
+    plans = [p for _, _, tplans in search._plans(tri, search._placement(tri)) for p in tplans]
     assert any(p.checks for p in plans) and any(p.pins for p in plans)
     assert any(c < 0 for p in plans for _, c in p.terms)
     assert any(p.classes for p in plans)
@@ -148,14 +148,17 @@ def _assert_piece_floor_is_sound(tri, budget):
     with patch.object(search, "_piece_floor", lambda terms, row, pieces: 0):
         unpruned = enumerate_admissible(tri, budget)
     assert enumerate_admissible(tri, budget) == unpruned
-    frontiers = search._frontiers(tri)
+    order = search._placement(tri)
+    frontiers = search._frontiers(tri, order)
     positive = 0
     for v in unpruned:
         pieces = [sum(row) for row in v.coords]
-        for t in range(tri.tet_count):
-            terms = search._floor_terms(frontiers[t], v.coords[:t], pieces[:t])
+        for k, t in enumerate(order):
+            # only the rows placed before tet t can be read
+            placed = [v.coords[s] if s in order[:k] else None for s in range(tri.tet_count)]
+            terms = search._floor_terms(frontiers[k], placed, pieces)
             floor = search._piece_floor(terms, v.coords[t], pieces[t])
-            assert sum(pieces[:t + 1]) + floor <= v.piece_count()
+            assert sum(pieces[s] for s in order[:k + 1]) + floor <= v.piece_count()
             positive += floor > 0
     return positive
 
@@ -174,7 +177,7 @@ def test_piece_floor_is_sound_on_random_tables(table):
     except TriangulationError:
         return
     # where no tetrahedron is glued to another the floor is 0 throughout
-    if any(search._frontiers(tri)):
+    if any(search._frontiers(tri, search._placement(tri))):
         _assert_piece_floor_is_sound(tri, SearchBudget(6))
 
 
@@ -210,6 +213,14 @@ def test_budget_rejects_a_negative_or_nan_time_limit(limit):
     with pytest.raises(ValueError, match="time limit"):
         SearchBudget(10, time_limit=limit)
     assert SearchBudget(10, time_limit=0.0).time_limit == 0.0
+
+
+def test_budget_rejects_a_negative_piece_or_weight_budget():
+    with pytest.raises(ValueError, match="piece budget"):
+        SearchBudget(-1)
+    with pytest.raises(ValueError, match="weight budget"):
+        SearchBudget(10, max_weight=-1)
+    assert SearchBudget(0, max_weight=0).max_weight == 0
 
 
 def _assert_meridian_discs(tri, cal, discs):
@@ -422,11 +433,11 @@ def _renamed(text, order):
 @pytest.mark.parametrize("case", ["parsed", "renamed", "stopped"])
 def test_a_disc_search_frees_its_triangulation_by_reference_counting(fam, case):
     # with the collector off only reference counting frees anything: once
-    # the search returns and its result is dropped, the triangulation, and
-    # every Triangulation the search made, is gone, and the collector finds
-    # no cycle left behind.  T_2 renamed 0-2-1 along its chain is enumerated
-    # through a renamed copy; a zero time limit stops the walk by
-    # BudgetExhausted
+    # the search returns and its result is dropped, the triangulation is
+    # gone, no other Triangulation is left, and the collector finds no
+    # cycle left behind.  T_2 renamed 0-2-1 along its chain is placed off
+    # its label order, in its own labels; a zero time limit stops the walk
+    # by BudgetExhausted
     text = serialize_tri(fam(2).tri)
     make = (lambda: _renamed(text, [0, 2, 1])) if case == "renamed" else lambda: parse_tri(text)
     budget = SearchBudget(fib(8) - 4, time_limit=0.0 if case == "stopped" else None)

@@ -58,6 +58,8 @@ def test_slope_seq_values():
     assert slope_seq(2) == Slope(2, 1)
     assert slope_seq(3) == Slope(3, 2)
     assert slope_seq(4) == Slope(5, 3)
+    with pytest.raises(ValueError, match="starts at index 0"):
+        slope_seq(-1)
 
 
 def test_slope_seq_recursion_exact():

@@ -42,6 +42,32 @@ def test_parse_errors_carry_line_numbers():
         parse_tri("tets 1\n0: - - 0:12 -\n")       # bad token
 
 
+# malformed tables, each with a piece of the message that rejects it
+REJECTED_TEXTS = {
+    "negative-count": ("tets -1\n", "count must be nonnegative"),
+    "missing-colon": ("tets 1\n0 - - - -\n", "expected"),
+    "bad-index": ("tets 1\nx: - - - -\n", "bad tetrahedron index"),
+    "index-out-of-range": ("tets 1\n1: - - - -\n", "index 1 out of range"),
+    "duplicate-row": ("tets 1\n0: - - - -\n0: - - - -\n", "duplicate row"),
+    "bad-face-tetrahedron": ("tets 1\n0: x:1023 - - -\n", "bad face token"),
+    "missing-tetrahedron": ("tets 1\n0: 1:1023 - - -\n", "missing tetrahedron 1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECTED_TEXTS))
+def test_malformed_tables_are_rejected(name):
+    text, message = REJECTED_TEXTS[name]
+    with pytest.raises(ValueError, match=message):
+        parse_tri(text)
+
+
+def test_short_rows_and_missing_tetrahedra_are_rejected():
+    with pytest.raises(ValueError, match="exactly 4 face entries"):
+        Triangulation([[None, None, None]])
+    with pytest.raises(ValueError, match="missing tetrahedron 1"):
+        Triangulation([[(1, (1, 0, 2, 3)), None, None, None]])
+
+
 def test_non_permutation_face_token_rejected():
     with pytest.raises(TriangulationError, match="is not a permutation"):
         parse_tri("tets 1\n0: 0:0012 - - -\n")
